@@ -29,7 +29,7 @@ from qf.groups import (
 )
 from qf.diagrams import analyze, connected_sum, parse_pd, quandle_presentation, wirtinger_with_peripherals
 from qf.builders import build_montesinos, build_rational, build_torus
-from qf.homology import boundaries, h1, h2, h2_order_via_extension
+from qf.homology import boundaries, h2_order_via_extension, quandle_homology
 
 __version__ = "0.1.0"
 
@@ -43,5 +43,5 @@ __all__ = [
     "trefoil_branched_presentation",
     "analyze", "connected_sum", "parse_pd", "quandle_presentation", "wirtinger_with_peripherals",
     "build_montesinos", "build_rational", "build_torus",
-    "boundaries", "h1", "h2", "h2_order_via_extension",
+    "boundaries", "h2_order_via_extension", "quandle_homology",
 ]

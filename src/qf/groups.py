@@ -37,6 +37,10 @@ class KernelSizeMismatch(Exception):
     """|G_n| != n * |kernel|; the grading of the enumerated group is broken."""
 
 
+class TableMismatch(Exception):
+    """A coset table is not a coset action of the given presentation and subgroup."""
+
+
 def free_reduce(word: Iterable[int]) -> Word:
     out: list[int] = []
     for letter in word:
@@ -117,6 +121,21 @@ class CosetTable:
 
     def coset_of_word(self, word: Iterable[int]) -> int:
         return self.follow(0, word)
+
+    def check(self, g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> None:
+        """Raise TableMismatch unless this is a coset action of g over the subgroup:
+        every relator acts trivially, every subgroup word fixes coset 0 and each
+        representative word reaches its coset."""
+        if self.ngens != g.ngens or self.subgroup != tuple(free_reduce(w) for w in subgroup):
+            raise TableMismatch("table belongs to another presentation or subgroup")
+        for word in g.relators:
+            if any(self.follow(c, word) != c for c in range(self.size)):
+                raise TableMismatch(f"relator {word} does not act trivially")
+        for word in self.subgroup:
+            if self.follow(0, word) != 0:
+                raise TableMismatch(f"subgroup word {word} moves coset 0")
+        if any(self.follow(0, w) != c for c, w in enumerate(self.rep_words)):
+            raise TableMismatch("a representative word does not reach its coset")
 
     def to_json(self) -> dict:
         return {
@@ -370,11 +389,7 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
     reps = [rep_words[old] for old in order]
 
     result = CosetTable(g.ngens, action, reps, subgroup_words)
-    for word in g.relators:
-        for c in range(result.size):
-            assert result.follow(c, word) == c, "relator does not act trivially"
-    for word in subgroup_words:
-        assert result.follow(0, word) == 0, "subgroup generator moves coset 0"
+    result.check(g, subgroup_words)
     return result
 
 
@@ -409,19 +424,20 @@ def element_order(g: FiniteGroupElementSet, x: int) -> int:
     return k
 
 
-def branched_cover_group(p, n: int, max_cosets: int = DEFAULT_MAX_COSETS
+def branched_cover_group(p, n: int, t: CosetTable
                          ) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
     """Fundamental group of the n-fold cyclic branched cover, meridian conjugation, longitude.
 
-    Enumerates the meridian-power quotient of the knot group over the trivial
-    subgroup, grades cosets by meridian exponent sum mod n, and promotes the
-    kernel of the grading to an explicit finite group. Returns the group, the
-    automorphism g -> m^-1 g m restricted to it, and the longitude's element.
+    Takes the coset table of the meridian-power quotient G_n of the knot group
+    over the trivial subgroup, grades cosets by meridian exponent sum mod n, and
+    promotes the kernel of the grading to an explicit finite group. Returns the
+    group, the automorphism g -> m^-1 g m restricted to it, and the longitude's
+    element.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    pres = g_n_presentation(p, n)
-    t = todd_coxeter(pres, [], max_cosets)
+    if any(t.subgroup):
+        raise ValueError("need the coset table of G_n over the trivial subgroup")
     grades = [sum(1 if letter > 0 else -1 for letter in w) % n for w in t.rep_words]
     kernel = [c for c in range(t.size) if grades[c] == 0]
     if t.size != n * len(kernel):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qf.intlinalg import AbelianGroup, SparseIntMatrix, homology_of_pair, smith_normal_form
+from qf.intlinalg import AbelianGroup, SparseIntMatrix, homology_of_pair
 from qf.quandles import FiniteQuandle
 
 
@@ -62,15 +62,8 @@ def boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
     return QuandleComplexSlice(q, basis1, basis2, basis3, d2, d3)
 
 
-def h1(q: FiniteQuandle) -> AbelianGroup:
-    """First quandle homology: the cokernel of d2."""
-    d2 = boundaries(q).d2
-    snf = smith_normal_form(d2)
-    return AbelianGroup(q.size - snf.rank, tuple(d for d in snf.factors if d > 1))
-
-
-def h2(q: FiniteQuandle) -> AbelianGroup:
-    """Second quandle homology: ker(d2) / im(d3)."""
+def quandle_homology(q: FiniteQuandle) -> tuple[AbelianGroup, AbelianGroup]:
+    """First and second quandle homology: H1 = coker(d2), H2 = ker(d2) / im(d3)."""
     s = boundaries(q)
     return homology_of_pair(s.d2, s.d3)
 

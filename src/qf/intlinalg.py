@@ -312,8 +312,9 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     return SNFResult((1,) * units + _chain_fix(diag))
 
 
-def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix) -> AbelianGroup:
-    """Isomorphism type of ker(d_low) / im(d_high).
+def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix
+                     ) -> tuple[AbelianGroup, AbelianGroup]:
+    """Isomorphism types of coker(d_low) and ker(d_low) / im(d_high).
 
     d_low maps the middle chain group down, d_high maps into it, so
     d_low.cols == d_high.rows and d_low * d_high must vanish.
@@ -323,8 +324,8 @@ def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix) -> Abelian
                          f"d_high is {d_high.rows}x{d_high.cols}")
     if not d_low.mul(d_high).is_zero():
         raise NotAComplex("d_low * d_high != 0")
-    rank_low = smith_normal_form(d_low).rank
+    snf_low = smith_normal_form(d_low)
     snf_high = smith_normal_form(d_high)
-    free = d_low.cols - rank_low - snf_high.rank
-    torsion = tuple(d for d in snf_high.factors if d > 1)
-    return AbelianGroup(free, torsion)
+    coker = AbelianGroup(d_low.rows - snf_low.rank, tuple(d for d in snf_low.factors if d > 1))
+    free = d_low.cols - snf_low.rank - snf_high.rank
+    return coker, AbelianGroup(free, tuple(d for d in snf_high.factors if d > 1))

@@ -12,6 +12,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +26,8 @@ from qf.groups import (
     STRATEGY_VERSION,
     CosetTable,
     GroupPresentation,
+    IncompleteTable,
+    TableMismatch,
     Word,
     branched_cover_group,
     element_order,
@@ -31,8 +35,7 @@ from qf.groups import (
     quandle_from_cosets,
     todd_coxeter,
 )
-from qf.homology import h1 as quandle_h1
-from qf.homology import h2 as quandle_h2
+from qf.homology import quandle_homology
 from qf.intlinalg import AbelianGroup
 from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, is_connected, quandle_type
 
@@ -40,36 +43,57 @@ SCHEMA_VERSION = 1
 
 
 class CosetCache:
-    """Disk cache for coset tables; None directory disables caching."""
+    """Disk cache for coset tables; None directory disables caching.
+
+    Each entry stores its key payload next to the table. An entry whose payload
+    differs from the request, that does not parse, or whose table fails
+    CosetTable.check is treated as a miss: recomputed and overwritten.
+    """
 
     def __init__(self, directory: Optional[Path]):
         self.directory = Path(directory) if directory is not None else None
         self.hits = 0
         self.misses = 0
 
-    def _key(self, pres: GroupPresentation, subgroup: tuple[Word, ...]) -> str:
-        payload = json.dumps({
-            "ngens": pres.ngens,
-            "relators": [list(w) for w in pres.relators],
-            "subgroup": [list(w) for w in subgroup],
-            "strategy": STRATEGY_VERSION,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+    def _load(self, path: Path, payload: dict, pres: GroupPresentation,
+              subgroup: tuple[Word, ...]) -> Optional[CosetTable]:
+        try:
+            entry = json.loads(path.read_text())
+            if entry["key"] != payload:
+                return None
+            table = CosetTable.from_json(entry["table"])
+            table.check(pres, subgroup)
+        except (OSError, ValueError, KeyError, TypeError, IncompleteTable, TableMismatch):
+            return None
+        return table
 
     def todd_coxeter(self, pres: GroupPresentation, subgroup: tuple[Word, ...],
                      max_cosets: int) -> CosetTable:
         if self.directory is None:
             return todd_coxeter(pres, subgroup, max_cosets)
-        path = self.directory / f"{self._key(pres, subgroup)}.json"
-        if path.exists():
+        payload = {
+            "ngens": pres.ngens,
+            "relators": [list(w) for w in pres.relators],
+            "subgroup": [list(w) for w in subgroup],
+            "strategy": STRATEGY_VERSION,
+        }
+        key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        path = self.directory / f"{key}.json"
+        table = self._load(path, payload, pres, subgroup)
+        if table is not None:
             self.hits += 1
-            return CosetTable.from_json(json.loads(path.read_text()))
+            return table
         table = todd_coxeter(pres, subgroup, max_cosets)
         self.misses += 1
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(table.to_json(), sort_keys=True))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(json.dumps({"key": payload, "table": table.to_json()}, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return table
 
 
@@ -205,8 +229,7 @@ class Pipeline:
             per = self.peripherals(spec)
             pres = g_n_presentation(per, n)
             table = self.cache.todd_coxeter(pres, (), self.max_cosets)
-            group, phi, ell = branched_cover_group(per, n, self.max_cosets)
-            assert group.order * n == table.size
+            group, phi, ell = branched_cover_group(per, n, table)
             self._branched[key] = BranchedData(
                 group=group, phi=phi, longitude=ell,
                 longitude_order=element_order(group, ell), gn_order=table.size)
@@ -230,21 +253,17 @@ class Pipeline:
         knot = self.knot(spec)
         if knot.is_unknot:
             return self._unknot_result(spec, n, full=True)
-        if n < 2:
-            result = self.run_enumerate(spec, n)
-            _, q = self.quandle(spec, n)
-            result.h1 = quandle_h1(q)
-            result.h2 = quandle_h2(q)
-            return result
         _, q = self.quandle(spec, n)
-        data = self.branched(spec, n)
+        data = self.branched(spec, n) if n >= 2 else None
+        h1, h2 = quandle_homology(q)
         result = PipelineResult(
             knot=spec, n=n, qn_size=q.size, qn_type=quandle_type(q),
-            qn_connected=is_connected(q),
-            gn_order=data.gn_order, pi1_order=data.group.order,
-            longitude_order=data.longitude_order,
-            h1=quandle_h1(q), h2=quandle_h2(q),
+            qn_connected=is_connected(q), h1=h1, h2=h2,
             mu=knot.mu, mu_family=knot.mu_family, cache_hits=self.cache.hits)
+        if data is not None:
+            result.gn_order = data.gn_order
+            result.pi1_order = data.group.order
+            result.longitude_order = data.longitude_order
         result.timings["total"] = time.perf_counter() - t0
         return result
 

@@ -9,6 +9,7 @@ reports SKIP with the component counts as evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 from qf.diagrams import MultiComponent, arc_assignment, quandle_presentation
 from qf.groups import Overflow, abelianization, todd_coxeter, trefoil_branched_presentation
@@ -90,126 +91,91 @@ class VerifyRow:
         return self.status in ("PASS", "SKIP")
 
 
-def _extension_witness(pipe: Pipeline, spec: str, n: int):
-    """Witness for GAlex(pi1, phi) -> Q_n plus the model isomorphism, or (None, None)."""
+def _coset_model(pipe: Pipeline, spec: str, n: int):
+    """Isomorphism from the coset model of (pi1, phi, <l>) onto Q_n, or None."""
     _, q = pipe.quandle(spec, n)
     data = pipe.branched(spec, n)
-    group, phi, ell = data.group, data.phi, data.longitude
-    sub = group.subgroup_generated([ell])
-    model = coset_quandle(group, phi, sub)
-    iso = is_isomorphic(model, q)
-    if iso is None:
-        return None, None
-    coset_of, _ = right_cosets(group, sub)
-    total = galex(group, phi)
+    sub = data.group.subgroup_generated([data.longitude])
+    return is_isomorphic(coset_quandle(data.group, data.phi, sub), q)
+
+
+def _extension_witness(pipe: Pipeline, spec: str, n: int, iso) -> ExtensionWitness:
+    """Witness for GAlex(pi1, phi) -> Q_n, projecting through the model isomorphism."""
+    _, q = pipe.quandle(spec, n)
+    data = pipe.branched(spec, n)
+    group, ell = data.group, data.longitude
+    coset_of, _ = right_cosets(group, group.subgroup_generated([ell]))
     projection = tuple(iso[coset_of[x]] for x in range(group.order))
     action = tuple(group.mult[ell][x] for x in range(group.order))
-    return ExtensionWitness(total, q, projection, data.longitude_order, action), iso
-
-
-def _safe_row(name: str, thunk) -> VerifyRow:
-    try:
-        return thunk()
-    except Overflow as exc:
-        return VerifyRow(name, "OVERFLOW", str(exc))
+    return ExtensionWitness(galex(group, data.phi), q, projection, data.longitude_order, action)
 
 
 def run_verification(pipe: Pipeline) -> list[VerifyRow]:
-    rows: list[VerifyRow] = []
+    coset_model = cache(partial(_coset_model, pipe))  # shared by the extension and model rows
 
-    def cardinality_row(spec, n, want):
+    def cardinality(spec, n, want):
         res = pipe.run_enumerate(spec, n)
-        ok = res.qn_size == want and res.qn_type == n and res.qn_connected
-        return VerifyRow(
-            f"cardinality {spec} n={n}", "PASS" if ok else "FAIL",
-            f"|Q_n|={res.qn_size} (want {want}), type={res.qn_type} (want {n})")
+        return (res.qn_size == want and res.qn_type == n and res.qn_connected,
+                f"|Q_n|={res.qn_size} (want {want}), type={res.qn_type} (want {n})")
 
-    for spec, n, want in CARDINALITY_CASES:
-        rows.append(_safe_row(f"cardinality {spec} n={n}",
-                              lambda s=spec, k=n, w=want: cardinality_row(s, k, w)))
-
-    def longitude_row(spec, n, want):
+    def longitude(spec, n, want):
         data = pipe.branched(spec, n)
-        ok = data.longitude_order == want
-        return VerifyRow(
-            f"longitude order {spec} n={n}", "PASS" if ok else "FAIL",
-            f"ord(l)={data.longitude_order} (want {want})")
+        return data.longitude_order == want, f"ord(l)={data.longitude_order} (want {want})"
 
-    for spec, n, want in LONGITUDE_CASES:
-        rows.append(_safe_row(f"longitude order {spec} n={n}",
-                              lambda s=spec, k=n, w=want: longitude_row(s, k, w)))
-
-    def h2_row(spec, n, want):
+    def h2(spec, n, want):
         res = pipe.run_homology(spec, n)
-        ok = res.h2 == want and not res.consistency_errors()
-        return VerifyRow(
-            f"H2 {spec} n={n}", "PASS" if ok else "FAIL",
-            f"H2={res.h2} (want {want})")
+        return res.h2 == want and not res.consistency_errors(), f"H2={res.h2} (want {want})"
 
-    for spec, n, want in H2_CASES:
-        rows.append(_safe_row(f"H2 {spec} n={n}",
-                              lambda s=spec, k=n, w=want: h2_row(s, k, w)))
-
-    rows.append(_safe_row("montesinos family", lambda: _montesinos_row(pipe)))
-
-    def extension_row(spec, n):
-        witness, _ = _extension_witness(pipe, spec, n)
-        if witness is None:
-            return VerifyRow(f"extension {spec} n={n}", "FAIL", "no model isomorphism")
+    def extension(spec, n):
+        iso = coset_model(spec, n)
+        if iso is None:
+            return False, "no model isomorphism"
+        witness = _extension_witness(pipe, spec, n, iso)
         report = verify_extension(witness)
         data = pipe.branched(spec, n)
-        fiber_ok = witness.group_order == data.longitude_order
-        return VerifyRow(
-            f"extension {spec} n={n}", "PASS" if report.ok and fiber_ok else "FAIL",
-            f"E1={report.e1} E2={report.e2} hom={report.projection_is_homomorphism} "
-            f"fiber={witness.group_order} (want {data.longitude_order})")
+        return (report.ok and witness.group_order == data.longitude_order,
+                f"E1={report.e1} E2={report.e2} hom={report.projection_is_homomorphism} "
+                f"fiber={witness.group_order} (want {data.longitude_order})")
 
-    for spec, n in EXTENSION_CASES:
-        rows.append(_safe_row(f"extension {spec} n={n}",
-                              lambda s=spec, k=n: extension_row(s, k)))
+    def model(spec, n):
+        if coset_model(spec, n) is None:
+            return False, "no isomorphism"
+        data = pipe.branched(spec, n)
+        via = h2_order_via_extension(data.group.order, pipe.quandle(spec, n)[1].size)
+        return via == data.longitude_order, f"isomorphism found, |pi1|/|Q_n|={via}"
 
-    def model_row(spec, n):
-        _, iso = _extension_witness(pipe, spec, n)
-        extra = ""
-        ok = iso is not None
-        if ok:
-            data = pipe.branched(spec, n)
-            via = h2_order_via_extension(data.group.order, pipe.quandle(spec, n)[1].size)
-            ok = via == data.longitude_order
-            extra = f", |pi1|/|Q_n|={via}"
-        return VerifyRow(
-            f"coset model {spec} n={n}", "PASS" if ok else "FAIL",
-            ("isomorphism found" if iso is not None else "no isomorphism") + extra)
-
-    for spec, n in MODEL_CASES:
-        rows.append(_safe_row(f"coset model {spec} n={n}",
-                              lambda s=spec, k=n: model_row(s, k)))
-
-    def cover_order_row(n, want):
+    def cover_order(n, want):
         pres, _ = trefoil_branched_presentation(n)
         size = todd_coxeter(pres, [], pipe.max_cosets).size
         diagram_order = pipe.branched("catalog:3_1", n).group.order
-        ok = size == want and diagram_order == want
-        return VerifyRow(
-            f"trefoil cover order n={n}", "PASS" if ok else "FAIL",
-            f"presentation order={size}, diagram order={diagram_order} (want {want})")
+        return (size == want and diagram_order == want,
+                f"presentation order={size}, diagram order={diagram_order} (want {want})")
 
-    for n, want in TREFOIL_COVER_ORDERS:
-        rows.append(_safe_row(f"trefoil cover order n={n}",
-                              lambda k=n, w=want: cover_order_row(k, w)))
+    def cover_h1(n, want):
+        got = abelianization(trefoil_branched_presentation(n)[0])
+        return got == want, f"H1={got} (want {want})"
 
-    for n, want in TREFOIL_COVER_HOMOLOGY:
-        pres, _ = trefoil_branched_presentation(n)
-        got = abelianization(pres)
-        rows.append(VerifyRow(
-            f"trefoil cover H1 n={n}", "PASS" if got == want else "FAIL",
-            f"H1={got} (want {want})"))
+    def rows(title, cases, check):
+        for case in cases:
+            name = title.format(*case)
+            try:
+                ok, detail = check(*case)
+                row = VerifyRow(name, "PASS" if ok else "FAIL", detail)
+            except Overflow as exc:
+                row = VerifyRow(name, "OVERFLOW", str(exc))
+            yield row
 
-    for n, want_size in SCHLAFLI_CASES:
-        rows.append(_safe_row(f"schlafli relators n={n}",
-                              lambda k=n, w=want_size: _schlafli_row(pipe, k, w)))
-
-    return rows
+    return [
+        *rows("cardinality {} n={}", CARDINALITY_CASES, cardinality),
+        *rows("longitude order {} n={}", LONGITUDE_CASES, longitude),
+        *rows("H2 {} n={}", H2_CASES, h2),
+        _montesinos_row(pipe),
+        *rows("extension {} n={}", EXTENSION_CASES, extension),
+        *rows("coset model {} n={}", MODEL_CASES, model),
+        *rows("trefoil cover order n={}", TREFOIL_COVER_ORDERS, cover_order),
+        *rows("trefoil cover H1 n={}", TREFOIL_COVER_HOMOLOGY, cover_h1),
+        *rows("schlafli relators n={}", SCHLAFLI_CASES, partial(_schlafli, pipe)),
+    ]
 
 
 def _montesinos_row(pipe: Pipeline) -> VerifyRow:
@@ -223,7 +189,10 @@ def _montesinos_row(pipe: Pipeline) -> VerifyRow:
         if knot.mu is None or knot.mu > 2 or knot.mu_family != "233":
             component_evidence.append(f"{spec}: mu={knot.mu} outside the checked range")
             continue
-        res = pipe.run_homology(spec, 2)
+        try:
+            res = pipe.run_homology(spec, 2)
+        except Overflow as exc:
+            return VerifyRow("montesinos family", "OVERFLOW", str(exc))
         ok = (res.qn_size == 12 * knot.mu
               and res.pi1_order == 24 * knot.mu
               and res.h2 == AbelianGroup(0, (2,))
@@ -236,7 +205,7 @@ def _montesinos_row(pipe: Pipeline) -> VerifyRow:
     return VerifyRow("montesinos family", "SKIP", "; ".join(component_evidence))
 
 
-def _schlafli_row(pipe: Pipeline, n: int, want_size: int) -> VerifyRow:
+def _schlafli(pipe: Pipeline, n: int, want_size: int) -> tuple[bool, str]:
     spec = "catalog:3_1"
     table, q = pipe.quandle(spec, n)
     d = pipe.diagram(spec)
@@ -253,11 +222,9 @@ def _schlafli_row(pipe: Pipeline, n: int, want_size: int) -> VerifyRow:
     # the full arc presentation must also hold under the enumeration assignment
     qp = quandle_presentation(d, n)
     presentation_holds = check_relators(q, assign, qp.relators)
-    ok = relators_hold and presentation_holds and q.size == want_size
-    return VerifyRow(
-        f"schlafli relators n={n}", "PASS" if ok else "FAIL",
-        f"relators={relators_hold} presentation={presentation_holds} "
-        f"size={q.size} (want {want_size})")
+    return (relators_hold and presentation_holds and q.size == want_size,
+            f"relators={relators_hold} presentation={presentation_holds} "
+            f"size={q.size} (want {want_size})")
 
 
 def format_rows(rows: list[VerifyRow]) -> str:

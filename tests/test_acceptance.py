@@ -22,7 +22,7 @@ from qf.groups import (
     todd_coxeter,
     trefoil_branched_presentation,
 )
-from qf.homology import boundaries, h1
+from qf.homology import boundaries, quandle_homology
 from qf.intlinalg import AbelianGroup, SparseIntMatrix, smith_normal_form
 from qf.pipeline import Pipeline
 from qf.quandles import (
@@ -38,6 +38,7 @@ from qf.verify import (
     H2_CASES,
     LONGITUDE_CASES,
     MODEL_CASES,
+    _coset_model,
     _extension_witness,
 )
 
@@ -101,7 +102,8 @@ def test_criterion_5_type_theorem(pipe):
 def test_criterion_6_extension_verification(pipe):
     bad = []
     for spec, n in EXTENSION_CASES:
-        witness, _ = _extension_witness(pipe, spec, n)
+        iso = _coset_model(pipe, spec, n)
+        witness = None if iso is None else _extension_witness(pipe, spec, n, iso)
         data = pipe.branched(spec, n)
         if witness is None or not verify_extension(witness).ok \
                 or witness.group_order != data.longitude_order:
@@ -112,7 +114,7 @@ def test_criterion_6_extension_verification(pipe):
 def test_criterion_7_model_equivalence(pipe):
     bad = []
     for spec, n in MODEL_CASES + [("montesinos:1,1/2,1/3,1/3", 2)]:
-        witness, iso = _extension_witness(pipe, spec, n)
+        iso = _coset_model(pipe, spec, n)
         if iso is None:
             bad.append((spec, n))
     _report("7 coset model equivalence", not bad, f"checked {len(MODEL_CASES) + 1} cases")
@@ -193,10 +195,10 @@ def test_criterion_10c_h1_connected(pipe):
     for _ in range(60):
         q = random_quandle(rng)
         if is_connected(q):
-            assert h1(q) == AbelianGroup(1)
+            assert quandle_homology(q)[0] == AbelianGroup(1)
             checked += 1
     for spec, n, _ in CARDINALITY_CASES:
-        assert h1(pipe.quandle(spec, n)[1]) == AbelianGroup(1)
+        assert quandle_homology(pipe.quandle(spec, n)[1])[0] == AbelianGroup(1)
         checked += 1
     _report("10c h1 of connected quandles", True, f"{checked} cases")
 

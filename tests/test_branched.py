@@ -28,6 +28,10 @@ def peripherals(pd):
     return wirtinger_with_peripherals(analyze(pd))
 
 
+def branched(per, n):
+    return branched_cover_group(per, n, todd_coxeter(g_n_presentation(per, n), []))
+
+
 def enumerated(per, n):
     t = todd_coxeter(g_n_presentation(per, n), [(per.meridian + 1,), per.longitude])
     return t, quandle_from_cosets(t, (per.meridian + 1,))
@@ -35,7 +39,7 @@ def enumerated(per, n):
 
 def test_trefoil_n3_branched_data():
     per = peripherals(TREFOIL)
-    g, phi, ell = branched_cover_group(per, 3)
+    g, phi, ell = branched(per, 3)
     assert g.order == 8
     assert phi(ell) == ell
     assert element_order(g, ell) == 2
@@ -43,7 +47,7 @@ def test_trefoil_n3_branched_data():
 
 def test_trefoil_n5_branched_data():
     per = peripherals(TREFOIL)
-    g, phi, ell = branched_cover_group(per, 5)
+    g, phi, ell = branched(per, 5)
     assert g.order == 120
     assert element_order(g, ell) == 10
 
@@ -52,14 +56,14 @@ def test_cinquefoil_gn_order():
     per = peripherals(CINQUEFOIL)
     pres = g_n_presentation(per, 3)
     assert todd_coxeter(pres, []).size == 360
-    g, _, ell = branched_cover_group(per, 3)
+    g, _, ell = branched(per, 3)
     assert g.order == 120
     assert element_order(g, ell) == 6
 
 
 def test_two_bridge_longitude_trivial():
     per = peripherals(build_rational(5, 1))
-    g, _, ell = branched_cover_group(per, 2)
+    g, _, ell = branched(per, 2)
     assert g.order == 5
     assert ell == g.identity
 
@@ -67,7 +71,7 @@ def test_two_bridge_longitude_trivial():
 def test_galex_on_branched_cover_type():
     # the twist-spin quandle on pi_1(M^3) has 8 elements and type 3
     per = peripherals(TREFOIL)
-    g, phi, _ = branched_cover_group(per, 3)
+    g, phi, _ = branched(per, 3)
     q = galex(g, phi)
     assert q.size == 8
     assert quandle_type(q) == 3
@@ -76,7 +80,7 @@ def test_galex_on_branched_cover_type():
 def test_coset_model_matches_enumeration():
     per = peripherals(TREFOIL)
     _, q_enum = enumerated(per, 3)
-    g, phi, ell = branched_cover_group(per, 3)
+    g, phi, ell = branched(per, 3)
     sub = g.subgroup_generated([ell])
     assert len(sub) == 2
     model = coset_quandle(g, phi, sub)
@@ -89,7 +93,7 @@ def test_remark_trivial_longitude_collapses_extension():
     # quandle is the knot 2-quandle itself
     per = peripherals(build_rational(7, 3))
     _, q_enum = enumerated(per, 2)
-    g, phi, ell = branched_cover_group(per, 2)
+    g, phi, ell = branched(per, 2)
     assert ell == g.identity
     assert is_isomorphic(galex(g, phi), q_enum) is not None
 
@@ -98,7 +102,7 @@ def test_extension_witness_and_type_transfer():
     per = peripherals(TREFOIL)
     for n in (3, 4):
         _, q_enum = enumerated(per, n)
-        g, phi, ell = branched_cover_group(per, n)
+        g, phi, ell = branched(per, n)
         sub = g.subgroup_generated([ell])
         model = coset_quandle(g, phi, sub)
         iso = is_isomorphic(model, q_enum)
@@ -124,4 +128,4 @@ def test_finiteness_equivalence_on_composite():
         todd_coxeter(g_n_presentation(per, 2), [(per.meridian + 1,), per.longitude],
                      max_cosets=30000)
     with pytest.raises(Overflow):
-        branched_cover_group(per, 2, max_cosets=30000)
+        branched_cover_group(per, 2, todd_coxeter(g_n_presentation(per, 2), [], max_cosets=30000))

@@ -148,3 +148,30 @@ def test_verify_tables_fault_injection(capsys, monkeypatch):
     assert "FAIL" in out
     assert any("cardinality catalog:3_1 n=3" in line and "FAIL" in line
                for line in out.splitlines())
+
+
+def test_cache_entry_of_another_key_is_recomputed(capsys, tmp_path):
+    trefoil, cinquefoil = tmp_path / "trefoil", tmp_path / "cinquefoil"
+    run(capsys, "enumerate", "--knot", "3_1", "--n", "3", "--cache-dir", str(trefoil))
+    args = ("enumerate", "--knot", "5_1", "--n", "3", "--cache-dir", str(cinquefoil))
+    run(capsys, *args)
+    (foreign,) = trefoil.glob("*.json")
+    (entry,) = cinquefoil.glob("*.json")
+    good = entry.read_text()
+    entry.write_text(foreign.read_text())
+    code, out, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    assert json.loads(out)["qn_size"] == 20
+    assert entry.read_text() == good
+
+
+def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
+    args = ("enumerate", "--knot", "3_1", "--n", "3", "--cache-dir", str(tmp_path))
+    _, want, _ = run(capsys, *args)
+    (entry,) = tmp_path.glob("*.json")
+    good = entry.read_text()
+    entry.write_text(good[: len(good) // 2])
+    code, out, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    assert out == want
+    assert entry.read_text() == good

@@ -6,6 +6,7 @@ from qf.groups import (
     CosetTable,
     GroupPresentation,
     Overflow,
+    TableMismatch,
     abelianization,
     cyclic_reduce,
     element_order,
@@ -86,6 +87,16 @@ def test_follow_and_reps():
     for rel in g.relators:
         for c in range(t.size):
             assert t.follow(c, rel) == c
+
+
+def test_table_check_rejects_a_foreign_presentation_or_subgroup():
+    g = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    t = todd_coxeter(g, [(1,)])
+    t.check(g, [(1,)])
+    with pytest.raises(TableMismatch):
+        t.check(GroupPresentation(2, [(1,), (2, 2)]), [(1,)])
+    with pytest.raises(TableMismatch):
+        t.check(g, [(2,)])
 
 
 def test_abelianization_basics():

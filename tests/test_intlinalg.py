@@ -101,13 +101,13 @@ def test_snf_large_sparse_unit_phase():
 def test_homology_free():
     d_low = SparseIntMatrix(1, 3)
     d_high = SparseIntMatrix(3, 2)
-    assert homology_of_pair(d_low, d_high) == AbelianGroup(3)
+    assert homology_of_pair(d_low, d_high)[1] == AbelianGroup(3)
 
 
 def test_homology_torsion():
     d_low = SparseIntMatrix(1, 1)
     d_high = SparseIntMatrix(1, 1, [(0, 0, 2)])
-    assert homology_of_pair(d_low, d_high) == AbelianGroup(0, (2,))
+    assert homology_of_pair(d_low, d_high)[1] == AbelianGroup(0, (2,))
 
 
 def test_homology_rejects_nonzero_composite():

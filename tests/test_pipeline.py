@@ -3,10 +3,16 @@ from pathlib import Path
 
 import pytest
 
+import qf.groups
+import qf.homology
+import qf.pipeline
+import qf.verify
 from qf.catalog import resolve_knot_spec
+from qf.cli import main
 from qf.diagrams import ParameterError
 from qf.groups import GroupPresentation, todd_coxeter
 from qf.pipeline import CosetCache, Pipeline
+from qf.verify import EXTENSION_CASES, H2_CASES, TREFOIL_COVER_ORDERS, run_verification
 
 
 def test_resolve_specs():
@@ -86,3 +92,49 @@ def test_unknot_results():
     assert res.qn_size == 1 and res.qn_type == 1
     assert res.h2.is_trivial
     assert res.consistency_errors() == []
+
+
+def test_cache_write_ignores_a_stale_tmp_path(tmp_path):
+    # each writer has its own temporary file, so nothing at <key>.tmp can block a write
+    pres = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    CosetCache(tmp_path / "probe").todd_coxeter(pres, (), 10 ** 5)
+    (entry,) = (tmp_path / "probe").glob("*.json")
+    cache_dir = tmp_path / "cache"
+    (cache_dir / f"{entry.stem}.tmp").mkdir(parents=True)
+    assert CosetCache(cache_dir).todd_coxeter(pres, (), 10 ** 5).size == 6
+    assert (cache_dir / entry.name).read_text() == entry.read_text()
+
+
+def _count_calls(monkeypatch, name, *modules):
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
+    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline, qf.verify)
+    galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
+    complexes = _count_calls(monkeypatch, "boundaries", qf.homology)
+    cache = CosetCache(tmp_path)
+    rows = run_verification(Pipeline(cache))
+    homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
+    assert len(homology_rows) == len(H2_CASES) + 1
+    assert len(complexes) == len(homology_rows)
+    assert len(galex_calls) == len(EXTENSION_CASES)
+    # every enumeration is a cache miss or a trefoil cover presentation
+    assert len(enumerations) == cache.misses + len(TREFOIL_COVER_ORDERS)
+
+
+def test_warm_cache_homology_enumerates_nothing(monkeypatch, tmp_path, capsys):
+    args = ["homology", "--knot", "3_1", "--n", "3", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline)
+    assert main(args) == 0
+    assert enumerations == []
