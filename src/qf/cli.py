@@ -1,8 +1,10 @@
 """Command line interface: qf enumerate | homology | verify-tables | catalog.
 
 Exit codes: 0 success, 2 input error, 3 enumeration overflow, 4 verification
-mismatch. Result JSON/CSV goes to stdout and is byte-identical across runs;
-timings and cache statistics go to stderr.
+mismatch, 5 internal error (a broken invariant: KernelSizeMismatch,
+TableMismatch, IncompleteTable, AxiomViolation or NotAComplex, reported as one
+"internal error: ..." line on stderr). Result JSON/CSV goes to stdout and is
+byte-identical across runs; timings and cache statistics go to stderr.
 """
 
 from __future__ import annotations
@@ -21,17 +23,28 @@ from qf.diagrams import (
     ParameterError,
     PDSyntaxError,
 )
-from qf.groups import DEFAULT_MAX_COSETS, Overflow
+from qf.groups import (
+    DEFAULT_MAX_COSETS,
+    IncompleteTable,
+    KernelSizeMismatch,
+    Overflow,
+    TableMismatch,
+)
+from qf.intlinalg import NotAComplex
 from qf.pipeline import CosetCache, Pipeline
+from qf.quandles import AxiomViolation
 from qf.verify import format_rows, format_rows_csv, run_verification
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_OVERFLOW = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 _INPUT_ERRORS = (ParameterError, PDSyntaxError, LabelError, MultiComponent,
                  OrientationInconsistent, ValueError)
+_INTERNAL_ERRORS = (KernelSizeMismatch, TableMismatch, IncompleteTable, AxiomViolation,
+                    NotAComplex)
 
 
 def _add_common(sub: argparse.ArgumentParser, needs_knot: bool) -> None:
@@ -119,6 +132,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except _INTERNAL_ERRORS as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ Word = tuple[int, ...]
 
 DEFAULT_MAX_COSETS = 10 ** 6
 STRATEGY_VERSION = "hlt-lookahead-1"
+_CHUNK = 1 << 16  # table entries renumbered per step of compress
 
 
 class Overflow(Exception):
@@ -263,41 +264,52 @@ class _Enumerator:
                 return
             self._define(f, word[i])
 
-    def lookahead(self) -> None:
-        for c in range(self.nrows):
-            if self.parent[c] != c:
+    def lookahead(self, start: int) -> None:
+        """Scan every relator, without defining, at each live coset >= start."""
+        parent = self.parent
+        for c in range(start, self.nrows):
+            if parent[c] != c:
                 continue
             for word in self.relator_cols:
                 self.scan(c, word, fill=False)
-                if self.parent[c] != c:
+                if parent[c] != c:
                     break
 
-    def compress(self) -> None:
-        table, width = self.table, self.width
-        live = [c for c in range(self.nrows) if self.rep(c) == c]
-        remap = {old: new for new, old in enumerate(live)}
-        new_table = array("i", [-1] * (len(live) * width))
-        for new, old in enumerate(live):
-            base_old = old * width
-            base_new = new * width
-            for x in range(width):
-                t = table[base_old + x]
-                if t >= 0:
-                    new_table[base_new + x] = remap[self.rep(t)]
-        self.table = new_table
-        self.parent = array("i", range(len(live)))
-        self.nrows = len(live)
-        self.dead.clear()
+    def compress(self, alpha: int = 0) -> int:
+        """Renumber the live cosets 0, 1, ... in order; returns alpha's new index.
+
+        Killing coset e cleared the inverse f -> e of each entry e -> f, so once
+        the dead queue is drained no live entry points at a dead coset and the
+        renumbering needs no rep().
+        """
+        table, width, parent, nrows = self.table, self.width, self.parent, self.nrows
+        remap = [-1] * (nrows + 1)  # remap[-1] keeps undefined entries undefined
+        live = new_alpha = 0
+        for c in range(nrows):
+            if c == alpha:
+                new_alpha = live
+            if parent[c] == c:
+                if c != live:
+                    table[live * width:(live + 1) * width] = table[c * width:(c + 1) * width]
+                remap[c] = live
+                live += 1
+        del table[live * width:]
+        for i in range(0, len(table), _CHUNK):  # in chunks, to bound the temporary list
+            table[i:i + _CHUNK] = array("i", [remap[t] for t in table[i:i + _CHUNK]])
+        self.parent = array("i", range(live))
+        self.nrows = live
+        return new_alpha
 
     def live_count(self) -> int:
         return sum(1 for c in range(self.nrows) if self.parent[c] == c)
 
     def run(self) -> None:
+        alpha = 0
         while True:
             try:
-                for word in self.subgroup_cols:
-                    self.scan(0, word, fill=True)
-                alpha = 0
+                if alpha == 0:
+                    for word in self.subgroup_cols:
+                        self.scan(0, word, fill=True)
                 while alpha < self.nrows:
                     if self.parent[alpha] == alpha:
                         for word in self.relator_cols:
@@ -306,14 +318,17 @@ class _Enumerator:
                                 break
                     alpha += 1
             except _CapHit:
-                # lookahead: close what deductions alone can close, then compact
-                self.lookahead()
-                self.compress()
+                # Every live coset below alpha has every relator closed at it (and
+                # coset 0 every subgroup word), and coincidences keep them closed:
+                # scans there change nothing, so both lookahead and HLT resume at alpha.
+                self.lookahead(alpha)
+                alpha = self.compress(alpha)
                 if self.nrows >= 0.9 * self.max_cosets:
                     raise Overflow(self.max_cosets) from None
                 continue
             if self._complete_and_clean():
                 return
+            alpha = 0
 
     def _complete_and_clean(self) -> bool:
         # a post-pass both verifies closure and repairs the rare case where a
@@ -346,7 +361,11 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
 
     HLT strategy: relators are scanned in declaration order at each coset in
     ascending index order, with gaps filled by new definitions. Hitting the cap
-    triggers one lookahead-and-compress round before giving up.
+    starts a round: relators are scanned without defining at the live cosets
+    from the HLT pointer on (lookahead), the live cosets are renumbered
+    (compress), and HLT resumes at the pointer's new index, since every coset
+    below it is already closed. Rounds repeat until one leaves at least 90% of
+    the cap in use, which raises Overflow.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")

@@ -133,9 +133,10 @@ def run_verification(pipe: Pipeline) -> list[VerifyRow]:
         witness = _extension_witness(pipe, spec, n, iso)
         report = verify_extension(witness)
         data = pipe.branched(spec, n)
-        return (report.ok and witness.group_order == data.longitude_order,
+        fiber = witness.projection.count(0)  # measured; witness.group_order is ord(l) itself
+        return (report.ok and fiber == data.longitude_order,
                 f"E1={report.e1} E2={report.e2} hom={report.projection_is_homomorphism} "
-                f"fiber={witness.group_order} (want {data.longitude_order})")
+                f"fiber={fiber} (want {data.longitude_order})")
 
     def model(spec, n):
         if coset_model(spec, n) is None:

@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from qf.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
+from qf.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
+from qf.groups import IncompleteTable, KernelSizeMismatch, TableMismatch
+from qf.intlinalg import NotAComplex
+from qf.pipeline import Pipeline
+from qf.quandles import AxiomViolation
 
 
 def run(capsys, *argv):
@@ -175,3 +179,21 @@ def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
     assert code == EXIT_OK
     assert out == want
     assert entry.read_text() == good
+
+
+@pytest.mark.parametrize("error", [
+    KernelSizeMismatch("grading kernel"),
+    TableMismatch("relator"),
+    IncompleteTable("undefined entry"),
+    AxiomViolation("idempotence", (0,)),
+    NotAComplex("d_low * d_high != 0"),
+])
+def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
+    def broken(self, spec, n):
+        raise error
+
+    monkeypatch.setattr(Pipeline, "quandle", broken)
+    code, out, err = run(capsys, "enumerate", "--knot", "3_1", "--n", "3", "--no-cache")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == f"internal error: {type(error).__name__}: {error}\n"

@@ -1,16 +1,20 @@
 import pytest
 
+from qf.diagrams import analyze, connected_sum, parse_pd, wirtinger_with_peripherals
 from qf.intlinalg import AbelianGroup
+from qf.pipeline import CosetCache, Pipeline
 from qf.quandles import quandle_type, is_connected
 from qf.groups import (
     CosetTable,
     GroupPresentation,
     Overflow,
     TableMismatch,
+    _Enumerator,
     abelianization,
     cyclic_reduce,
     element_order,
     free_reduce,
+    g_n_presentation,
     invert_word,
     quandle_from_cosets,
     todd_coxeter,
@@ -178,3 +182,57 @@ def test_element_order_via_cyclic():
     assert element_order(g, 0) == 1
     assert element_order(g, 1) == 12
     assert element_order(g, 4) == 3
+
+
+def _enumeration_counts(monkeypatch):
+    """Count definitions, merge calls and cap rounds (one lookahead each)."""
+    counts = {"_define": 0, "_merge": 0, "lookahead": 0}
+    for name in counts:
+        original = getattr(_Enumerator, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(_Enumerator, name, counted)
+    return counts
+
+
+def _g_n(spec, n, with_subgroup):
+    if spec == "3_1#3_1":
+        trefoil = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
+        per = wirtinger_with_peripherals(analyze(connected_sum(trefoil, trefoil)))
+    else:
+        per = Pipeline(CosetCache(None)).peripherals(spec)
+    subgroup = [(per.meridian + 1,), per.longitude] if with_subgroup else []
+    return g_n_presentation(per, n), subgroup
+
+
+# (spec, n, over <m, l>?, cap, definitions, merge calls, cap rounds, finishes?).
+# Where a cap round resumes HLT and which cosets lookahead scans must not move
+# these counts; a change to the order of definitions or coincidences does.
+PINNED_ENUMERATIONS = [
+    ("catalog:5_1", 3, False, 361, 741, 400, 5, False),
+    ("montesinos:1,1/2,1/3,1/3", 2, False, 49, 57, 7, 2, False),
+    ("montesinos:1,1/2,1/3,1/3", 2, True, 49, 69, 23, 3, False),
+    ("3_1#3_1", 2, True, 2000, 4093, 2205, 4, False),
+    ("catalog:5_1", 3, False, 410, 953, 602, 6, True),
+    ("catalog:3_1", 5, False, 721, 953, 352, 2, True),
+    ("montesinos:1,1/2,1/3,1/3", 2, True, 100, 134, 161, 2, True),
+]
+
+
+@pytest.mark.parametrize("spec,n,with_subgroup,cap,defs,merges,rounds,finishes",
+                         PINNED_ENUMERATIONS)
+def test_capped_enumeration_sequence_is_pinned(monkeypatch, spec, n, with_subgroup, cap,
+                                               defs, merges, rounds, finishes):
+    pres, subgroup = _g_n(spec, n, with_subgroup)
+    uncapped = todd_coxeter(pres, subgroup) if finishes else None
+    counts = _enumeration_counts(monkeypatch)
+    if finishes:
+        # cap rounds that end in success give the uncapped table
+        assert todd_coxeter(pres, subgroup, max_cosets=cap) == uncapped
+    else:
+        with pytest.raises(Overflow):
+            todd_coxeter(pres, subgroup, max_cosets=cap)
+    assert (counts["_define"], counts["_merge"], counts["lookahead"]) == (defs, merges, rounds)

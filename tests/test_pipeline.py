@@ -12,6 +12,7 @@ from qf.cli import main
 from qf.diagrams import ParameterError
 from qf.groups import GroupPresentation, todd_coxeter
 from qf.pipeline import CosetCache, Pipeline
+from qf.quandles import ExtensionWitness
 from qf.verify import EXTENSION_CASES, H2_CASES, TREFOIL_COVER_ORDERS, run_verification
 
 
@@ -138,3 +139,19 @@ def test_warm_cache_homology_enumerates_nothing(monkeypatch, tmp_path, capsys):
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline)
     assert main(args) == 0
     assert enumerations == []
+
+
+def test_extension_row_reports_the_measured_fiber(monkeypatch):
+    real = qf.verify._extension_witness
+
+    def one_point_fibers(pipe, spec, n, iso):
+        w = real(pipe, spec, n, iso)
+        identity = tuple(range(w.base.size))
+        return ExtensionWitness(w.base, w.base, identity, w.group_order, identity)
+
+    monkeypatch.setattr(qf.verify, "_extension_witness", one_point_fibers)
+    rows = [r for r in run_verification(Pipeline(CosetCache(None)))
+            if r.name.startswith("extension ")]
+    assert len(rows) == len(EXTENSION_CASES)
+    for row in rows:
+        assert row.status == "FAIL" and "fiber=1 (want " in row.detail
