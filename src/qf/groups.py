@@ -19,7 +19,7 @@ Word = tuple[int, ...]
 
 DEFAULT_MAX_COSETS = 10 ** 6
 STRATEGY_VERSION = "hlt-lookahead-1"
-_CHUNK = 1 << 16  # table entries renumbered per step of compress
+_CHUNK = 1 << 12  # table entries renumbered per step of compress; each makes one int per entry
 
 
 class Overflow(Exception):
@@ -172,7 +172,8 @@ class _Enumerator:
         self.relator_cols = relator_cols
         self.subgroup_cols = subgroup_cols
         self.max_cosets = max_cosets
-        self.table = array("i", [-1] * self.width)
+        self.blank_row = array("i", [-1]) * self.width
+        self.table = array("i", self.blank_row)
         self.parent = array("i", [0])
         self.nrows = 1
         self.dead: deque[int] = deque()
@@ -224,7 +225,7 @@ class _Enumerator:
             raise _CapHit
         new = self.nrows
         self.nrows += 1
-        self.table.extend([-1] * self.width)
+        self.table.extend(self.blank_row)
         self.parent.append(new)
         self.table[coset * self.width + col] = new
         self.table[new * self.width + (col ^ 1)] = coset
@@ -275,7 +276,7 @@ class _Enumerator:
                 if parent[c] != c:
                     break
 
-    def compress(self, alpha: int = 0) -> int:
+    def compress(self, alpha: int) -> int:
         """Renumber the live cosets 0, 1, ... in order; returns alpha's new index.
 
         Killing coset e cleared the inverse f -> e of each entry e -> f, so once
@@ -283,7 +284,9 @@ class _Enumerator:
         renumbering needs no rep().
         """
         table, width, parent, nrows = self.table, self.width, self.parent, self.nrows
-        remap = [-1] * (nrows + 1)  # remap[-1] keeps undefined entries undefined
+        # an array, so that no int object per coset stays alive through the
+        # renumbering; remap[-1] keeps undefined entries undefined
+        remap = array("i", [-1]) * (nrows + 1)
         live = new_alpha = 0
         for c in range(nrows):
             if c == alpha:
@@ -300,10 +303,8 @@ class _Enumerator:
         self.nrows = live
         return new_alpha
 
-    def live_count(self) -> int:
-        return sum(1 for c in range(self.nrows) if self.parent[c] == c)
-
     def run(self) -> None:
+        """HLT from coset 0; returns once the pointer passes the last coset."""
         alpha = 0
         while True:
             try:
@@ -317,6 +318,7 @@ class _Enumerator:
                             if self.parent[alpha] != alpha:
                                 break
                     alpha += 1
+                return
             except _CapHit:
                 # Every live coset below alpha has every relator closed at it (and
                 # coset 0 every subgroup word), and coincidences keep them closed:
@@ -325,30 +327,6 @@ class _Enumerator:
                 alpha = self.compress(alpha)
                 if self.nrows >= 0.9 * self.max_cosets:
                     raise Overflow(self.max_cosets) from None
-                continue
-            if self._complete_and_clean():
-                return
-            alpha = 0
-
-    def _complete_and_clean(self) -> bool:
-        # a post-pass both verifies closure and repairs the rare case where a
-        # coincidence disturbed an already-scanned coset
-        table, width = self.table, self.width
-        for c in range(self.nrows):
-            if self.parent[c] != c:
-                continue
-            base = c * width
-            for x in range(width):
-                if table[base + x] < 0:
-                    return False
-        before = (self.nrows, self.live_count())
-        for word in self.subgroup_cols:
-            self.scan(0, word, fill=False)
-        for c in range(self.nrows):
-            if self.parent[c] == c:
-                for word in self.relator_cols:
-                    self.scan(c, word, fill=False)
-        return (self.nrows, self.live_count()) == before
 
 
 class _CapHit(Exception):
@@ -360,12 +338,14 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
     """Enumerate the cosets of the given subgroup; raises Overflow past the cap.
 
     HLT strategy: relators are scanned in declaration order at each coset in
-    ascending index order, with gaps filled by new definitions. Hitting the cap
-    starts a round: relators are scanned without defining at the live cosets
-    from the HLT pointer on (lookahead), the live cosets are renumbered
-    (compress), and HLT resumes at the pointer's new index, since every coset
-    below it is already closed. Rounds repeat until one leaves at least 90% of
-    the cap in use, which raises Overflow.
+    ascending index order, with gaps filled by new definitions; enumeration ends
+    when this pointer passes the last coset. Hitting the cap starts a round:
+    relators are scanned without defining at the live cosets from the HLT
+    pointer on (lookahead), the live cosets are renumbered (compress), and HLT
+    resumes at the pointer's new index, since every coset below it is already
+    closed. Rounds repeat until one leaves at least 90% of the cap in use, which
+    raises Overflow. A finished table with an undefined entry also raises
+    Overflow: the index is infinite.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -377,35 +357,34 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
                        [_word_to_cols(w) for w in subgroup_words if w],
                        max_cosets)
     enum.run()
-    enum.compress()
 
-    # standardize: renumber cosets in BFS discovery order, columns in order
-    table, width, size = enum.table, enum.width, enum.nrows
+    # standardize: renumber the live cosets (all reachable from coset 0, and no
+    # live entry points at a dead one) in BFS discovery order, columns in order
+    table, width = enum.table, enum.width
     order = [0]
-    seen = [False] * size
-    seen[0] = True
-    rep_words: list[Word] = [()] * size
-    head = 0
-    while head < len(order):
-        c = order[head]
-        head += 1
+    remap = [-1] * enum.nrows
+    remap[0] = 0
+    reps: list[Word] = [()]
+    for c in order:
         base = c * width
         for x in range(width):
             t = table[base + x]
-            if not seen[t]:
-                seen[t] = True
-                letter = x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1)
-                rep_words[t] = rep_words[c] + (letter,)
+            if t < 0:
+                # Every relator is closed at every coset, so each generator that a
+                # relator mentions has a total column; this gap is in one that none
+                # mentions. Defining it would open an orbit that nothing closes.
+                raise Overflow(max_cosets)
+            if remap[t] < 0:
+                remap[t] = len(order)
                 order.append(t)
-    remap = [0] * size
-    for new, old in enumerate(order):
-        remap[old] = new
+                letter = x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1)
+                reps.append(reps[remap[c]] + (letter,))
+    size = len(order)
     action = [[0] * size for _ in range(width)]
-    for old in range(size):
+    for new, old in enumerate(order):
         base = old * width
         for x in range(width):
-            action[x][remap[old]] = remap[table[base + x]]
-    reps = [rep_words[old] for old in order]
+            action[x][new] = remap[table[base + x]]
 
     result = CosetTable(g.ngens, action, reps, subgroup_words)
     result.check(g, subgroup_words)

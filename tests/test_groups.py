@@ -103,6 +103,20 @@ def test_table_check_rejects_a_foreign_presentation_or_subgroup():
         t.check(g, [(2,)])
 
 
+@pytest.mark.parametrize("g", [GroupPresentation(1, []), GroupPresentation(2, [(1, 1)])])
+def test_relator_free_generator_overflows(g):
+    # once HLT closes every relator, a generator no relator mentions still has
+    # a gap: its orbit never closes, so the index is infinite
+    with pytest.raises(Overflow):
+        todd_coxeter(g, [], max_cosets=50)
+
+
+def test_subgroup_words_can_fill_a_relator_free_column():
+    # <a, b | a^2> over <b, a b a^-1>: b fixes both cosets, though no relator has b
+    t = todd_coxeter(GroupPresentation(2, [(1, 1)]), [(2,), (1, 2, -1)])
+    assert t.size == 2
+
+
 def test_abelianization_basics():
     # Z^2
     assert abelianization(GroupPresentation(2, [])) == AbelianGroup(2)
@@ -185,14 +199,14 @@ def test_element_order_via_cyclic():
 
 
 def _enumeration_counts(monkeypatch):
-    """Count definitions, merge calls and cap rounds (one lookahead each)."""
-    counts = {"_define": 0, "_merge": 0, "lookahead": 0}
+    """Count definitions, merge calls, cap rounds (one lookahead each) and scans."""
+    counts = {"_define": 0, "_merge": 0, "lookahead": 0, "scan": 0}
     for name in counts:
         original = getattr(_Enumerator, name)
 
-        def counted(self, *args, _name=name, _original=original):
+        def counted(self, *args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(self, *args)
+            return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(_Enumerator, name, counted)
     return counts
@@ -236,3 +250,13 @@ def test_capped_enumeration_sequence_is_pinned(monkeypatch, spec, n, with_subgro
         with pytest.raises(Overflow):
             todd_coxeter(pres, subgroup, max_cosets=cap)
     assert (counts["_define"], counts["_merge"], counts["lookahead"]) == (defs, merges, rounds)
+
+
+@pytest.mark.parametrize("spec,n,scans", [("catalog:5_1", 3, 2268), ("catalog:3_1", 5, 2400)])
+def test_finished_enumeration_makes_no_second_pass(monkeypatch, spec, n, scans):
+    # HLT ends when its pointer passes the last coset; a rescan of every relator
+    # at every coset afterwards would double these counts
+    pres, subgroup = _g_n(spec, n, False)
+    counts = _enumeration_counts(monkeypatch)
+    todd_coxeter(pres, subgroup)
+    assert counts["scan"] == scans
