@@ -7,6 +7,7 @@ Matrices are stored in coordinate form with 0-based indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -245,9 +246,17 @@ def _dense_diagonalize(a: list[list[int]]) -> list[int]:
 def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     """Invariant factors of an integer matrix.
 
-    Sparse elimination greedily pivots on +-1 entries, preferring short rows and
-    light columns to limit fill-in; ties break on (row, col). Once no unit pivot
-    is left, or the active block fits under the dense cutoff, the remainder is
+    Sparse elimination greedily pivots on +-1 entries: the shortest row that
+    holds one, then its unit in the lightest column, to limit fill-in; ties
+    break on (row, col). Rows come from a heap of (length, row) with lazy
+    deletion. A row is pushed when it is seeded and again each time an
+    elimination changes it; a popped entry is dropped when its length is out
+    of date (the row changed or was eliminated) or its row holds no unit.
+    A row can only gain a unit by changing, which pushes it again, so every
+    row that holds a unit has an entry at its current length, and the first
+    entry that survives is the least (length, row) over those rows: the
+    pivot that a scan of every live row would pick. Once no unit pivot is
+    left, or the active block fits under the dense cutoff, the remainder is
     handled densely and the divisibility chain is repaired at the end.
     """
     rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
@@ -256,25 +265,21 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
         rows[r][c] = v
         col_rows.setdefault(c, set()).add(r)
     live = {r for r in range(m.rows) if rows[r]}
+    heap = [(len(rows[r]), r) for r in live]
+    heapify(heap)
 
     units = 0
     while live:
         if len(live) < _DENSE_CUTOFF and len(col_rows) < _DENSE_CUTOFF:
             break
-        pick = None
-        for r in live:
-            row = rows[r]
-            key_r = (len(row), r)
-            if pick is not None and key_r >= pick[0]:
-                continue
-            unit_cols = [c for c, v in row.items() if v == 1 or v == -1]
-            if unit_cols:
-                c = min(unit_cols, key=lambda cc: (len(col_rows[cc]), cc))
-                pick = (key_r, r, c)
-        if pick is None:
-            break
-        _, pr, pc = pick
-        prow = rows[pr]
+        while heap:
+            length, pr = heappop(heap)
+            prow = rows[pr]
+            if len(prow) == length and any(v == 1 or v == -1 for v in prow.values()):
+                break
+        else:
+            break  # no live row holds a unit
+        _, pc = min((len(col_rows[c]), c) for c, v in prow.items() if v == 1 or v == -1)
         pv = prow[pc]
         for r2 in list(col_rows[pc]):
             if r2 == pr:
@@ -282,21 +287,25 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
             row2 = rows[r2]
             f = row2[pc] * pv  # pv is +-1, so f*pv == row2[pc]/pv
             for cc, vv in prow.items():
-                new = row2.get(cc, 0) - f * vv
-                if new:
-                    row2[cc] = new
-                    col_rows.setdefault(cc, set()).add(r2)
+                delta = f * vv
+                old = row2.get(cc)
+                if old is None:
+                    row2[cc] = -delta
+                    col_rows[cc].add(r2)
+                elif old == delta:
+                    del row2[cc]
+                    col_rows[cc].discard(r2)
                 else:
-                    if row2.pop(cc, None) is not None:
-                        col_rows[cc].discard(r2)
-            if not row2:
+                    row2[cc] = old - delta
+            if row2:
+                heappush(heap, (len(row2), r2))
+            else:
                 live.discard(r2)
         for cc in prow:
-            s = col_rows.get(cc)
-            if s is not None:
-                s.discard(pr)
-                if not s:
-                    del col_rows[cc]
+            s = col_rows[cc]
+            s.discard(pr)
+            if not s:
+                del col_rows[cc]
         rows[pr] = {}
         live.discard(pr)
         units += 1

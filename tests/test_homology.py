@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from qf import intlinalg
 from qf.builders import build_torus
 from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import g_n_presentation, quandle_from_cosets, todd_coxeter
 from qf.homology import DivisibilityError, boundaries, h2_order_via_extension, quandle_homology
 from qf.intlinalg import AbelianGroup
+from qf.pipeline import Pipeline
 from qf.quandles import (
     FiniteGroupElementSet,
     FiniteQuandle,
@@ -100,8 +102,43 @@ def test_h1_is_z_for_connected():
 
 
 def test_h2_dihedral_trivial():
-    assert quandle_homology(dihedral_quandle(3))[1].is_trivial
-    assert quandle_homology(dihedral_quandle(5))[1].is_trivial
+    # R_3 and R_5 fit under the dense cutoff; d3 of R_15 (210 rows) and R_17
+    # (272 rows) goes through the sparse unit-pivot phase.
+    for p in (3, 5, 15, 17):
+        assert quandle_homology(dihedral_quandle(p))[1].is_trivial, p
+
+
+# (rows, cols, sum of |entries|) of the dense remainder and the number of
+# sparse unit pivots in the SNF of d3, counted with the row-scan pivot picker
+# that the heap replaced: another pivot order changes the fill-in and with it
+# these figures, and a picker that gives up early leaves fewer unit pivots.
+PINNED_D3_ELIMINATIONS = {
+    ("5_1", 3): ((2, 3424, 57288), 360),
+    ("3_1", 5): ((2, 132, 2640), 120),
+    ("montesinos:1,1/2,1/3,1/3", 2): ((1, 696, 1724), 120),
+    ("3_1", 4): ((30, 144, 480), 0),
+    ("R_17", None): ((0, 0, 0), 256),
+}
+
+
+def test_snf_pivot_sequence_is_pinned(monkeypatch):
+    remainders = []
+    dense_diagonalize = intlinalg._dense_diagonalize
+
+    def spy(a):
+        shape = (len(a), len(a[0]) if a else 0, sum(abs(v) for row in a for v in row))
+        diag = dense_diagonalize(a)
+        remainders.append((shape, len(diag)))
+        return diag
+
+    monkeypatch.setattr(intlinalg, "_dense_diagonalize", spy)
+    pipe = Pipeline()
+    for (spec, n), (shape, units) in PINNED_D3_ELIMINATIONS.items():
+        q = dihedral_quandle(17) if n is None else pipe.quandle(spec, n)[1]
+        remainders.clear()
+        rank = intlinalg.smith_normal_form(boundaries(q).d3).rank
+        (got_shape, dense_rank), = remainders
+        assert (got_shape, rank - dense_rank) == (shape, units), spec
 
 
 def test_h2_enumerated_trefoil_quandles():

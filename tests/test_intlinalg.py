@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qf import intlinalg
 from qf.intlinalg import (
     AbelianGroup,
     NotAComplex,
@@ -96,6 +97,77 @@ def test_snf_large_sparse_unit_phase():
     # circulant (I - shift) has rank n-1 over Q and vanishing determinant
     assert len(factors) == n - 1
     assert all(f == 1 for f in factors)
+
+
+@pytest.fixture
+def dense_rows(monkeypatch):
+    """Row counts of the blocks that smith_normal_form hands to the dense phase."""
+    seen = []
+    dense_diagonalize = intlinalg._dense_diagonalize
+
+    def spy(a):
+        seen.append(len(a))
+        return dense_diagonalize(a)
+
+    monkeypatch.setattr(intlinalg, "_dense_diagonalize", spy)
+    return seen
+
+
+def scrambled_diagonal(diagonal, rows, cols, moves, rng):
+    """U * diag(diagonal) * V, with U and V products of random elementary unimodular moves."""
+    a = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(diagonal):
+        a[i][i] = d
+    for _ in range(moves):
+        kind = rng.choice(["add", "add", "swap", "negate"])
+        k = rng.choice([-2, -1, 1, 2])
+        if rng.random() < 0.5:  # row move, a left factor of U
+            i, j = rng.sample(range(rows), 2)
+            if kind == "add":
+                a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+            elif kind == "swap":
+                a[i], a[j] = a[j], a[i]
+            else:
+                a[i] = [-x for x in a[i]]
+        else:  # column move, a right factor of V
+            i, j = rng.sample(range(cols), 2)
+            for row in a:
+                if kind == "add":
+                    row[i] += k * row[j]
+                elif kind == "swap":
+                    row[i], row[j] = row[j], row[i]
+                else:
+                    row[i] = -row[i]
+    return a
+
+
+def test_snf_sparse_phase_with_torsion(dense_rows):
+    # Both sides exceed the dense cutoff, so unit pivots are eliminated
+    # sparsely before the torsion reaches the dense remainder; the expected
+    # factors are read off the diagonal, which is already a divisibility chain.
+    rows, cols = 400, 480
+    assert min(rows, cols) > intlinalg._DENSE_CUTOFF
+    diagonal = [1] * 310 + [2] * 20 + [6] * 20 + [12] * 20 + [0] * 30
+    for seed in range(3):
+        rng = random.Random(seed)
+        m = SparseIntMatrix.from_dense(scrambled_diagonal(diagonal, rows, cols, 1500, rng))
+        dense_rows.clear()
+        assert smith_normal_form(m).factors == tuple(d for d in diagonal if d)
+        assert 0 < dense_rows[0] < rows  # both phases ran
+
+
+def test_snf_repicks_a_row_that_gains_a_unit(dense_rows):
+    # Row 0 (2, 3, 0, 0) holds no unit, so the pivot search passes it over.
+    # Pivoting on row 1 at column 0 turns it into (0, 1, -2, 0): the same
+    # length, now with a unit, so it must be picked next, before the dense
+    # phase. The 200 rows 2*e_j keep the matrix above the dense cutoff.
+    block = [(0, 0, 2), (0, 1, 3), (1, 0, 1), (1, 1, 1), (1, 2, 1),
+             (2, 1, 2), (2, 2, 2), (2, 3, 2)]
+    pad = [(3 + j, 4 + j, 2) for j in range(intlinalg._DENSE_CUTOFF)]
+    m = SparseIntMatrix(3 + len(pad), 4 + len(pad), block + pad)
+    # the block's 3x3 minors have gcd 2 (e.g. -6 and -2), its 2x2 minors gcd 1
+    assert smith_normal_form(m).factors == (1, 1) + (2,) * (1 + len(pad))
+    assert dense_rows == [1 + len(pad)]  # both unit pivots were taken sparsely
 
 
 def test_homology_free():
