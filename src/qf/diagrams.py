@@ -139,10 +139,6 @@ class Diagram:
     def n_arcs(self) -> int:
         return len(self.arcs)
 
-    @property
-    def basepoint_arc(self) -> int:
-        return 0
-
 
 def _oriented_roles(pd: PDCode):
     """Per crossing: (sign, over_in, over_out); raises on inconsistent labels."""

@@ -400,7 +400,7 @@ def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle
         conj = invert_word(t.rep_words[j]) + meridian + t.rep_words[j]
         for i in range(n):
             table[i][j] = t.follow(i, conj)
-    return from_table(table)
+    return from_table(table)  # full check: the coset table may come from the on-disk cache
 
 
 def g_n_presentation(p, n: int) -> GroupPresentation:

@@ -113,12 +113,6 @@ class SparseIntMatrix:
     def entry(self, r: int, c: int) -> int:
         return self.entries.get((r, c), 0)
 
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
     @classmethod
     def from_dense(cls, dense: Iterable[Iterable[int]]) -> "SparseIntMatrix":
         dense = [list(row) for row in dense]

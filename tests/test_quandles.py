@@ -240,6 +240,16 @@ def test_group_table_validation():
     mult = ((0, 1), (1, 1))
     with pytest.raises(ValueError):
         FiniteGroupElementSet(2, mult, 0, (0, 1))
+    z5 = FiniteGroupElementSet.cyclic(5).mult
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteGroupElementSet(5, z5, 0, (0, -1, -2, -3, -4))  # negative indices alias 4..1
+    # Z/300 with the single entry 1 * 2 = 5: identity and inverse laws still hold,
+    # and one bad product among 300^3 triples is below what sampling finds
+    mult = [[(a + b) % 300 for b in range(300)] for a in range(300)]
+    mult[1][2] = 5
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroupElementSet(300, tuple(map(tuple, mult)), 0,
+                              tuple((-a) % 300 for a in range(300)))
 
 
 def test_automorphism_validation():

@@ -1,0 +1,31 @@
+"""Stdout of the paper's rows is byte-identical to the reference outputs.
+
+The references are the benchmark's golden files, which this test only reads.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qf.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ((), "verify_tables.txt"),
+    (("--format", "csv"), "verify_tables.csv"),
+])
+def test_verify_tables_stdout(capsys, argv, golden):
+    assert main(["verify-tables", "--no-cache", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("spec, n, golden", [
+    ("catalog:5_1", 3, "catalog_5_1_n3.json"),
+    ("catalog:3_1", 5, "catalog_3_1_n5.json"),
+    ("montesinos:1,1/2,1/3,1/3", 2, "montesinos_1_1_2_1_3_1_3_n2.json"),
+])
+def test_homology_stdout(capsys, spec, n, golden):
+    assert main(["homology", "--knot", spec, "--n", str(n), "--no-cache"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "homology" / golden).read_text()
