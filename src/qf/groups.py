@@ -349,20 +349,33 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    subgroup_words = [free_reduce(w) for w in subgroup]
-    if any(abs(letter) > g.ngens for w in subgroup_words for letter in w):
-        raise ValueError("subgroup word mentions an undeclared generator")
+    subgroup_words = _subgroup_words(g, subgroup)
     enum = _Enumerator(g.ngens,
                        [_word_to_cols(r) for r in g.relators],
                        [_word_to_cols(w) for w in subgroup_words if w],
                        max_cosets)
     enum.run()
+    return _standardized_table(g, subgroup_words, enum.table, enum.width, enum.nrows, max_cosets)
 
-    # standardize: renumber the live cosets (all reachable from coset 0, and no
-    # live entry points at a dead one) in BFS discovery order, columns in order
-    table, width = enum.table, enum.width
+
+def _subgroup_words(g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> list[Word]:
+    words = [free_reduce(w) for w in subgroup]
+    if any(abs(letter) > g.ngens for w in words for letter in w):
+        raise ValueError("subgroup word mentions an undeclared generator")
+    return words
+
+
+def _standardized_table(g: GroupPresentation, subgroup_words: list[Word], table: Sequence[int],
+                        width: int, nrows: int, max_cosets: int) -> CosetTable:
+    """Renumber the cosets reachable from coset 0 in BFS discovery order, columns
+    in order, and check the result against g.
+
+    ``table[c * width + x]`` is coset c times signed generator column x, or -1.
+    Every coset the BFS reaches must be live and no live entry may point at a
+    dead one; dead rows are never reached.
+    """
     order = [0]
-    remap = [-1] * enum.nrows
+    remap = [-1] * nrows
     remap[0] = 0
     reps: list[Word] = [()]
     for c in order:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from qf.catalog import KnotInput, resolve_knot_spec
-from qf.diagrams import Diagram, PeripheralPresentation, analyze, wirtinger_with_peripherals
+from qf.diagrams import Diagram, PDCode, PeripheralPresentation, analyze, wirtinger_with_peripherals
 from qf.groups import (
     DEFAULT_MAX_COSETS,
     STRATEGY_VERSION,
@@ -33,10 +33,11 @@ from qf.groups import (
     element_order,
     g_n_presentation,
     quandle_from_cosets,
-    todd_coxeter,
+    todd_coxeter,  # noqa: F401  (kept bound here: perfbench's tracer self-test looks it up)
 )
 from qf.homology import quandle_homology
 from qf.intlinalg import AbelianGroup
+from qf.presentations import enumerate_cosets
 from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, is_connected, quandle_type
 
 SCHEMA_VERSION = 1
@@ -69,8 +70,15 @@ class CosetCache:
 
     def todd_coxeter(self, pres: GroupPresentation, subgroup: tuple[Word, ...],
                      max_cosets: int) -> CosetTable:
+        """The coset table of the subgroup in pres, from the cache or enumerated.
+
+        A miss enumerates a Tietze-simplified presentation and lifts the table
+        back to pres's generators (``enumerate_cosets``); ``max_cosets`` bounds
+        that simplified enumeration. The table, and so the cache entry, is the
+        one ``todd_coxeter(pres, ...)`` gives, keyed by pres itself.
+        """
         if self.directory is None:
-            return todd_coxeter(pres, subgroup, max_cosets)
+            return enumerate_cosets(pres, subgroup, max_cosets)
         payload = {
             "ngens": pres.ngens,
             "relators": [list(w) for w in pres.relators],
@@ -83,7 +91,7 @@ class CosetCache:
         if table is not None:
             self.hits += 1
             return table
-        table = todd_coxeter(pres, subgroup, max_cosets)
+        table = enumerate_cosets(pres, subgroup, max_cosets)
         self.misses += 1
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.stem, suffix=".tmp")
@@ -186,17 +194,21 @@ class BranchedData:
 
 
 class Pipeline:
-    """Memoizing driver shared by the CLI commands and the verification table."""
+    """Memoizing driver shared by the CLI commands and the verification table.
+
+    Everything past spec resolution is memoized on the resolved diagram, so
+    specs that name one diagram (``3_1`` and ``catalog:3_1``) share the work.
+    """
 
     def __init__(self, cache: Optional[CosetCache] = None,
                  max_cosets: int = DEFAULT_MAX_COSETS):
         self.cache = cache if cache is not None else CosetCache(None)
         self.max_cosets = max_cosets
         self._knots: dict[str, KnotInput] = {}
-        self._peripherals: dict[str, PeripheralPresentation] = {}
-        self._diagrams: dict[str, Diagram] = {}
-        self._quandles: dict[tuple[str, int], tuple[CosetTable, FiniteQuandle]] = {}
-        self._branched: dict[tuple[str, int], BranchedData] = {}
+        self._peripherals: dict[PDCode, PeripheralPresentation] = {}
+        self._diagrams: dict[PDCode, Diagram] = {}
+        self._quandles: dict[tuple[PDCode, int], tuple[CosetTable, FiniteQuandle]] = {}
+        self._branched: dict[tuple[PDCode, int], BranchedData] = {}
 
     def knot(self, spec: str) -> KnotInput:
         if spec not in self._knots:
@@ -204,17 +216,19 @@ class Pipeline:
         return self._knots[spec]
 
     def diagram(self, spec: str) -> Diagram:
-        if spec not in self._diagrams:
-            self._diagrams[spec] = analyze(self.knot(spec).pd)
-        return self._diagrams[spec]
+        pd = self.knot(spec).pd
+        if pd not in self._diagrams:
+            self._diagrams[pd] = analyze(pd)
+        return self._diagrams[pd]
 
     def peripherals(self, spec: str) -> PeripheralPresentation:
-        if spec not in self._peripherals:
-            self._peripherals[spec] = wirtinger_with_peripherals(self.diagram(spec))
-        return self._peripherals[spec]
+        pd = self.knot(spec).pd
+        if pd not in self._peripherals:
+            self._peripherals[pd] = wirtinger_with_peripherals(self.diagram(spec))
+        return self._peripherals[pd]
 
     def quandle(self, spec: str, n: int) -> tuple[CosetTable, FiniteQuandle]:
-        key = (spec, n)
+        key = (self.knot(spec).pd, n)
         if key not in self._quandles:
             per = self.peripherals(spec)
             pres = g_n_presentation(per, n)
@@ -224,7 +238,7 @@ class Pipeline:
         return self._quandles[key]
 
     def branched(self, spec: str, n: int) -> BranchedData:
-        key = (spec, n)
+        key = (self.knot(spec).pd, n)
         if key not in self._branched:
             per = self.peripherals(spec)
             pres = g_n_presentation(per, n)

@@ -10,6 +10,7 @@ from qf.groups import (
     quandle_from_cosets,
     todd_coxeter,
 )
+from qf.pipeline import Pipeline
 from qf.quandles import (
     ExtensionWitness,
     coset_quandle,
@@ -66,6 +67,16 @@ def test_two_bridge_longitude_trivial():
     g, _, ell = branched(per, 2)
     assert g.order == 5
     assert ell == g.identity
+
+
+@pytest.mark.parametrize("alpha", range(13, 30, 2))
+def test_torus_diagram_double_covers_through_the_pipeline(alpha):
+    # the diagrams on which raw HLT blew up: G_2 has order 2 alpha, the double
+    # branched cover is the lens space L(alpha, 1) and the longitude is trivial
+    pipe = Pipeline()
+    for beta in (1, alpha - 1):
+        data = pipe.branched(f"rational:{alpha},{beta}", 2)
+        assert (data.gn_order, data.group.order, data.longitude_order) == (2 * alpha, alpha, 1)
 
 
 def test_galex_on_branched_cover_type():

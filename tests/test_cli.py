@@ -90,6 +90,16 @@ def test_overflow_exit(capsys):
     assert "overflow" in err
 
 
+def test_torus_diagram_g2_finishes_under_a_small_cap(capsys):
+    # raw HLT fills 10^5 cosets on G_2 of T(2, 13) (order 26) before collapsing
+    code, out, _ = run(capsys, "homology", "--knot", "rational:13,1", "--n", "2",
+                       "--max-cosets", "100000", "--no-cache")
+    assert code == EXIT_OK
+    result = json.loads(out)
+    assert (result["qn_size"], result["pi1_order"]) == (13, 13)
+    assert result["h2"] == {"free_rank": 0, "torsion": []}
+
+
 def test_csv_output(capsys, tmp_path):
     code, out, _ = run(capsys, "homology", "--knot", "catalog:3_1", "--n", "3",
                        "--format", "csv", "--cache-dir", str(tmp_path))

@@ -6,6 +6,7 @@ import pytest
 import qf.groups
 import qf.homology
 import qf.pipeline
+import qf.presentations
 import qf.verify
 from qf.catalog import resolve_knot_spec
 from qf.cli import main
@@ -87,6 +88,16 @@ def test_pipeline_memoizes():
     assert t1 is t2 and q1 is q2
 
 
+def test_pipeline_memoizes_on_the_resolved_diagram(monkeypatch):
+    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.presentations)
+    pipe = Pipeline()
+    for spec in ("3_1", "catalog:3_1"):
+        pipe.quandle(spec, 3)
+        pipe.branched(spec, 3)
+    assert pipe.quandle("3_1", 3) is pipe.quandle("catalog:3_1", 3)
+    assert len(enumerations) == 2  # Q_3 and G_3, once each
+
+
 def test_unknot_results():
     pipe = Pipeline()
     res = pipe.run_homology("unknot", 4)
@@ -120,7 +131,8 @@ def _count_calls(monkeypatch, name, *modules):
 
 
 def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
-    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline, qf.verify)
+    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline,
+                                qf.presentations, qf.verify)
     galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
     complexes = _count_calls(monkeypatch, "boundaries", qf.homology)
     cache = CosetCache(tmp_path)
@@ -136,7 +148,8 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
 def test_warm_cache_homology_enumerates_nothing(monkeypatch, tmp_path, capsys):
     args = ["homology", "--knot", "3_1", "--n", "3", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline)
+    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline,
+                                qf.presentations)
     assert main(args) == 0
     assert enumerations == []
 
