@@ -3,8 +3,12 @@
 Exit codes: 0 success, 2 input error, 3 enumeration overflow, 4 verification
 mismatch, 5 internal error (a broken invariant: KernelSizeMismatch,
 TableMismatch, IncompleteTable, AxiomViolation or NotAComplex, reported as one
-"internal error: ..." line on stderr). Result JSON/CSV goes to stdout and is
-byte-identical across runs; timings and cache statistics go to stderr.
+"internal error: ..." line on stderr). An overflow writes one "overflow: ..."
+line that names the cap; where pi1 of the branched cover is proved infinite
+before enumerating, that line reads "Q_n is infinite, so its index exceeded N
+cosets" and one "infinite: ..." line names the certificate's subgroup index
+and abelianization. Result JSON/CSV goes to stdout and is byte-identical
+across runs; timings and cache statistics go to stderr.
 """
 
 from __future__ import annotations
@@ -128,6 +132,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     except Overflow as exc:
         sys.stderr.write(f"overflow: {exc}\n")
+        if exc.certificate is not None:
+            sys.stderr.write(f"infinite: {exc.certificate}\n")
         return EXIT_OVERFLOW
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -23,11 +23,19 @@ _CHUNK = 1 << 12  # table entries renumbered per step of compress; each makes on
 
 
 class Overflow(Exception):
-    """Coset enumeration exceeded its cap; the index may be infinite or just large."""
+    """Coset enumeration exceeded its cap; the index may be infinite or just large.
 
-    def __init__(self, max_cosets: int):
+    With a certificate (see ``qf.presentations.InfinitenessCertificate``) the
+    index of the named quotient is proved infinite, so any cap is exceeded.
+    """
+
+    def __init__(self, max_cosets: int, certificate=None, name: str = ""):
         self.max_cosets = max_cosets
-        super().__init__(f"coset enumeration exceeded {max_cosets} cosets")
+        self.certificate = certificate
+        if certificate is None:
+            super().__init__(f"coset enumeration exceeded {max_cosets} cosets")
+        else:
+            super().__init__(f"{name} is infinite, so its index exceeded {max_cosets} cosets")
 
 
 class IncompleteTable(Exception):
@@ -476,14 +484,19 @@ def branched_cover_group(p, n: int, t: CosetTable
 
 
 def abelianization(g: GroupPresentation) -> AbelianGroup:
-    """Abelianization from the Smith form of the relator exponent matrix."""
+    """Abelianization from the Smith form of the relator exponent matrix.
+
+    Relator matrices are sparse and rich in +-1 entries at any size (those of
+    Reidemeister-Schreier presentations have hundreds of rows), so unit pivots
+    are eliminated before anything is handled densely.
+    """
     triples = {}
     for r, word in enumerate(g.relators):
         for letter in word:
             key = (r, abs(letter) - 1)
             triples[key] = triples.get(key, 0) + (1 if letter > 0 else -1)
     m = SparseIntMatrix(len(g.relators), g.ngens, {k: v for k, v in triples.items() if v})
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(m, dense_cutoff=0)
     return AbelianGroup(g.ngens - snf.rank, tuple(d for d in snf.factors if d > 1))
 
 

@@ -237,7 +237,7 @@ def _dense_diagonalize(a: list[list[int]]) -> list[int]:
     return diag
 
 
-def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
+def smith_normal_form(m: SparseIntMatrix, dense_cutoff: int = _DENSE_CUTOFF) -> SNFResult:
     """Invariant factors of an integer matrix.
 
     Sparse elimination greedily pivots on +-1 entries: the shortest row that
@@ -250,8 +250,9 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     row that holds a unit has an entry at its current length, and the first
     entry that survives is the least (length, row) over those rows: the
     pivot that a scan of every live row would pick. Once no unit pivot is
-    left, or the active block fits under the dense cutoff, the remainder is
-    handled densely and the divisibility chain is repaired at the end.
+    left, or the active block fits under ``dense_cutoff`` rows and columns, the
+    remainder is handled densely and the divisibility chain is repaired at the
+    end.
     """
     rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
     col_rows: dict[int, set[int]] = {}
@@ -264,7 +265,7 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
 
     units = 0
     while live:
-        if len(live) < _DENSE_CUTOFF and len(col_rows) < _DENSE_CUTOFF:
+        if len(live) < dense_cutoff and len(col_rows) < dense_cutoff:
             break
         while heap:
             length, pr = heappop(heap)

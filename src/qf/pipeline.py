@@ -16,8 +16,9 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from qf.catalog import KnotInput, resolve_knot_spec
 from qf.diagrams import Diagram, PDCode, PeripheralPresentation, analyze, wirtinger_with_peripherals
@@ -27,6 +28,7 @@ from qf.groups import (
     CosetTable,
     GroupPresentation,
     IncompleteTable,
+    Overflow,
     TableMismatch,
     Word,
     branched_cover_group,
@@ -37,7 +39,12 @@ from qf.groups import (
 )
 from qf.homology import quandle_homology
 from qf.intlinalg import AbelianGroup
-from qf.presentations import enumerate_cosets
+from qf.presentations import (
+    InfinitenessCertificate,
+    branched_cover_certificate,
+    enumerate_cosets,
+    simplify,
+)
 from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, is_connected, quandle_type
 
 SCHEMA_VERSION = 1
@@ -69,16 +76,20 @@ class CosetCache:
         return table
 
     def todd_coxeter(self, pres: GroupPresentation, subgroup: tuple[Word, ...],
-                     max_cosets: int) -> CosetTable:
+                     max_cosets: int,
+                     compute: Optional[Callable[[], CosetTable]] = None) -> CosetTable:
         """The coset table of the subgroup in pres, from the cache or enumerated.
 
-        A miss enumerates a Tietze-simplified presentation and lifts the table
-        back to pres's generators (``enumerate_cosets``); ``max_cosets`` bounds
+        A miss calls ``compute``, by default ``enumerate_cosets(pres,
+        subgroup, max_cosets)``: it enumerates a Tietze-simplified presentation
+        and lifts the table back to pres's generators; ``max_cosets`` bounds
         that simplified enumeration. The table, and so the cache entry, is the
         one ``todd_coxeter(pres, ...)`` gives, keyed by pres itself.
         """
+        if compute is None:
+            compute = partial(enumerate_cosets, pres, subgroup, max_cosets)
         if self.directory is None:
-            return enumerate_cosets(pres, subgroup, max_cosets)
+            return compute()
         payload = {
             "ngens": pres.ngens,
             "relators": [list(w) for w in pres.relators],
@@ -91,7 +102,7 @@ class CosetCache:
         if table is not None:
             self.hits += 1
             return table
-        table = enumerate_cosets(pres, subgroup, max_cosets)
+        table = compute()
         self.misses += 1
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.stem, suffix=".tmp")
@@ -198,6 +209,10 @@ class Pipeline:
 
     Everything past spec resolution is memoized on the resolved diagram, so
     specs that name one diagram (``3_1`` and ``catalog:3_1``) share the work.
+    A cache miss on G_n simplifies it once per (diagram, n), for every
+    enumeration of it, and first looks for a certificate that pi1(M_n) is
+    infinite (``branched_cover_certificate``, once per (diagram, n)); where
+    one is found, Overflow carries it instead of an enumeration filling its cap.
     """
 
     def __init__(self, cache: Optional[CosetCache] = None,
@@ -209,6 +224,9 @@ class Pipeline:
         self._diagrams: dict[PDCode, Diagram] = {}
         self._quandles: dict[tuple[PDCode, int], tuple[CosetTable, FiniteQuandle]] = {}
         self._branched: dict[tuple[PDCode, int], BranchedData] = {}
+        # G_n simplified, with the certificate looked for over it
+        self._simplified: dict[tuple[PDCode, int], tuple[tuple[GroupPresentation, tuple[Word, ...]],
+                                                         Optional[InfinitenessCertificate]]] = {}
 
     def knot(self, spec: str) -> KnotInput:
         if spec not in self._knots:
@@ -227,13 +245,29 @@ class Pipeline:
             self._peripherals[pd] = wirtinger_with_peripherals(self.diagram(spec))
         return self._peripherals[pd]
 
+    def _enumerate(self, spec: str, n: int, subgroup: tuple[Word, ...], name: str) -> CosetTable:
+        """The table of G_n over the subgroup; Overflow names the quotient it
+        counts (``name``) where a miss finds pi1(M_n) infinite."""
+        key = (self.knot(spec).pd, n)
+        pres = g_n_presentation(self.peripherals(spec), n)
+
+        def compute() -> CosetTable:
+            if key not in self._simplified:
+                simplified = simplify(pres, (1,))
+                self._simplified[key] = simplified, branched_cover_certificate(simplified[0], n)
+            simplified, certificate = self._simplified[key]
+            if certificate is not None:
+                raise Overflow(self.max_cosets, certificate, name)
+            return enumerate_cosets(pres, subgroup, self.max_cosets, simplified)
+
+        return self.cache.todd_coxeter(pres, subgroup, self.max_cosets, compute)
+
     def quandle(self, spec: str, n: int) -> tuple[CosetTable, FiniteQuandle]:
         key = (self.knot(spec).pd, n)
         if key not in self._quandles:
             per = self.peripherals(spec)
-            pres = g_n_presentation(per, n)
             meridian = (per.meridian + 1,)
-            table = self.cache.todd_coxeter(pres, (meridian, per.longitude), self.max_cosets)
+            table = self._enumerate(spec, n, (meridian, per.longitude), f"Q_{n}")
             self._quandles[key] = (table, quandle_from_cosets(table, meridian))
         return self._quandles[key]
 
@@ -241,8 +275,7 @@ class Pipeline:
         key = (self.knot(spec).pd, n)
         if key not in self._branched:
             per = self.peripherals(spec)
-            pres = g_n_presentation(per, n)
-            table = self.cache.todd_coxeter(pres, (), self.max_cosets)
+            table = self._enumerate(spec, n, (), f"G_{n}")
             group, phi, ell = branched_cover_group(per, n, table)
             self._branched[key] = BranchedData(
                 group=group, phi=phi, longitude=ell,

@@ -90,6 +90,23 @@ def test_overflow_exit(capsys):
     assert "overflow" in err
 
 
+GRANNY = "X(1,4,2,5) X(3,6,4,7) X(5,2,6,3) X(7,10,8,11) X(9,12,10,1) X(11,8,12,9)"
+
+
+@pytest.mark.parametrize("cap", ["10", "1000000"])
+def test_certified_overflow_names_the_cap_and_the_certificate(capsys, tmp_path, cap):
+    # Q_2 of the granny knot is infinite: at any cap, exit 3 at once with the
+    # certificate and nothing on stdout
+    path = tmp_path / "granny.pd"
+    path.write_text(GRANNY + "\n")
+    code, out, err = run(capsys, "enumerate", "--knot", str(path), "--n", "2",
+                         "--max-cosets", cap, "--cache-dir", str(tmp_path / "cache"))
+    assert (code, out) == (EXIT_OVERFLOW, "")
+    assert err == (f"overflow: Q_2 is infinite, so its index exceeded {cap} cosets\n"
+                   "infinite: pi1(M_2) has a subgroup of index 9 with abelianization Z^4\n")
+    assert not (tmp_path / "cache").exists()  # infinite verdicts are not cached
+
+
 def test_torus_diagram_g2_finishes_under_a_small_cap(capsys):
     # raw HLT fills 10^5 cosets on G_2 of T(2, 13) (order 26) before collapsing
     code, out, _ = run(capsys, "homology", "--knot", "rational:13,1", "--n", "2",

@@ -11,7 +11,7 @@ import qf.verify
 from qf.catalog import resolve_knot_spec
 from qf.cli import main
 from qf.diagrams import ParameterError
-from qf.groups import GroupPresentation, todd_coxeter
+from qf.groups import GroupPresentation, Overflow, todd_coxeter
 from qf.pipeline import CosetCache, Pipeline
 from qf.quandles import ExtensionWitness
 from qf.verify import EXTENSION_CASES, H2_CASES, TREFOIL_COVER_ORDERS, run_verification
@@ -95,7 +95,9 @@ def test_pipeline_memoizes_on_the_resolved_diagram(monkeypatch):
         pipe.quandle(spec, 3)
         pipe.branched(spec, 3)
     assert pipe.quandle("3_1", 3) is pipe.quandle("catalog:3_1", 3)
-    assert len(enumerations) == 2  # Q_3 and G_3, once each
+    # Q_3 and G_3 once each, and once the abelian quotient pi1 / pi1' (H1 is
+    # Z/2 x Z/2) of the one certificate attempt that both misses share
+    assert len(enumerations) == 3
 
 
 def test_unknot_results():
@@ -135,14 +137,19 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
                                 qf.presentations, qf.verify)
     galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
     complexes = _count_calls(monkeypatch, "boundaries", qf.homology)
+    certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
+    presented = _count_calls(monkeypatch, "reidemeister_schreier", qf.presentations)
     cache = CosetCache(tmp_path)
     rows = run_verification(Pipeline(cache))
     homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
     assert len(homology_rows) == len(H2_CASES) + 1
     assert len(complexes) == len(homology_rows)
     assert len(galex_calls) == len(EXTENSION_CASES)
-    # every enumeration is a cache miss or a trefoil cover presentation
-    assert len(enumerations) == cache.misses + len(TREFOIL_COVER_ORDERS)
+    # every enumeration is a cache miss, a trefoil cover presentation, or the
+    # abelian quotient of a certificate attempt that reached its second pass
+    second_passes = len(presented) - len(certificates)
+    assert len(enumerations) == cache.misses + len(TREFOIL_COVER_ORDERS) + second_passes
+    assert len({(pres, n) for pres, n in certificates}) == len(certificates)
 
 
 def test_warm_cache_homology_enumerates_nothing(monkeypatch, tmp_path, capsys):
@@ -150,8 +157,29 @@ def test_warm_cache_homology_enumerates_nothing(monkeypatch, tmp_path, capsys):
     assert main(args) == 0
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline,
                                 qf.presentations)
+    certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
     assert main(args) == 0
-    assert enumerations == []
+    assert enumerations == [] and certificates == []
+
+
+def test_one_certificate_per_diagram_and_n(monkeypatch, tmp_path):
+    certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
+    path = tmp_path / "granny.pd"
+    path.write_text("X(1,4,2,5) X(3,6,4,7) X(5,2,6,3) X(7,10,8,11) X(9,12,10,1) X(11,8,12,9)")
+    pipe = Pipeline()
+    for spec in (str(path), str(path), "3_1", "catalog:3_1"):
+        for n in (2, 6):
+            for stage in (pipe.quandle, pipe.branched):
+                try:
+                    stage(spec, n)
+                except Overflow as exc:
+                    assert exc.certificate is not None
+    # the granny knot at both n and 3_1 at n=6 are certified; 3_1 at n=2 is finite
+    assert [n for _, n in certificates] == [2, 6, 2, 6]
+    with pytest.raises(Overflow) as info:
+        pipe.branched(str(path), 2)
+    assert str(info.value) == "G_2 is infinite, so its index exceeded 1000000 cosets"
+    assert len(certificates) == 4
 
 
 def test_extension_row_reports_the_measured_fiber(monkeypatch):

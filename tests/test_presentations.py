@@ -1,11 +1,30 @@
+from collections import Counter
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qf.presentations
 from qf.diagrams import analyze, connected_sum, parse_pd, wirtinger_with_peripherals
-from qf.groups import GroupPresentation, Overflow, g_n_presentation, todd_coxeter
+from qf.groups import (
+    GroupPresentation,
+    Overflow,
+    TableMismatch,
+    abelianization,
+    g_n_presentation,
+    todd_coxeter,
+    trefoil_branched_presentation,
+)
+from qf.intlinalg import AbelianGroup
 from qf.pipeline import CosetCache, Pipeline
-from qf.presentations import enumerate_cosets, simplify
+from qf.presentations import (
+    branched_cover_certificate,
+    enumerate_cosets,
+    grading_kernel_table,
+    reidemeister_schreier,
+    simplify,
+)
 from qf.verify import CARDINALITY_CASES, H2_CASES, LONGITUDE_CASES, MONTESINOS_CANDIDATES
 
 PIPE = Pipeline(CosetCache(None))
@@ -94,3 +113,121 @@ def test_enumerate_cosets_overflows_and_checks_words():
     with pytest.raises(ValueError):
         enumerate_cosets(GroupPresentation(1, [(1, 1)]), [(2,)])
     assert enumerate_cosets(GroupPresentation(0, []), []).size == 1
+
+
+def test_canonical_runs_only_on_relators_of_shared_length(monkeypatch):
+    # G_50 of the trefoil keeps the meridian's 50th power, the one relator of
+    # its length: comparing its 100 rotations would cost O(50^2)
+    lengths = []
+    canonical = qf.presentations._canonical
+    monkeypatch.setattr(qf.presentations, "_canonical",
+                        lambda w: lengths.append(len(w)) or canonical(w))
+    pres = g_n_presentation(PIPE.peripherals("catalog:3_1"), 50)
+    small, _ = simplify(pres, (1,))
+    assert (1,) * 50 in small.relators
+    assert 50 not in lengths
+    assert all(count > 1 for count in Counter(lengths).values())
+
+
+# --- Reidemeister-Schreier and certificates of infiniteness -----------------
+
+S3 = GroupPresentation(2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)])
+
+
+def test_reidemeister_schreier_presents_the_subgroup():
+    # <b> in S3 is Z/3; the trivial subgroup is trivial; all of S3 has H1 = Z/2
+    for subgroup, want in (([(2,)], AbelianGroup(0, (3,))), ([], AbelianGroup(0)),
+                           ([(1,), (2,)], AbelianGroup(0, (2,)))):
+        table = todd_coxeter(S3, subgroup)
+        sub = reidemeister_schreier(S3, table)
+        assert sub.ngens == table.size * (S3.ngens - 1) + 1  # one per non-tree edge
+        assert abelianization(sub) == want
+
+
+def test_reidemeister_schreier_on_a_free_group():
+    # an index-3 subgroup of the free group of rank 2 is free of rank 3*(2-1)+1
+    free = GroupPresentation(2, [])
+    table = grading_kernel_table(free, 3)
+    sub = reidemeister_schreier(free, table)
+    assert sub == GroupPresentation(4, [])
+    with pytest.raises(ValueError):
+        reidemeister_schreier(GroupPresentation(3, []), table)
+
+
+def test_grading_kernel_table():
+    pres = g_n_presentation(PIPE.peripherals("catalog:3_1"), 4)
+    table = grading_kernel_table(pres, 4)
+    assert table.size == 4
+    assert all(col == ((1, 2, 3, 0) if x % 2 == 0 else (3, 0, 1, 2))
+               for x, col in enumerate(table.action))
+    with pytest.raises(TableMismatch):  # the meridian's 4th power is not 0 mod 3
+        grading_kernel_table(pres, 3)
+
+
+# The granny knot and the four connected sums of the tc_overflow benchmark
+# workload, each with an infinite Q_2: (PD, derived index, free rank).
+INFINITE_SUMS = [
+    ("X(1,4,2,5) X(3,6,4,7) X(5,2,6,3) X(7,10,8,11) X(9,12,10,1) X(11,8,12,9)", 9, 4),
+    ("X(5,2,6,3) X(1,4,2,5) X(3,12,4,1) X(8,11,9,12) X(10,7,11,8) X(6,9,7,10)", 9, 4),
+    ("X(14,4,1,3) X(2,6,3,5) X(4,2,5,1) X(10,8,11,7) X(6,12,7,11) X(12,9,13,10) "
+     "X(8,13,9,14)", 15, 8),
+    ("X(7,5,8,4) X(3,1,4,16) X(1,6,2,7) X(5,2,6,3) X(10,16,11,15) X(14,12,15,11) "
+     "X(12,9,13,10) X(8,13,9,14)", 25, 16),
+    ("X(5,3,6,2) X(1,7,2,6) X(7,4,8,5) X(3,18,4,1) X(10,15,11,16) X(12,17,13,18) "
+     "X(14,9,15,10) X(16,11,17,12) X(8,13,9,14)", 25, 16),
+]
+
+
+@pytest.mark.parametrize("pd, index, rank", INFINITE_SUMS)
+def test_connected_sums_are_certified_infinite(pd, index, rank):
+    pres = g_n_presentation(wirtinger_with_peripherals(analyze(parse_pd(pd))), 2)
+    for given_pres in (pres, simplify(pres, (1,))[0]):  # raw or simplified G_2
+        cert = branched_cover_certificate(given_pres, 2)
+        assert (cert.n, cert.index, cert.abelianization.free_rank) == (2, index, rank)
+    assert str(cert).startswith(f"pi1(M_2) has a subgroup of index {index} "
+                                f"with abelianization Z^{rank}")
+
+
+def test_trefoil_sixfold_cover_is_certified_by_its_first_homology():
+    cert = branched_cover_certificate(g_n_presentation(PIPE.peripherals("catalog:3_1"), 6), 6)
+    assert (cert.index, cert.abelianization) == (1, AbelianGroup(2))
+    assert str(cert) == "pi1(M_6) has abelianization Z^2"
+
+
+@pytest.mark.parametrize("spec,n", VERIFY_ROWS)
+def test_no_certificate_on_a_verify_row(spec, n):
+    pres = g_n_presentation(PIPE.peripherals(spec), n)
+    assert branched_cover_certificate(simplify(pres, (1,))[0], n) is None
+
+
+@st.composite
+def _two_bridge_up_to_29(draw):
+    alpha = 2 * draw(st.integers(1, 14)) + 1
+    beta = draw(st.sampled_from([b for b in range(1, alpha) if gcd(alpha, b) == 1]))
+    return f"rational:{alpha},{beta}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_bridge_up_to_29())
+def test_no_certificate_on_a_two_bridge_double_cover(spec):
+    # pi1 of a lens space is finite, so no certificate can exist
+    pres = g_n_presentation(PIPE.peripherals(spec), 2)
+    assert branched_cover_certificate(simplify(pres, (1,))[0], 2) is None
+
+
+def _cover_homology(pres, n):
+    return abelianization(reidemeister_schreier(pres, grading_kernel_table(pres, n)))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cover_homology_matches_the_cyclic_presentation(n):
+    pres = g_n_presentation(PIPE.peripherals("catalog:3_1"), n)
+    want = abelianization(trefoil_branched_presentation(n)[0])
+    assert _cover_homology(pres, n) == _cover_homology(simplify(pres, (1,))[0], n) == want
+
+
+def test_double_covers_of_two_bridge_knots_are_lens_spaces():
+    for spec in TWO_BRIDGE:
+        alpha = int(spec.split(":")[1].split(",")[0])
+        pres = g_n_presentation(PIPE.peripherals(spec), 2)
+        assert _cover_homology(pres, 2) == AbelianGroup(0, (alpha,)), spec

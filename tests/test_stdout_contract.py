@@ -1,15 +1,19 @@
 """Stdout of the paper's rows is byte-identical to the reference outputs.
 
-The references are the benchmark's golden files, which this test only reads.
+The references are the benchmark's golden files, which this test only reads,
+and (``tests/golden``) ``verify-tables --max-cosets 10`` as written before
+certificates of infiniteness existed: no row of the table is infinite, so none
+may change.
 """
 
 from pathlib import Path
 
 import pytest
 
-from qf.cli import EXIT_OK, main
+from qf.cli import EXIT_OK, EXIT_OVERFLOW, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+CAPPED = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -19,6 +23,15 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 def test_verify_tables_stdout(capsys, argv, golden):
     assert main(["verify-tables", "--no-cache", *argv]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ((), "verify_tables_max_cosets_10.txt"),
+    (("--format", "csv"), "verify_tables_max_cosets_10.csv"),
+])
+def test_capped_verify_tables_stdout(capsys, argv, golden):
+    assert main(["verify-tables", "--no-cache", "--max-cosets", "10", *argv]) == EXIT_OVERFLOW
+    assert capsys.readouterr().out == (CAPPED / golden).read_text()
 
 
 @pytest.mark.parametrize("spec, n, golden", [
