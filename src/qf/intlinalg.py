@@ -328,8 +328,10 @@ def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix
                          f"d_high is {d_high.rows}x{d_high.cols}")
     if not d_low.mul(d_high).is_zero():
         raise NotAComplex("d_low * d_high != 0")
-    snf_low = smith_normal_form(d_low)
-    snf_high = smith_normal_form(d_high)
+    # Sparse unit pivots first, as in abelianization: on boundary maps the
+    # dense path is slower even for blocks under the default cutoff.
+    snf_low = smith_normal_form(d_low, dense_cutoff=0)
+    snf_high = smith_normal_form(d_high, dense_cutoff=0)
     coker = AbelianGroup(d_low.rows - snf_low.rank, tuple(d for d in snf_low.factors if d > 1))
     free = d_low.cols - snf_low.rank - snf_high.rank
     return coker, AbelianGroup(free, tuple(d for d in snf_high.factors if d > 1))

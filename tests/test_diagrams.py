@@ -20,6 +20,7 @@ from qf.diagrams import (
 from qf.groups import Overflow, g_n_presentation, quandle_from_cosets, todd_coxeter
 from qf.intlinalg import AbelianGroup
 from qf.groups import abelianization
+from qf.homology import quandle_homology
 from qf.presentations import enumerate_cosets
 from qf.quandles import check_relators
 
@@ -149,12 +150,14 @@ MOVE_ROWS = st.one_of(
 
 
 def _orders(pd, n):
-    """|Q_n| and |G_n| of the diagram; G_n through the simplified presentation,
-    since raw HLT takes over 10 s on G_2 of T(2, 13) and T(2, 15)."""
+    """|Q_n|, |G_n| and H2(Q_n) of the diagram; G_n through the simplified
+    presentation, since raw HLT takes over 10 s on G_2 of T(2, 13) and T(2, 15)."""
     p = wirtinger_with_peripherals(analyze(pd))
     pres = g_n_presentation(p, n)
-    return (todd_coxeter(pres, [(p.meridian + 1,), p.longitude]).size,
-            enumerate_cosets(pres, []).size)
+    meridian = (p.meridian + 1,)
+    table = todd_coxeter(pres, [meridian, p.longitude])
+    h2 = quandle_homology(quandle_from_cosets(table, meridian))[1]
+    return table.size, enumerate_cosets(pres, []).size, h2
 
 
 @settings(max_examples=15, deadline=None)

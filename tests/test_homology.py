@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,10 +7,17 @@ from qf import intlinalg
 from qf.builders import build_torus
 from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import g_n_presentation, quandle_from_cosets, todd_coxeter
-from qf.homology import DivisibilityError, boundaries, h2_order_via_extension, quandle_homology
-from qf.intlinalg import AbelianGroup
+from qf.homology import (
+    DivisibilityError,
+    boundaries,
+    h2_order_via_extension,
+    quandle_homology,
+    spanning_triples,
+)
+from qf.intlinalg import AbelianGroup, NotAComplex, homology_of_pair
 from qf.pipeline import Pipeline
 from qf.quandles import (
+    AxiomViolation,
     FiniteGroupElementSet,
     FiniteQuandle,
     GroupAutomorphism,
@@ -19,6 +27,7 @@ from qf.quandles import (
     is_connected,
     trivial_quandle,
 )
+from qf.verify import CARDINALITY_CASES, MONTESINOS_CANDIDATES
 
 
 def random_quandle(rng: random.Random) -> FiniteQuandle:
@@ -102,8 +111,11 @@ def test_h1_is_z_for_connected():
 
 
 def test_h2_dihedral_trivial():
-    # R_3 and R_5 fit under the dense cutoff; d3 of R_15 (210 rows) and R_17
-    # (272 rows) goes through the sparse unit-pivot phase.
+    # quandle_homology builds d3 on the triples ending in {0, 1}, 2(p-1)^2
+    # columns (512 for R_17, not the 4352 of the full d3), and homology_of_pair
+    # runs every Smith form with dense_cutoff=0, so the sparse unit-pivot phase
+    # runs at every p; the full d3 goes through the default cutoff in
+    # test_snf_pivot_sequence_is_pinned.
     for p in (3, 5, 15, 17):
         assert quandle_homology(dihedral_quandle(p))[1].is_trivial, p
 
@@ -167,3 +179,90 @@ def test_h2_order_via_extension():
     assert h2_order_via_extension(7, 7) == 1
     with pytest.raises(DivisibilityError):
         h2_order_via_extension(10, 4)
+
+
+@pytest.fixture(scope="module")
+def reduction_pool():
+    """300 seeded random quandles, the Q_n that the verify table reaches, and R_p for p <= 17."""
+    rng = random.Random(2003)
+    pool = [random_quandle(rng) for _ in range(300)]
+    pipe = Pipeline()
+    pool += [pipe.quandle(spec, n)[1] for spec, n, _ in CARDINALITY_CASES]
+    pool.append(pipe.quandle(MONTESINOS_CANDIDATES[0], 2)[1])
+    pool += [dihedral_quandle(p) for p in range(1, 18)]
+    return pool
+
+
+def test_spanning_triples_keep_the_homology(reduction_pool):
+    for i, q in enumerate(reduction_pool):
+        s = boundaries(q)
+        assert homology_of_pair(s.d2, s.d3) == quandle_homology(q), (i, q.size)
+
+
+def test_spanning_triples_are_nondegenerate_and_few():
+    triples = spanning_triples(dihedral_quandle(29))
+    assert all(x != y != z for x, y, z in triples)
+    assert sorted(set(triples)) == list(triples)
+    assert len(triples) == 2 * 28 ** 2  # any two elements generate R_29
+
+
+def test_d3_kills_d4(reduction_pool):
+    # d4(x,y,z,w) = t - t.w + (x,z,w) - (x*y,z,w) - (x,y,w) + (x*z,y*z,w) with
+    # t = (x,y,z) and t.w = (x*w,y*w,z*w): the identity behind spanning_triples.
+    rng = random.Random(406)
+    checked = 0
+    for q in reduction_pool:
+        if q.size < 2:
+            continue
+        s = boundaries(q)
+        column = {t: {} for t in s.basis3}
+        for (r, c), v in s.d3.entries.items():
+            column[s.basis3[c]][r] = v
+        op = q.op
+        for _ in range(5):
+            x, y, z, w = (rng.randrange(q.size) for _ in range(4))
+            if x == y or y == z or z == w:
+                continue
+            d4 = ((1, (x, y, z)), (-1, (op(x, w), op(y, w), op(z, w))),
+                  (1, (x, z, w)), (-1, (op(x, y), z, w)),
+                  (-1, (x, y, w)), (1, (op(x, z), op(y, z), w)))
+            total: dict[int, int] = {}
+            for sign, t in d4:
+                for r, v in column.get(t, {}).items():  # degenerate faces are zero
+                    total[r] = total.get(r, 0) + sign * v
+            assert not any(total.values()), (q.table, (x, y, z, w))
+            checked += 1
+    assert checked > 500
+
+
+def test_non_distributive_table_is_not_a_complex():
+    # idempotent with bijective columns, so FiniteQuandle accepts it, but
+    # (0*1)*2 = 2 while (0*2)*(1*2) = 1
+    q = FiniteQuandle(((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+    with pytest.raises(NotAComplex, match=r"d_low \* d_high != 0"):
+        quandle_homology(q)
+    s = boundaries(q)
+    with pytest.raises(NotAComplex):
+        homology_of_pair(s.d2, s.d3)
+
+
+def test_spanning_triples_check_distributivity_in_full():
+    # Every table of order <= 4 that FiniteQuandle accepts: the product check on
+    # the spanning triples alone fails exactly when some triple is not
+    # distributive, so dropping the other columns loses nothing of the check.
+    for n in range(1, 5):
+        columns = [[p for p in itertools.permutations(range(n)) if p[y] == y]
+                   for y in range(n)]
+        for choice in itertools.product(*columns):
+            table = [[choice[y][x] for y in range(n)] for x in range(n)]
+            try:
+                from_table(table)
+                distributive = True
+            except AxiomViolation:
+                distributive = False
+            try:
+                quandle_homology(FiniteQuandle(table))
+                complex_ok = True
+            except NotAComplex:
+                complex_ok = False
+            assert complex_ok == distributive, table
