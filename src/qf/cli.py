@@ -51,12 +51,19 @@ _INTERNAL_ERRORS = (KernelSizeMismatch, TableMismatch, IncompleteTable, AxiomVio
                     NotAComplex)
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: argparse exits 2 unless the value is an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
 def _add_common(sub: argparse.ArgumentParser, needs_knot: bool) -> None:
     if needs_knot:
         sub.add_argument("--knot", required=True,
                          help="catalog name, builder expression, PD file path, or 'unknot'")
         sub.add_argument("--n", required=True, type=int, help="quandle quotient index n")
-    sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+    sub.add_argument("--max-cosets", type=positive_int, default=DEFAULT_MAX_COSETS,
                      help=f"enumeration cap (default {DEFAULT_MAX_COSETS})")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--cache-dir", default=None,

@@ -283,18 +283,16 @@ def quandle_presentation(d: Diagram, n: int) -> QuandlePresentation:
     return QuandlePresentation(gens, tuple(relators))
 
 
-def arc_assignment(d: Diagram, t, meridian_word: Word = (1,)) -> dict[str, int]:
+def arc_assignment(d: Diagram, t) -> dict[str, int]:
     """Map long-arc generators to elements of the coset-enumerated quandle.
 
     The conjugator of arc 0 is empty and grows by over^sign at each crossing,
     so generator a_i goes to the coset of the accumulated conjugating word.
     """
-    assignment = {}
+    assignment = {"a0": 0}
     word: Word = ()
-    assignment["a0"] = t.coset_of_word(word)
     for i, x in enumerate(d.crossings, start=1):
-        over = x.over_arc_closed + 1
-        word = word + (x.sign * over,)
+        word = word + (x.sign * (x.over_arc_closed + 1),)
         assignment[f"a{i}"] = t.coset_of_word(word)
     return assignment
 

@@ -94,8 +94,13 @@ class GroupPresentation:
         object.__setattr__(self, "relators", tuple(reduced))
 
 
-def _word_to_cols(word: Word) -> tuple[int, ...]:
-    return tuple(2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1 for letter in word)
+def _col(letter: int) -> int:
+    """The action column of a signed generator; its inverse's is ``_col(letter) ^ 1``."""
+    return 2 * letter - 2 if letter > 0 else -2 * letter - 1
+
+
+def _word_to_cols(word: Iterable[int]) -> tuple[int, ...]:
+    return tuple(map(_col, word))
 
 
 class CosetTable:
@@ -120,31 +125,38 @@ class CosetTable:
                     raise ValueError(f"columns for generator {i} are not mutually inverse")
         if len(self.rep_words) != self.size:
             raise ValueError("need one representative word per coset")
+        if any(not 0 < abs(letter) <= ngens for w in self.rep_words for letter in w):
+            raise ValueError("a representative word mentions an undeclared generator")
 
-    def follow(self, coset: int, word: Iterable[int]) -> int:
-        action = self.action
-        for letter in word:
-            col = 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-            coset = action[col][coset]
-        return coset
+    def walk(self, cosets: Iterable[int], word: Iterable[int]) -> list[int]:
+        """The coset that each of ``cosets`` reaches by reading ``word``."""
+        image = list(cosets)
+        for x in _word_to_cols(word):
+            col = self.action[x]
+            image = [col[c] for c in image]
+        return image
 
     def coset_of_word(self, word: Iterable[int]) -> int:
-        return self.follow(0, word)
+        return self.walk([0], word)[0]
 
     def check(self, g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> None:
         """Raise TableMismatch unless this is a coset action of g over the subgroup:
-        every relator acts trivially, every subgroup word fixes coset 0 and each
-        representative word reaches its coset."""
+        every relator acts trivially, every subgroup word fixes coset 0 and the
+        representative words form a tree from coset 0, each its parent's word
+        plus one letter (so, by induction on length, each reaches its coset)."""
         if self.ngens != g.ngens or self.subgroup != tuple(free_reduce(w) for w in subgroup):
             raise TableMismatch("table belongs to another presentation or subgroup")
+        cosets = list(range(self.size))
         for word in g.relators:
-            if any(self.follow(c, word) != c for c in range(self.size)):
+            if self.walk(cosets, word) != cosets:
                 raise TableMismatch(f"relator {word} does not act trivially")
         for word in self.subgroup:
-            if self.follow(0, word) != 0:
+            if self.walk([0], word) != [0]:
                 raise TableMismatch(f"subgroup word {word} moves coset 0")
-        if any(self.follow(0, w) != c for c, w in enumerate(self.rep_words)):
-            raise TableMismatch("a representative word does not reach its coset")
+        reps = self.rep_words
+        if reps[0] or any(not w or reps[self.action[_col(w[-1]) ^ 1][c]] != w[:-1]
+                          for c, w in enumerate(reps[1:], 1)):
+            raise TableMismatch("a representative word is not its parent's plus one letter")
 
     def to_json(self) -> dict:
         return {
@@ -415,13 +427,8 @@ def _standardized_table(g: GroupPresentation, subgroup_words: list[Word], table:
 def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle:
     """The quandle on coset indices with op(i, j) = i . (rep_j^-1 m rep_j)."""
     meridian = free_reduce(meridian)
-    n = t.size
-    table = [[0] * n for _ in range(n)]
-    for j in range(n):
-        conj = invert_word(t.rep_words[j]) + meridian + t.rep_words[j]
-        for i in range(n):
-            table[i][j] = t.follow(i, conj)
-    return from_table(table)  # full check: the coset table may come from the on-disk cache
+    columns = [t.walk(range(t.size), invert_word(rep) + meridian + rep) for rep in t.rep_words]
+    return from_table(list(zip(*columns)))  # full check: the table may come from the on-disk cache
 
 
 def g_n_presentation(p, n: int) -> GroupPresentation:
@@ -462,19 +469,22 @@ def branched_cover_group(p, n: int, t: CosetTable
     if t.size != n * len(kernel):
         raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")
     index = {c: i for i, c in enumerate(kernel)}
-    mult = tuple(tuple(index[t.follow(c, t.rep_words[d])] for d in kernel) for c in kernel)
+    mult = tuple(zip(*([index[c] for c in t.walk(kernel, t.rep_words[d])] for d in kernel)))
     identity = index[0]
-    inv = [0] * len(kernel)
-    for i in range(len(kernel)):
-        inv[i] = next(j for j in range(len(kernel)) if mult[i][j] == identity)
-    labels = tuple("".join(f"x{letter}" if letter > 0 else f"x{-letter}'" for letter in t.rep_words[c]) or "e"
-                   for c in kernel)
-    group = FiniteGroupElementSet(len(kernel), mult, identity, tuple(inv), labels)
+    group = FiniteGroupElementSet(len(kernel), mult, identity,
+                                  tuple(row.index(identity) for row in mult))
 
+    # x -> m^-1 x commutes with every column, so it spreads from 0 -> m^-1 along them
     m_word = (p.meridian + 1,)
-    phi_map = tuple(index[t.follow(t.follow(t.coset_of_word(invert_word(m_word)), t.rep_words[c]), m_word)]
-                    for c in kernel)
-    phi = GroupAutomorphism(group, phi_map)
+    left = [-1] * t.size
+    left[0] = t.coset_of_word(invert_word(m_word))
+    reached = [0]
+    for c in reached:
+        for col in t.action:
+            if left[col[c]] < 0:
+                left[col[c]] = col[left[c]]
+                reached.append(col[c])
+    phi = GroupAutomorphism(group, tuple(index[d] for d in t.walk([left[c] for c in kernel], m_word)))
 
     l_coset = t.coset_of_word(p.longitude)
     if grades[l_coset] != 0:
@@ -496,7 +506,7 @@ def abelianization(g: GroupPresentation) -> AbelianGroup:
             key = (r, abs(letter) - 1)
             triples[key] = triples.get(key, 0) + (1 if letter > 0 else -1)
     m = SparseIntMatrix(len(g.relators), g.ngens, {k: v for k, v in triples.items() if v})
-    snf = smith_normal_form(m, dense_cutoff=0)
+    snf = smith_normal_form(m)
     return AbelianGroup(g.ngens - snf.rank, tuple(d for d in snf.factors if d > 1))
 
 

@@ -46,10 +46,8 @@ class DivisibilityError(Exception):
 
 @dataclass(frozen=True)
 class QuandleComplexSlice:
-    """Bases in degrees 1..3 and the boundary maps d2, d3 between them."""
+    """Bases in degrees 2 and 3 and the boundary maps d2, d3 into degrees 1 and 2."""
 
-    quandle: FiniteQuandle
-    basis1: tuple[int, ...]
     basis2: tuple[tuple[int, int], ...]
     basis3: tuple[tuple[int, int, int], ...]
     d2: SparseIntMatrix
@@ -66,7 +64,6 @@ def boundaries(q: FiniteQuandle,
     """
     n = q.size
     tab = q.table
-    basis1 = tuple(range(n))
     basis2 = tuple((x, y) for x in range(n) for y in range(n) if x != y)
     if triples is None:
         basis3 = tuple((x, y, z) for x in range(n) for y in range(n) for z in range(n)
@@ -91,7 +88,7 @@ def boundaries(q: FiniteQuandle,
                 key = (row, col)
                 d3_entries[key] = d3_entries.get(key, 0) + sign
     d3 = SparseIntMatrix(len(basis2), len(basis3), {k: v for k, v in d3_entries.items() if v})
-    return QuandleComplexSlice(q, basis1, basis2, basis3, d2, d3)
+    return QuandleComplexSlice(basis2, basis3, d2, d3)
 
 
 def _generating_set(q: FiniteQuandle) -> list[int]:

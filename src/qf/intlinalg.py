@@ -11,10 +11,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping
 
-# Below this size the active submatrix is materialized densely; the
-# dict-of-rows representation only pays off while the matrix is large.
-_DENSE_CUTOFF = 200
-
 
 class NotAComplex(Exception):
     """The two boundary maps do not compose to zero."""
@@ -237,7 +233,7 @@ def _dense_diagonalize(a: list[list[int]]) -> list[int]:
     return diag
 
 
-def smith_normal_form(m: SparseIntMatrix, dense_cutoff: int = _DENSE_CUTOFF) -> SNFResult:
+def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     """Invariant factors of an integer matrix.
 
     Sparse elimination greedily pivots on +-1 entries: the shortest row that
@@ -250,9 +246,8 @@ def smith_normal_form(m: SparseIntMatrix, dense_cutoff: int = _DENSE_CUTOFF) -> 
     row that holds a unit has an entry at its current length, and the first
     entry that survives is the least (length, row) over those rows: the
     pivot that a scan of every live row would pick. Once no unit pivot is
-    left, or the active block fits under ``dense_cutoff`` rows and columns, the
-    remainder is handled densely and the divisibility chain is repaired at the
-    end.
+    left, the remainder is handled densely and the divisibility chain is
+    repaired at the end.
     """
     rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
     col_rows: dict[int, set[int]] = {}
@@ -265,8 +260,6 @@ def smith_normal_form(m: SparseIntMatrix, dense_cutoff: int = _DENSE_CUTOFF) -> 
 
     units = 0
     while live:
-        if len(live) < dense_cutoff and len(col_rows) < dense_cutoff:
-            break
         while heap:
             length, pr = heappop(heap)
             prow = rows[pr]
@@ -328,10 +321,8 @@ def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix
                          f"d_high is {d_high.rows}x{d_high.cols}")
     if not d_low.mul(d_high).is_zero():
         raise NotAComplex("d_low * d_high != 0")
-    # Sparse unit pivots first, as in abelianization: on boundary maps the
-    # dense path is slower even for blocks under the default cutoff.
-    snf_low = smith_normal_form(d_low, dense_cutoff=0)
-    snf_high = smith_normal_form(d_high, dense_cutoff=0)
+    snf_low = smith_normal_form(d_low)
+    snf_high = smith_normal_form(d_high)
     coker = AbelianGroup(d_low.rows - snf_low.rank, tuple(d for d in snf_low.factors if d > 1))
     free = d_low.cols - snf_low.rank - snf_high.rank
     return coker, AbelianGroup(free, tuple(d for d in snf_high.factors if d > 1))

@@ -27,7 +27,6 @@ from qf.groups import (
     Word,
     _standardized_table,
     _subgroup_words,
-    _word_to_cols,
     abelianization,
     cyclic_reduce,
     free_reduce,
@@ -181,11 +180,7 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
     size, width = small.size, 2 * pres.ngens
     table = [0] * (size * width)
     for g, word in enumerate(rewrite):
-        image = list(range(size))
-        for x in _word_to_cols(word):
-            col = small.action[x]
-            image = [col[c] for c in image]
-        for c, d in enumerate(image):
+        for c, d in enumerate(small.walk(range(size), word)):
             table[c * width + 2 * g] = d
             table[d * width + 2 * g + 1] = c
     return _standardized_table(pres, subgroup_words, table, width, size, max_cosets)

@@ -205,7 +205,6 @@ class FiniteGroupElementSet:
     mult: tuple[tuple[int, ...], ...]
     identity: int
     inv: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         n = self.order

@@ -197,15 +197,31 @@ def test_cache_entry_of_another_key_is_recomputed(capsys, tmp_path):
 
 
 def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
+    # a cut-off entry, and one whose representative word names an undeclared
+    # generator, are misses: recomputed and rewritten
     args = ("enumerate", "--knot", "3_1", "--n", "3", "--cache-dir", str(tmp_path))
     _, want, _ = run(capsys, *args)
     (entry,) = tmp_path.glob("*.json")
     good = entry.read_text()
-    entry.write_text(good[: len(good) // 2])
-    code, out, _ = run(capsys, *args)
-    assert code == EXIT_OK
-    assert out == want
-    assert entry.read_text() == good
+    bad_letter = json.loads(good)
+    bad_letter["table"]["rep_words"][1] = [99]
+    for corrupt in (good[: len(good) // 2], json.dumps(bad_letter, sort_keys=True)):
+        entry.write_text(corrupt)
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_OK
+        assert out == want
+        assert entry.read_text() == good
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_max_cosets_below_one_exits_2_on_every_path(capsys, tmp_path, cap):
+    cache = str(tmp_path)
+    run(capsys, "enumerate", "--knot", "3_1", "--n", "3", "--cache-dir", cache)
+    for n in ("3", "4", "6"):  # a cache hit, a miss, and Q_6, proved infinite before enumerating
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate", "--knot", "3_1", "--n", n, "--max-cosets", cap, "--cache-dir", cache])
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [

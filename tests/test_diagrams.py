@@ -84,8 +84,7 @@ def test_longitude_commutes_with_meridian_in_finite_quotient():
         t = todd_coxeter(g_n_presentation(p, n), [])
         m = (p.meridian + 1,)
         comm = m + p.longitude + tuple(-v for v in reversed(m)) + tuple(-v for v in reversed(p.longitude))
-        for c in range(t.size):
-            assert t.follow(c, comm) == c
+        assert t.walk(range(t.size), comm) == list(range(t.size))
 
 
 def test_g2_trefoil_order_six():

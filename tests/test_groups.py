@@ -83,14 +83,33 @@ def test_table_is_deterministic_and_serializable():
     assert t1.rep_words[0] == ()
 
 
-def test_follow_and_reps():
+def test_walk_and_reps():
     g = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
     t = todd_coxeter(g, [(1,)])
     for c in range(t.size):
         assert t.coset_of_word(t.rep_words[c]) == c
+    cosets = list(range(t.size))
     for rel in g.relators:
-        for c in range(t.size):
-            assert t.follow(c, rel) == c
+        assert t.walk(cosets, rel) == cosets
+    word = (1, -2, 2, 2, -1)
+    assert t.walk(cosets, word) == t.walk(t.walk(cosets, word[:2]), word[2:])
+    assert t.walk([2, 0, 2], ()) == [2, 0, 2]
+
+
+def test_table_check_rejects_representative_words_off_the_tree():
+    g = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    t = todd_coxeter(g, [(1,)])
+    data = t.to_json()
+    c = next(c for c, w in enumerate(t.rep_words) if len(w) == 1)
+    data["rep_words"][c] = [data["rep_words"][c][0]] * 3  # same coset (generators are involutions)
+    other = CosetTable.from_json(data)
+    assert other.coset_of_word(other.rep_words[c]) == c
+    with pytest.raises(TableMismatch):
+        other.check(g, [(1,)])
+    for bad in ([0], [3], [-3]):
+        data["rep_words"][c] = bad
+        with pytest.raises(ValueError):
+            CosetTable.from_json(data)
 
 
 def test_table_check_rejects_a_foreign_presentation_or_subgroup():
@@ -170,7 +189,7 @@ def test_longitude_conjugacy_class_independent_of_index():
         k = 1
         cur = c
         while cur != 0:
-            cur = t.follow(cur, word)
+            cur = t.walk([cur], word)[0]
             k += 1
         orders.add(k)
     assert orders == {2}

@@ -112,23 +112,24 @@ def test_h1_is_z_for_connected():
 
 def test_h2_dihedral_trivial():
     # quandle_homology builds d3 on the triples ending in {0, 1}, 2(p-1)^2
-    # columns (512 for R_17, not the 4352 of the full d3), and homology_of_pair
-    # runs every Smith form with dense_cutoff=0, so the sparse unit-pivot phase
-    # runs at every p; the full d3 goes through the default cutoff in
-    # test_snf_pivot_sequence_is_pinned.
+    # columns (512 for R_17, not the 4352 of the full d3, which
+    # test_snf_pivot_sequence_is_pinned reduces), and the sparse unit-pivot
+    # phase runs at every p.
     for p in (3, 5, 15, 17):
         assert quandle_homology(dihedral_quandle(p))[1].is_trivial, p
 
 
 # (rows, cols, sum of |entries|) of the dense remainder and the number of
 # sparse unit pivots in the SNF of d3, counted with the row-scan pivot picker
-# that the heap replaced: another pivot order changes the fill-in and with it
-# these figures, and a picker that gives up early leaves fewer unit pivots.
+# that the heap replaced (the ("3_1", 4) row by the heap, once the small-block
+# dense early exit was removed): another pivot order changes the fill-in and
+# with it these figures, and a picker that gives up early leaves fewer unit
+# pivots.
 PINNED_D3_ELIMINATIONS = {
     ("5_1", 3): ((2, 3424, 57288), 360),
     ("3_1", 5): ((2, 132, 2640), 120),
     ("montesinos:1,1/2,1/3,1/3", 2): ((1, 696, 1724), 120),
-    ("3_1", 4): ((30, 144, 480), 0),
+    ("3_1", 4): ((1, 12, 48), 24),
     ("R_17", None): ((0, 0, 0), 256),
 }
 

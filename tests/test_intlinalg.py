@@ -142,11 +142,10 @@ def scrambled_diagonal(diagonal, rows, cols, moves, rng):
 
 
 def test_snf_sparse_phase_with_torsion(dense_rows):
-    # Both sides exceed the dense cutoff, so unit pivots are eliminated
-    # sparsely before the torsion reaches the dense remainder; the expected
-    # factors are read off the diagonal, which is already a divisibility chain.
+    # Unit pivots are eliminated sparsely before the torsion reaches the dense
+    # remainder; the expected factors are read off the diagonal, which is
+    # already a divisibility chain.
     rows, cols = 400, 480
-    assert min(rows, cols) > intlinalg._DENSE_CUTOFF
     diagonal = [1] * 310 + [2] * 20 + [6] * 20 + [12] * 20 + [0] * 30
     for seed in range(3):
         rng = random.Random(seed)
@@ -160,14 +159,12 @@ def test_snf_repicks_a_row_that_gains_a_unit(dense_rows):
     # Row 0 (2, 3, 0, 0) holds no unit, so the pivot search passes it over.
     # Pivoting on row 1 at column 0 turns it into (0, 1, -2, 0): the same
     # length, now with a unit, so it must be picked next, before the dense
-    # phase. The 200 rows 2*e_j keep the matrix above the dense cutoff.
-    block = [(0, 0, 2), (0, 1, 3), (1, 0, 1), (1, 1, 1), (1, 2, 1),
-             (2, 1, 2), (2, 2, 2), (2, 3, 2)]
-    pad = [(3 + j, 4 + j, 2) for j in range(intlinalg._DENSE_CUTOFF)]
-    m = SparseIntMatrix(3 + len(pad), 4 + len(pad), block + pad)
-    # the block's 3x3 minors have gcd 2 (e.g. -6 and -2), its 2x2 minors gcd 1
-    assert smith_normal_form(m).factors == (1, 1) + (2,) * (1 + len(pad))
-    assert dense_rows == [1 + len(pad)]  # both unit pivots were taken sparsely
+    # phase.
+    m = SparseIntMatrix(3, 4, [(0, 0, 2), (0, 1, 3), (1, 0, 1), (1, 1, 1), (1, 2, 1),
+                               (2, 1, 2), (2, 2, 2), (2, 3, 2)])
+    # the 3x3 minors have gcd 2 (e.g. -6 and -2), the 2x2 minors gcd 1
+    assert smith_normal_form(m).factors == (1, 1, 2)
+    assert dense_rows == [1]  # both unit pivots were taken sparsely
 
 
 def test_homology_free():
