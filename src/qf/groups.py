@@ -18,6 +18,8 @@ from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism,
 Word = tuple[int, ...]
 
 DEFAULT_MAX_COSETS = 10 ** 6
+# Largest n of G_n: its relator m^n is stored letter by letter, 8 MB at this n.
+MAX_N = 10 ** 6
 STRATEGY_VERSION = "hlt-lookahead-1"
 _CHUNK = 1 << 12  # table entries renumbered per step of compress; each makes one int per entry
 
@@ -435,6 +437,8 @@ def g_n_presentation(p, n: int) -> GroupPresentation:
     """Knot group modulo the n-th power of the meridian."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, not {n}")
     relators = list(p.group.relators)
     relators.append((p.meridian + 1,) * n)
     return GroupPresentation(p.group.ngens, relators)

@@ -23,20 +23,45 @@ last entry is a word of length k - 1. The invariant factors of d3 depend only
 on its image lattice, so H2 is unchanged.
 
 Lemma 2: for an idempotent table with bijective columns, d2 d3 = 0 on those
-columns already forces right distributivity, so the product check of
-``homology_of_pair`` keeps its full strength (Lemma 1 needs distributivity).
+columns says exactly that every R_w, w in W, is an automorphism, and that
+forces right distributivity (which Lemma 1 needs).
 d2 d3(x,y,w) = <(x*y)*w> - <(x*w)*(y*w)>, zero by idempotence on degenerate
-triples, so the check says that every R_w, w in W, is an automorphism; every
-z is g(w) with g a product of such R_wi^+-1, and R_z = g R_w g^-1 is then one
-too.
+triples; every z is g(w) with g a product of such R_wi^+-1, and R_z = g R_w g^-1
+is then an automorphism too. ``reduced_boundaries`` checks the R_w directly,
+in O(n^2 |W|), because Lemma 3 drops most of those columns.
+
+Lemma 3: run a breadth-first search from W along the translations R_w (w in
+W); as each R_w has finite order, it reaches every z, and each z not in W gets
+one tree edge (p(z), w_z) with p(z) * w_z = z and p(z) found before z. For
+x != z let x' = x *^-1 w_z, so x' != p(z). The kept column of (x', p(z), w_z) is
+
+    <x,z> + <x',w_z> - <x'*p(z),w_z> - <x',p(z)>,
+
+with a 1 in row (x,z); its other rows end in W or in p(z), found before z (a
+degenerate pair is zero). These unit pivots, taken with z in search order,
+form an acyclic matching: the matched block is unitriangular, so eliminating
+it changes bases of rows and columns over Z and leaves the rows of the
+|W|(n-1) pairs ending in W and the columns of the unmatched kept triples. On
+them d3' is d3 with every pair rewritten, modulo the matched columns, as
+
+    E(x,z) = E(x',p(z)) - <x',w_z> + <x'*p(z),w_z>,
+
+where E of a degenerate pair is 0 and E of a pair ending in W is itself. The
+invariant factors of d3' are those of d3 without the |M| = (n - |W|)(n - 1)
+unit ones of the matching, so rank d3' = rank d3 - |M|. d2' is d2 on the kept pairs: its image
+is spanned by x - x*w (w in W), the differences within one orbit of the group
+that the R_w generate, which is every inner automorphism, so im(d2') = im(d2)
+and H1 is unchanged. H2 = ker(d2)/im(d3) has free rank (number of pairs) -
+rank d2 - rank d3 and the torsion of coker(d3), both the same for the reduced
+pair, which has |M| fewer pairs. Each column of d3' is a kept column minus
+matched ones, all in ker(d2), so d2' d3' = 0 still holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from qf.intlinalg import AbelianGroup, SparseIntMatrix, homology_of_pair
+from qf.intlinalg import AbelianGroup, NotAComplex, SparseIntMatrix, homology_of_pair
 from qf.quandles import FiniteQuandle
 
 
@@ -54,30 +79,18 @@ class QuandleComplexSlice:
     d3: SparseIntMatrix
 
 
-def boundaries(q: FiniteQuandle,
-               triples: Sequence[tuple[int, int, int]] | None = None) -> QuandleComplexSlice:
+def boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
     """Boundary maps of the quandle complex.
 
     d2(x,y) = <x> - <x*y>; d3(x,y,z) = <x,z> - <x*y,z> - <x,y> + <x*z,y*z>,
-    with degenerate targets dropped. Bases are ordered lexicographically;
-    ``triples`` (nondegenerate) replaces basis3, so d3 has only their columns.
+    with degenerate targets dropped. Bases are ordered lexicographically.
     """
     n = q.size
     tab = q.table
     basis2 = tuple((x, y) for x in range(n) for y in range(n) if x != y)
-    if triples is None:
-        basis3 = tuple((x, y, z) for x in range(n) for y in range(n) for z in range(n)
-                       if x != y and y != z)
-    else:
-        basis3 = tuple(triples)
+    basis3 = tuple((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                   if x != y and y != z)
     index2 = {pair: i for i, pair in enumerate(basis2)}
-
-    d2_entries: dict[tuple[int, int], int] = {}
-    for col, (x, y) in enumerate(basis2):
-        for row, sign in ((x, 1), (tab[x][y], -1)):
-            key = (row, col)
-            d2_entries[key] = d2_entries.get(key, 0) + sign
-    d2 = SparseIntMatrix(n, len(basis2), {k: v for k, v in d2_entries.items() if v})
 
     d3_entries: dict[tuple[int, int], int] = {}
     for col, (x, y, z) in enumerate(basis3):
@@ -88,7 +101,18 @@ def boundaries(q: FiniteQuandle,
                 key = (row, col)
                 d3_entries[key] = d3_entries.get(key, 0) + sign
     d3 = SparseIntMatrix(len(basis2), len(basis3), {k: v for k, v in d3_entries.items() if v})
-    return QuandleComplexSlice(basis2, basis3, d2, d3)
+    return QuandleComplexSlice(basis2, basis3, _d2(q, basis2), d3)
+
+
+def _d2(q: FiniteQuandle, basis2: tuple[tuple[int, int], ...]) -> SparseIntMatrix:
+    """d2(x,y) = <x> - <x*y> on the columns ``basis2``."""
+    entries: dict[tuple[int, int], int] = {}
+    for col, (x, y) in enumerate(basis2):
+        xy = q.table[x][y]
+        if xy != x:
+            entries[(x, col)] = 1
+            entries[(xy, col)] = -1
+    return SparseIntMatrix(q.size, len(basis2), entries)
 
 
 def _generating_set(q: FiniteQuandle) -> list[int]:
@@ -129,22 +153,100 @@ def _generating_set(q: FiniteQuandle) -> list[int]:
     return sorted(gens)
 
 
-def spanning_triples(q: FiniteQuandle) -> tuple[tuple[int, int, int], ...]:
-    """The nondegenerate triples ending in ``_generating_set(q)``, in
-    lexicographic order: their d3 columns span im(d3) (module docstring)."""
+def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
+    """d2' and d3' of Lemma 3 (module docstring), with H1 and H2 those of
+    ``boundaries(q)``: basis2 is the pairs (x, w) with w in
+    ``_generating_set(q)``, basis3 the kept triples (x, y, w) whose (y, w) is
+    not a tree edge, both lexicographic.
+
+    Raises ``NotAComplex`` unless every R_w, w in W, is an automorphism, which
+    is what d2 d3 = 0 on the kept columns says (Lemma 2).
+    """
     n = q.size
+    tab = q.table
     gens = _generating_set(q)
-    return tuple((x, y, z) for x in range(n) for y in range(n) if x != y
-                 for z in gens if z != y)
+    for w in gens:
+        r = [row[w] for row in tab]
+        for x, row in enumerate(tab):
+            rxw = tab[r[x]]
+            if [r[v] for v in row] != [rxw[v] for v in r]:
+                raise NotAComplex("d_low * d_high != 0")
+
+    basis2 = tuple((x, w) for x in range(n) for w in gens if x != w)
+    m = len(basis2)
+    # rows[w][x] is the row of (x, w); m stands for the degenerate (w, w)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for w in gens:
+        rows[w] = [m] * n
+    for i, (x, w) in enumerate(basis2):
+        rows[w][x] = i
+
+    # The tree: z = p(z) * w_z. For a != z, step[z][a] = (a', <a', w_z>,
+    # <a' * p(z), w_z>) as rows, with a' = a *^-1 w_z: E(a, z) is E(a', p(z))
+    # minus the first pair plus the second.
+    depth = [0] * n
+    edge: list[tuple[int, int] | None] = [None] * n
+    step: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    order = list(gens)
+    for p in order:  # breadth-first: order grows while it is read
+        for u in gens:
+            z = tab[p][u]
+            if z in gens or edge[z] is not None:
+                continue
+            depth[z] = depth[p] + 1
+            edge[z] = (p, u)
+            order.append(z)
+            ru = rows[u]
+            step[z] = [(ap, ru[ap], ru[tab[ap][p]]) for ap in (row[u] for row in q.inverse_table)]
+
+    basis3 = []
+    d3_entries: dict[tuple[int, int], int] = {}
+    for x in range(n):
+        tx = tab[x]
+        for y in range(n):
+            if x == y:
+                continue
+            xy, ty = tx[y], tab[y]
+            for w in gens:
+                yw = ty[w]
+                if y == w or edge[yw] == (y, w):
+                    continue  # degenerate, or matched as a pivot
+                col = len(basis3)
+                basis3.append((x, y, w))
+                rw = rows[w]
+                total = {rw[x]: 1}
+                total[rw[xy]] = total.get(rw[xy], 0) - 1
+                # - E(x, y) + E(x*w, y*w): walk both up the tree, deeper first;
+                # once they reach the same pair, the rest cancels
+                a, b, c, d = x, y, tx[w], yw
+                while a != c or b != d:
+                    db, dd = depth[b], depth[d]
+                    if db >= dd:
+                        if not db:  # both end in W
+                            total[rows[b][a]] = total.get(rows[b][a], 0) - 1
+                            total[rows[d][c]] = total.get(rows[d][c], 0) + 1
+                            break
+                        a, r1, r2 = step[b][a]
+                        b = edge[b][0]
+                        total[r1] = total.get(r1, 0) + 1
+                        total[r2] = total.get(r2, 0) - 1
+                    if dd >= db:
+                        c, r1, r2 = step[d][c]
+                        d = edge[d][0]
+                        total[r1] = total.get(r1, 0) - 1
+                        total[r2] = total.get(r2, 0) + 1
+                for r, v in total.items():
+                    if v and r != m:
+                        d3_entries[(r, col)] = v
+
+    d3 = SparseIntMatrix(m, len(basis3), d3_entries)
+    return QuandleComplexSlice(basis2, tuple(basis3), _d2(q, basis2), d3)
 
 
 def quandle_homology(q: FiniteQuandle) -> tuple[AbelianGroup, AbelianGroup]:
-    """First and second quandle homology: H1 = coker(d2), H2 = ker(d2) / im(d3).
-
-    d3 is built on ``spanning_triples(q)`` only; ``homology_of_pair`` raises
-    ``NotAComplex`` on it exactly when the table is not distributive.
-    """
-    s = boundaries(q, spanning_triples(q))
+    """First and second quandle homology: H1 = coker(d2), H2 = ker(d2) / im(d3),
+    computed on ``reduced_boundaries(q)``."""
+    s = reduced_boundaries(q)
     return homology_of_pair(s.d2, s.d3)
 
 

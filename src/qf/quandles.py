@@ -210,7 +210,7 @@ class FiniteGroupElementSet:
         n = self.order
         if len(self.mult) != n or any(len(row) != n for row in self.mult):
             raise ValueError("multiplication table must be order x order")
-        if any(not 0 <= v < n for row in self.mult for v in row):
+        if any(min(row) < 0 or max(row) >= n for row in self.mult):
             raise ValueError("multiplication table entry out of range")
         if len(self.inv) != n or any(not 0 <= v < n for v in (self.identity, *self.inv)):
             raise ValueError("identity or inverse table out of range")

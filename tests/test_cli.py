@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 
 from qf.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
-from qf.groups import IncompleteTable, KernelSizeMismatch, TableMismatch
+from qf.groups import MAX_N, IncompleteTable, KernelSizeMismatch, TableMismatch
 from qf.intlinalg import NotAComplex
 from qf.pipeline import Pipeline
 from qf.quandles import AxiomViolation
@@ -222,6 +223,26 @@ def test_max_cosets_below_one_exits_2_on_every_path(capsys, tmp_path, cap):
             main(["enumerate", "--knot", "3_1", "--n", n, "--max-cosets", cap, "--cache-dir", cache])
         assert err.value.code == 2
         assert "at least 1" in capsys.readouterr().err
+
+
+def test_n_above_the_limit_exits_2_before_allocating(capsys):
+    for command in ("enumerate", "homology"):
+        for n in (MAX_N + 1, 99999999999):
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, command, "--knot", "3_1", "--n", str(n), "--no-cache")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_INPUT and out == ""
+            assert err.splitlines() == [f"input error: n must be at most {MAX_N}, not {n}"]
+            assert peak < 1 << 20  # the relator m^n alone would take 8 bytes per letter
+
+
+def test_large_n_below_the_limit_still_enumerates(capsys):
+    code, _, err = run(capsys, "enumerate", "--knot", "3_1", "--n", "100000",
+                       "--max-cosets", "1000", "--no-cache")
+    assert code == EXIT_OVERFLOW and err.startswith("overflow:")
 
 
 @pytest.mark.parametrize("error", [

@@ -9,10 +9,11 @@ from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import g_n_presentation, quandle_from_cosets, todd_coxeter
 from qf.homology import (
     DivisibilityError,
+    _generating_set,
     boundaries,
     h2_order_via_extension,
     quandle_homology,
-    spanning_triples,
+    reduced_boundaries,
 )
 from qf.intlinalg import AbelianGroup, NotAComplex, homology_of_pair
 from qf.pipeline import Pipeline
@@ -27,7 +28,7 @@ from qf.quandles import (
     is_connected,
     trivial_quandle,
 )
-from qf.verify import CARDINALITY_CASES, MONTESINOS_CANDIDATES
+from qf.verify import CARDINALITY_CASES, H2_CASES, MONTESINOS_CANDIDATES
 
 
 def random_quandle(rng: random.Random) -> FiniteQuandle:
@@ -111,8 +112,8 @@ def test_h1_is_z_for_connected():
 
 
 def test_h2_dihedral_trivial():
-    # quandle_homology builds d3 on the triples ending in {0, 1}, 2(p-1)^2
-    # columns (512 for R_17, not the 4352 of the full d3, which
+    # quandle_homology reduces d3 to 2(p-1) rows and p(p-1) columns (32x272
+    # for R_17, not the 272x4352 of the full d3, which
     # test_snf_pivot_sequence_is_pinned reduces), and the sparse unit-pivot
     # phase runs at every p.
     for p in (3, 5, 15, 17):
@@ -201,15 +202,46 @@ def test_spanning_triples_keep_the_homology(reduction_pool):
 
 
 def test_spanning_triples_are_nondegenerate_and_few():
-    triples = spanning_triples(dihedral_quandle(29))
-    assert all(x != y != z for x, y, z in triples)
+    q = dihedral_quandle(29)
+    gens = _generating_set(q)
+    assert len(gens) == 2  # any two elements generate R_29
+    triples = reduced_boundaries(q).basis3
+    assert all(x != y != z and z in gens for x, y, z in triples)
     assert sorted(set(triples)) == list(triples)
-    assert len(triples) == 2 * 28 ** 2  # any two elements generate R_29
+    # of the 2 * 28^2 triples ending in W, the 27 * 28 matched ones are gone
+    assert len(triples) == 2 * 28 ** 2 - 27 * 28 == 29 * 28
+
+
+def test_reduced_shapes_and_pivots(reduction_pool):
+    # rows: the |W|(n-1) pairs ending in W; one pivot per other pair, so the
+    # matched pivots and rank(d3') add up to the rank of the full d3
+    for i, q in enumerate(reduction_pool):
+        gens = _generating_set(q)
+        n, w = q.size, len(gens)
+        s = reduced_boundaries(q)
+        assert all(z in gens for _, z in s.basis2)
+        assert (s.d2.rows, s.d2.cols) == (n, w * (n - 1)), i
+        assert (s.d3.rows, s.d3.cols) == (w * (n - 1), n * (n - 1) * (w - 1)), i
+        matched = (n - w) * (n - 1)
+        rank = intlinalg.smith_normal_form(s.d3).rank
+        assert matched + rank == intlinalg.smith_normal_form(boundaries(q).d3).rank, i
+    s = reduced_boundaries(dihedral_quandle(29))
+    assert (s.d3.rows, s.d3.cols) == (56, 812)
+
+
+def test_reduced_homology_matches_the_full_complex():
+    pipe = Pipeline()
+    quandles = [dihedral_quandle(p) for p in range(19, 30, 2)]  # homology_warm's heavy rows
+    quandles += [pipe.quandle(spec, n)[1] for spec, n, _ in H2_CASES]
+    quandles.append(pipe.quandle(MONTESINOS_CANDIDATES[0], 2)[1])
+    for q in quandles:
+        full, reduced = boundaries(q), reduced_boundaries(q)
+        assert homology_of_pair(full.d2, full.d3) == homology_of_pair(reduced.d2, reduced.d3), q.size
 
 
 def test_d3_kills_d4(reduction_pool):
     # d4(x,y,z,w) = t - t.w + (x,z,w) - (x*y,z,w) - (x,y,w) + (x*z,y*z,w) with
-    # t = (x,y,z) and t.w = (x*w,y*w,z*w): the identity behind spanning_triples.
+    # t = (x,y,z) and t.w = (x*w,y*w,z*w): the identity behind Lemma 1.
     rng = random.Random(406)
     checked = 0
     for q in reduction_pool:

@@ -136,7 +136,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline,
                                 qf.presentations, qf.verify)
     galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
-    complexes = _count_calls(monkeypatch, "boundaries", qf.homology)
+    complexes = _count_calls(monkeypatch, "reduced_boundaries", qf.homology)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
     presented = _count_calls(monkeypatch, "reidemeister_schreier", qf.presentations)
     cache = CosetCache(tmp_path)
