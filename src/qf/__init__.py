@@ -8,7 +8,6 @@ from qf.quandles import (
     check_relators,
     components,
     coset_quandle,
-    from_table,
     galex,
     is_connected,
     is_isomorphic,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup", "SNFResult", "SparseIntMatrix", "homology_of_pair", "smith_normal_form",
     "FiniteGroupElementSet", "FiniteQuandle", "GroupAutomorphism", "check_relators",
-    "components", "coset_quandle", "from_table", "galex", "is_connected", "is_isomorphic",
+    "components", "coset_quandle", "galex", "is_connected", "is_isomorphic",
     "quandle_type", "verify_extension",
     "CosetTable", "GroupPresentation", "Overflow", "abelianization", "branched_cover_group",
     "element_order", "g_n_presentation", "quandle_from_cosets", "todd_coxeter",

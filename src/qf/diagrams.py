@@ -119,7 +119,6 @@ class CrossingData:
     """One crossing in traversal order: sign, arcs, and the over-arc indices."""
 
     sign: int
-    under_in_edge: int
     under_in_arc: int
     under_out_arc: int
     over_arc_long: int
@@ -210,7 +209,6 @@ def analyze(pd: PDCode) -> Diagram:
         long_idx = long_of_edge[over_in]
         crossings.append(CrossingData(
             sign=sign,
-            under_in_edge=pd.crossings[i][0],
             under_in_arc=(pos - 1) % m,
             under_out_arc=pos % m,
             over_arc_long=long_idx,

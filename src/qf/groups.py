@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from qf.intlinalg import AbelianGroup, SparseIntMatrix, smith_normal_form
-from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, from_table
+from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism
 
 Word = tuple[int, ...]
 
@@ -430,15 +430,20 @@ def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle
     """The quandle on coset indices with op(i, j) = i . (rep_j^-1 m rep_j)."""
     meridian = free_reduce(meridian)
     columns = [t.walk(range(t.size), invert_word(rep) + meridian + rep) for rep in t.rep_words]
-    return from_table(list(zip(*columns)))  # full check: the table may come from the on-disk cache
+    return FiniteQuandle(list(zip(*columns)))
 
 
-def g_n_presentation(p, n: int) -> GroupPresentation:
-    """Knot group modulo the n-th power of the meridian."""
+def check_n(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_N."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}, not {n}")
+
+
+def g_n_presentation(p, n: int) -> GroupPresentation:
+    """Knot group modulo the n-th power of the meridian."""
+    check_n(n)
     relators = list(p.group.relators)
     relators.append((p.meridian + 1,) * n)
     return GroupPresentation(p.group.ngens, relators)

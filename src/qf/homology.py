@@ -12,23 +12,20 @@ nondegenerate triple t = (x,y,z), an element w != z and t.w = (x*w, y*w, z*w),
     d4(x,y,z,w) = t - t.w + (x,z,w) - (x*y,z,w) - (x,y,w) + (x*z,y*z,w),
 
 so d3(t) - d3(t.w) lies in the span of d3 on triples ending in w (a
-degenerate face is zero; t.w ends in w exactly when z = w). Let W be a set
-whose orbit under the translations R_w (w in W) is the whole quandle, so each
-z is w R_w1^e1 ... R_wk^ek with w and every wi in W and each ei = +-1; in a
-quandle, such a W is a generating set, since R_(a*b) = R_b R_a R_b^-1.
+degenerate face is zero; t.w ends in w exactly when z = w). Let W be
+``q.generators``: its orbit under the translations R_w (w in W) is the whole
+quandle (module docstring of ``qf.quandles``), so each z is
+w R_w1^e1 ... R_wk^ek with w and every wi in W and each ei = +-1.
 
 Lemma 1: the d3 columns of the triples ending in W span im(d3). Induct on k:
 unless t ends in wk (and is kept), the identity links t to t.wk^-ek, whose
 last entry is a word of length k - 1. The invariant factors of d3 depend only
 on its image lattice, so H2 is unchanged.
 
-Lemma 2: for an idempotent table with bijective columns, d2 d3 = 0 on those
-columns says exactly that every R_w, w in W, is an automorphism, and that
-forces right distributivity (which Lemma 1 needs).
-d2 d3(x,y,w) = <(x*y)*w> - <(x*w)*(y*w)>, zero by idempotence on degenerate
-triples; every z is g(w) with g a product of such R_wi^+-1, and R_z = g R_w g^-1
-is then an automorphism too. ``reduced_boundaries`` checks the R_w directly,
-in O(n^2 |W|), because Lemma 3 drops most of those columns.
+Lemma 2 (in ``qf.quandles``, checked by the ``FiniteQuandle`` constructor):
+given idempotence and bijective columns, right distributivity holds iff every
+R_w, w in W, is an automorphism. As d2 d3(x,y,w) = <(x*y)*w> - <(x*w)*(y*w)>,
+that is what d2 d3 = 0 on the columns of Lemma 1 says.
 
 Lemma 3: run a breadth-first search from W along the translations R_w (w in
 W); as each R_w has finite order, it reaches every z, and each z not in W gets
@@ -61,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qf.intlinalg import AbelianGroup, NotAComplex, SparseIntMatrix, homology_of_pair
+from qf.intlinalg import AbelianGroup, SparseIntMatrix, homology_of_pair
 from qf.quandles import FiniteQuandle
 
 
@@ -115,62 +112,15 @@ def _d2(q: FiniteQuandle, basis2: tuple[tuple[int, int], ...]) -> SparseIntMatri
     return SparseIntMatrix(q.size, len(basis2), entries)
 
 
-def _generating_set(q: FiniteQuandle) -> list[int]:
-    """A small set W, in increasing order, whose orbit under the translations
-    by W is all of q (a generating set of a quandle; see the module docstring).
-
-    Greedy: each step adds the least element among those whose addition
-    reaches the most. An element reached from the set plus c reaches no more
-    than c does, so it is not tried in that step.
-    """
-    tab = q.table
-
-    def generated(gens: list[int]) -> set[int]:
-        seen = set(gens)
-        stack = list(gens)
-        while stack:
-            row = tab[stack.pop()]
-            for w in gens:
-                b = row[w]
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        return seen
-
-    gens: list[int] = []
-    covered: set[int] = set()
-    while len(covered) < q.size:
-        best: tuple[int, set[int]] | None = None
-        tried = set(covered)
-        for c in range(q.size):
-            if c not in tried:
-                reach = generated(gens + [c])
-                if best is None or len(reach) > len(best[1]):
-                    best = (c, reach)
-                tried |= reach
-        gens.append(best[0])
-        covered = best[1]
-    return sorted(gens)
-
-
 def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
     """d2' and d3' of Lemma 3 (module docstring), with H1 and H2 those of
-    ``boundaries(q)``: basis2 is the pairs (x, w) with w in
-    ``_generating_set(q)``, basis3 the kept triples (x, y, w) whose (y, w) is
-    not a tree edge, both lexicographic.
-
-    Raises ``NotAComplex`` unless every R_w, w in W, is an automorphism, which
-    is what d2 d3 = 0 on the kept columns says (Lemma 2).
+    ``boundaries(q)``: basis2 is the pairs (x, w) with w in ``q.generators``,
+    basis3 the kept triples (x, y, w) whose (y, w) is not a tree edge, both
+    lexicographic.
     """
     n = q.size
     tab = q.table
-    gens = _generating_set(q)
-    for w in gens:
-        r = [row[w] for row in tab]
-        for x, row in enumerate(tab):
-            rxw = tab[r[x]]
-            if [r[v] for v in row] != [rxw[v] for v in r]:
-                raise NotAComplex("d_low * d_high != 0")
+    gens = q.generators
 
     basis2 = tuple((x, w) for x in range(n) for w in gens if x != w)
     m = len(basis2)

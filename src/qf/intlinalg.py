@@ -136,27 +136,6 @@ class SparseIntMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def to_coordinate_text(self) -> str:
-        """Coordinate format: header "rows cols nnz", then one "r c v" line per entry."""
-        lines = [f"{self.rows} {self.cols} {self.nnz}"]
-        for (r, c) in sorted(self.entries):
-            lines.append(f"{r} {c} {self.entries[(r, c)]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_coordinate_text(cls, text: str) -> "SparseIntMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty coordinate text")
-        rows, cols, nnz = (int(t) for t in lines[0].split())
-        if len(lines) - 1 != nnz:
-            raise ValueError(f"header promises {nnz} entries, found {len(lines) - 1}")
-        triples = []
-        for ln in lines[1:]:
-            r, c, v = ln.split()
-            triples.append((int(r), int(c), int(v)))
-        return cls(rows, cols, triples)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SparseIntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

@@ -32,6 +32,7 @@ from qf.groups import (
     TableMismatch,
     Word,
     branched_cover_group,
+    check_n,
     element_order,
     g_n_presentation,
     quandle_from_cosets,
@@ -315,6 +316,7 @@ class Pipeline:
         return result
 
     def _unknot_result(self, spec: str, n: int, full: bool) -> PipelineResult:
+        check_n(n)  # every other knot checks n in g_n_presentation
         result = PipelineResult(knot=spec, n=n, qn_size=1, qn_type=1, qn_connected=True)
         if full:
             result.gn_order = n

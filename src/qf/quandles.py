@@ -1,9 +1,24 @@
 """Finite quandles as explicit operation tables, plus the group-flavoured constructions.
 
-Elements are dense 0-based indices. ``from_table`` (behind ``from_json`` and
-``from_text``) checks every quandle axiom of a table from outside the program;
-``FiniteQuandle(table)`` checks only the O(n^2) ones, for the constructions here,
-which are quandles by theorem. ``FiniteGroupElementSet`` proves associativity.
+Elements are dense 0-based indices. ``FiniteQuandle(table)`` checks every
+quandle axiom, so each ``FiniteQuandle`` is a quandle, whether its table comes
+from a construction here or from the on-disk cache: idempotence and bijective
+columns in O(n^2), and right distributivity by Lemma 2 in O(n^2 |W|).
+``FiniteGroupElementSet`` proves associativity.
+
+Let W be a set whose orbit under the translations R_w (w in W) is the whole
+table, so each z is w R_w1^e1 ... R_wk^ek with w and every wi in W and each
+ei = +-1; in a quandle, such a W is a generating set, since
+R_(a*b) = R_b R_a R_b^-1. ``FiniteQuandle.generators`` is the W that the
+greedy ``_generating_set`` picks.
+
+Lemma 2 (numbered with Lemmas 1 and 3 of ``qf.homology``, which need it):
+for an idempotent table with bijective columns, the table is right
+distributive iff every R_w, w in W, is an automorphism, i.e.
+(x*y)*w = (x*w)*(y*w) for all x, y. Necessity is the axiom itself. For
+sufficiency, every z is g(w) with g a product of such R_wi^+-1, all
+automorphisms, and then x * g(w) = g(g^-1(x) * w), so R_z = g R_w g^-1 is an
+automorphism too.
 """
 
 from __future__ import annotations
@@ -46,7 +61,11 @@ class UnknownGenerator(Exception):
 
 
 class FiniteQuandle:
-    """A finite quandle given by its full operation table ``table[x][y] = x * y``."""
+    """A finite quandle given by its full operation table ``table[x][y] = x * y``.
+
+    The constructor raises ``AxiomViolation`` unless the table is a quandle
+    (module docstring) and keeps the generating set W as ``generators``.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]]):
         tab = tuple(tuple(row) for row in table)
@@ -62,6 +81,14 @@ class FiniteQuandle:
         self.size = n
         self.table = tab
         self.inverse_table = self._validate()
+        self.generators = tuple(_generating_set(self))
+        for w in self.generators:  # Lemma 2
+            r = [row[w] for row in tab]
+            for x, row in enumerate(tab):
+                rxw = tab[r[x]]
+                if [r[v] for v in row] != [rxw[v] for v in r]:
+                    y = next(y for y, v in enumerate(row) if r[v] != rxw[r[y]])
+                    raise AxiomViolation("distributivity", (x, y, w))
 
     def _validate(self) -> tuple[tuple[int, ...], ...]:
         n = self.size
@@ -98,24 +125,6 @@ class FiniteQuandle:
         """The translation permutation S_y as a mapping x -> x * y."""
         return tuple(self.table[x][y] for x in range(self.size))
 
-    def to_json(self) -> dict:
-        return {"size": self.size, "table": [list(row) for row in self.table]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "FiniteQuandle":
-        q = from_table(data["table"])
-        if q.size != int(data["size"]):
-            raise ValueError("size field disagrees with the table")
-        return q
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.table) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FiniteQuandle":
-        rows = [[int(t) for t in line.split()] for line in text.splitlines() if line.strip()]
-        return from_table(rows)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteQuandle) and self.table == other.table
 
@@ -126,18 +135,42 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size})"
 
 
-def from_table(table: Sequence[Sequence[int]]) -> FiniteQuandle:
-    """Validate every quandle axiom of a table from outside the program (the
-    constructor's O(n^2) checks, then distributivity over all triples)."""
-    q = FiniteQuandle(table)
+def _generating_set(q: FiniteQuandle) -> list[int]:
+    """A small set W, in increasing order, whose orbit under the translations
+    by W is all of q (a generating set of a quandle; see the module docstring).
+
+    Greedy: each step adds the least element among those whose addition
+    reaches the most. An element reached from the set plus c reaches no more
+    than c does, so it is not tried in that step.
+    """
     tab = q.table
-    for x, row_x in enumerate(tab):
-        for y, row_y in enumerate(tab):
-            row_xy = tab[row_x[y]]
-            for z in range(q.size):
-                if row_xy[z] != tab[row_x[z]][row_y[z]]:
-                    raise AxiomViolation("distributivity", (x, y, z))
-    return q
+
+    def generated(gens: list[int]) -> set[int]:
+        seen = set(gens)
+        stack = list(gens)
+        while stack:
+            row = tab[stack.pop()]
+            for w in gens:
+                b = row[w]
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    gens: list[int] = []
+    covered: set[int] = set()
+    while len(covered) < q.size:
+        best: tuple[int, set[int]] | None = None
+        tried = set(covered)
+        for c in range(q.size):
+            if c not in tried:
+                reach = generated(gens + [c])
+                if best is None or len(reach) > len(best[1]):
+                    best = (c, reach)
+                tried |= reach
+        gens.append(best[0])
+        covered = best[1]
+    return sorted(gens)
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:
@@ -240,9 +273,6 @@ class FiniteGroupElementSet:
                 for b in range(n):
                     if mas[b] != ma[ms[b]]:
                         raise ValueError(f"associativity fails at {(a, s, b)}")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
 
     def subgroup_generated(self, gens: Iterable[int]) -> tuple[int, ...]:
         seen = {self.identity}

@@ -27,8 +27,8 @@ from qf.intlinalg import AbelianGroup, SparseIntMatrix, smith_normal_form
 from qf.pipeline import Pipeline
 from qf.quandles import (
     AxiomViolation,
+    FiniteQuandle,
     check_relators,
-    from_table,
     is_connected,
     verify_extension,
 )
@@ -167,7 +167,7 @@ def test_criterion_10a_axiom_mutation(pipe):
         old = table[x][y]
         table[x][y] = rng.choice([v for v in range(q.size) if v != old])
         try:
-            from_table(table)
+            FiniteQuandle(table)
         except AxiomViolation:
             caught += 1
     _report("10a axiom mutation catch rate", caught == trials, f"{caught}/{trials}")

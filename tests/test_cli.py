@@ -239,6 +239,15 @@ def test_n_above_the_limit_exits_2_before_allocating(capsys):
             assert peak < 1 << 20  # the relator m^n alone would take 8 bytes per letter
 
 
+def test_unknot_checks_n_like_every_other_knot(capsys):
+    for command in ("enumerate", "homology"):
+        for n, message in ((0, "n must be at least 1"), (-5, "n must be at least 1"),
+                           (MAX_N + 1, f"n must be at most {MAX_N}, not {MAX_N + 1}")):
+            code, out, err = run(capsys, command, "--knot", "unknot", "--n", str(n), "--no-cache")
+            assert code == EXIT_INPUT and out == ""
+            assert err.splitlines() == [f"input error: {message}"]
+
+
 def test_large_n_below_the_limit_still_enumerates(capsys):
     code, _, err = run(capsys, "enumerate", "--knot", "3_1", "--n", "100000",
                        "--max-cosets", "1000", "--no-cache")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,6 @@ from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import g_n_presentation, quandle_from_cosets, todd_coxeter
 from qf.homology import (
     DivisibilityError,
-    _generating_set,
     boundaries,
     h2_order_via_extension,
     quandle_homology,
@@ -22,13 +22,15 @@ from qf.quandles import (
     FiniteGroupElementSet,
     FiniteQuandle,
     GroupAutomorphism,
+    _generating_set,
     dihedral_quandle,
-    from_table,
     galex,
     is_connected,
     trivial_quandle,
 )
 from qf.verify import CARDINALITY_CASES, H2_CASES, MONTESINOS_CANDIDATES
+
+from test_quandles import brute_force_axioms
 
 
 def random_quandle(rng: random.Random) -> FiniteQuandle:
@@ -54,14 +56,14 @@ def random_quandle(rng: random.Random) -> FiniteQuandle:
                     for y2 in range(b.size):
                         table[x1 * b.size + x2][y1 * b.size + y2] = \
                             a.op(x1, y1) * b.size + b.op(x2, y2)
-        q = from_table(table)
+        q = FiniteQuandle(table)
     perm = list(range(q.size))
     rng.shuffle(perm)
     inv = [0] * q.size
     for i, p in enumerate(perm):
         inv[p] = i
-    return from_table([[perm[q.op(inv[x], inv[y])] for y in range(q.size)]
-                       for x in range(q.size)])
+    return FiniteQuandle([[perm[q.op(inv[x], inv[y])] for y in range(q.size)]
+                          for x in range(q.size)])
 
 
 def enumerated_quandle(q_torus: int, n: int) -> FiniteQuandle:
@@ -172,7 +174,7 @@ def test_h2_is_relabelling_invariant():
             inv[p] = i
         table = [[perm[base.op(inv[x], inv[y])] for y in range(base.size)]
                  for x in range(base.size)]
-        assert quandle_homology(from_table(table))[1] == expected
+        assert quandle_homology(FiniteQuandle(table))[1] == expected
 
 
 def test_h2_order_via_extension():
@@ -269,33 +271,32 @@ def test_d3_kills_d4(reduction_pool):
 
 
 def test_non_distributive_table_is_not_a_complex():
-    # idempotent with bijective columns, so FiniteQuandle accepts it, but
-    # (0*1)*2 = 2 while (0*2)*(1*2) = 1
-    q = FiniteQuandle(((0, 2, 1), (1, 1, 0), (2, 0, 2)))
-    with pytest.raises(NotAComplex, match=r"d_low \* d_high != 0"):
-        quandle_homology(q)
-    s = boundaries(q)
+    # idempotent with bijective columns, but (0*1)*2 = 2 while (0*2)*(1*2) = 1
+    table = ((0, 2, 1), (1, 1, 0), (2, 0, 2))
+    with pytest.raises(AxiomViolation) as err:
+        FiniteQuandle(table)
+    assert err.value.axiom == "distributivity"
+    x, y, z = err.value.witness
+    assert table[table[x][y]][z] != table[table[x][z]][table[y][z]]
+    # the full complex of the bare table, which FiniteQuandle refuses
+    s = boundaries(SimpleNamespace(size=3, table=table))
     with pytest.raises(NotAComplex):
         homology_of_pair(s.d2, s.d3)
 
 
 def test_spanning_triples_check_distributivity_in_full():
-    # Every table of order <= 4 that FiniteQuandle accepts: the product check on
-    # the spanning triples alone fails exactly when some triple is not
-    # distributive, so dropping the other columns loses nothing of the check.
+    # Every idempotent, column-bijective table of order <= 4: the check on the
+    # triples ending in the generating set (Lemma 2 of qf.quandles) accepts
+    # exactly the tables that pass the check over every triple.
     for n in range(1, 5):
         columns = [[p for p in itertools.permutations(range(n)) if p[y] == y]
                    for y in range(n)]
         for choice in itertools.product(*columns):
             table = [[choice[y][x] for y in range(n)] for x in range(n)]
             try:
-                from_table(table)
-                distributive = True
-            except AxiomViolation:
-                distributive = False
-            try:
-                quandle_homology(FiniteQuandle(table))
-                complex_ok = True
-            except NotAComplex:
-                complex_ok = False
-            assert complex_ok == distributive, table
+                FiniteQuandle(table)
+                accepted = True
+            except AxiomViolation as err:
+                assert err.axiom == "distributivity", table
+                accepted = False
+            assert accepted == brute_force_axioms(table), table

@@ -191,11 +191,6 @@ def test_homology_dimension_mismatch():
         homology_of_pair(SparseIntMatrix(1, 2), SparseIntMatrix(3, 1))
 
 
-def test_coordinate_roundtrip():
-    m = SparseIntMatrix(3, 5, [(0, 4, -7), (2, 0, 3)])
-    assert SparseIntMatrix.from_coordinate_text(m.to_coordinate_text()) == m
-
-
 def test_matrix_validation():
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])

@@ -11,3 +11,7 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in qf.__all__ if not hasattr(qf, name)] == []
