@@ -1,6 +1,7 @@
 """Command line interface: qf enumerate | homology | verify-tables | catalog.
 
-Exit codes: 0 success, 2 input error, 3 enumeration overflow, 4 verification
+Exit codes: 0 success, 2 input error (a bad argument, or a knot file or cache
+directory that cannot be read or written), 3 enumeration overflow, 4 verification
 mismatch, 5 internal error (a broken invariant: KernelSizeMismatch,
 TableMismatch, IncompleteTable, AxiomViolation or NotAComplex, reported as one
 "internal error: ..." line on stderr). An overflow writes one "overflow: ..."
@@ -45,8 +46,10 @@ EXIT_OVERFLOW = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
 
+# OSError: besides its package data, qf opens only the knot file and the cache
+# directory, both named by arguments
 _INPUT_ERRORS = (ParameterError, PDSyntaxError, LabelError, MultiComponent,
-                 OrientationInconsistent, ValueError)
+                 OrientationInconsistent, ValueError, OSError)
 _INTERNAL_ERRORS = (KernelSizeMismatch, TableMismatch, IncompleteTable, AxiomViolation,
                     NotAComplex)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from qf.groups import GroupPresentation, Word, free_reduce
+from qf.quandles import Relator
 
 
 class PDSyntaxError(Exception):
@@ -253,45 +254,34 @@ def wirtinger_with_peripherals(d: Diagram) -> PeripheralPresentation:
     )
 
 
-@dataclass(frozen=True)
-class QuandlePresentation:
-    """Arc-generated quandle presentation; relators in the term grammar."""
+def quandle_presentation(d: Diagram, n: int) -> tuple[Relator, ...]:
+    """Relators (see ``qf.quandles.check_relators``) on the long-knot arcs
+    a_0..a_m, generator i being a_i.
 
-    generators: tuple[str, ...]
-    relators: tuple[str, ...]
-
-
-def quandle_presentation(d: Diagram, n: int) -> QuandlePresentation:
-    """Presentation on the long-knot arcs a0..am.
-
-    Crossing relators read a_{i-1} *^e a_k = a_i; for n >= 1 every generator
+    Crossing i reads a_{i-1} *^e a_k = a_i; for n >= 1 every generator
     additionally satisfies a_i *^n a_0 = a_i.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     m = len(d.crossings)
-    gens = tuple(f"a{i}" for i in range(m + 1))
-    relators = []
-    for i, x in enumerate(d.crossings, start=1):
-        op = "*" if x.sign == 1 else "*^-1"
-        relators.append(f"a{i - 1} {op} a{x.over_arc_long} = a{i}")
+    relators = [(i - 1, ((x.over_arc_long, x.sign),), i)
+                for i, x in enumerate(d.crossings, start=1)]
     if n >= 1:
-        for i in range(1, m + 1):
-            relators.append(f"a{i} *^{n} a0 = a{i}")
-    return QuandlePresentation(gens, tuple(relators))
+        relators.extend((i, ((0, n),), i) for i in range(1, m + 1))
+    return tuple(relators)
 
 
-def arc_assignment(d: Diagram, t) -> dict[str, int]:
-    """Map long-arc generators to elements of the coset-enumerated quandle.
+def arc_assignment(d: Diagram, t) -> list[int]:
+    """The cosets of the long-knot arcs a_0..a_m in the coset-enumerated quandle.
 
     The conjugator of arc 0 is empty and grows by over^sign at each crossing,
-    so generator a_i goes to the coset of the accumulated conjugating word.
+    so a_i goes to the coset of the accumulated conjugating word.
     """
-    assignment = {"a0": 0}
+    assignment = [0]
     word: Word = ()
-    for i, x in enumerate(d.crossings, start=1):
+    for x in d.crossings:
         word = word + (x.sign * (x.over_arc_closed + 1),)
-        assignment[f"a{i}"] = t.coset_of_word(word)
+        assignment.append(t.coset_of_word(word))
     return assignment
 
 

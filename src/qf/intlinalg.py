@@ -66,10 +66,6 @@ class AbelianGroup:
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "AbelianGroup":
-        return cls(int(data["free_rank"]), tuple(int(d) for d in data["torsion"]))
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -16,7 +16,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -77,18 +76,14 @@ class CosetCache:
         return table
 
     def todd_coxeter(self, pres: GroupPresentation, subgroup: tuple[Word, ...],
-                     max_cosets: int,
-                     compute: Optional[Callable[[], CosetTable]] = None) -> CosetTable:
-        """The coset table of the subgroup in pres, from the cache or enumerated.
+                     compute: Callable[[], CosetTable]) -> CosetTable:
+        """The coset table of the subgroup in pres, from the cache or from
+        ``compute()`` on a miss.
 
-        A miss calls ``compute``, by default ``enumerate_cosets(pres,
-        subgroup, max_cosets)``: it enumerates a Tietze-simplified presentation
-        and lifts the table back to pres's generators; ``max_cosets`` bounds
-        that simplified enumeration. The table, and so the cache entry, is the
-        one ``todd_coxeter(pres, ...)`` gives, keyed by pres itself.
+        ``compute`` must return the table ``todd_coxeter(pres, subgroup)``
+        gives, representative words included: the entry is keyed by pres
+        itself and is checked against it on load.
         """
-        if compute is None:
-            compute = partial(enumerate_cosets, pres, subgroup, max_cosets)
         if self.directory is None:
             return compute()
         payload = {
@@ -176,22 +171,14 @@ class PipelineResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        d = self.to_json_dict()
-        keys = ["schema", "knot", "n", "qn_size", "type", "connected", "gn_order",
-                "pi1_order", "longitude_order", "mu", "mu_family", "h1", "h2"]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerow([_csv_cell(d.get(k)) for k in keys])
+        writer.writerow(["schema", "knot", "n", "qn_size", "type", "connected", "gn_order",
+                         "pi1_order", "longitude_order", "mu", "mu_family", "h1", "h2"])
+        writer.writerow([SCHEMA_VERSION, self.knot, self.n, self.qn_size, self.qn_type,
+                         self.qn_connected, self.gn_order, self.pi1_order,
+                         self.longitude_order, self.mu, self.mu_family, self.h1, self.h2])
         return buf.getvalue()
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, dict):
-        return str(AbelianGroup.from_json(value))
-    return str(value)
 
 
 @dataclass
@@ -261,7 +248,7 @@ class Pipeline:
                 raise Overflow(self.max_cosets, certificate, name)
             return enumerate_cosets(pres, subgroup, self.max_cosets, simplified)
 
-        return self.cache.todd_coxeter(pres, subgroup, self.max_cosets, compute)
+        return self.cache.todd_coxeter(pres, subgroup, compute)
 
     def quandle(self, spec: str, n: int) -> tuple[CosetTable, FiniteQuandle]:
         key = (self.knot(spec).pd, n)

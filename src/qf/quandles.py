@@ -23,12 +23,14 @@ automorphism too.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 MAX_SIZE = 1 << 16
+
+# (x, ((y1, k1), ..., (yr, kr)), z) over generator indices; see check_relators
+Relator = tuple[int, tuple[tuple[int, int], ...], int]
 
 
 class AxiomViolation(Exception):
@@ -54,10 +56,6 @@ class NotInvariant(Exception):
 
 class MalformedWitness(Exception):
     """Extension witness data with mismatched sizes or out-of-range values."""
-
-
-class UnknownGenerator(Exception):
-    """A relator mentions a generator missing from the assignment."""
 
 
 class FiniteQuandle:
@@ -534,82 +532,25 @@ def verify_extension(w: ExtensionWitness) -> ExtensionReport:
     return ExtensionReport(hom, surj, e1, e2, action_order_matches)
 
 
-# --- quandle terms -----------------------------------------------------------
-#
-# Grammar for relator strings: parenthesized binary terms, left-associated,
-# with the power shorthand "x *^k y" meaning the k-th translation power
-# (k any integer, default 1 for a bare "*"). An equation is "term = term".
+def check_relators(q: FiniteQuandle, assignment: Sequence[int],
+                   relators: Iterable[Relator]) -> bool:
+    """True iff every relator holds in q when generator i is ``assignment[i]``.
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<pow>\*\^-?\d+)"
-                    r"|(?P<star>\*)|(?P<lpar>\()|(?P<rpar>\))|(?P<eq>=))")
+    A relator ``(x, ((y1, k1), ..., (yr, kr)), z)`` reads
+    (...((x *^k1 y1) *^k2 y2)...) *^kr yr = z over generators numbered from 0.
+    Every quandle term has this left-normed form (Joyce 1982), since
+    a * (b * c) = ((a *^-1 c) * b) * c. Raises ValueError for a generator
+    outside 0..len(assignment)-1.
+    """
+    def element(i: int) -> int:
+        if not 0 <= i < len(assignment):
+            raise ValueError(f"generator {i} outside 0..{len(assignment) - 1}")
+        return assignment[i]
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad token at position {pos} in {text!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    return tokens
-
-
-def _parse_term(tokens: list[tuple[str, str]], pos: int):
-    def factor(pos):
-        kind, value = tokens[pos] if pos < len(tokens) else (None, None)
-        if kind == "name":
-            return ("gen", value), pos + 1
-        if kind == "lpar":
-            node, pos = term(pos + 1)
-            if pos >= len(tokens) or tokens[pos][0] != "rpar":
-                raise ValueError("missing closing parenthesis")
-            return node, pos + 1
-        raise ValueError(f"expected a generator or '(' at token {pos}")
-
-    def term(pos):
-        node, pos = factor(pos)
-        while pos < len(tokens) and tokens[pos][0] in ("star", "pow"):
-            kind, value = tokens[pos]
-            k = 1 if kind == "star" else int(value[2:])
-            rhs, pos = factor(pos + 1)
-            node = ("pow", node, rhs, k)
-        return node, pos
-
-    return term(pos)
-
-
-def parse_equation(text: str) -> tuple:
-    """Parse "lhs = rhs" into a pair of term trees."""
-    tokens = _tokenize(text)
-    lhs, pos = _parse_term(tokens, 0)
-    if pos >= len(tokens) or tokens[pos][0] != "eq":
-        raise ValueError(f"missing '=' in {text!r}")
-    rhs, pos = _parse_term(tokens, pos + 1)
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return lhs, rhs
-
-
-def _eval_term(q: FiniteQuandle, node, assignment: Mapping[str, int]) -> int:
-    if node[0] == "gen":
-        name = node[1]
-        if name not in assignment:
-            raise UnknownGenerator(name)
-        return assignment[name]
-    _, left, right, k = node
-    return q.pow_op(_eval_term(q, left, assignment), _eval_term(q, right, assignment), k)
-
-
-def check_relators(q: FiniteQuandle, assignment: Mapping[str, int],
-                   relators: Iterable[str]) -> bool:
-    """True iff every relator equation holds in q under the assignment."""
-    for rel in relators:
-        lhs, rhs = parse_equation(rel)
-        if _eval_term(q, lhs, assignment) != _eval_term(q, rhs, assignment):
+    for x, chain, z in relators:
+        v = element(x)
+        for y, k in chain:
+            v = q.pow_op(v, element(y), k)
+        if v != element(z):
             return False
     return True

@@ -211,18 +211,16 @@ def _schlafli(pipe: Pipeline, n: int, want_size: int) -> tuple[bool, str]:
     table, q = pipe.quandle(spec, n)
     d = pipe.diagram(spec)
     assign = arc_assignment(d, table)
-    v = assign["a0"]
-    w = assign[f"a{d.crossings[0].over_arc_long}"]
+    v, w = assign[0], assign[d.crossings[0].over_arc_long]
     relators = [
-        "(v * w) * v = w",
-        "(w * v) * w = v",
-        f"w *^{n} v = w",
-        f"v *^{n} w = v",
+        (0, ((1, 1), (0, 1)), 1),  # (v * w) * v = w
+        (1, ((0, 1), (1, 1)), 0),  # (w * v) * w = v
+        (1, ((0, n),), 1),         # w *^n v = w
+        (0, ((1, n),), 0),         # v *^n w = v
     ]
-    relators_hold = check_relators(q, {"v": v, "w": w}, relators)
+    relators_hold = check_relators(q, (v, w), relators)
     # the full arc presentation must also hold under the enumeration assignment
-    qp = quandle_presentation(d, n)
-    presentation_holds = check_relators(q, assign, qp.relators)
+    presentation_holds = check_relators(q, assign, quandle_presentation(d, n))
     return (relators_hold and presentation_holds and q.size == want_size,
             f"relators={relators_hold} presentation={presentation_holds} "
             f"size={q.size} (want {want_size})")

@@ -43,6 +43,7 @@ from qf.verify import (
 )
 
 from test_homology import random_quandle
+from test_quandles import brute_force_axioms
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +146,11 @@ def test_criterion_9_schlafli(pipe):
         table, q = pipe.quandle("catalog:3_1", n)
         d = pipe.diagram("catalog:3_1")
         assign = arc_assignment(d, table)
-        v, w = assign["a0"], assign[f"a{d.crossings[0].over_arc_long}"]
-        rels = ["(v * w) * v = w", "(w * v) * w = v",
-                f"w *^{n} v = w", f"v *^{n} w = v"]
-        if q.size != want_size or not check_relators(q, {"v": v, "w": w}, rels):
+        v, w = assign[0], assign[d.crossings[0].over_arc_long]
+        # (v * w) * v = w, (w * v) * w = v, w *^n v = w, v *^n w = v
+        rels = [(0, ((1, 1), (0, 1)), 1), (1, ((0, 1), (1, 1)), 0),
+                (1, ((0, n),), 1), (0, ((1, n),), 0)]
+        if q.size != want_size or not check_relators(q, (v, w), rels):
             bad.append(n)
     _report("9 schlafli relators", not bad, "n=3,4,5 sizes 4,6,12")
 
@@ -171,6 +173,29 @@ def test_criterion_10a_axiom_mutation(pipe):
         except AxiomViolation:
             caught += 1
     _report("10a axiom mutation catch rate", caught == trials, f"{caught}/{trials}")
+    # A changed entry repeats a value in its column, so bijectivity rejects all
+    # of the above. Swapping two entries of a column away from its diagonal
+    # keeps idempotence and bijectivity: only Lemma 2 can reject such a table,
+    # and the constructor must accept exactly the tables the oracle accepts.
+    agree = distributivity = 0
+    for _ in range(trials):
+        q = random_quandle(rng)
+        while q.size < 3:
+            q = random_quandle(rng)
+        table = [list(row) for row in q.table]
+        y = rng.randrange(q.size)
+        x1, x2 = rng.sample([x for x in range(q.size) if x != y], 2)
+        table[x1][y], table[x2][y] = table[x2][y], table[x1][y]
+        try:
+            FiniteQuandle(table)
+            accepted = True
+        except AxiomViolation as exc:
+            assert exc.axiom == "distributivity", exc
+            accepted = False
+            distributivity += 1
+        agree += accepted == brute_force_axioms(table)
+    _report("10a column swaps agree with the oracle", agree == trials and distributivity > 0,
+            f"{agree}/{trials}, {distributivity} rejected by distributivity")
 
 
 def test_criterion_10b_chain_complex(pipe):

@@ -78,6 +78,19 @@ def test_input_errors(capsys):
     assert code == EXIT_INPUT
 
 
+def test_unreadable_knot_file_or_cache_dir_exits_2(capsys, tmp_path):
+    # a knot path that is a directory, and a cache directory that is a regular file
+    code, out, err = run(capsys, "enumerate", "--knot", str(tmp_path), "--n", "2", "--no-cache")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    code, out, err = run(capsys, "enumerate", "--knot", "3_1", "--n", "2",
+                         "--cache-dir", str(blocker))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["catalog", "--bogus"])

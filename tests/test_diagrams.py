@@ -101,22 +101,22 @@ def test_g1_is_trivial():
 
 def test_quandle_presentation_shape():
     d = analyze(parse_pd(TREFOIL))
-    qp0 = quandle_presentation(d, 0)
-    assert qp0.generators == ("a0", "a1", "a2", "a3")
-    assert len(qp0.relators) == 3
-    qp3 = quandle_presentation(d, 3)
-    assert len(qp3.relators) == 3 + 3
+    # a_{i-1} * a_k = a_i at each positive crossing, over the arcs a_0..a_3
+    crossings = ((0, ((2, 1),), 1), (1, ((3, 1),), 2), (2, ((1, 1),), 3))
+    assert quandle_presentation(d, 0) == crossings
+    assert quandle_presentation(d, 3) == crossings + tuple((i, ((0, 3),), i) for i in (1, 2, 3))
 
 
 def test_quandle_presentation_relators_hold_in_enumeration():
-    d = analyze(parse_pd(TREFOIL))
-    p = wirtinger_with_peripherals(d)
-    for n in (2, 3, 4):
-        t = todd_coxeter(g_n_presentation(p, n), [(p.meridian + 1,), p.longitude])
-        q = quandle_from_cosets(t, (p.meridian + 1,))
-        assignment = arc_assignment(d, t)
-        qp = quandle_presentation(d, n)
-        assert check_relators(q, assignment, qp.relators), f"n={n}"
+    # the right-handed trefoil, and the left-handed one, whose crossings are all negative
+    for pd in (parse_pd(TREFOIL), resolve_knot_spec("rational:3,2").pd):
+        d = analyze(pd)
+        p = wirtinger_with_peripherals(d)
+        for n in (2, 3, 4):
+            t = todd_coxeter(g_n_presentation(p, n), [(p.meridian + 1,), p.longitude])
+            q = quandle_from_cosets(t, (p.meridian + 1,))
+            assert check_relators(q, arc_assignment(d, t), quandle_presentation(d, n)), \
+                f"{pd.serialize()} n={n}"
 
 
 def test_connected_sum_structure():

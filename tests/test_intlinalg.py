@@ -209,4 +209,4 @@ def test_abelian_group_contract():
     assert AbelianGroup(0, (2, 6)).order() == 12
     assert str(AbelianGroup(0)) == "0"
     assert str(g) == "Z x Z/2 x Z/6"
-    assert AbelianGroup.from_json(g.to_json()) == g
+    assert g.to_json() == {"free_rank": 1, "torsion": [2, 6]}

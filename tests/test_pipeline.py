@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from qf.cli import main
 from qf.diagrams import ParameterError
 from qf.groups import GroupPresentation, Overflow, todd_coxeter
 from qf.pipeline import CosetCache, Pipeline
+from qf.presentations import enumerate_cosets
 from qf.quandles import ExtensionWitness
 from qf.verify import EXTENSION_CASES, H2_CASES, TREFOIL_COVER_ORDERS, run_verification
 
@@ -38,12 +40,16 @@ def test_resolve_pd_file(tmp_path):
     assert knot.pd.n_crossings == 3
 
 
+def _lookup(cache, pres, subgroup):
+    return cache.todd_coxeter(pres, subgroup, partial(enumerate_cosets, pres, subgroup, 10 ** 5))
+
+
 def test_cache_roundtrip_is_bit_identical(tmp_path):
     pres = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
     cache = CosetCache(tmp_path)
-    t1 = cache.todd_coxeter(pres, ((1,),), 10 ** 5)
+    t1 = _lookup(cache, pres, ((1,),))
     assert cache.misses == 1 and cache.hits == 0
-    t2 = cache.todd_coxeter(pres, ((1,),), 10 ** 5)
+    t2 = _lookup(cache, pres, ((1,),))
     assert cache.hits == 1
     assert t1 == t2 == todd_coxeter(pres, [(1,)], 10 ** 5)
     files = list(Path(tmp_path).glob("*.json"))
@@ -54,8 +60,8 @@ def test_cache_roundtrip_is_bit_identical(tmp_path):
 def test_cache_key_distinguishes_subgroups(tmp_path):
     pres = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
     cache = CosetCache(tmp_path)
-    t_full = cache.todd_coxeter(pres, (), 10 ** 5)
-    t_sub = cache.todd_coxeter(pres, ((1,),), 10 ** 5)
+    t_full = _lookup(cache, pres, ())
+    t_sub = _lookup(cache, pres, ((1,),))
     assert t_full.size == 6 and t_sub.size == 3
     assert cache.misses == 2
 
@@ -111,11 +117,11 @@ def test_unknot_results():
 def test_cache_write_ignores_a_stale_tmp_path(tmp_path):
     # each writer has its own temporary file, so nothing at <key>.tmp can block a write
     pres = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
-    CosetCache(tmp_path / "probe").todd_coxeter(pres, (), 10 ** 5)
+    _lookup(CosetCache(tmp_path / "probe"), pres, ())
     (entry,) = (tmp_path / "probe").glob("*.json")
     cache_dir = tmp_path / "cache"
     (cache_dir / f"{entry.stem}.tmp").mkdir(parents=True)
-    assert CosetCache(cache_dir).todd_coxeter(pres, (), 10 ** 5).size == 6
+    assert _lookup(CosetCache(cache_dir), pres, ()).size == 6
     assert (cache_dir / entry.name).read_text() == entry.read_text()
 
 

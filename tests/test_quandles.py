@@ -11,7 +11,6 @@ from qf.quandles import (
     GroupAutomorphism,
     MalformedWitness,
     NotASubgroup,
-    UnknownGenerator,
     check_relators,
     components,
     coset_quandle,
@@ -209,20 +208,30 @@ def test_verify_extension_malformed():
 
 
 def test_check_relators():
-    q = dihedral_quandle(3)
-    assert check_relators(q, {"x": 1, "y": 2}, ["x * x = x"])
-    assert check_relators(q, {"x": 1, "y": 2}, ["x *^2 y = x", "(x * y) * y = x"])
-    assert check_relators(q, {"x": 1, "y": 2}, ["x *^-1 y = x * y"])
-    assert not check_relators(q, {"x": 1, "y": 2}, ["x * y = x"])
-    with pytest.raises(UnknownGenerator):
-        check_relators(q, {"x": 1}, ["x * z = x"])
+    # Alexander quandle x * y = 2x - y on Z/5: translations of order 4, so the
+    # sign of k, the order of a chain and the ends of a relator all matter
+    z5 = FiniteGroupElementSet.cyclic(5)
+    q = galex(z5, GroupAutomorphism(z5, tuple(2 * a % 5 for a in range(5))))
+    ids = range(5)  # generator i is element i
+    assert check_relators(q, ids, [(1, ((2, 1),), 0)])  # 1 * 2 = 0
+    assert not check_relators(q, ids, [(0, ((2, 1),), 1)])
+    assert check_relators(q, ids, [(1, ((2, -1),), 4), (1, ((2, 4),), 1), (3, (), 3)])
+    assert not check_relators(q, ids, [(1, ((2, 1),), 4)])
+    assert check_relators(q, (1, 2, 0), [(0, ((1, 1),), 2)])  # generators are 1, 2, 0
+    for bad in [(0, ((5, 1),), 0), (0, ((-1, 1),), 0), (-1, (), 4), (0, (), 5)]:
+        with pytest.raises(ValueError, match="generator"):
+            check_relators(q, ids, [bad])
 
 
 def test_check_relators_left_association():
-    q = dihedral_quandle(5)
-    # a * b * c parses as (a * b) * c
-    assert check_relators(q, {"a": 0, "b": 1, "c": 2},
-                          ["a * b * c = (a * b) * c"])
+    z5 = FiniteGroupElementSet.cyclic(5)
+    q = galex(z5, GroupAutomorphism(z5, tuple(2 * a % 5 for a in range(5))))
+    ids = range(5)
+    # chains associate to the left: (1 * 2) * 3 = 2, while 1 * (2 * 3) = 1
+    assert check_relators(q, ids, [(1, ((2, 1), (3, 1)), 2)])
+    assert not check_relators(q, ids, [(1, ((2, 1), (3, 1)), 1)])
+    # a * (b * c) = ((a *^-1 c) * b) * c
+    assert check_relators(q, ids, [(1, ((3, -1), (2, 1), (3, 1)), 1)])
 
 
 def test_type_divides_surjection_target():
