@@ -509,12 +509,14 @@ def abelianization(g: GroupPresentation) -> AbelianGroup:
     Reidemeister-Schreier presentations have hundreds of rows), so unit pivots
     are eliminated before anything is handled densely.
     """
-    triples = {}
-    for r, word in enumerate(g.relators):
+    rows = []
+    for word in g.relators:
+        row: dict[int, int] = {}
         for letter in word:
-            key = (r, abs(letter) - 1)
-            triples[key] = triples.get(key, 0) + (1 if letter > 0 else -1)
-    m = SparseIntMatrix(len(g.relators), g.ngens, {k: v for k, v in triples.items() if v})
+            c = abs(letter) - 1
+            row[c] = row.get(c, 0) + (1 if letter > 0 else -1)
+        rows.append({c: v for c, v in row.items() if v})
+    m = SparseIntMatrix(len(g.relators), g.ngens, rows)
     snf = smith_normal_form(m)
     return AbelianGroup(g.ngens - snf.rank, tuple(d for d in snf.factors if d > 1))
 

@@ -89,27 +89,27 @@ def boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
                    if x != y and y != z)
     index2 = {pair: i for i, pair in enumerate(basis2)}
 
-    d3_entries: dict[tuple[int, int], int] = {}
+    d3_rows: list[dict[int, int]] = [{} for _ in basis2]
     for col, (x, y, z) in enumerate(basis3):
         for pair, sign in (((x, z), 1), ((tab[x][y], z), -1),
                            ((x, y), -1), ((tab[x][z], tab[y][z]), 1)):
-            row = index2.get(pair)
-            if row is not None:  # degenerate pairs map to zero
-                key = (row, col)
-                d3_entries[key] = d3_entries.get(key, 0) + sign
-    d3 = SparseIntMatrix(len(basis2), len(basis3), {k: v for k, v in d3_entries.items() if v})
+            r = index2.get(pair)
+            if r is not None:  # degenerate pairs map to zero
+                d3_rows[r][col] = d3_rows[r].get(col, 0) + sign
+    d3 = SparseIntMatrix(len(basis2), len(basis3),
+                         [{c: v for c, v in row.items() if v} for row in d3_rows])
     return QuandleComplexSlice(basis2, basis3, _d2(q, basis2), d3)
 
 
 def _d2(q: FiniteQuandle, basis2: tuple[tuple[int, int], ...]) -> SparseIntMatrix:
     """d2(x,y) = <x> - <x*y> on the columns ``basis2``."""
-    entries: dict[tuple[int, int], int] = {}
+    rows: list[dict[int, int]] = [{} for _ in range(q.size)]
     for col, (x, y) in enumerate(basis2):
         xy = q.table[x][y]
         if xy != x:
-            entries[(x, col)] = 1
-            entries[(xy, col)] = -1
-    return SparseIntMatrix(q.size, len(basis2), entries)
+            rows[x][col] = 1
+            rows[xy][col] = -1
+    return SparseIntMatrix(q.size, len(basis2), rows)
 
 
 def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
@@ -124,7 +124,8 @@ def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
 
     basis2 = tuple((x, w) for x in range(n) for w in gens if x != w)
     m = len(basis2)
-    # rows[w][x] is the row of (x, w); m stands for the degenerate (w, w)
+    # rows[w][x] is the row of (x, w); m stands for the degenerate (w, w), a
+    # sink row of d3 that is dropped at the end
     rows: list[list[int]] = [[] for _ in range(n)]
     for w in gens:
         rows[w] = [m] * n
@@ -150,7 +151,7 @@ def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
             step[z] = [(ap, ru[ap], ru[tab[ap][p]]) for ap in (row[u] for row in q.inverse_table)]
 
     basis3 = []
-    d3_entries: dict[tuple[int, int], int] = {}
+    d3_rows: list[dict[int, int]] = [{} for _ in range(m + 1)]
     for x in range(n):
         tx = tab[x]
         for y in range(n):
@@ -186,10 +187,10 @@ def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
                         total[r1] = total.get(r1, 0) - 1
                         total[r2] = total.get(r2, 0) + 1
                 for r, v in total.items():
-                    if v and r != m:
-                        d3_entries[(r, col)] = v
+                    if v:
+                        d3_rows[r][col] = v
 
-    d3 = SparseIntMatrix(m, len(basis3), d3_entries)
+    d3 = SparseIntMatrix(m, len(basis3), d3_rows[:m])
     return QuandleComplexSlice(basis2, tuple(basis3), _d2(q, basis2), d3)
 
 

@@ -1,7 +1,8 @@
 """Exact sparse integer matrices, Smith normal form, and homology of a pair of boundary maps.
 
 All arithmetic uses Python integers, so there is no overflow anywhere.
-Matrices are stored in coordinate form with 0-based indices.
+Matrices are stored row-major, one {column: value} dict per row, with
+0-based indices; Smith normal form eliminates copies of those rows in place.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 
 class NotAComplex(Exception):
@@ -77,33 +78,24 @@ class AbelianGroup:
 
 
 class SparseIntMatrix:
-    """Integer matrix in coordinate form; zero entries are never stored."""
+    """Integer matrix stored row-major: ``row_dicts[r]`` maps column -> value, and
+    zero entries are never stored. The matrix owns the dicts it is given and
+    never changes them."""
 
-    def __init__(self, rows: int, cols: int,
-                 entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]] = ()):
+    def __init__(self, rows: int, cols: int, row_dicts: Sequence[dict[int, int]]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
+        if len(row_dicts) != rows:
+            raise ValueError(f"{len(row_dicts)} row dicts for a matrix of {rows} rows")
+        for r, row in enumerate(row_dicts):
+            if row and (min(row) < 0 or max(row) >= cols):
+                raise ValueError(f"row {r} has a column outside a {rows}x{cols} matrix")
+            if 0 in row.values():
+                raise ValueError(f"row {r} stores a zero")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], int] = {}
-        if isinstance(entries, Mapping):
-            items = entries.items()
-        else:
-            items = (((r, c), v) for r, c, v in entries)
-        for (r, c), v in items:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside a {rows}x{cols} matrix")
-            if (r, c) in self.entries:
-                raise ValueError(f"duplicate coordinate ({r},{c})")
-            if v != 0:
-                self.entries[(r, c)] = int(v)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def entry(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
+        self.row_dicts = row_dicts
+        self.nnz = sum(map(len, row_dicts))
 
     @classmethod
     def from_dense(cls, dense: Iterable[Iterable[int]]) -> "SparseIntMatrix":
@@ -112,29 +104,28 @@ class SparseIntMatrix:
         cols = len(dense[0]) if rows else 0
         if any(len(row) != cols for row in dense):
             raise ValueError("ragged rows")
-        return cls(rows, cols, ((r, c, v) for r, row in enumerate(dense)
-                                for c, v in enumerate(row) if v))
+        return cls(rows, cols, [{c: v for c, v in enumerate(row) if v} for row in dense])
 
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
+        """Row-major product: row i of self * other is sum_k self[i][k] * other[k]."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        left_by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in self.entries.items():
-            left_by_col.setdefault(c, []).append((r, v))
-        acc: dict[tuple[int, int], int] = {}
-        for (k, c), v2 in other.entries.items():
-            for r, v1 in left_by_col.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + v1 * v2
-        return SparseIntMatrix(self.rows, other.cols,
-                               {k: v for k, v in acc.items() if v})
+        right = other.row_dicts
+        out = []
+        for row in self.row_dicts:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for c, b in right[k].items():
+                    acc[c] = acc.get(c, 0) + a * b
+            out.append({c: v for c, v in acc.items() if v})
+        return SparseIntMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nnz
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SparseIntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.row_dicts == other.row_dicts)
 
     def __repr__(self) -> str:
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -224,11 +215,11 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     left, the remainder is handled densely and the divisibility chain is
     repaired at the end.
     """
-    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
+    rows = [dict(row) for row in m.row_dicts]
     col_rows: dict[int, set[int]] = {}
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-        col_rows.setdefault(c, set()).add(r)
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
     live = {r for r in range(m.rows) if rows[r]}
     heap = [(len(rows[r]), r) for r in live]
     heapify(heap)

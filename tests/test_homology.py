@@ -15,7 +15,7 @@ from qf.homology import (
     quandle_homology,
     reduced_boundaries,
 )
-from qf.intlinalg import AbelianGroup, NotAComplex, homology_of_pair
+from qf.intlinalg import AbelianGroup, NotAComplex, SparseIntMatrix, homology_of_pair
 from qf.pipeline import Pipeline
 from qf.quandles import (
     AxiomViolation,
@@ -23,6 +23,7 @@ from qf.quandles import (
     FiniteQuandle,
     GroupAutomorphism,
     _generating_set,
+    components,
     dihedral_quandle,
     galex,
     is_connected,
@@ -79,8 +80,10 @@ def test_boundary_shapes():
     assert len(s.basis3) == 3 * 2 * 2
     # every d2 column has one +1 and one -1
     cols = {}
-    for (r, c), v in s.d2.entries.items():
-        cols.setdefault(c, []).append(v)
+    for row in s.d2.row_dicts:
+        for c, v in row.items():
+            cols.setdefault(c, []).append(v)
+    assert sorted(cols) == list(range(6))
     assert all(sorted(vals) == [-1, 1] for vals in cols.values())
 
 
@@ -100,6 +103,13 @@ def test_d2_d3_composes_to_zero_randomized():
 def test_h1_values():
     assert quandle_homology(dihedral_quandle(3))[0] == AbelianGroup(1)
     assert quandle_homology(trivial_quandle(2))[0] == AbelianGroup(2)
+
+
+def test_h1_counts_the_orbits(reduction_pool):
+    # d2' is the incidence matrix of the graph x -> x*w (w in W), whose
+    # connected pieces are the orbits, so coker(d2') is free of that rank
+    for i, q in enumerate(reduction_pool):
+        assert quandle_homology(q)[0] == AbelianGroup(len(components(q))), (i, q.size)
 
 
 def test_h1_is_z_for_connected():
@@ -251,8 +261,9 @@ def test_d3_kills_d4(reduction_pool):
             continue
         s = boundaries(q)
         column = {t: {} for t in s.basis3}
-        for (r, c), v in s.d3.entries.items():
-            column[s.basis3[c]][r] = v
+        for r, row in enumerate(s.d3.row_dicts):
+            for c, v in row.items():
+                column[s.basis3[c]][r] = v
         op = q.op
         for _ in range(5):
             x, y, z, w = (rng.randrange(q.size) for _ in range(4))
@@ -282,6 +293,21 @@ def test_non_distributive_table_is_not_a_complex():
     s = boundaries(SimpleNamespace(size=3, table=table))
     with pytest.raises(NotAComplex):
         homology_of_pair(s.d2, s.d3)
+
+
+def test_reduced_pair_is_checked_as_a_complex():
+    # quandle_homology's d2' d3' = 0 check is live: one changed entry of d3'
+    # breaks it, whether it changes a stored entry or adds one
+    s = reduced_boundaries(dihedral_quandle(7))
+    assert homology_of_pair(s.d2, s.d3)[1].is_trivial
+    rng = random.Random(7)
+    for _ in range(20):
+        rows = [dict(row) for row in s.d3.row_dicts]
+        r, c = rng.randrange(s.d3.rows), rng.randrange(s.d3.cols)
+        rows[r][c] = rows[r].get(c, 0) + rng.choice([-2, -1, 1, 2])
+        rows[r] = {k: v for k, v in rows[r].items() if v}
+        with pytest.raises(NotAComplex):
+            homology_of_pair(s.d2, SparseIntMatrix(s.d3.rows, s.d3.cols, rows))
 
 
 def test_spanning_triples_check_distributivity_in_full():

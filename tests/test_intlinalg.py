@@ -34,18 +34,18 @@ def rational_rank(dense):
 
 
 def test_zero_matrix():
-    assert smith_normal_form(SparseIntMatrix(3, 4)).factors == ()
-    assert smith_normal_form(SparseIntMatrix(0, 0)).factors == ()
+    assert smith_normal_form(SparseIntMatrix(3, 4, [{}, {}, {}])).factors == ()
+    assert smith_normal_form(SparseIntMatrix(0, 0, [])).factors == ()
 
 
 def test_identity():
-    eye = SparseIntMatrix(3, 3, [(i, i, 1) for i in range(3)])
+    eye = SparseIntMatrix(3, 3, [{i: 1} for i in range(3)])
     assert smith_normal_form(eye).factors == (1, 1, 1)
 
 
 def test_diag_2_3():
     # hand computation: diag(2,3) is equivalent to diag(1,6)
-    m = SparseIntMatrix(2, 2, [(0, 0, 2), (1, 1, 3)])
+    m = SparseIntMatrix(2, 2, [{0: 2}, {1: 3}])
     assert smith_normal_form(m).factors == (1, 6)
 
 
@@ -91,8 +91,7 @@ def test_snf_invariant_under_unimodular_shuffles():
 def test_snf_large_sparse_unit_phase():
     # block of shifted identities exercises the sparse unit-pivot path
     n = 250
-    triples = [(i, i, 1) for i in range(n)] + [(i, (i + 1) % n, -1) for i in range(n)]
-    m = SparseIntMatrix(n, n, triples)
+    m = SparseIntMatrix(n, n, [{i: 1, (i + 1) % n: -1} for i in range(n)])
     factors = smith_normal_form(m).factors
     # circulant (I - shift) has rank n-1 over Q and vanishing determinant
     assert len(factors) == n - 1
@@ -149,10 +148,15 @@ def test_snf_sparse_phase_with_torsion(dense_rows):
     diagonal = [1] * 310 + [2] * 20 + [6] * 20 + [12] * 20 + [0] * 30
     for seed in range(3):
         rng = random.Random(seed)
-        m = SparseIntMatrix.from_dense(scrambled_diagonal(diagonal, rows, cols, 1500, rng))
+        dense = scrambled_diagonal(diagonal, rows, cols, 1500, rng)
         dense_rows.clear()
-        assert smith_normal_form(m).factors == tuple(d for d in diagonal if d)
+        factors = smith_normal_form(SparseIntMatrix.from_dense(dense)).factors
+        assert factors == tuple(d for d in diagonal if d)
         assert 0 < dense_rows[0] < rows  # both phases ran
+        # invariant factors do not depend on orientation
+        transpose = SparseIntMatrix.from_dense(zip(*dense))
+        assert (transpose.rows, transpose.cols) == (cols, rows)
+        assert smith_normal_form(transpose).factors == factors
 
 
 def test_snf_repicks_a_row_that_gains_a_unit(dense_rows):
@@ -160,43 +164,78 @@ def test_snf_repicks_a_row_that_gains_a_unit(dense_rows):
     # Pivoting on row 1 at column 0 turns it into (0, 1, -2, 0): the same
     # length, now with a unit, so it must be picked next, before the dense
     # phase.
-    m = SparseIntMatrix(3, 4, [(0, 0, 2), (0, 1, 3), (1, 0, 1), (1, 1, 1), (1, 2, 1),
-                               (2, 1, 2), (2, 2, 2), (2, 3, 2)])
+    m = SparseIntMatrix.from_dense([[2, 3, 0, 0], [1, 1, 1, 0], [0, 2, 2, 2]])
     # the 3x3 minors have gcd 2 (e.g. -6 and -2), the 2x2 minors gcd 1
     assert smith_normal_form(m).factors == (1, 1, 2)
     assert dense_rows == [1]  # both unit pivots were taken sparsely
 
 
 def test_homology_free():
-    d_low = SparseIntMatrix(1, 3)
-    d_high = SparseIntMatrix(3, 2)
+    d_low = SparseIntMatrix(1, 3, [{}])
+    d_high = SparseIntMatrix(3, 2, [{}, {}, {}])
     assert homology_of_pair(d_low, d_high)[1] == AbelianGroup(3)
 
 
 def test_homology_torsion():
-    d_low = SparseIntMatrix(1, 1)
-    d_high = SparseIntMatrix(1, 1, [(0, 0, 2)])
+    d_low = SparseIntMatrix(1, 1, [{}])
+    d_high = SparseIntMatrix(1, 1, [{0: 2}])
     assert homology_of_pair(d_low, d_high)[1] == AbelianGroup(0, (2,))
 
 
 def test_homology_rejects_nonzero_composite():
-    d_low = SparseIntMatrix(1, 1, [(0, 0, 1)])
-    d_high = SparseIntMatrix(1, 1, [(0, 0, 1)])
+    d_low = SparseIntMatrix(1, 1, [{0: 1}])
+    d_high = SparseIntMatrix(1, 1, [{0: 1}])
     with pytest.raises(NotAComplex):
         homology_of_pair(d_low, d_high)
 
 
 def test_homology_dimension_mismatch():
     with pytest.raises(ValueError):
-        homology_of_pair(SparseIntMatrix(1, 2), SparseIntMatrix(3, 1))
+        homology_of_pair(SparseIntMatrix(1, 2, [{}]), SparseIntMatrix(3, 1, [{}, {}, {}]))
 
 
 def test_matrix_validation():
+    with pytest.raises(ValueError, match="outside"):
+        SparseIntMatrix(2, 2, [{0: 1}, {2: 1}])  # column out of range
+    with pytest.raises(ValueError, match="outside"):
+        SparseIntMatrix(2, 2, [{-1: 1}, {}])
+    with pytest.raises(ValueError, match="row dicts"):
+        SparseIntMatrix(2, 2, [{0: 1}])  # one row short
+    with pytest.raises(ValueError, match="row dicts"):
+        SparseIntMatrix(0, 2, [{}])
+    with pytest.raises(ValueError, match="zero"):
+        SparseIntMatrix(2, 2, [{0: 1, 1: 0}, {}])  # a stored zero
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])
+        SparseIntMatrix(-1, 2, [])
+    m = SparseIntMatrix(2, 3, [{2: -4}, {}])
+    assert (m.rows, m.cols, m.nnz) == (2, 3, 1)
+    assert m == SparseIntMatrix.from_dense([[0, 0, -4], [0, 0, 0]])
+    assert SparseIntMatrix(0, 5, []).nnz == 0
+
+
+def random_dense(rng, rows, cols):
+    """A sparse-ish dense matrix in which whole rows and columns are often zero."""
+    zero_rows = {r for r in range(rows) if rng.random() < 0.25}
+    zero_cols = {c for c in range(cols) if rng.random() < 0.25}
+    return [[0 if r in zero_rows or c in zero_cols or rng.random() < 0.5 else rng.randint(-3, 3)
+             for c in range(cols)] for r in range(rows)]
+
+
+def test_mul_matches_the_dense_product():
+    def sparse(rows, cols, dense):  # from_dense, but a 0 x cols shape keeps its cols
+        return SparseIntMatrix(rows, cols, [{c: v for c, v in enumerate(row) if v} for row in dense])
+
+    rng = random.Random(31)
+    for _ in range(300):
+        n, k, m = (rng.randint(0, 6) for _ in range(3))
+        a, b = random_dense(rng, n, k), random_dense(rng, k, m)
+        product = [[sum(a[i][j] * b[j][c] for j in range(k)) for c in range(m)] for i in range(n)]
+        got = sparse(n, k, a).mul(sparse(k, m, b))
+        assert (got.rows, got.cols) == (n, m)
+        assert got == sparse(n, m, product)
+        assert got.is_zero() == (not any(map(any, product)))
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, [(2, 0, 1)])
-    assert SparseIntMatrix(2, 2, [(0, 0, 0)]).nnz == 0
+        SparseIntMatrix(2, 3, [{}, {}]).mul(SparseIntMatrix(2, 3, [{}, {}]))
 
 
 def test_abelian_group_contract():
