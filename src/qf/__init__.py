@@ -20,7 +20,6 @@ from qf.groups import (
     Overflow,
     abelianization,
     branched_cover_group,
-    element_order,
     g_n_presentation,
     quandle_from_cosets,
     todd_coxeter,
@@ -38,8 +37,7 @@ __all__ = [
     "components", "coset_quandle", "galex", "is_connected", "is_isomorphic",
     "quandle_type", "verify_extension",
     "CosetTable", "GroupPresentation", "Overflow", "abelianization", "branched_cover_group",
-    "element_order", "g_n_presentation", "quandle_from_cosets", "todd_coxeter",
-    "trefoil_branched_presentation",
+    "g_n_presentation", "quandle_from_cosets", "todd_coxeter", "trefoil_branched_presentation",
     "analyze", "connected_sum", "parse_pd", "quandle_presentation", "wirtinger_with_peripherals",
     "build_montesinos", "build_rational", "build_torus",
     "boundaries", "h2_order_via_extension", "quandle_homology",

@@ -15,6 +15,7 @@ across runs; timings and cache statistics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -74,6 +75,7 @@ def _add_common(sub: argparse.ArgumentParser, needs_knot: bool) -> None:
     sub.add_argument("--no-cache", action="store_true", help="disable the coset table cache")
 
 
+@functools.cache  # one per process: parse_args keeps no state in the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qf",

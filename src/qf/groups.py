@@ -3,6 +3,29 @@
 Words are tuples of signed generator indices: +k stands for generator k-1 and
 -k for its inverse. Coset tables are standardized (cosets numbered in BFS
 discovery order), so identical inputs always produce identical tables.
+
+``CosetTable.check(g, subgroup)`` proves a table to be the action of g on the
+cosets of some subgroup H that contains the given words; a table loaded from
+the cache need not be more. Over the trivial subgroup, H may still be any
+subgroup, so ``CosetTable.check_regular`` proves the action regular: H fixes
+every coset, coset c is the element rep_c of G/H, and a word w is trivial in
+G/H iff it fixes coset 0. The order of w is then the length of the orbit of
+coset 0 under w.
+
+Regularity lemma. A translation is a permutation L of the cosets that commutes
+with every column; it is fixed by L(0), since L(0 w) = L(0) w
+(``CosetTable.left_translation`` builds it). (a) A transitive action is
+regular iff its translations act transitively: if each c is some L(0), an h
+that fixes 0 fixes every c, as c h = L(0 h) = L(0); conversely, in a regular
+action 0 w -> c w is well defined for each c. (b) Let O be the orbit of 0
+under the translations. If 0 x = L(0) for a translation L, O is closed under
+x: for c = L'(0) in O, c x = L'(0 x) = L'(L(0)). ``check_regular`` builds
+L_x with L_x(0) = 0 x for a greedy set of generators x, skipping each x whose
+0 x already lies in the orbit of 0 under the columns chosen so far. By (b) O
+contains that orbit and is closed under every generator, so, the table being
+finite and transitive, O is every coset and by (a) the action is regular.
+A table that ``todd_coxeter`` enumerates over the trivial subgroup is the
+regular action of the group itself, so only cached tables need the proof.
 """
 
 from __future__ import annotations
@@ -159,6 +182,50 @@ class CosetTable:
         if reps[0] or any(not w or reps[self.action[_col(w[-1]) ^ 1][c]] != w[:-1]
                           for c, w in enumerate(reps[1:], 1)):
             raise TableMismatch("a representative word is not its parent's plus one letter")
+
+    def left_translation(self, d: int) -> list[int]:
+        """The map on cosets that sends 0 to d and commutes with every column.
+
+        It spreads from 0 -> d along the columns in BFS order; raises
+        TableMismatch where two columns disagree, that is, where no such map
+        exists. Commuting with a column, it commutes with its inverse too.
+        """
+        left = [-1] * self.size
+        left[0] = d
+        reached = [0]
+        columns = self.action[::2]
+        for c in reached:
+            lc = left[c]
+            for col in columns:
+                e, want = col[c], col[lc]
+                le = left[e]
+                if le < 0:
+                    left[e] = want
+                    reached.append(e)
+                elif le != want:
+                    raise TableMismatch(f"no map sends coset 0 to {d} and commutes with every column")
+        if len(reached) != self.size:
+            raise TableMismatch("the columns do not act transitively")
+        return left
+
+    def check_regular(self) -> None:
+        """Raise TableMismatch unless the columns act regularly (the regularity
+        lemma of the module docstring)."""
+        in_orbit = [False] * self.size
+        in_orbit[0] = True
+        orbit = [0]  # of coset 0 under the chosen columns
+        chosen: list[tuple[int, ...]] = []
+        for col in self.action[::2]:
+            if in_orbit[col[0]]:
+                continue
+            self.left_translation(col[0])
+            chosen.append(col)
+            for c in orbit:  # close the orbit under every chosen column
+                for x in chosen:
+                    e = x[c]
+                    if not in_orbit[e]:
+                        in_orbit[e] = True
+                        orbit.append(e)
 
     def to_json(self) -> dict:
         return {
@@ -449,14 +516,35 @@ def g_n_presentation(p, n: int) -> GroupPresentation:
     return GroupPresentation(p.group.ngens, relators)
 
 
-def element_order(g: FiniteGroupElementSet, x: int) -> int:
-    """Least k >= 1 with x^k = identity."""
-    k = 1
-    y = x
-    while y != g.identity:
-        y = g.mult[y][x]
-        k += 1
-    return k
+def _graded_kernel(p, n: int, t: CosetTable) -> tuple[list[int], int]:
+    """The cosets of G_n in the kernel of its grading by meridian exponent sum
+    mod n, and the longitude's coset; raises KernelSizeMismatch unless the
+    kernel has |G_n| / n cosets and holds the longitude."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if any(t.subgroup):
+        raise ValueError("need the coset table of G_n over the trivial subgroup")
+    grades = [sum(1 if letter > 0 else -1 for letter in w) % n for w in t.rep_words]
+    kernel = [c for c in range(t.size) if grades[c] == 0]
+    if t.size != n * len(kernel):
+        raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")
+    l_coset = t.coset_of_word(p.longitude)
+    if grades[l_coset] != 0:
+        raise KernelSizeMismatch("longitude does not land in the grading kernel")
+    return kernel, l_coset
+
+
+def branched_cover_orders(p, n: int, t: CosetTable) -> tuple[int, int]:
+    """|pi1(M_n)| and the order of the longitude, read off the coset table of
+    G_n over the trivial subgroup, whose action must be regular (module
+    docstring): |pi1| is the size of the grading kernel, and ord(l) is the
+    length of the orbit of coset 0 under the longitude word."""
+    kernel, c = _graded_kernel(p, n, t)
+    order = 1
+    while c != 0:
+        (c,) = t.walk([c], p.longitude)
+        order += 1
+    return len(kernel), order
 
 
 def branched_cover_group(p, n: int, t: CosetTable
@@ -469,37 +557,18 @@ def branched_cover_group(p, n: int, t: CosetTable
     group, the automorphism g -> m^-1 g m restricted to it, and the longitude's
     element.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if any(t.subgroup):
-        raise ValueError("need the coset table of G_n over the trivial subgroup")
-    grades = [sum(1 if letter > 0 else -1 for letter in w) % n for w in t.rep_words]
-    kernel = [c for c in range(t.size) if grades[c] == 0]
-    if t.size != n * len(kernel):
-        raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")
+    kernel, l_coset = _graded_kernel(p, n, t)
     index = {c: i for i, c in enumerate(kernel)}
     mult = tuple(zip(*([index[c] for c in t.walk(kernel, t.rep_words[d])] for d in kernel)))
     identity = index[0]
     group = FiniteGroupElementSet(len(kernel), mult, identity,
                                   tuple(row.index(identity) for row in mult))
 
-    # x -> m^-1 x commutes with every column, so it spreads from 0 -> m^-1 along them
+    # x -> m^-1 x is the left translation to 0 -> m^-1
     m_word = (p.meridian + 1,)
-    left = [-1] * t.size
-    left[0] = t.coset_of_word(invert_word(m_word))
-    reached = [0]
-    for c in reached:
-        for col in t.action:
-            if left[col[c]] < 0:
-                left[col[c]] = col[left[c]]
-                reached.append(col[c])
+    left = t.left_translation(t.coset_of_word(invert_word(m_word)))
     phi = GroupAutomorphism(group, tuple(index[d] for d in t.walk([left[c] for c in kernel], m_word)))
-
-    l_coset = t.coset_of_word(p.longitude)
-    if grades[l_coset] != 0:
-        raise KernelSizeMismatch("longitude does not land in the grading kernel")
-    longitude = index[l_coset]
-    return group, phi, longitude
+    return group, phi, index[l_coset]
 
 
 def abelianization(g: GroupPresentation) -> AbelianGroup:

@@ -16,6 +16,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -31,8 +32,8 @@ from qf.groups import (
     TableMismatch,
     Word,
     branched_cover_group,
+    branched_cover_orders,
     check_n,
-    element_order,
     g_n_presentation,
     quandle_from_cosets,
     todd_coxeter,  # noqa: F401  (kept bound here: perfbench's tracer self-test looks it up)
@@ -55,7 +56,8 @@ class CosetCache:
 
     Each entry stores its key payload next to the table. An entry whose payload
     differs from the request, that does not parse, or whose table fails
-    CosetTable.check is treated as a miss: recomputed and overwritten.
+    CosetTable.check (over the trivial subgroup, also CosetTable.check_regular)
+    is treated as a miss: recomputed and overwritten.
     """
 
     def __init__(self, directory: Optional[Path]):
@@ -71,6 +73,8 @@ class CosetCache:
                 return None
             table = CosetTable.from_json(entry["table"])
             table.check(pres, subgroup)
+            if not any(table.subgroup):
+                table.check_regular()
         except (OSError, ValueError, KeyError, TypeError, IncompleteTable, TableMismatch):
             return None
         return table
@@ -183,13 +187,32 @@ class PipelineResult:
 
 @dataclass
 class BranchedData:
-    """The branched cover group with its automorphism, longitude, and models."""
+    """|G_n|, |pi1(M_n)| and ord(l), read off the regular action of G_n on its
+    coset table; the group pi1(M_n) with its automorphism phi and the
+    longitude's element is built from the same table when first read."""
 
-    group: FiniteGroupElementSet
-    phi: GroupAutomorphism
-    longitude: int
-    longitude_order: int
+    peripherals: PeripheralPresentation
+    n: int
+    table: CosetTable
     gn_order: int
+    pi1_order: int
+    longitude_order: int
+
+    @cached_property
+    def _cover(self) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
+        return branched_cover_group(self.peripherals, self.n, self.table)
+
+    @property
+    def group(self) -> FiniteGroupElementSet:
+        return self._cover[0]
+
+    @property
+    def phi(self) -> GroupAutomorphism:
+        return self._cover[1]
+
+    @property
+    def longitude(self) -> int:
+        return self._cover[2]
 
 
 class Pipeline:
@@ -264,10 +287,9 @@ class Pipeline:
         if key not in self._branched:
             per = self.peripherals(spec)
             table = self._enumerate(spec, n, (), f"G_{n}")
-            group, phi, ell = branched_cover_group(per, n, table)
-            self._branched[key] = BranchedData(
-                group=group, phi=phi, longitude=ell,
-                longitude_order=element_order(group, ell), gn_order=table.size)
+            pi1_order, longitude_order = branched_cover_orders(per, n, table)
+            self._branched[key] = BranchedData(per, n, table, table.size, pi1_order,
+                                               longitude_order)
         return self._branched[key]
 
     def run_enumerate(self, spec: str, n: int) -> PipelineResult:
@@ -297,7 +319,7 @@ class Pipeline:
             mu=knot.mu, mu_family=knot.mu_family, cache_hits=self.cache.hits)
         if data is not None:
             result.gn_order = data.gn_order
-            result.pi1_order = data.group.order
+            result.pi1_order = data.pi1_order
             result.longitude_order = data.longitude_order
         result.timings["total"] = time.perf_counter() - t0
         return result

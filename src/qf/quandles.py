@@ -4,7 +4,9 @@ Elements are dense 0-based indices. ``FiniteQuandle(table)`` checks every
 quandle axiom, so each ``FiniteQuandle`` is a quandle, whether its table comes
 from a construction here or from the on-disk cache: idempotence and bijective
 columns in O(n^2), and right distributivity by Lemma 2 in O(n^2 |W|).
-``FiniteGroupElementSet`` proves associativity.
+``FiniteGroupElementSet`` proves associativity and keeps its greedy
+generating set S as ``generators``; ``GroupAutomorphism`` proves a map a
+homomorphism on S.
 
 Let W be a set whose orbit under the translations R_w (w in W) is the whole
 table, so each z is w R_w1^e1 ... R_wk^ek with w and every wi in W and each
@@ -230,7 +232,11 @@ def is_connected(q: FiniteQuandle) -> bool:
 
 @dataclass
 class FiniteGroupElementSet:
-    """A finite group as a full multiplication table on indices 0..order-1."""
+    """A finite group as a full multiplication table on indices 0..order-1.
+
+    The constructor raises ValueError unless the table is a group, and keeps
+    the greedy generating set of Light's test as ``generators``.
+    """
 
     order: int
     mult: tuple[tuple[int, ...], ...]
@@ -262,6 +268,7 @@ class FiniteGroupElementSet:
             if x not in reached:
                 gens.append(x)
                 reached = set(self.subgroup_generated(gens))
+        self.generators = tuple(gens)
         mult = self.mult
         for s in sorted({*gens, *(self.inv[g] for g in gens)}):
             ms = mult[s]
@@ -295,7 +302,14 @@ class FiniteGroupElementSet:
 
 @dataclass
 class GroupAutomorphism:
-    """A group automorphism given as a permutation of element indices."""
+    """A group automorphism given as a permutation of element indices.
+
+    A permutation f that fixes e is a homomorphism iff f(a s) = f(a) f(s) for
+    every a and every s in S u S^-1, S = ``source.generators``: every b is a
+    product over S u S^-1, and by induction on its length
+    f(a b s) = f(a b) f(s) = f(a) f(b) f(s) = f(a) f(b s). The constructor
+    checks that in O(order |S|).
+    """
 
     source: FiniteGroupElementSet
     map: tuple[int, ...]
@@ -306,13 +320,13 @@ class GroupAutomorphism:
             raise AutomorphismInvalid("map is not a permutation of the elements")
         if self.map[self.source.identity] != self.source.identity:
             raise AutomorphismInvalid("identity is not fixed")
-        mult = self.source.mult
-        f = self.map
-        for a in range(n):
-            fa = f[a]
-            for b in range(n):
-                if f[mult[a][b]] != mult[fa][f[b]]:
-                    raise AutomorphismInvalid(f"homomorphism fails at {(a, b)}")
+        g, f = self.source, self.map
+        mult = g.mult
+        for s in sorted({*g.generators, *(g.inv[x] for x in g.generators)}):
+            fs = f[s]
+            for a in range(n):
+                if f[mult[a][s]] != mult[f[a]][fs]:
+                    raise AutomorphismInvalid(f"homomorphism fails at {(a, s)}")
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -437,22 +451,25 @@ def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int, .
                 return False
         return True
 
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for t in candidates[x]:
-            if not used[t] and consistent(x, t):
-                mapping[x] = t
-                used[t] = True
-                if extend(x + 1):
-                    return True
-                mapping[x] = -1
-                used[t] = False
-        return False
-
-    if not extend(0):
-        return None
-    return tuple(mapping)
+    # depth-first over x = 0, 1, ..., one iterator of untried images per level;
+    # a loop, not a recursive closure, which would leave a reference cycle
+    untried = [iter(candidates[0])]
+    while untried:
+        x = len(untried) - 1
+        if mapping[x] >= 0:
+            used[mapping[x]] = False
+            mapping[x] = -1
+        t = next((t for t in untried[x] if not used[t] and consistent(x, t)), None)
+        if t is None:
+            untried.pop()
+        elif x + 1 == n:
+            mapping[x] = t
+            return tuple(mapping)
+        else:
+            mapping[x] = t
+            used[t] = True
+            untried.append(iter(candidates[x + 1]))
+    return None
 
 
 @dataclass(frozen=True)

@@ -142,13 +142,13 @@ def run_verification(pipe: Pipeline) -> list[VerifyRow]:
         if coset_model(spec, n) is None:
             return False, "no isomorphism"
         data = pipe.branched(spec, n)
-        via = h2_order_via_extension(data.group.order, pipe.quandle(spec, n)[1].size)
+        via = h2_order_via_extension(data.pi1_order, pipe.quandle(spec, n)[1].size)
         return via == data.longitude_order, f"isomorphism found, |pi1|/|Q_n|={via}"
 
     def cover_order(n, want):
         pres, _ = trefoil_branched_presentation(n)
         size = todd_coxeter(pres, [], pipe.max_cosets).size
-        diagram_order = pipe.branched("catalog:3_1", n).group.order
+        diagram_order = pipe.branched("catalog:3_1", n).pi1_order
         return (size == want and diagram_order == want,
                 f"presentation order={size}, diagram order={diagram_order} (want {want})")
 

@@ -5,7 +5,6 @@ from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import (
     Overflow,
     branched_cover_group,
-    element_order,
     g_n_presentation,
     quandle_from_cosets,
     todd_coxeter,
@@ -20,9 +19,20 @@ from qf.quandles import (
     right_cosets,
     verify_extension,
 )
+from qf.verify import LONGITUDE_CASES
 
 TREFOIL = build_torus(2, 3)
 CINQUEFOIL = build_torus(2, 5)
+
+
+def element_order(g, x):
+    """Least k >= 1 with x^k = identity: the reference for the orbit order of qf."""
+    k = 1
+    y = x
+    while y != g.identity:
+        y = g.mult[y][x]
+        k += 1
+    return k
 
 
 def peripherals(pd):
@@ -140,3 +150,12 @@ def test_finiteness_equivalence_on_composite():
                      max_cosets=30000)
     with pytest.raises(Overflow):
         branched_cover_group(per, 2, todd_coxeter(g_n_presentation(per, 2), [], max_cosets=30000))
+
+
+@pytest.mark.parametrize("spec, n, want", LONGITUDE_CASES)
+def test_orbit_orders_match_the_group(spec, n, want):
+    # the rows read |pi1| and ord(l) off the orbit of coset 0; the group built
+    # from the same table is the reference (LONGITUDE_CASES has 5_1 n=3 and 3_1 n=5)
+    data = Pipeline().branched(spec, n)
+    assert data.longitude_order == element_order(data.group, data.longitude) == want
+    assert data.pi1_order == data.group.order == data.gn_order // n

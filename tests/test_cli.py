@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import qf
 from qf.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
 from qf.groups import MAX_N, IncompleteTable, KernelSizeMismatch, TableMismatch
 from qf.intlinalg import NotAComplex
@@ -283,3 +288,26 @@ def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main builds its parser once per process; an argparse error in between
+    # must leave nothing behind that the next call sees
+    calls = [["homology", "--knot", "3_1", "--n", "3", "--no-cache"],
+             ["homology", "--knot", "3_1", "--n", "x", "--no-cache"],
+             ["homology", "--knot", "3_1", "--n", "3", "--no-cache"]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    env = dict(os.environ, PYTHONPATH=str(Path(qf.__file__).resolve().parents[1]))
+    separate = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "qf.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        separate.append((done.returncode, done.stdout))
+    assert in_process == separate
+    assert [code for code, _ in in_process] == [EXIT_OK, EXIT_INPUT, EXIT_OK]

@@ -12,7 +12,6 @@ from qf.groups import (
     _Enumerator,
     abelianization,
     cyclic_reduce,
-    element_order,
     free_reduce,
     g_n_presentation,
     invert_word,
@@ -20,6 +19,8 @@ from qf.groups import (
     todd_coxeter,
     trefoil_branched_presentation,
 )
+
+from test_branched import element_order
 
 
 def test_word_reduction():
@@ -279,3 +280,20 @@ def test_finished_enumeration_makes_no_second_pass(monkeypatch, spec, n, scans):
     counts = _enumeration_counts(monkeypatch)
     todd_coxeter(pres, subgroup)
     assert counts["scan"] == scans
+
+
+def test_regularity_is_proved_by_left_translations():
+    # S3 = <a, b | a^2, b^2, (ab)^3> acts regularly on its six cosets over 1,
+    # and not on its three cosets over <a>
+    s3 = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    regular = todd_coxeter(s3, [])
+    regular.check_regular()
+    for d in range(6):
+        left = regular.left_translation(d)
+        assert left[0] == d and sorted(left) == list(range(6))
+    cosets = todd_coxeter(s3, [(1,)])
+    with pytest.raises(TableMismatch):
+        cosets.check_regular()
+    assert cosets.left_translation(0) == [0, 1, 2]
+    with pytest.raises(TableMismatch):
+        cosets.left_translation(1)

@@ -12,11 +12,20 @@ import qf.verify
 from qf.catalog import resolve_knot_spec
 from qf.cli import main
 from qf.diagrams import ParameterError
-from qf.groups import GroupPresentation, Overflow, todd_coxeter
+from qf.groups import (
+    CosetTable,
+    GroupPresentation,
+    Overflow,
+    TableMismatch,
+    g_n_presentation,
+    todd_coxeter,
+)
 from qf.pipeline import CosetCache, Pipeline
 from qf.presentations import enumerate_cosets
-from qf.quandles import ExtensionWitness
+from qf.quandles import ExtensionWitness, FiniteGroupElementSet, GroupAutomorphism
 from qf.verify import EXTENSION_CASES, H2_CASES, TREFOIL_COVER_ORDERS, run_verification
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "homology"
 
 
 def test_resolve_specs():
@@ -202,3 +211,39 @@ def test_extension_row_reports_the_measured_fiber(monkeypatch):
     assert len(rows) == len(EXTENSION_CASES)
     for row in rows:
         assert row.status == "FAIL" and "fiber=1 (want " in row.detail
+
+
+def test_cached_table_over_the_trivial_subgroup_must_be_regular(tmp_path, capsys):
+    # Q_3 of 3_1, relabelled as over the trivial subgroup, is an action of G_3
+    # that passes check; it is not regular, so at the G_3 key it is a miss
+    pipe = Pipeline()
+    q_table, _ = pipe.quandle("catalog:3_1", 3)
+    bad = CosetTable(q_table.ngens, q_table.action, q_table.rep_words, ())
+    pres = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
+    bad.check(pres, ())
+    with pytest.raises(TableMismatch):
+        bad.check_regular()
+    CosetCache(tmp_path).todd_coxeter(pres, (), lambda: bad)
+    args = ["homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
+
+    def unreachable():
+        raise AssertionError("the rewritten entry must be a hit")
+
+    cache = CosetCache(tmp_path)
+    assert cache.todd_coxeter(pres, (), unreachable).size == 24
+    assert cache.hits == 1
+
+
+def test_homology_rows_build_no_group(monkeypatch, tmp_path):
+    groups = _count_calls(monkeypatch, "__post_init__", FiniteGroupElementSet)
+    automorphisms = _count_calls(monkeypatch, "__post_init__", GroupAutomorphism)
+    for _ in range(2):  # cold, then warm
+        res = Pipeline(CosetCache(tmp_path)).run_homology("catalog:5_1", 3)
+        assert (res.gn_order, res.pi1_order, res.longitude_order) == (360, 120, 6)
+    assert groups == [] and automorphisms == []
+    # the verify rows still get the group, built once on first read
+    data = Pipeline(CosetCache(tmp_path)).branched("catalog:5_1", 3)
+    assert data.phi.source is data.group and data.group.order == 120
+    assert len(groups) == len(automorphisms) == 1

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 
 import pytest
@@ -268,3 +270,40 @@ def test_automorphism_validation():
         GroupAutomorphism(g, (1, 0, 3, 2))  # does not fix the identity
     with pytest.raises(AutomorphismInvalid):
         GroupAutomorphism(g, (0, 0, 1, 2))  # not a permutation
+
+
+def _automorphism_test_groups():
+    s3 = list(itertools.permutations(range(3)))  # the identity first
+    s3_mult = tuple(tuple(s3.index(tuple(a[b[i]] for i in range(3))) for b in s3) for a in s3)
+    v4_mult = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+    return [
+        FiniteGroupElementSet.cyclic(6),
+        FiniteGroupElementSet(4, v4_mult, 0, tuple(range(4))),
+        FiniteGroupElementSet(6, s3_mult, 0, tuple(row.index(0) for row in s3_mult)),
+    ]
+
+
+@pytest.mark.parametrize("g, automorphisms", zip(_automorphism_test_groups(), (2, 6, 6)))
+def test_automorphism_check_on_generators_is_exact(g, automorphisms):
+    # over every permutation that fixes e, the check on S u S^-1 accepts exactly
+    # the maps that the check over all pairs (a, b) accepts
+    rng = range(g.order)
+    accepted = 0
+    for rest in itertools.permutations(range(1, g.order)):
+        f = (0, *rest)
+        homomorphism = all(f[g.mult[a][b]] == g.mult[f[a]][f[b]] for a in rng for b in rng)
+        try:
+            GroupAutomorphism(g, f)
+            checked = True
+        except AutomorphismInvalid:
+            checked = False
+        assert checked == homomorphism, f
+        accepted += checked
+    assert accepted == automorphisms
+
+
+def test_is_isomorphic_leaves_no_reference_cycle():
+    r7, copy = dihedral_quandle(7), dihedral_quandle(7)
+    gc.collect()
+    assert is_isomorphic(r7, copy) == tuple(range(7))
+    assert gc.collect() == 0
