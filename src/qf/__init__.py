@@ -7,10 +7,8 @@ from qf.quandles import (
     GroupAutomorphism,
     check_relators,
     components,
-    coset_quandle,
     galex,
     is_connected,
-    is_isomorphic,
     quandle_type,
     verify_extension,
 )
@@ -34,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup", "SNFResult", "SparseIntMatrix", "homology_of_pair", "smith_normal_form",
     "FiniteGroupElementSet", "FiniteQuandle", "GroupAutomorphism", "check_relators",
-    "components", "coset_quandle", "galex", "is_connected", "is_isomorphic",
-    "quandle_type", "verify_extension",
+    "components", "galex", "is_connected", "quandle_type", "verify_extension",
     "CosetTable", "GroupPresentation", "Overflow", "abelianization", "branched_cover_group",
     "g_n_presentation", "quandle_from_cosets", "todd_coxeter", "trefoil_branched_presentation",
     "analyze", "connected_sum", "parse_pd", "quandle_presentation", "wirtinger_with_peripherals",

@@ -90,9 +90,6 @@ class PDCode:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    def serialize(self) -> str:
-        return " ".join("X({},{},{},{})".format(*c) for c in self.crossings)
-
 
 _PD_TOKEN = re.compile(r"\s*X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 

@@ -168,7 +168,8 @@ class CosetTable:
         """Raise TableMismatch unless this is a coset action of g over the subgroup:
         every relator acts trivially, every subgroup word fixes coset 0 and the
         representative words form a tree from coset 0, each its parent's word
-        plus one letter (so, by induction on length, each reaches its coset)."""
+        plus one letter (so, by induction on length, each reaches its coset),
+        with the parent numbered lower."""
         if self.ngens != g.ngens or self.subgroup != tuple(free_reduce(w) for w in subgroup):
             raise TableMismatch("table belongs to another presentation or subgroup")
         cosets = list(range(self.size))
@@ -179,8 +180,8 @@ class CosetTable:
             if self.walk([0], word) != [0]:
                 raise TableMismatch(f"subgroup word {word} moves coset 0")
         reps = self.rep_words
-        if reps[0] or any(not w or reps[self.action[_col(w[-1]) ^ 1][c]] != w[:-1]
-                          for c, w in enumerate(reps[1:], 1)):
+        if reps[0] or any(not w or (parent := self.action[_col(w[-1]) ^ 1][c]) >= c
+                          or reps[parent] != w[:-1] for c, w in enumerate(reps[1:], 1)):
             raise TableMismatch("a representative word is not its parent's plus one letter")
 
     def left_translation(self, d: int) -> list[int]:
@@ -524,7 +525,11 @@ def _graded_kernel(p, n: int, t: CosetTable) -> tuple[list[int], int]:
         raise ValueError("n must be at least 2")
     if any(t.subgroup):
         raise ValueError("need the coset table of G_n over the trivial subgroup")
-    grades = [sum(1 if letter > 0 else -1 for letter in w) % n for w in t.rep_words]
+    # each representative word is its lower-numbered parent's plus one letter
+    # (CosetTable.check), so one pass in coset order grades every word
+    grades = [0] * t.size
+    for c, w in enumerate(t.rep_words[1:], 1):
+        grades[c] = (grades[t.action[_col(w[-1]) ^ 1][c]] + (1 if w[-1] > 0 else -1)) % n
     kernel = [c for c in range(t.size) if grades[c] == 0]
     if t.size != n * len(kernel):
         raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")
@@ -534,17 +539,19 @@ def _graded_kernel(p, n: int, t: CosetTable) -> tuple[list[int], int]:
     return kernel, l_coset
 
 
-def branched_cover_orders(p, n: int, t: CosetTable) -> tuple[int, int]:
-    """|pi1(M_n)| and the order of the longitude, read off the coset table of
-    G_n over the trivial subgroup, whose action must be regular (module
-    docstring): |pi1| is the size of the grading kernel, and ord(l) is the
-    length of the orbit of coset 0 under the longitude word."""
+def branched_cover_orders(p, n: int, t: CosetTable) -> tuple[list[int], int]:
+    """The grading kernel and the order of the longitude, read off the coset
+    table of G_n over the trivial subgroup, whose action must be regular
+    (module docstring). The kernel lists the cosets of pi1(M_n) in the order
+    in which ``branched_cover_group`` numbers its elements, so |pi1| is its
+    length; ord(l) is the length of the orbit of coset 0 under the longitude
+    word."""
     kernel, c = _graded_kernel(p, n, t)
     order = 1
     while c != 0:
         (c,) = t.walk([c], p.longitude)
         order += 1
-    return len(kernel), order
+    return kernel, order
 
 
 def branched_cover_group(p, n: int, t: CosetTable

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class NotAComplex(Exception):
@@ -50,10 +50,6 @@ class AbelianGroup:
         for d, e in zip(self.torsion, self.torsion[1:]):
             if e % d != 0:
                 raise ValueError(f"torsion breaks the divisibility chain: {d} | {e} fails")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def order(self) -> int | None:
         """Group order, or None when the group is infinite."""
@@ -96,15 +92,6 @@ class SparseIntMatrix:
         self.cols = cols
         self.row_dicts = row_dicts
         self.nnz = sum(map(len, row_dicts))
-
-    @classmethod
-    def from_dense(cls, dense: Iterable[Iterable[int]]) -> "SparseIntMatrix":
-        dense = [list(row) for row in dense]
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        if any(len(row) != cols for row in dense):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, [{c: v for c, v in enumerate(row) if v} for row in dense])
 
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         """Row-major product: row i of self * other is sum_k self[i][k] * other[k]."""

@@ -189,14 +189,25 @@ class PipelineResult:
 class BranchedData:
     """|G_n|, |pi1(M_n)| and ord(l), read off the regular action of G_n on its
     coset table; the group pi1(M_n) with its automorphism phi and the
-    longitude's element is built from the same table when first read."""
+    longitude's element is built from the same table when first read.
+
+    ``kernel[x]`` is the coset of G_n that is element x of ``group``, so the
+    word ``table.rep_words[kernel[x]]`` spells x.
+    """
 
     peripherals: PeripheralPresentation
     n: int
     table: CosetTable
-    gn_order: int
-    pi1_order: int
+    kernel: list[int]
     longitude_order: int
+
+    @property
+    def gn_order(self) -> int:
+        return self.table.size
+
+    @property
+    def pi1_order(self) -> int:
+        return len(self.kernel)
 
     @cached_property
     def _cover(self) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
@@ -287,9 +298,8 @@ class Pipeline:
         if key not in self._branched:
             per = self.peripherals(spec)
             table = self._enumerate(spec, n, (), f"G_{n}")
-            pi1_order, longitude_order = branched_cover_orders(per, n, table)
-            self._branched[key] = BranchedData(per, n, table, table.size, pi1_order,
-                                               longitude_order)
+            kernel, longitude_order = branched_cover_orders(per, n, table)
+            self._branched[key] = BranchedData(per, n, table, kernel, longitude_order)
         return self._branched[key]
 
     def run_enumerate(self, spec: str, n: int) -> PipelineResult:

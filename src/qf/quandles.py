@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 MAX_SIZE = 1 << 16
 
@@ -46,14 +46,6 @@ class AxiomViolation(Exception):
 
 class AutomorphismInvalid(Exception):
     """A claimed group automorphism does not satisfy its invariants."""
-
-
-class NotASubgroup(Exception):
-    """The given element list is not closed under product and inverse."""
-
-
-class NotInvariant(Exception):
-    """The subgroup is not compatible with the automorphism."""
 
 
 class MalformedWitness(Exception):
@@ -109,10 +101,6 @@ class FiniteQuandle:
 
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
-
-    def inv_op(self, x: int, y: int) -> int:
-        """The unique z with z * y == x."""
-        return self.inverse_table[x][y]
 
     def pow_op(self, x: int, y: int, k: int) -> int:
         """x *^k y, i.e. the k-th power of the translation by y applied to x."""
@@ -331,10 +319,6 @@ class GroupAutomorphism:
     def __call__(self, a: int) -> int:
         return self.map[a]
 
-    @classmethod
-    def identity_of(cls, g: FiniteGroupElementSet) -> "GroupAutomorphism":
-        return cls(g, tuple(range(g.order)))
-
 
 def galex(g: FiniteGroupElementSet, phi: GroupAutomorphism) -> FiniteQuandle:
     """Generalized Alexander quandle on the elements of g: x * y = phi(x y^-1) y."""
@@ -343,133 +327,6 @@ def galex(g: FiniteGroupElementSet, phi: GroupAutomorphism) -> FiniteQuandle:
     mult, inv, f = g.mult, g.inv, phi.map
     table = [[mult[f[mult[x][inv[y]]]][y] for y in range(g.order)] for x in range(g.order)]
     return FiniteQuandle(table)
-
-
-def right_cosets(g: FiniteGroupElementSet, subgroup: Sequence[int]
-                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Partition into right cosets Ax: (coset index per element, representatives).
-
-    Cosets are numbered by their least element, so the subgroup itself is coset 0
-    whenever the identity has index 0.
-    """
-    a_set = sorted(set(subgroup))
-    if not a_set or g.identity not in a_set:
-        raise NotASubgroup("subgroup must contain the identity")
-    sset = set(a_set)
-    for a in a_set:
-        if g.inv[a] not in sset:
-            raise NotASubgroup(f"not closed under inverse at {a}")
-        for b in a_set:
-            if g.mult[a][b] not in sset:
-                raise NotASubgroup(f"not closed under product at {(a, b)}")
-    coset_of = [-1] * g.order
-    reps: list[int] = []
-    for x in range(g.order):
-        if coset_of[x] == -1:
-            reps.append(x)
-            idx = len(reps) - 1
-            for a in a_set:
-                coset_of[g.mult[a][x]] = idx
-    return tuple(coset_of), tuple(reps)
-
-
-def coset_quandle(g: FiniteGroupElementSet, phi: GroupAutomorphism,
-                  subgroup: Sequence[int]) -> FiniteQuandle:
-    """Quandle on right cosets A\\G with Ax * Ay = A phi(x y^-1) y."""
-    if phi.source is not g and phi.source != g:
-        raise AutomorphismInvalid("automorphism does not act on the given group")
-    a_set = sorted(set(subgroup))
-    sset = set(a_set)
-    coset_of, reps = right_cosets(g, subgroup)
-    if {phi.map[a] for a in a_set} != sset:
-        raise NotInvariant("phi(A) != A")
-    mult, inv, f = g.mult, g.inv, phi.map
-    k = len(reps)
-    table = [[0] * k for _ in range(k)]
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            table[i][j] = coset_of[mult[f[mult[x][inv[y]]]][y]]
-    # phi(A) = A setwise does not by itself make the coset operation well
-    # defined; verify on all representatives of each pair of cosets.
-    for i in range(k):
-        fiber_i = [x for x in range(g.order) if coset_of[x] == i]
-        for j, y in enumerate(reps):
-            want = table[i][j]
-            for x in fiber_i:
-                for a in a_set:
-                    if coset_of[mult[f[mult[x][inv[mult[a][y]]]]][mult[a][y]]] != want:
-                        raise NotInvariant("coset operation is not well defined for this subgroup")
-    return FiniteQuandle(table)
-
-
-def _element_profiles(q: FiniteQuandle) -> list[tuple]:
-    orbit_of = {}
-    for orbit in components(q):
-        for x in orbit:
-            orbit_of[x] = len(orbit)
-    return [(_perm_cycle_type(q.column(x)), orbit_of[x]) for x in range(q.size)]
-
-
-def is_isomorphic(q1: FiniteQuandle, q2: FiniteQuandle) -> Optional[tuple[int, ...]]:
-    """A quandle isomorphism q1 -> q2 as a permutation array, or None.
-
-    Deterministic: the lexicographically least isomorphism is returned.
-    """
-    n = q1.size
-    if n != q2.size:
-        return None
-    if quandle_type(q1) != quandle_type(q2):
-        return None
-    prof1 = _element_profiles(q1)
-    prof2 = _element_profiles(q2)
-    if sorted(prof1) != sorted(prof2):
-        return None
-    candidates = [[t for t in range(n) if prof2[t] == prof1[x]] for x in range(n)]
-    t1, t2 = q1.table, q2.table
-    # pairs (i, j) with i, j < z and t1[i][j] == z, checked once z gets its image
-    preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            z = t1[i][j]
-            if z > i and z > j:
-                preimages[z].append((i, j))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(x: int, t: int) -> bool:
-        # every product whose operands and result all lie in 0..x is pinned now
-        for y in range(x + 1):
-            fy = t if y == x else mapping[y]
-            z = t1[x][y]
-            if z <= x and (t if z == x else mapping[z]) != t2[t][fy]:
-                return False
-            z = t1[y][x]
-            if z <= x and (t if z == x else mapping[z]) != t2[fy][t]:
-                return False
-        for i, j in preimages[x]:
-            if t2[mapping[i]][mapping[j]] != t:
-                return False
-        return True
-
-    # depth-first over x = 0, 1, ..., one iterator of untried images per level;
-    # a loop, not a recursive closure, which would leave a reference cycle
-    untried = [iter(candidates[0])]
-    while untried:
-        x = len(untried) - 1
-        if mapping[x] >= 0:
-            used[mapping[x]] = False
-            mapping[x] = -1
-        t = next((t for t in untried[x] if not used[t] and consistent(x, t)), None)
-        if t is None:
-            untried.pop()
-        elif x + 1 == n:
-            mapping[x] = t
-            return tuple(mapping)
-        else:
-            mapping[x] = t
-            used[t] = True
-            untried.append(iter(candidates[x + 1]))
-    return None
 
 
 @dataclass(frozen=True)

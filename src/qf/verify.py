@@ -4,6 +4,22 @@ Each row recomputes one published quantity (a cardinality, a longitude order,
 a homology group, an extension or model-equivalence check) from scratch and
 reports PASS or FAIL; a Montesinos row whose candidate closures are all links
 reports SKIP with the component counts as evidence.
+
+The extension and coset-model rows of a (knot, n) check one witness: the
+natural projection p(x) = <m, l> x from the elements of pi1(M_n), the kernel
+of the grading of G_n, onto the cosets of <m, l> that are Q_n. It is a
+homomorphism from GAlex(pi1, phi), x * y = phi(x y^-1) y with
+phi(g) = m^-1 g m, since m lies in <m, l>; the action is x -> l x.
+
+Lemma (Joyce 1982). The coset quandle Q(pi1, phi, A), A = <l>, is by
+definition the quotient of GAlex(pi1, phi) by x ~ a x, a in A. If p is a
+surjective quandle homomorphism from GAlex(pi1, phi) whose fibres are the
+right cosets A x (E2 with x -> l x of order ord(l)), then A x -> p(x) is an
+isomorphism from Q(pi1, phi, A) onto Q_n. It is a bijection, as the fibres
+are the cosets; and for any a, b in A, p(a x * b y) = p(x) * p(y) = p(x * y)
+puts a x * b y in A (x * y), so the coset operation is well defined and the
+bijection is a homomorphism. So ``verify_extension`` on the witness proves
+both the central extension GAlex(pi1, phi) -> Q_n by A and the coset model.
 """
 
 from __future__ import annotations
@@ -16,15 +32,7 @@ from qf.groups import Overflow, abelianization, todd_coxeter, trefoil_branched_p
 from qf.homology import h2_order_via_extension
 from qf.intlinalg import AbelianGroup
 from qf.pipeline import Pipeline
-from qf.quandles import (
-    ExtensionWitness,
-    check_relators,
-    coset_quandle,
-    galex,
-    is_isomorphic,
-    right_cosets,
-    verify_extension,
-)
+from qf.quandles import ExtensionWitness, check_relators, galex, verify_extension
 
 CARDINALITY_CASES = [
     ("rational:3,1", 2, 3),
@@ -91,27 +99,21 @@ class VerifyRow:
         return self.status in ("PASS", "SKIP")
 
 
-def _coset_model(pipe: Pipeline, spec: str, n: int):
-    """Isomorphism from the coset model of (pi1, phi, <l>) onto Q_n, or None."""
-    _, q = pipe.quandle(spec, n)
+def _projection_witness(pipe: Pipeline, spec: str, n: int) -> ExtensionWitness:
+    """The natural projection of GAlex(pi1, phi) onto Q_n (module docstring)."""
+    q_table, q = pipe.quandle(spec, n)  # first: its overflow names the row
     data = pipe.branched(spec, n)
-    sub = data.group.subgroup_generated([data.longitude])
-    return is_isomorphic(coset_quandle(data.group, data.phi, sub), q)
-
-
-def _extension_witness(pipe: Pipeline, spec: str, n: int, iso) -> ExtensionWitness:
-    """Witness for GAlex(pi1, phi) -> Q_n, projecting through the model isomorphism."""
-    _, q = pipe.quandle(spec, n)
-    data = pipe.branched(spec, n)
-    group, ell = data.group, data.longitude
-    coset_of, _ = right_cosets(group, group.subgroup_generated([ell]))
-    projection = tuple(iso[coset_of[x]] for x in range(group.order))
-    action = tuple(group.mult[ell][x] for x in range(group.order))
-    return ExtensionWitness(galex(group, data.phi), q, projection, data.longitude_order, action)
+    group, reps = data.group, data.table.rep_words
+    projection = tuple(q_table.coset_of_word(reps[c]) for c in data.kernel)
+    return ExtensionWitness(galex(group, data.phi), q, projection, data.longitude_order,
+                            group.mult[data.longitude])
 
 
 def run_verification(pipe: Pipeline) -> list[VerifyRow]:
-    coset_model = cache(partial(_coset_model, pipe))  # shared by the extension and model rows
+    @cache  # one witness per (spec, n), checked once for its extension and model rows
+    def checked_witness(spec, n):
+        witness = _projection_witness(pipe, spec, n)
+        return verify_extension(witness), witness.projection.count(0)
 
     def cardinality(spec, n, want):
         res = pipe.run_enumerate(spec, n)
@@ -127,19 +129,16 @@ def run_verification(pipe: Pipeline) -> list[VerifyRow]:
         return res.h2 == want and not res.consistency_errors(), f"H2={res.h2} (want {want})"
 
     def extension(spec, n):
-        iso = coset_model(spec, n)
-        if iso is None:
-            return False, "no model isomorphism"
-        witness = _extension_witness(pipe, spec, n, iso)
-        report = verify_extension(witness)
-        data = pipe.branched(spec, n)
-        fiber = witness.projection.count(0)  # measured; witness.group_order is ord(l) itself
-        return (report.ok and fiber == data.longitude_order,
+        # the fibre is measured: the witness's group order is ord(l) itself
+        report, fiber = checked_witness(spec, n)
+        want = pipe.branched(spec, n).longitude_order
+        return (report.ok and fiber == want,
                 f"E1={report.e1} E2={report.e2} hom={report.projection_is_homomorphism} "
-                f"fiber={fiber} (want {data.longitude_order})")
+                f"fiber={fiber} (want {want})")
 
     def model(spec, n):
-        if coset_model(spec, n) is None:
+        report, _ = checked_witness(spec, n)
+        if not report.ok:
             return False, "no isomorphism"
         data = pipe.branched(spec, n)
         via = h2_order_via_extension(data.pi1_order, pipe.quandle(spec, n)[1].size)

@@ -23,7 +23,7 @@ from qf.groups import (
     trefoil_branched_presentation,
 )
 from qf.homology import boundaries, quandle_homology
-from qf.intlinalg import AbelianGroup, SparseIntMatrix, smith_normal_form
+from qf.intlinalg import AbelianGroup, smith_normal_form
 from qf.pipeline import Pipeline
 from qf.quandles import (
     AxiomViolation,
@@ -38,11 +38,11 @@ from qf.verify import (
     H2_CASES,
     LONGITUDE_CASES,
     MODEL_CASES,
-    _coset_model,
-    _extension_witness,
+    _projection_witness,
 )
 
 from test_homology import random_quandle
+from test_intlinalg import from_dense
 from test_quandles import brute_force_axioms
 
 
@@ -103,20 +103,23 @@ def test_criterion_5_type_theorem(pipe):
 def test_criterion_6_extension_verification(pipe):
     bad = []
     for spec, n in EXTENSION_CASES:
-        iso = _coset_model(pipe, spec, n)
-        witness = None if iso is None else _extension_witness(pipe, spec, n, iso)
-        data = pipe.branched(spec, n)
-        if witness is None or not verify_extension(witness).ok \
-                or witness.group_order != data.longitude_order:
+        witness = _projection_witness(pipe, spec, n)
+        # the fibre is measured; the witness's group order is ord(l) itself
+        if not verify_extension(witness).ok \
+                or witness.projection.count(0) != pipe.branched(spec, n).longitude_order:
             bad.append((spec, n))
     _report("6 central extensions", not bad, f"checked {len(EXTENSION_CASES)} witnesses")
 
 
 def test_criterion_7_model_equivalence(pipe):
+    # by the lemma of qf.verify, a verified projection witness is an isomorphism
+    # from the coset quandle of (pi1, phi, <l>) onto Q_n
     bad = []
     for spec, n in MODEL_CASES + [("montesinos:1,1/2,1/3,1/3", 2)]:
-        iso = _coset_model(pipe, spec, n)
-        if iso is None:
+        witness = _projection_witness(pipe, spec, n)
+        data = pipe.branched(spec, n)
+        if not verify_extension(witness).ok \
+                or data.pi1_order != witness.base.size * data.longitude_order:
             bad.append((spec, n))
     _report("7 coset model equivalence", not bad, f"checked {len(MODEL_CASES) + 1} cases")
 
@@ -231,7 +234,7 @@ def test_criterion_10c_h1_connected(pipe):
 def test_criterion_10d_snf_invariance(pipe):
     rng = random.Random(4)
     base = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(4)]
-    expected = smith_normal_form(SparseIntMatrix.from_dense(base)).factors
+    expected = smith_normal_form(from_dense(base)).factors
     for _ in range(100):
         rows = list(range(4))
         cols = list(range(4))
@@ -245,7 +248,7 @@ def test_criterion_10d_snf_invariance(pipe):
             if rng.random() < 0.5:
                 for i in range(4):
                     shuffled[i][j] = -shuffled[i][j]
-        got = smith_normal_form(SparseIntMatrix.from_dense(shuffled)).factors
+        got = smith_normal_form(from_dense(shuffled)).factors
         assert got == expected
     _report("10d SNF shuffle invariance", True, f"factors {expected}")
 

@@ -5,20 +5,13 @@ from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import (
     Overflow,
     branched_cover_group,
+    branched_cover_orders,
     g_n_presentation,
     quandle_from_cosets,
     todd_coxeter,
 )
 from qf.pipeline import Pipeline
-from qf.quandles import (
-    ExtensionWitness,
-    coset_quandle,
-    galex,
-    is_isomorphic,
-    quandle_type,
-    right_cosets,
-    verify_extension,
-)
+from qf.quandles import ExtensionWitness, galex, quandle_type, verify_extension
 from qf.verify import LONGITUDE_CASES
 
 TREFOIL = build_torus(2, 3)
@@ -46,6 +39,20 @@ def branched(per, n):
 def enumerated(per, n):
     t = todd_coxeter(g_n_presentation(per, n), [(per.meridian + 1,), per.longitude])
     return t, quandle_from_cosets(t, (per.meridian + 1,))
+
+
+def natural_projection(per, n):
+    """pi1(M_n) with phi and l, Q_n, and the projection x -> <m, l> x between them."""
+    t = todd_coxeter(g_n_presentation(per, n), [])
+    kernel, _ = branched_cover_orders(per, n, t)
+    g, phi, ell = branched_cover_group(per, n, t)
+    q_table, q_enum = enumerated(per, n)
+    return g, phi, ell, q_enum, tuple(q_table.coset_of_word(t.rep_words[c]) for c in kernel)
+
+
+def is_homomorphism(p, total, base):
+    rng = range(total.size)
+    return all(p[total.op(x, y)] == base.op(p[x], p[y]) for x in rng for y in rng)
 
 
 def test_trefoil_n3_branched_data():
@@ -99,50 +106,43 @@ def test_galex_on_branched_cover_type():
 
 
 def test_coset_model_matches_enumeration():
+    # the lemma of qf.verify by brute force: the projection is a homomorphism from
+    # GAlex onto Q_n whose fibres are the right cosets <l> x, so it factors through
+    # an isomorphism from the coset quandle
     per = peripherals(TREFOIL)
-    _, q_enum = enumerated(per, 3)
-    g, phi, ell = branched(per, 3)
+    g, phi, ell, q_enum, p = natural_projection(per, 3)
     sub = g.subgroup_generated([ell])
     assert len(sub) == 2
-    model = coset_quandle(g, phi, sub)
-    assert model.size == 4
-    assert is_isomorphic(model, q_enum) is not None
+    assert is_homomorphism(p, galex(g, phi), q_enum)
+    fibres = {frozenset(x for x in range(g.order) if p[x] == b) for b in range(q_enum.size)}
+    assert fibres == {frozenset(g.mult[a][x] for a in sub) for x in range(g.order)}
+    assert len(fibres) == q_enum.size == 4
 
 
 def test_remark_trivial_longitude_collapses_extension():
-    # for a 2-bridge knot at n = 2 the longitude dies, so the twist-spin
-    # quandle is the knot 2-quandle itself
+    # for a 2-bridge knot at n = 2 the longitude dies, so the projection is an
+    # isomorphism from the twist-spin quandle onto the knot 2-quandle itself
     per = peripherals(build_rational(7, 3))
-    _, q_enum = enumerated(per, 2)
-    g, phi, ell = branched(per, 2)
+    g, phi, ell, q_enum, p = natural_projection(per, 2)
     assert ell == g.identity
-    assert is_isomorphic(galex(g, phi), q_enum) is not None
+    assert sorted(p) == list(range(q_enum.size))
+    assert is_homomorphism(p, galex(g, phi), q_enum)
 
 
 def test_extension_witness_and_type_transfer():
     per = peripherals(TREFOIL)
     for n in (3, 4):
-        _, q_enum = enumerated(per, n)
-        g, phi, ell = branched(per, n)
-        sub = g.subgroup_generated([ell])
-        model = coset_quandle(g, phi, sub)
-        iso = is_isomorphic(model, q_enum)
-        coset_of, _ = right_cosets(g, sub)
+        g, phi, ell, q_enum, p = natural_projection(per, n)
         total = galex(g, phi)
-        witness = ExtensionWitness(
-            total, q_enum,
-            tuple(iso[coset_of[x]] for x in range(g.order)),
-            element_order(g, ell),
-            tuple(g.mult[ell][x] for x in range(g.order)))
+        witness = ExtensionWitness(total, q_enum, p, element_order(g, ell), g.mult[ell])
         assert verify_extension(witness).ok
         # covering with connected total: source and target types agree
         assert quandle_type(total) == quandle_type(q_enum) == n
 
 
 def test_finiteness_equivalence_on_composite():
-    from qf.diagrams import connected_sum, parse_pd
-    pd = parse_pd(TREFOIL.serialize())
-    granny = connected_sum(pd, pd)
+    from qf.diagrams import connected_sum
+    granny = connected_sum(TREFOIL, TREFOIL)
     per = peripherals(granny)
     # both the quandle enumeration and the group enumeration must blow up
     with pytest.raises(Overflow):

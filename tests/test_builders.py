@@ -59,7 +59,7 @@ def test_rational_3_1_matches_catalog_trefoil():
 
 
 def test_torus_builder():
-    assert build_torus(2, 3).serialize() == "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+    assert build_torus(2, 3) == parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
     with pytest.raises(ParameterError):
         build_torus(2, 4)
     with pytest.raises(ParameterError):

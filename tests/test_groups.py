@@ -111,6 +111,17 @@ def test_table_check_rejects_representative_words_off_the_tree():
         data["rep_words"][c] = bad
         with pytest.raises(ValueError):
             CosetTable.from_json(data)
+    # still a tree, but coset (1,) renumbered past its child (1, 1): grading
+    # G_n in one pass needs every parent numbered before its children
+    z5 = GroupPresentation(1, [(1,) * 5])
+    t = todd_coxeter(z5)
+    assert t.rep_words[1] == (1,) and t.rep_words[3] == (1, 1)
+    swap = [0, 3, 2, 1, 4]
+    moved = CosetTable(1, [[swap[col[swap[d]]] for d in range(5)] for col in t.action],
+                       [t.rep_words[swap[d]] for d in range(5)], ())
+    assert moved.walk(range(5), (1,) * 5) == list(range(5))
+    with pytest.raises(TableMismatch):
+        moved.check(z5, ())
 
 
 def test_table_check_rejects_a_foreign_presentation_or_subgroup():

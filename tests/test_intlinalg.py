@@ -13,6 +13,14 @@ from qf.intlinalg import (
 )
 
 
+def from_dense(dense):
+    """The sparse matrix of a list of equal-length rows."""
+    dense = [list(row) for row in dense]
+    cols = len(dense[0]) if dense else 0
+    rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    return SparseIntMatrix(len(dense), cols, rows)
+
+
 def rational_rank(dense):
     """Independent rank oracle: Gaussian elimination over the rationals."""
     a = [[Fraction(v) for v in row] for row in dense]
@@ -50,10 +58,10 @@ def test_diag_2_3():
 
 
 def test_known_small_matrices():
-    m = SparseIntMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    m = from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     # classical worked example with factors (2, 2, 156)
     assert smith_normal_form(m).factors == (2, 2, 156)
-    m = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
+    m = from_dense([[1, 2], [3, 4]])
     assert smith_normal_form(m).factors == (1, 2)
 
 
@@ -63,14 +71,14 @@ def test_rank_matches_rational_oracle():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         dense = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        m = SparseIntMatrix.from_dense(dense)
+        m = from_dense(dense)
         assert smith_normal_form(m).rank == rational_rank(dense)
 
 
 def test_snf_invariant_under_unimodular_shuffles():
     rng = random.Random(11)
     base = [[2, 4, 0], [0, 6, 9], [0, 0, 0]]
-    expected = smith_normal_form(SparseIntMatrix.from_dense(base)).factors
+    expected = smith_normal_form(from_dense(base)).factors
     for _ in range(100):
         dense = [row[:] for row in base]
         rp = list(range(3))
@@ -85,7 +93,7 @@ def test_snf_invariant_under_unimodular_shuffles():
             if rng.random() < 0.5:
                 for r in range(3):
                     shuffled[r][c] = -shuffled[r][c]
-        assert smith_normal_form(SparseIntMatrix.from_dense(shuffled)).factors == expected
+        assert smith_normal_form(from_dense(shuffled)).factors == expected
 
 
 def test_snf_large_sparse_unit_phase():
@@ -150,11 +158,11 @@ def test_snf_sparse_phase_with_torsion(dense_rows):
         rng = random.Random(seed)
         dense = scrambled_diagonal(diagonal, rows, cols, 1500, rng)
         dense_rows.clear()
-        factors = smith_normal_form(SparseIntMatrix.from_dense(dense)).factors
+        factors = smith_normal_form(from_dense(dense)).factors
         assert factors == tuple(d for d in diagonal if d)
         assert 0 < dense_rows[0] < rows  # both phases ran
         # invariant factors do not depend on orientation
-        transpose = SparseIntMatrix.from_dense(zip(*dense))
+        transpose = from_dense(zip(*dense))
         assert (transpose.rows, transpose.cols) == (cols, rows)
         assert smith_normal_form(transpose).factors == factors
 
@@ -164,7 +172,7 @@ def test_snf_repicks_a_row_that_gains_a_unit(dense_rows):
     # Pivoting on row 1 at column 0 turns it into (0, 1, -2, 0): the same
     # length, now with a unit, so it must be picked next, before the dense
     # phase.
-    m = SparseIntMatrix.from_dense([[2, 3, 0, 0], [1, 1, 1, 0], [0, 2, 2, 2]])
+    m = from_dense([[2, 3, 0, 0], [1, 1, 1, 0], [0, 2, 2, 2]])
     # the 3x3 minors have gcd 2 (e.g. -6 and -2), the 2x2 minors gcd 1
     assert smith_normal_form(m).factors == (1, 1, 2)
     assert dense_rows == [1]  # both unit pivots were taken sparsely
@@ -209,7 +217,7 @@ def test_matrix_validation():
         SparseIntMatrix(-1, 2, [])
     m = SparseIntMatrix(2, 3, [{2: -4}, {}])
     assert (m.rows, m.cols, m.nnz) == (2, 3, 1)
-    assert m == SparseIntMatrix.from_dense([[0, 0, -4], [0, 0, 0]])
+    assert m == from_dense([[0, 0, -4], [0, 0, 0]])
     assert SparseIntMatrix(0, 5, []).nnz == 0
 
 
@@ -222,7 +230,7 @@ def random_dense(rng, rows, cols):
 
 
 def test_mul_matches_the_dense_product():
-    def sparse(rows, cols, dense):  # from_dense, but a 0 x cols shape keeps its cols
+    def sparse(rows, cols, dense):  # like from_dense, but a 0 x cols shape keeps its cols
         return SparseIntMatrix(rows, cols, [{c: v for c, v in enumerate(row) if v} for row in dense])
 
     rng = random.Random(31)

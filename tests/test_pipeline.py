@@ -20,10 +20,11 @@ from qf.groups import (
     g_n_presentation,
     todd_coxeter,
 )
+from qf.intlinalg import AbelianGroup
 from qf.pipeline import CosetCache, Pipeline
 from qf.presentations import enumerate_cosets
 from qf.quandles import ExtensionWitness, FiniteGroupElementSet, GroupAutomorphism
-from qf.verify import EXTENSION_CASES, H2_CASES, TREFOIL_COVER_ORDERS, run_verification
+from qf.verify import EXTENSION_CASES, H2_CASES, MODEL_CASES, TREFOIL_COVER_ORDERS, run_verification
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "homology"
 
@@ -119,7 +120,7 @@ def test_unknot_results():
     pipe = Pipeline()
     res = pipe.run_homology("unknot", 4)
     assert res.qn_size == 1 and res.qn_type == 1
-    assert res.h2.is_trivial
+    assert res.h2 == AbelianGroup(0)
     assert res.consistency_errors() == []
 
 
@@ -151,6 +152,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline,
                                 qf.presentations, qf.verify)
     galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
+    extension_checks = _count_calls(monkeypatch, "verify_extension", qf.verify)
     complexes = _count_calls(monkeypatch, "reduced_boundaries", qf.homology)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
     presented = _count_calls(monkeypatch, "reidemeister_schreier", qf.presentations)
@@ -159,7 +161,9 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
     assert len(homology_rows) == len(H2_CASES) + 1
     assert len(complexes) == len(homology_rows)
-    assert len(galex_calls) == len(EXTENSION_CASES)
+    # one witness per (spec, n), checked once for its extension and model rows
+    witnessed = set(EXTENSION_CASES) | set(MODEL_CASES)
+    assert len(galex_calls) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
     # every enumeration is a cache miss, a trefoil cover presentation, or the
     # abelian quotient of a certificate attempt that reached its second pass
     second_passes = len(presented) - len(certificates)
@@ -198,19 +202,41 @@ def test_one_certificate_per_diagram_and_n(monkeypatch, tmp_path):
 
 
 def test_extension_row_reports_the_measured_fiber(monkeypatch):
-    real = qf.verify._extension_witness
+    real = qf.verify._projection_witness
 
-    def one_point_fibers(pipe, spec, n, iso):
-        w = real(pipe, spec, n, iso)
+    def one_point_fibers(pipe, spec, n):
+        w = real(pipe, spec, n)
         identity = tuple(range(w.base.size))
         return ExtensionWitness(w.base, w.base, identity, w.group_order, identity)
 
-    monkeypatch.setattr(qf.verify, "_extension_witness", one_point_fibers)
+    monkeypatch.setattr(qf.verify, "_projection_witness", one_point_fibers)
     rows = [r for r in run_verification(Pipeline(CosetCache(None)))
             if r.name.startswith("extension ")]
     assert len(rows) == len(EXTENSION_CASES)
     for row in rows:
         assert row.status == "FAIL" and "fiber=1 (want " in row.detail
+
+
+def test_a_wrong_projection_fails_its_extension_and_model_rows(monkeypatch):
+    # the projection followed by the transposition (0 1) of Q_n, which is not an
+    # automorphism, except of R_3 (rational:3,1), whose automorphisms are all of S_3
+    real = qf.verify._projection_witness
+    swap = {0: 1, 1: 0}
+
+    def transposed(pipe, spec, n):
+        w = real(pipe, spec, n)
+        projection = tuple(swap.get(v, v) for v in w.projection)
+        return ExtensionWitness(w.total, w.base, projection, w.group_order, w.action)
+
+    monkeypatch.setattr(qf.verify, "_projection_witness", transposed)
+    rows = {r.name: r for r in run_verification(Pipeline(CosetCache(None)))}
+    checked = [f"extension {spec} n={n}" for spec, n in EXTENSION_CASES]
+    checked += [f"coset model {spec} n={n}" for spec, n in MODEL_CASES if spec != "rational:3,1"]
+    assert len(checked) == len(EXTENSION_CASES) + len(MODEL_CASES) - 1
+    for name in checked:
+        assert rows[name].status == "FAIL", rows[name]
+    assert rows["coset model rational:3,1 n=2"].status == "PASS"
+    assert all(r.status == "PASS" for name, r in rows.items() if name not in checked)
 
 
 def test_cached_table_over_the_trivial_subgroup_must_be_regular(tmp_path, capsys):

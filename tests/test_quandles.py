@@ -1,6 +1,4 @@
-import gc
 import itertools
-import random
 
 import pytest
 
@@ -12,14 +10,11 @@ from qf.quandles import (
     FiniteQuandle,
     GroupAutomorphism,
     MalformedWitness,
-    NotASubgroup,
     check_relators,
     components,
-    coset_quandle,
     dihedral_quandle,
     galex,
     is_connected,
-    is_isomorphic,
     quandle_type,
     trivial_quandle,
     verify_extension,
@@ -89,8 +84,8 @@ def test_inverse_table():
     q = dihedral_quandle(5)
     for x in range(5):
         for y in range(5):
-            assert q.op(q.inv_op(x, y), y) == x
-            assert q.inv_op(q.op(x, y), y) == x
+            assert q.op(q.inverse_table[x][y], y) == x
+            assert q.inverse_table[q.op(x, y)][y] == x
 
 
 def test_pow_op():
@@ -104,7 +99,7 @@ def test_pow_op():
 
 def test_galex_identity_gives_trivial():
     g = FiniteGroupElementSet.cyclic(5)
-    q = galex(g, GroupAutomorphism.identity_of(g))
+    q = galex(g, GroupAutomorphism(g, tuple(range(g.order))))
     assert q == trivial_quandle(5)
 
 
@@ -114,72 +109,9 @@ def test_galex_negation_is_r3():
     q = galex(g, neg)
     # brute-force isomorphism search over all 3! bijections
     r3 = dihedral_quandle(3)
-    import itertools
     found = [p for p in itertools.permutations(range(3))
              if all(p[q.op(x, y)] == r3.op(p[x], p[y]) for x in range(3) for y in range(3))]
     assert found
-    assert is_isomorphic(q, r3) == min(found)
-
-
-def test_coset_quandle_degenerate_cases():
-    g = FiniteGroupElementSet.cyclic(6)
-    neg = GroupAutomorphism(g, tuple((-a) % 6 for a in range(6)))
-    whole = coset_quandle(g, neg, list(range(6)))
-    assert whole.size == 1
-    assert coset_quandle(g, neg, [0]) == galex(g, neg)
-
-
-def test_coset_quandle_errors():
-    g = FiniteGroupElementSet.cyclic(6)
-    neg = GroupAutomorphism(g, tuple((-a) % 6 for a in range(6)))
-    with pytest.raises(NotASubgroup):
-        coset_quandle(g, neg, [0, 1])
-    ident = GroupAutomorphism.identity_of(g)
-    shift = GroupAutomorphism(g, tuple(a for a in range(6)))
-    assert coset_quandle(g, ident, [0, 2, 4]).size == 2
-    # phi maps the subgroup off itself: negation fixes {0,3} setwise, use a
-    # subgroup that negation does not preserve -- in Z/6 every subgroup is
-    # negation-stable, so instead check NotInvariant via a custom group below.
-    mult = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
-    z4 = FiniteGroupElementSet(4, mult, 0, tuple((-a) % 4 for a in range(4)))
-    neg4 = GroupAutomorphism(z4, (0, 3, 2, 1))
-    q = coset_quandle(z4, neg4, [0, 2])
-    assert q.size == 2
-
-
-def test_is_isomorphic_reflexive_and_respects_profiles():
-    q = dihedral_quandle(5)
-    assert is_isomorphic(q, q) == tuple(range(5))
-    assert is_isomorphic(dihedral_quandle(3), trivial_quandle(3)) is None
-    assert is_isomorphic(dihedral_quandle(3), dihedral_quandle(5)) is None
-
-
-def test_is_isomorphic_symmetric_presence():
-    g = FiniteGroupElementSet.cyclic(3)
-    neg = GroupAutomorphism(g, tuple((-a) % 3 for a in range(3)))
-    q = galex(g, neg)
-    r3 = dihedral_quandle(3)
-    fwd = is_isomorphic(q, r3)
-    bwd = is_isomorphic(r3, q)
-    assert (fwd is None) == (bwd is None)
-    assert fwd is not None
-
-
-def test_is_isomorphic_relabelled():
-    rng = random.Random(3)
-    q = dihedral_quandle(7)
-    perm = list(range(7))
-    rng.shuffle(perm)
-    inv = [0] * 7
-    for i, p in enumerate(perm):
-        inv[p] = i
-    table = [[perm[q.op(inv[x], inv[y])] for y in range(7)] for x in range(7)]
-    shuffled = FiniteQuandle(table)
-    iso = is_isomorphic(q, shuffled)
-    assert iso is not None
-    for x in range(7):
-        for y in range(7):
-            assert iso[q.op(x, y)] == shuffled.op(iso[x], iso[y])
 
 
 def test_verify_extension_trivial():
@@ -237,13 +169,14 @@ def test_check_relators_left_association():
 
 
 def test_type_divides_surjection_target():
-    # type of a homomorphic image divides the type of the source, checked on
-    # (galex total, coset base) pairs
+    # type of a homomorphic image divides the type of the source: galex(Z/8, -1)
+    # is the dihedral quandle R_8, and x -> x mod 4 maps it onto R_4
     mult = tuple(tuple((a + b) % 8 for b in range(8)) for a in range(8))
     z8 = FiniteGroupElementSet(8, mult, 0, tuple((-a) % 8 for a in range(8)))
     neg = GroupAutomorphism(z8, tuple((-a) % 8 for a in range(8)))
     total = galex(z8, neg)
-    base = coset_quandle(z8, neg, [0, 4])
+    base = dihedral_quandle(4)
+    assert all(total.op(x, y) % 4 == base.op(x % 4, y % 4) for x in range(8) for y in range(8))
     assert quandle_type(base) in (1, 2, 4, 8)
     assert quandle_type(total) % quandle_type(base) == 0
 
@@ -301,9 +234,3 @@ def test_automorphism_check_on_generators_is_exact(g, automorphisms):
         accepted += checked
     assert accepted == automorphisms
 
-
-def test_is_isomorphic_leaves_no_reference_cycle():
-    r7, copy = dihedral_quandle(7), dihedral_quandle(7)
-    gc.collect()
-    assert is_isomorphic(r7, copy) == tuple(range(7))
-    assert gc.collect() == 0
