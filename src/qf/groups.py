@@ -564,7 +564,13 @@ def branched_cover_group(p, n: int, t: CosetTable
     group, the automorphism g -> m^-1 g m restricted to it, and the longitude's
     element.
     """
-    kernel, l_coset = _graded_kernel(p, n, t)
+    return _cover_group(p, t, _graded_kernel(p, n, t)[0])
+
+
+def _cover_group(p, t: CosetTable, kernel: list[int]
+                 ) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
+    """``branched_cover_group`` on the grading kernel that ``_graded_kernel``
+    found in the same table."""
     index = {c: i for i, c in enumerate(kernel)}
     mult = tuple(zip(*([index[c] for c in t.walk(kernel, t.rep_words[d])] for d in kernel)))
     identity = index[0]
@@ -575,7 +581,7 @@ def branched_cover_group(p, n: int, t: CosetTable
     m_word = (p.meridian + 1,)
     left = t.left_translation(t.coset_of_word(invert_word(m_word)))
     phi = GroupAutomorphism(group, tuple(index[d] for d in t.walk([left[c] for c in kernel], m_word)))
-    return group, phi, index[l_coset]
+    return group, phi, index[t.coset_of_word(p.longitude)]
 
 
 def abelianization(g: GroupPresentation) -> AbelianGroup:

@@ -262,6 +262,24 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     return SNFResult((1,) * units + _chain_fix(diag))
 
 
+def check_complex(d_low: SparseIntMatrix, d_high: SparseIntMatrix) -> None:
+    """Raise unless d_high maps into the domain of d_low and d_low * d_high = 0."""
+    if d_low.cols != d_high.rows:
+        raise ValueError(f"incompatible dimensions: d_low is {d_low.rows}x{d_low.cols}, "
+                         f"d_high is {d_high.rows}x{d_high.cols}")
+    if not d_low.mul(d_high).is_zero():
+        raise NotAComplex("d_low * d_high != 0")
+
+
+def homology_from_factors(d_low: SparseIntMatrix, snf_low: SNFResult, snf_high: SNFResult
+                          ) -> tuple[AbelianGroup, AbelianGroup]:
+    """coker(d_low) and ker(d_low) / im(d_high), given the invariant factors of
+    both maps of a checked pair."""
+    coker = AbelianGroup(d_low.rows - snf_low.rank, tuple(d for d in snf_low.factors if d > 1))
+    free = d_low.cols - snf_low.rank - snf_high.rank
+    return coker, AbelianGroup(free, tuple(d for d in snf_high.factors if d > 1))
+
+
 def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix
                      ) -> tuple[AbelianGroup, AbelianGroup]:
     """Isomorphism types of coker(d_low) and ker(d_low) / im(d_high).
@@ -269,13 +287,5 @@ def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix
     d_low maps the middle chain group down, d_high maps into it, so
     d_low.cols == d_high.rows and d_low * d_high must vanish.
     """
-    if d_low.cols != d_high.rows:
-        raise ValueError(f"incompatible dimensions: d_low is {d_low.rows}x{d_low.cols}, "
-                         f"d_high is {d_high.rows}x{d_high.cols}")
-    if not d_low.mul(d_high).is_zero():
-        raise NotAComplex("d_low * d_high != 0")
-    snf_low = smith_normal_form(d_low)
-    snf_high = smith_normal_form(d_high)
-    coker = AbelianGroup(d_low.rows - snf_low.rank, tuple(d for d in snf_low.factors if d > 1))
-    free = d_low.cols - snf_low.rank - snf_high.rank
-    return coker, AbelianGroup(free, tuple(d for d in snf_high.factors if d > 1))
+    check_complex(d_low, d_high)
+    return homology_from_factors(d_low, smith_normal_form(d_low), smith_normal_form(d_high))

@@ -31,7 +31,7 @@ from qf.groups import (
     Overflow,
     TableMismatch,
     Word,
-    branched_cover_group,
+    _cover_group,
     branched_cover_orders,
     check_n,
     g_n_presentation,
@@ -211,7 +211,7 @@ class BranchedData:
 
     @cached_property
     def _cover(self) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
-        return branched_cover_group(self.peripherals, self.n, self.table)
+        return _cover_group(self.peripherals, self.table, self.kernel)
 
     @property
     def group(self) -> FiniteGroupElementSet:

@@ -4,12 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import qf.homology
 from qf import intlinalg
 from qf.builders import build_torus
 from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import g_n_presentation, quandle_from_cosets, todd_coxeter
 from qf.homology import (
     DivisibilityError,
+    _ReducedComplex,
     boundaries,
     h2_order_via_extension,
     quandle_homology,
@@ -124,10 +126,11 @@ def test_h1_is_z_for_connected():
 
 
 def test_h2_dihedral_trivial():
-    # quandle_homology reduces d3 to 2(p-1) rows and p(p-1) columns (32x272
-    # for R_17, not the 272x4352 of the full d3, which
-    # test_snf_pivot_sequence_is_pinned reduces), and the sparse unit-pivot
-    # phase runs at every p.
+    # quandle_homology reduces d3 to 2(p-1) rows and builds only the 2p
+    # columns whose first entry is in W (32x34 for R_17, not the 32x272 of
+    # all of d3' nor the 272x4352 of the full d3, which
+    # test_snf_pivot_sequence_is_pinned reduces); they certify H2 = 0 at
+    # every p here (Lemma 4).
     for p in (3, 5, 15, 17):
         assert quandle_homology(dihedral_quandle(p))[1] == AbelianGroup(0), p
 
@@ -251,6 +254,77 @@ def test_reduced_homology_matches_the_full_complex():
         assert homology_of_pair(full.d2, full.d3) == homology_of_pair(reduced.d2, reduced.d3), q.size
 
 
+def spy_on_batches(monkeypatch) -> list:
+    """(xs, basis3, d3) of every batch of d3' columns that is built."""
+    batches = []
+    build = _ReducedComplex.d3_columns
+
+    def spy(self, xs, after=None):
+        basis3, d3 = build(self, xs, after)
+        batches.append((tuple(xs), basis3, d3))
+        return basis3, d3
+
+    monkeypatch.setattr(_ReducedComplex, "d3_columns", spy)
+    return batches
+
+
+def test_w_first_columns_certify_h2_zero(monkeypatch):
+    # Lemma 4 on R_29: the 58 columns (x, y, w) with x in W give H2 = 0 alone,
+    # so the other 754 columns of d3' are never built
+    batches = spy_on_batches(monkeypatch)
+    q = dihedral_quandle(29)
+    assert quandle_homology(q)[1] == AbelianGroup(0)
+    (xs, basis3, d3), = batches
+    assert sorted(xs) == sorted(q.generators)
+    assert (d3.rows, d3.cols, d3.nnz) == (56, 58, 180) and len(basis3) == 58
+
+
+def test_w_first_certificate_does_not_fire_where_h2_is_not_zero(monkeypatch):
+    pipe = Pipeline()
+    q = pipe.quandle("3_1", 4)[1]
+    s = reduced_boundaries(q)
+    batches = spy_on_batches(monkeypatch)
+    assert quandle_homology(q) == homology_of_pair(s.d2, s.d3) == (AbelianGroup(1), AbelianGroup(0, (4,)))
+    (_, first, w_first), (_, rest, d3) = batches
+    # the W-first columns have rank 4, all of d3' rank 5
+    assert intlinalg.smith_normal_form(w_first).rank == 4
+    assert intlinalg.smith_normal_form(d3).rank == 5
+    assert sorted(first + rest) == list(s.basis3) and d3.cols == len(s.basis3)
+    # T_2: W is the whole quandle, so the W-first columns are all of d3', and
+    # H2 = Z^2 is free
+    batches.clear()
+    s = boundaries(trivial_quandle(2))
+    assert quandle_homology(trivial_quandle(2)) == homology_of_pair(s.d2, s.d3)
+    assert homology_of_pair(s.d2, s.d3)[1] == AbelianGroup(2) and len(batches) == 1
+
+
+def test_quandle_homology_builds_each_column_once(reduction_pool, monkeypatch):
+    batches = spy_on_batches(monkeypatch)
+    snfs = []
+    snf = intlinalg.smith_normal_form
+    monkeypatch.setattr(qf.homology, "smith_normal_form", lambda m: snfs.append(m) or snf(m))
+    fell_back = 0
+    for i, q in enumerate(reduction_pool):
+        batches.clear()
+        snfs.clear()
+        h2 = quandle_homology(q)[1]
+        gens = set(q.generators)
+        (xs, first, _), *rest = batches
+        assert set(xs) == gens, i
+        # one Smith normal form of d2' and one per batch
+        assert len(snfs) == 1 + len(batches), i
+        if not rest:
+            # certified (or W is all of q): stage 1 is every column read
+            assert h2 == AbelianGroup(0) or gens == set(range(q.size)), i
+            continue
+        fell_back += 1
+        (others, second, d3), = rest
+        assert not gens & set(others) and len(set(first + second)) == len(first) + len(second), i
+        assert sorted(first + second) == list(reduced_boundaries(q).basis3), i
+        assert d3.cols == len(first) + len(second), i
+    assert 0 < fell_back < len(reduction_pool)
+
+
 def test_d3_kills_d4(reduction_pool):
     # d4(x,y,z,w) = t - t.w + (x,z,w) - (x*y,z,w) - (x,y,w) + (x*z,y*z,w) with
     # t = (x,y,z) and t.w = (x*w,y*w,z*w): the identity behind Lemma 1.
@@ -295,9 +369,10 @@ def test_non_distributive_table_is_not_a_complex():
         homology_of_pair(s.d2, s.d3)
 
 
-def test_reduced_pair_is_checked_as_a_complex():
-    # quandle_homology's d2' d3' = 0 check is live: one changed entry of d3'
-    # breaks it, whether it changes a stored entry or adds one
+def test_reduced_pair_is_checked_as_a_complex(monkeypatch):
+    # the d2' d3' = 0 check (check_complex, which quandle_homology also runs)
+    # is live: one changed entry of d3' breaks it, whether it changes a stored
+    # entry or adds one
     s = reduced_boundaries(dihedral_quandle(7))
     assert homology_of_pair(s.d2, s.d3)[1] == AbelianGroup(0)
     rng = random.Random(7)
@@ -308,6 +383,23 @@ def test_reduced_pair_is_checked_as_a_complex():
         rows[r] = {k: v for k, v in rows[r].items() if v}
         with pytest.raises(NotAComplex):
             homology_of_pair(s.d2, SparseIntMatrix(s.d3.rows, s.d3.cols, rows))
+
+    # quandle_homology checks the columns it reads, where the W-first ones
+    # certify H2 = 0 (R_7) and where it builds all of d3' (Q_4(3_1))
+    build = _ReducedComplex.d3_columns
+
+    def one_entry_off(self, xs, after=None):
+        basis3, d3 = build(self, xs, after)
+        rows = [dict(row) for row in d3.row_dicts]
+        # a row (x, w) with x*w != x, so that d2' sees the change
+        r = next(i for i, (x, w) in enumerate(self.basis2) if self.q.table[x][w] != x)
+        rows[r][0] = rows[r].get(0, 0) + 1 or 1
+        return basis3, SparseIntMatrix(d3.rows, d3.cols, rows)
+
+    monkeypatch.setattr(_ReducedComplex, "d3_columns", one_entry_off)
+    for q in (dihedral_quandle(7), Pipeline().quandle("3_1", 4)[1]):
+        with pytest.raises(NotAComplex):
+            quandle_homology(q)
 
 
 def test_spanning_triples_check_distributivity_in_full():

@@ -153,14 +153,23 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
                                 qf.presentations, qf.verify)
     galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
     extension_checks = _count_calls(monkeypatch, "verify_extension", qf.verify)
-    complexes = _count_calls(monkeypatch, "reduced_boundaries", qf.homology)
+    batches = _count_calls(monkeypatch, "d3_columns", qf.homology._ReducedComplex)
+    gradings = _count_calls(monkeypatch, "_graded_kernel", qf.groups)
+    orders = _count_calls(monkeypatch, "branched_cover_orders", qf.pipeline)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
     presented = _count_calls(monkeypatch, "reidemeister_schreier", qf.presentations)
     cache = CosetCache(tmp_path)
     rows = run_verification(Pipeline(cache))
     homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
     assert len(homology_rows) == len(H2_CASES) + 1
-    assert len(complexes) == len(homology_rows)
+    # one batch of the d3' columns whose first entry is in W per homology row,
+    # and one of the remaining columns per row with H2 != 0 (the Montesinos
+    # row's H2 is Z/2), where those columns certify nothing
+    torsion_rows = sum(want != AbelianGroup(0) for _, _, want in H2_CASES) + 1
+    assert len(batches) == len(homology_rows) + torsion_rows
+    # G_n is graded once per (diagram, n), for its orders; the cover group
+    # that the extension and model rows read is built on the same kernel
+    assert len(gradings) == len(orders) == len({(p, n, id(t)) for p, n, t in orders})
     # one witness per (spec, n), checked once for its extension and model rows
     witnessed = set(EXTENSION_CASES) | set(MODEL_CASES)
     assert len(galex_calls) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
