@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 input error (a bad argument, or a knot file or cache
 directory that cannot be read or written), 3 enumeration overflow, 4 verification
 mismatch, 5 internal error (a broken invariant: KernelSizeMismatch,
-TableMismatch, IncompleteTable, AxiomViolation or NotAComplex, reported as one
+TableMismatch, IncompleteTable, AxiomViolation, AutomorphismInvalid,
+MalformedWitness, NotAComplex or DivisibilityError, reported as one
 "internal error: ..." line on stderr). An overflow writes one "overflow: ..."
 line that names the cap; where pi1 of the branched cover is proved infinite
 before enumerating, that line reads "Q_n is infinite, so its index exceeded N
@@ -36,9 +37,10 @@ from qf.groups import (
     Overflow,
     TableMismatch,
 )
+from qf.homology import DivisibilityError
 from qf.intlinalg import NotAComplex
 from qf.pipeline import CosetCache, Pipeline
-from qf.quandles import AxiomViolation
+from qf.quandles import AutomorphismInvalid, AxiomViolation, MalformedWitness
 from qf.verify import format_rows, format_rows_csv, run_verification
 
 EXIT_OK = 0
@@ -52,7 +54,7 @@ EXIT_INTERNAL = 5
 _INPUT_ERRORS = (ParameterError, PDSyntaxError, LabelError, MultiComponent,
                  OrientationInconsistent, ValueError, OSError)
 _INTERNAL_ERRORS = (KernelSizeMismatch, TableMismatch, IncompleteTable, AxiomViolation,
-                    NotAComplex)
+                    AutomorphismInvalid, MalformedWitness, NotAComplex, DivisibilityError)
 
 
 def positive_int(text: str) -> int:

@@ -179,10 +179,22 @@ class CosetTable:
         for word in self.subgroup:
             if self.walk([0], word) != [0]:
                 raise TableMismatch(f"subgroup word {word} moves coset 0")
+        self.tree_parents()
+
+    def tree_parents(self) -> list[int]:
+        """parents[c] is the coset whose representative word is that of c
+        without its last letter (0 for coset 0); raises TableMismatch unless
+        coset 0's word is empty and every other word is its parent's plus one
+        letter, with the parent numbered lower."""
         reps = self.rep_words
-        if reps[0] or any(not w or (parent := self.action[_col(w[-1]) ^ 1][c]) >= c
-                          or reps[parent] != w[:-1] for c, w in enumerate(reps[1:], 1)):
-            raise TableMismatch("a representative word is not its parent's plus one letter")
+        if reps[0]:
+            raise TableMismatch("coset 0 has a nonempty representative word")
+        parents = [0] * self.size
+        for c, w in enumerate(reps[1:], 1):
+            if not w or (parent := self.action[_col(w[-1]) ^ 1][c]) >= c or reps[parent] != w[:-1]:
+                raise TableMismatch("a representative word is not its parent's plus one letter")
+            parents[c] = parent
+        return parents
 
     def left_translation(self, d: int) -> list[int]:
         """The map on cosets that sends 0 to d and commutes with every column.
@@ -495,9 +507,18 @@ def _standardized_table(g: GroupPresentation, subgroup_words: list[Word], table:
 
 
 def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle:
-    """The quandle on coset indices with op(i, j) = i . (rep_j^-1 m rep_j)."""
-    meridian = free_reduce(meridian)
-    columns = [t.walk(range(t.size), invert_word(rep) + meridian + rep) for rep in t.rep_words]
+    """The quandle on coset indices with op(i, j) = i . (rep_j^-1 m rep_j).
+
+    Column 0 reads m. Each other column is built from its parent's along the
+    tree of ``CosetTable.tree_parents``: with rep_j = rep_p x for a letter x,
+    col_j = A_x col_p A_x^-1, where A_x is the column of x.
+    """
+    parents = t.tree_parents()
+    columns = [t.walk(range(t.size), free_reduce(meridian))]
+    for p, w in zip(parents[1:], t.rep_words[1:]):
+        x = _col(w[-1])
+        ax, col_p = t.action[x], columns[p]
+        columns.append([ax[col_p[i]] for i in t.action[x ^ 1]])
     return FiniteQuandle(list(zip(*columns)))
 
 

@@ -1,5 +1,8 @@
 """Quandle chain complex in low degrees and the first two quandle homology groups.
 
+H1 is read off the orbits of the quandle, on which it is free (Lemma 5c of
+``qf.quandles``); H2 off Smith normal forms of the reduced d3' below.
+
 Degenerate tuples (equal adjacent entries) are quotiented away by deleting
 them from the bases and zeroing their images, which is valid because they span
 a subcomplex; what remains is quandle (not rack) homology, the normalized
@@ -51,7 +54,10 @@ that the R_w generate, which is every inner automorphism, so im(d2') = im(d2)
 and H1 is unchanged. H2 = ker(d2)/im(d3) has free rank (number of pairs) -
 rank d2 - rank d3 and the torsion of coker(d3), both the same for the reduced
 pair, which has |M| fewer pairs. Each column of d3' is a kept column minus
-matched ones, all in ker(d2), so d2' d3' = 0 still holds.
+matched ones, all in ker(d2), so d2' d3' = 0 still holds. H1 = coker(d2') is
+then free on the orbits, and d2' has n - #orbits invariant factors, all 1
+(Lemma 5c of ``qf.quandles``); ``quandle_homology`` reads them off the
+orbits, not off a Smith normal form of d2'.
 
 Lemma 4: let S be any set of columns of d3'. If every invariant factor of S
 is 1 and rank S = rank ker(d2') = (number of pairs) - rank d2', then
@@ -74,12 +80,13 @@ from typing import Iterable
 
 from qf.intlinalg import (
     AbelianGroup,
+    SNFResult,
     SparseIntMatrix,
     check_complex,
     homology_from_factors,
     smith_normal_form,
 )
-from qf.quandles import FiniteQuandle
+from qf.quandles import FiniteQuandle, components
 
 
 class DivisibilityError(Exception):
@@ -239,16 +246,18 @@ def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
 
 def quandle_homology(q: FiniteQuandle) -> tuple[AbelianGroup, AbelianGroup]:
     """First and second quandle homology: H1 = coker(d2), H2 = ker(d2) / im(d3),
-    computed on the reduced pair of Lemma 3. The columns of d3' whose first
-    entry is in W come first; where they certify H2 = 0 (Lemma 4), the others
-    are never built. Otherwise they are added, and H2 is read off all of d3'.
-    d2' d3' = 0 is checked once, on the columns that H2 is read off.
+    computed on the reduced pair of Lemma 3. The invariant factors of d2' are
+    read off the orbits (Lemma 5c of ``qf.quandles``), not eliminated. The
+    columns of d3' whose first entry is in W come first; where they certify
+    H2 = 0 (Lemma 4), the others are never built. Otherwise they are added,
+    and H2 is read off all of d3'. d2' d3' = 0 is checked once, on the
+    columns that H2 is read off.
     """
     c = _ReducedComplex(q)
     gens = set(q.generators)
     others = [x for x in range(q.size) if x not in gens]
     _, d3 = c.d3_columns([x for x in range(q.size) if x in gens])
-    snf_low = smith_normal_form(c.d2)
+    snf_low = SNFResult((1,) * (q.size - len(components(q))))
     snf_high = smith_normal_form(d3)
     if others and not (snf_high.rank == c.d2.cols - snf_low.rank
                        and all(d == 1 for d in snf_high.factors)):

@@ -21,6 +21,33 @@ distributive iff every R_w, w in W, is an automorphism, i.e.
 sufficiency, every z is g(w) with g a product of such R_wi^+-1, all
 automorphisms, and then x * g(w) = g(g^-1(x) * w), so R_z = g R_w g^-1 is an
 automorphism too.
+
+Lemma 5: in a quandle Q with generating set W, every R_y is a product of the
+R_w^+-1 (w in W) and is conjugate to some R_w. Proof: as above, y = g(w) with
+g a product of R_wi^+-1, and R_y = g R_w g^-1. Hence, with x in Q and w in W
+throughout:
+(a) the orbits of Inn(Q), the group generated by every R_y, are the orbits of
+the group generated by the R_w; ``components`` closes each x under x -> x*w,
+which in a finite permutation group reaches the inverses too.
+(b) ord(R_y) = ord(R_w), so the type of Q, the lcm of every ord(R_y), is the
+lcm of ord(R_w) over w in W (``quandle_type``).
+(c) d2(x, y) = <x> - <x*y> spans the differences within the orbits of the
+R_y, so coker(d2) is free on the orbits of (a) and d2 has n - #orbits
+invariant factors, all 1; ``qf.homology`` reads H1 and the factors of d2'
+(im d2' = im d2, Lemma 3 there) off the orbits.
+(d) If a map p from Q to a quandle Y has p(x*w) = p(x)*p(w), that is
+p R_w = R_p(w) p, for every x and w, then p is a homomorphism. The y with
+p R_y = R_p(y) p include W, and they are closed under R_w^+-1: from
+p R_w = R_p(w) p also p R_w^-1 = R_p(w)^-1 p, so for such a y
+p R_(y*w) = p R_w R_y R_w^-1 = R_p(w) R_p(y) R_p(w)^-1 p = R_(p(y)*p(w)) p,
+and p(y*w) = p(y)*p(w) by the hypothesis at (y, w); y *^-1 w is the same
+with R_w^-1. So they are all of Q.
+(e) If a permutation lam of Q has lam R_w = R_w lam and R_lam(w) = R_w for
+every w, then lam commutes with every R_y, a product of the R_w^+-1, and
+R_lam(y) = R_y for every y: that holds on W and is closed under R_w^+-1, as
+R_lam(y*w) = R_(lam(y)*w) = R_w R_lam(y) R_w^-1 = R_w R_y R_w^-1 = R_(y*w),
+the first step as lam commutes with R_w; y *^-1 w is the same with R_w^-1.
+That is (E1) of ``verify_extension`` for all x, y.
 """
 
 from __future__ import annotations
@@ -169,9 +196,10 @@ def dihedral_quandle(n: int) -> FiniteQuandle:
     return FiniteQuandle([[(2 * y - x) % n for y in range(n)] for x in range(n)])
 
 
-def _perm_cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
+def _perm_order(perm: Sequence[int]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
     seen = [False] * len(perm)
-    lengths = []
+    out = 1
     for start in range(len(perm)):
         if not seen[start]:
             length = 0
@@ -180,38 +208,36 @@ def _perm_cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
                 seen[x] = True
                 x = perm[x]
                 length += 1
-            lengths.append(length)
-    return tuple(sorted(lengths))
-
-
-def quandle_type(q: FiniteQuandle) -> int:
-    """Least n >= 1 with x *^n y == x everywhere: the lcm of the translation orders."""
-    out = 1
-    for y in range(q.size):
-        for length in set(_perm_cycle_type(q.column(y))):
             out = lcm(out, length)
     return out
 
 
+def quandle_type(q: FiniteQuandle) -> int:
+    """Least n >= 1 with x *^n y == x everywhere: the lcm of ord(R_w) over w
+    in W (Lemma 5b)."""
+    return lcm(*(_perm_order(q.column(w)) for w in q.generators))
+
+
 def components(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the group generated by all translations; one orbit means connected."""
-    parent = list(range(q.size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for y in range(q.size):
-        for x in range(q.size):
-            ra, rb = find(x), find(q.table[x][y])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    orbits: dict[int, list[int]] = {}
-    for x in range(q.size):
-        orbits.setdefault(find(x), []).append(x)
-    return tuple(tuple(orbits[r]) for r in sorted(orbits))
+    """Orbits of the group generated by all translations, read off the R_w, w
+    in W (Lemma 5a), each ascending and in order of least element; one orbit
+    means connected."""
+    tab, gens = q.table, q.generators
+    seen = [False] * q.size
+    orbits = []
+    for start in range(q.size):
+        if not seen[start]:
+            seen[start] = True
+            orbit = [start]
+            for x in orbit:  # orbit grows while it is read
+                row = tab[x]
+                for w in gens:
+                    y = row[w]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def is_connected(q: FiniteQuandle) -> bool:
@@ -359,7 +385,11 @@ class ExtensionReport:
 
 
 def verify_extension(w: ExtensionWitness) -> ExtensionReport:
-    """Check the central-extension axioms (E1), (E2) on a finite witness."""
+    """Check the central-extension axioms (E1), (E2) on a finite witness.
+
+    The homomorphism and (E1) are checked for y in the generating set W of
+    the total quandle only, which proves them for every y (Lemma 5d, 5e).
+    """
     nt = w.total.size
     if len(w.projection) != nt or len(w.action) != nt:
         raise MalformedWitness("projection/action length differs from the total size")
@@ -373,11 +403,12 @@ def verify_extension(w: ExtensionWitness) -> ExtensionReport:
     tt, tb = w.total.table, w.base.table
     p, lam = w.projection, w.action
 
-    hom = all(p[tt[x][y]] == tb[p[x]][p[y]] for x in range(nt) for y in range(nt))
+    gens = w.total.generators
+    hom = all(p[tt[x][y]] == tb[p[x]][p[y]] for x in range(nt) for y in gens)
     surj = len(set(p)) == w.base.size
 
     e1 = all(lam[tt[x][y]] == tt[lam[x]][y] and tt[x][lam[y]] == tt[x][y]
-             for x in range(nt) for y in range(nt))
+             for x in range(nt) for y in gens)
 
     order = 1
     img = tuple(lam)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qf.builders import build_rational, build_torus
@@ -12,7 +14,7 @@ from qf.groups import (
 )
 from qf.pipeline import Pipeline
 from qf.quandles import ExtensionWitness, galex, quandle_type, verify_extension
-from qf.verify import LONGITUDE_CASES
+from qf.verify import LONGITUDE_CASES, _projection_witness
 
 TREFOIL = build_torus(2, 3)
 CINQUEFOIL = build_torus(2, 5)
@@ -159,3 +161,35 @@ def test_orbit_orders_match_the_group(spec, n, want):
     data = Pipeline().branched(spec, n)
     assert data.longitude_order == element_order(data.group, data.longitude) == want
     assert data.pi1_order == data.group.order == data.gn_order // n
+
+
+def brute_force_hom_and_e1(w):
+    """The homomorphism and (E1) over every pair (x, y), as defined."""
+    tt, tb, p, lam = w.total.table, w.base.table, w.projection, w.action
+    pairs = [(x, y) for x in range(w.total.size) for y in range(w.total.size)]
+    return (all(p[tt[x][y]] == tb[p[x]][p[y]] for x, y in pairs),
+            all(lam[tt[x][y]] == tt[lam[x]][y] and tt[x][lam[y]] == tt[x][y] for x, y in pairs))
+
+
+def test_extension_checked_on_w_rejects_a_corruption_outside_w():
+    # verify_extension checks the homomorphism and (E1) for y in W only
+    # (Lemma 5d, 5e of qf.quandles); a witness wrong at one element outside W
+    # must still fail, in the projection and in the action
+    w = _projection_witness(Pipeline(), "catalog:3_1", 4)
+    assert verify_extension(w).ok and brute_force_hom_and_e1(w) == (True, True)
+    outside = [x for x in range(w.total.size) if x not in w.total.generators]
+    assert len(outside) == w.total.size - len(w.total.generators) > 1
+    for z, other in zip(outside, outside[1:] + outside[:1]):
+        p = list(w.projection)
+        p[z] = (p[z] + 1) % w.base.size
+        bad = replace(w, projection=tuple(p))
+        report = verify_extension(bad)
+        assert not report.projection_is_homomorphism and not report.ok, z
+        assert not brute_force_hom_and_e1(bad)[0], z
+
+        lam = list(w.action)
+        lam[z], lam[other] = lam[other], lam[z]
+        bad = replace(w, action=tuple(lam))
+        report = verify_extension(bad)
+        assert not report.e1 and not report.ok, z
+        assert not brute_force_hom_and_e1(bad)[1], z

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +9,19 @@ from pathlib import Path
 import pytest
 
 import qf
+import qf.verify
 from qf.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
 from qf.groups import MAX_N, IncompleteTable, KernelSizeMismatch, TableMismatch
+from qf.homology import DivisibilityError, h2_order_via_extension
 from qf.intlinalg import NotAComplex
-from qf.pipeline import Pipeline
-from qf.quandles import AxiomViolation
+from qf.pipeline import BranchedData, Pipeline
+from qf.quandles import (
+    AutomorphismInvalid,
+    AxiomViolation,
+    FiniteGroupElementSet,
+    GroupAutomorphism,
+    MalformedWitness,
+)
 
 
 def run(capsys, *argv):
@@ -288,6 +297,37 @@ def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+def _phi_of_another_group(monkeypatch):
+    trivial = GroupAutomorphism(FiniteGroupElementSet.cyclic(1), (0,))
+    monkeypatch.setattr(BranchedData, "phi", property(lambda self: trivial))
+
+
+def _witness_without_projection(monkeypatch, build=qf.verify._projection_witness):
+    monkeypatch.setattr(qf.verify, "_projection_witness",
+                        lambda *args: dataclasses.replace(build(*args), projection=()))
+
+
+def _pi1_order_off_by_one(monkeypatch):
+    monkeypatch.setattr(qf.verify, "h2_order_via_extension",
+                        lambda pi1, qn: h2_order_via_extension(pi1 + 1, qn))
+
+
+@pytest.mark.parametrize("error, force", [
+    (AutomorphismInvalid, _phi_of_another_group),
+    (MalformedWitness, _witness_without_projection),
+    (DivisibilityError, _pi1_order_off_by_one),
+])
+def test_verify_tables_reports_witness_errors_as_internal(capsys, monkeypatch, error, force):
+    # galex, verify_extension and the model row's |pi1|/|Q_n| raise these on
+    # their real call paths; each ends in one stderr line, not a traceback
+    force(monkeypatch)
+    code, out, err = run(capsys, "verify-tables", "--no-cache")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith(f"internal error: {error.__name__}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):

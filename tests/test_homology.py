@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -17,7 +18,13 @@ from qf.homology import (
     quandle_homology,
     reduced_boundaries,
 )
-from qf.intlinalg import AbelianGroup, NotAComplex, SparseIntMatrix, homology_of_pair
+from qf.intlinalg import (
+    AbelianGroup,
+    NotAComplex,
+    SparseIntMatrix,
+    homology_of_pair,
+    smith_normal_form,
+)
 from qf.pipeline import Pipeline
 from qf.quandles import (
     AxiomViolation,
@@ -29,6 +36,7 @@ from qf.quandles import (
     dihedral_quandle,
     galex,
     is_connected,
+    quandle_type,
     trivial_quandle,
 )
 from qf.verify import CARDINALITY_CASES, H2_CASES, MONTESINOS_CANDIDATES
@@ -112,6 +120,76 @@ def test_h1_counts_the_orbits(reduction_pool):
     # connected pieces are the orbits, so coker(d2') is free of that rank
     for i, q in enumerate(reduction_pool):
         assert quandle_homology(q)[0] == AbelianGroup(len(components(q))), (i, q.size)
+
+
+def alexander_quandle(m: int, t: int) -> FiniteQuandle:
+    """Z/m with x * y = t x + (1 - t) y, t a unit mod m."""
+    return FiniteQuandle([[(t * x + (1 - t) * y) % m for y in range(m)] for x in range(m)])
+
+
+def disjoint_union(a: FiniteQuandle, b: FiniteQuandle) -> FiniteQuandle:
+    """a then b; an element of one acts trivially on the other."""
+    k, n = a.size, a.size + b.size
+
+    def op(x, y):
+        if x < k and y < k:
+            return a.op(x, y)
+        if x >= k and y >= k:
+            return k + b.op(x - k, y - k)
+        return x
+
+    return FiniteQuandle([[op(x, y) for y in range(n)] for x in range(n)])
+
+
+def test_lemma_5_agrees_with_the_definitions(reduction_pool):
+    # components, quandle_type and the factors of d2 read off the R_w, w in W
+    # (Lemma 5 of qf.quandles), against all-pairs union-find, the cycles of
+    # every column and a Smith normal form of the full d2
+    extra = [trivial_quandle(n) for n in (1, 2, 5)] + [dihedral_quandle(n) for n in (4, 6, 9)]
+    extra += [alexander_quandle(m, t) for m, t in ((5, 2), (7, 3), (8, 3), (9, 2), (9, 4), (12, 5))]
+    # orbits whose translations have different orders: T_1 + R_5 has type 2
+    # though its first generator acts trivially
+    extra += [disjoint_union(trivial_quandle(1), dihedral_quandle(5)),
+              disjoint_union(dihedral_quandle(3), alexander_quandle(5, 2))]
+    disconnected = 0
+    for i, q in enumerate(reduction_pool + extra):
+        n, tab = q.size, q.table
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for x in range(n):
+            for y in range(n):
+                a, b = sorted((find(x), find(tab[x][y])))
+                parent[b] = a
+        orbits = {}
+        for x in range(n):
+            orbits.setdefault(find(x), []).append(x)
+        assert components(q) == tuple(tuple(orbits[r]) for r in sorted(orbits)), i
+
+        lengths = set()
+        for y in range(n):
+            seen = set()
+            for x in range(n):
+                length = 0
+                while x not in seen:
+                    seen.add(x)
+                    x = tab[x][y]
+                    length += 1
+                if length:
+                    lengths.add(length)
+        assert quandle_type(q) == math.lcm(*lengths), i
+
+        snf = smith_normal_form(boundaries(q).d2)
+        assert snf.factors == (1,) * (n - len(orbits)), i
+        assert quandle_homology(q)[0] == AbelianGroup(n - snf.rank), i
+        disconnected += len(orbits) > 1
+    assert extra[-6].size == 8 and len(components(extra[-6])) > 1  # Z/8, t = 3
+    assert quandle_type(extra[-2]) == 2 and quandle_type(extra[-1]) == 4
+    assert disconnected > 10
 
 
 def test_h1_is_z_for_connected():
@@ -311,8 +389,9 @@ def test_quandle_homology_builds_each_column_once(reduction_pool, monkeypatch):
         gens = set(q.generators)
         (xs, first, _), *rest = batches
         assert set(xs) == gens, i
-        # one Smith normal form of d2' and one per batch
-        assert len(snfs) == 1 + len(batches), i
+        # one Smith normal form per batch, of the batch's own matrix, so none
+        # of d2', whose factors are read off the orbits (Lemma 5c)
+        assert list(map(id, snfs)) == [id(d3) for _, _, d3 in batches], i
         if not rest:
             # certified (or W is all of q): stage 1 is every column read
             assert h2 == AbelianGroup(0) or gens == set(range(q.size)), i

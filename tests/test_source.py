@@ -1,7 +1,11 @@
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 import qf
+from qf.cli import _INPUT_ERRORS, _INTERNAL_ERRORS
+from qf.groups import Overflow
 
 
 def test_no_assert_statements_in_the_package():
@@ -15,3 +19,27 @@ def test_no_assert_statements_in_the_package():
 
 def test_every_exported_name_resolves():
     assert [name for name in qf.__all__ if not hasattr(qf, name)] == []
+
+
+def test_every_public_exception_has_an_exit_code():
+    # the CLI maps each exception that qf defines to exit 2, 3 or 5; a private
+    # one (_CapHit) is caught where it is raised
+    classes = {}
+    for path in sorted(Path(qf.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                classes[node.name] = (f"qf.{path.stem}", bases)
+
+    def is_exception(name):
+        if name in classes:
+            return any(is_exception(base) for base in classes[name][1])
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    public = [getattr(importlib.import_module(module), name)
+              for name, (module, _) in classes.items()
+              if not name.startswith("_") and is_exception(name)]
+    assert len(public) >= 14
+    assert [cls.__name__ for cls in public
+            if cls is not Overflow and not issubclass(cls, _INPUT_ERRORS + _INTERNAL_ERRORS)] == []
