@@ -139,18 +139,19 @@ class CosetTable:
         self.subgroup = tuple(tuple(w) for w in subgroup)
         if len(self.action) != 2 * ngens:
             raise ValueError("need one action column per signed generator")
-        self.size = len(self.action[0]) if self.action else 1
+        self.size = size = len(self.action[0]) if self.action else 1
         for col in self.action:
-            if len(col) != self.size or any(not 0 <= v < self.size for v in col):
+            if len(col) != size or (col and (min(col) < 0 or max(col) >= size)):
                 raise IncompleteTable("action arrays must be total maps on cosets")
+        cosets = list(range(size))
         for i in range(ngens):
             fwd, bwd = self.action[2 * i], self.action[2 * i + 1]
-            for c in range(self.size):
-                if bwd[fwd[c]] != c:
-                    raise ValueError(f"columns for generator {i} are not mutually inverse")
-        if len(self.rep_words) != self.size:
+            if [bwd[v] for v in fwd] != cosets:
+                raise ValueError(f"columns for generator {i} are not mutually inverse")
+        if len(self.rep_words) != size:
             raise ValueError("need one representative word per coset")
-        if any(not 0 < abs(letter) <= ngens for w in self.rep_words for letter in w):
+        letters = [abs(letter) for w in self.rep_words for letter in w]
+        if letters and (min(letters) < 1 or max(letters) > ngens):
             raise ValueError("a representative word mentions an undeclared generator")
 
     def walk(self, cosets: Iterable[int], word: Iterable[int]) -> list[int]:
@@ -605,23 +606,32 @@ def _cover_group(p, t: CosetTable, kernel: list[int]
     return group, phi, index[t.coset_of_word(p.longitude)]
 
 
-def abelianization(g: GroupPresentation) -> AbelianGroup:
-    """Abelianization from the Smith form of the relator exponent matrix.
+def exponent_sums(word: Iterable[int]) -> dict[int, int]:
+    """The nonzero exponent sums of a word, by 0-based generator: one row of
+    the relation matrix of the abelianization."""
+    row: dict[int, int] = {}
+    for letter in word:
+        c = abs(letter) - 1
+        row[c] = row.get(c, 0) + (1 if letter > 0 else -1)
+    return {c: v for c, v in row.items() if v}
 
-    Relator matrices are sparse and rich in +-1 entries at any size (those of
+
+def abelian_group(m: SparseIntMatrix) -> AbelianGroup:
+    """The abelian group that the rows of m present, Z^cols / (row span), from
+    its Smith form.
+
+    Relation matrices are sparse and rich in +-1 entries at any size (those of
     Reidemeister-Schreier presentations have hundreds of rows), so unit pivots
     are eliminated before anything is handled densely.
     """
-    rows = []
-    for word in g.relators:
-        row: dict[int, int] = {}
-        for letter in word:
-            c = abs(letter) - 1
-            row[c] = row.get(c, 0) + (1 if letter > 0 else -1)
-        rows.append({c: v for c, v in row.items() if v})
-    m = SparseIntMatrix(len(g.relators), g.ngens, rows)
     snf = smith_normal_form(m)
-    return AbelianGroup(g.ngens - snf.rank, tuple(d for d in snf.factors if d > 1))
+    return AbelianGroup(m.cols - snf.rank, tuple(d for d in snf.factors if d > 1))
+
+
+def abelianization(g: GroupPresentation) -> AbelianGroup:
+    """Abelianization from the Smith form of the relator exponent matrix."""
+    return abelian_group(SparseIntMatrix(len(g.relators), g.ngens,
+                                         [exponent_sums(w) for w in g.relators]))
 
 
 def trefoil_branched_presentation(n: int) -> tuple[GroupPresentation, Word]:

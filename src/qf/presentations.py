@@ -9,35 +9,44 @@ enumerates over the result and lifts the table back to the original
 generators, so callers see the table that ``todd_coxeter`` would give.
 
 ``reidemeister_schreier`` presents the subgroup of a coset table, and
-``branched_cover_certificate`` uses it to prove pi1 of a cyclic branched cover
-infinite before any enumeration to a cap is tried.
+``subgroup_abelianization`` abelianizes it along the same walk without
+building the presentation. ``branched_cover_certificate`` uses them to prove
+pi1 of a cyclic branched cover infinite before any enumeration to a cap is
+tried; it enumerates nothing itself, since the one coset table it needs
+between its two passes, that of pi1 / pi1', is read off a Hermite normal form
+(``abelian_quotient_table``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
+from math import prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from qf.groups import (
     DEFAULT_MAX_COSETS,
     CosetTable,
     GroupPresentation,
-    Overflow,
+    TableMismatch,
     Word,
     _standardized_table,
     _subgroup_words,
+    abelian_group,
     abelianization,
     cyclic_reduce,
+    exponent_sums,
     free_reduce,
     invert_word,
     todd_coxeter,
 )
-from qf.intlinalg import AbelianGroup
+from qf.intlinalg import AbelianGroup, SparseIntMatrix
 
 # Bounds the work of one certificate, in (cosets x total relator length): that
-# of each Reidemeister-Schreier pass, and that of the enumeration of the abelian
-# quotient between them, which scans every relator at each coset it defines.
+# of each Reidemeister-Schreier pass, and that of the check of the table of
+# pi1 / pi1' between them, which walks every relator from every coset.
 CERTIFICATE_WORK = 10 ** 5
 
 
@@ -186,44 +195,78 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
     return _standardized_table(pres, subgroup_words, table, width, size, max_cosets)
 
 
-def reidemeister_schreier(pres: GroupPresentation, table: CosetTable) -> GroupPresentation:
-    """A presentation of the subgroup H whose coset table (checked against pres)
-    is given (Reidemeister-Schreier; Sims, Computation with Finitely Presented
-    Groups, 1994, ch. 9).
+def _schreier_steps(pres: GroupPresentation, table: CosetTable
+                    ) -> tuple[int, list[list[tuple[Sequence[int], Sequence[int], int]]]]:
+    """The Schreier generators of the subgroup H whose coset table (checked
+    against pres) is given, and how each relator walks over them.
 
     Each representative word is its parent's plus one letter, so they span a
     tree in the coset graph. Each edge c --x--> c.x of a generator x that is
-    not in the tree is one generator of H, numbered in the order of (c, x);
-    each relator read from each coset, with tree edges dropped, is a relator.
+    not in the tree is one generator of H, numbered 1, 2, ... in the order of
+    (c, x). Returns their number and, for each relator, one step per letter:
+    the generator of H whose edge the letter crosses from each coset (0 on a
+    tree edge), the letter's column, and its sign, which is the direction of
+    the crossing.
     """
     if table.ngens != pres.ngens:
         raise ValueError("the table belongs to a presentation with other generators")
-    k, action = pres.ngens, table.action
-    schreier = [-1] * (table.size * k)  # edge (c, x) -> generator of H, 0 on the tree
+    k, size, action = pres.ngens, table.size, table.action
+    schreier = [[-1] * size for _ in range(k)]  # [x-1][c]: edge (c, x) -> generator of H, 0 on the tree
     for d, word in enumerate(table.rep_words[1:], 1):
         x = abs(word[-1])
         tail = action[2 * x - 1][d] if word[-1] > 0 else d  # where the tree edge starts
-        schreier[tail * k + x - 1] = 0
+        schreier[x - 1][tail] = 0
     ngens = 0
-    for e, s in enumerate(schreier):
-        if s:
-            ngens += 1
-            schreier[e] = ngens
+    for c in range(size):
+        for x in range(k):
+            if schreier[x][c]:
+                ngens += 1
+                schreier[x][c] = ngens
+    steps = {}
+    for x in range(1, k + 1):
+        steps[x] = (schreier[x - 1], action[2 * x - 2], 1)
+        # letter -x from coset c crosses the edge (c.x^-1, x) backwards
+        steps[-x] = ([schreier[x - 1][d] for d in action[2 * x - 1]], action[2 * x - 1], -1)
+    return ngens, [[steps[letter] for letter in relator] for relator in pres.relators]
+
+
+def reidemeister_schreier(pres: GroupPresentation, table: CosetTable) -> GroupPresentation:
+    """A presentation of the subgroup H whose coset table (checked against pres)
+    is given (Reidemeister-Schreier; Sims, Computation with Finitely Presented
+    Groups, 1994, ch. 9): one generator per edge off the tree of
+    representative words (``_schreier_steps``), and each relator read from
+    each coset, with tree edges dropped, as a relator.
+    """
+    ngens, walks = _schreier_steps(pres, table)
     relators = []
-    for relator in pres.relators:
+    for steps in walks:
         for start in range(table.size):
             c, word = start, []
-            for letter in relator:
-                if letter > 0:
-                    s = schreier[c * k + letter - 1]
-                    c = action[2 * letter - 2][c]
-                else:
-                    c = action[-2 * letter - 1][c]
-                    s = -schreier[c * k - letter - 1]
+            for crossed, col, sign in steps:
+                s = crossed[c]
+                c = col[c]
                 if s:
-                    word.append(s)
+                    word.append(sign * s)
             relators.append(word)
     return GroupPresentation(ngens, relators)
+
+
+def subgroup_abelianization(pres: GroupPresentation, table: CosetTable) -> AbelianGroup:
+    """``abelianization(reidemeister_schreier(pres, table))``: the same walk,
+    with each relator's exponent sums counted straight into its row of the
+    relation matrix, so that no word is built."""
+    ngens, walks = _schreier_steps(pres, table)
+    rows = []
+    for steps in walks:
+        for start in range(table.size):
+            c, row = start, {}
+            for crossed, col, sign in steps:
+                s = crossed[c]
+                c = col[c]
+                if s:
+                    row[s] = row.get(s, 0) + sign
+            rows.append({s - 1: v for s, v in row.items() if v})
+    return abelian_group(SparseIntMatrix(len(rows), ngens, rows))
 
 
 def grading_kernel_table(pres: GroupPresentation, n: int) -> CosetTable:
@@ -263,6 +306,102 @@ def _letters(pres: GroupPresentation) -> int:
     return sum(map(len, pres.relators))
 
 
+def _commutators(ngens: int) -> list[Word]:
+    gens = range(1, ngens + 1)
+    return [(a, b, -a, -b) for a in gens for b in gens if a < b]
+
+
+def _hermite_rows(rows: Sequence[dict[int, int]], k: int) -> list[list[int]]:
+    """An upper triangular basis of the lattice that the rows span in Z^k, by
+    extended-gcd row operations, column by column: row i has its first
+    nonzero entry h_i > 0 in column i, or is zero (h_i = 0) where the lattice
+    has lower rank. It is the row-style Hermite normal form but for the
+    reduction of the entries above the diagonal, which no caller needs."""
+    rest = [[row.get(c, 0) for c in range(k)] for row in rows if row]
+    hermite = []
+    for i in range(k):
+        pivot, left = [0] * k, []
+        for row in rest:
+            b = row[i]
+            if not b:
+                left.append(row)
+                continue
+            # (pivot, row) <- (s pivot + t row, b/g pivot - a/g row): unimodular, as s a + t b = g
+            a = pivot[i]
+            g, s, t = _xgcd(a, b)
+            other = [b // g * p - a // g * r for p, r in zip(pivot, row)]
+            pivot = [s * p + t * r for p, r in zip(pivot, row)]
+            if any(other):
+                left.append(other)
+        hermite.append(pivot)
+        rest = left
+    return hermite
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable:
+    """The coset table of pi1 / pi1', of the given order, read off a Hermite
+    normal form of the relation matrix; ``abelian`` presents pi1 with the
+    commutators of its generators added.
+
+    With the Hermite rows of the exponent-sum matrix, of diagonal h_1..h_k,
+    the cosets are the reduced vectors 0 <= v_i < h_i, coset 0 the zero
+    vector, and generator j acts by +e_j and reduction by the rows, i
+    ascending. The table is standardized and checked against ``abelian``
+    (every relator fixes every coset), which proves what the Hermite form
+    only suggests.
+
+    Lemma. Let ``order`` = |H1|, H1 = pi1^ab, be known independently. A
+    table that passes the check and has ``order`` cosets is the regular
+    action of H1, and the stabilizer of coset 0 is exactly pi1'. Proof: the
+    relators of pi1 and the commutators of its generators act trivially, so
+    the table is an action of H1, transitive as every coset table is. A
+    transitive action of a group of order N on N points is regular. So the
+    stabilizer of coset 0 in pi1 is the kernel of pi1 -> H1, which is pi1'.
+
+    Raises TableMismatch unless the product of the h_i and the table's size
+    are both ``order``, or where the check fails.
+    """
+    k = abelian.ngens
+    if not set(_commutators(k)) <= set(abelian.relators):
+        raise ValueError("the presentation lacks a commutator of its generators")
+    hermite = _hermite_rows([exponent_sums(w) for w in abelian.relators], k)
+    h = [row[i] for i, row in enumerate(hermite)]
+    if prod(h) != order:
+        raise TableMismatch(f"the Hermite form has {prod(h)} cosets, not {order}")
+    stride = [prod(h[i + 1:]) for i in range(k)]  # coset of v: sum of v_i stride_i
+    points = [list(coords) for coords in zip(*product(*map(range, h)))]  # [i][coset]: v_i
+    width = 2 * k
+    table = [0] * (order * width)
+    for j in range(k):
+        # v + e_j for every coset v at once, reduced by row i for i ascending
+        v = points[:j] + [[a + 1 for a in points[j]]] + points[j + 1:]
+        for i, row in enumerate(hermite):
+            q = [a // h[i] for a in v[i]]
+            if any(q):
+                v[i:] = [[a - t * r for a, t in zip(col, q)] if r else col
+                         for col, r in zip(v[i:], row[i:])]
+        forward = [sum(map(mul, coords, stride)) for coords in zip(*v)]
+        backward = [0] * order
+        for c, d in enumerate(forward):
+            backward[d] = c
+        table[2 * j::width] = forward
+        table[2 * j + 1::width] = backward
+    quotient = _standardized_table(abelian, [], table, width, order, order)
+    if quotient.size != order:
+        raise TableMismatch(f"the table of pi1 / pi1' has {quotient.size} cosets, not {order}")
+    return quotient
+
+
 def branched_cover_certificate(pres: GroupPresentation, n: int
                                ) -> Optional[InfinitenessCertificate]:
     """A proof that pi1(M_n) is infinite, or None where none is found.
@@ -272,13 +411,14 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     generators). pi1(M_n), of the n-fold cyclic branched cover, is the kernel
     of G_n -> Z/n, so Reidemeister-Schreier over that kernel presents it; its
     abelianization is H1(M_n). If that is infinite it is the certificate. If it
-    is finite and not trivial, pi1 is simplified, its abelian quotient
-    pi1 / pi1' is enumerated (pi1 plus the commutators of its generators), and
-    the derived subgroup pi1', of index |H1(M_n)|, is presented and abelianized
-    in turn. A finite-index subgroup with infinite abelianization makes
-    pi1(M_n) infinite, and so Q_n (Hoste & Shanahan, "Links with finite
-    n-quandles", 2017). Gives up (None) where the work would pass
-    CERTIFICATE_WORK.
+    is finite and not trivial, pi1 is simplified, the table of pi1 / pi1' is
+    read off a Hermite normal form and checked (``abelian_quotient_table``:
+    by its lemma, the stabilizer of coset 0 is exactly pi1'), and the derived
+    subgroup pi1', of index |H1(M_n)|, is abelianized along the
+    Reidemeister-Schreier walk (``subgroup_abelianization``). A finite-index
+    subgroup with infinite abelianization makes pi1(M_n) infinite, and so Q_n
+    (Hoste & Shanahan, "Links with finite n-quandles", 2017). Gives up (None)
+    where the work would pass CERTIFICATE_WORK.
     """
     if n < 2 or n * _letters(pres) > CERTIFICATE_WORK:
         return None
@@ -290,15 +430,8 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     if index == 1:
         return None
     pi1, _ = simplify(pi1, ())
-    gens = range(1, pi1.ngens + 1)
-    abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(
-        (a, b, -a, -b) for a in gens for b in gens if a < b))
-    cap = CERTIFICATE_WORK // _letters(abelian)  # HLT scans every relator at each coset
-    if cap < index:
+    abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(_commutators(pi1.ngens)))
+    if index * _letters(abelian) > CERTIFICATE_WORK:  # the check walks every relator from every coset
         return None
-    try:
-        quotient = todd_coxeter(abelian, (), cap)
-    except Overflow:
-        return None
-    derived = abelianization(reidemeister_schreier(pi1, quotient))
+    derived = subgroup_abelianization(pi1, abelian_quotient_table(abelian, index))
     return InfinitenessCertificate(n, index, derived) if derived.free_rank else None

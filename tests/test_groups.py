@@ -7,6 +7,7 @@ from qf.quandles import quandle_type, is_connected
 from qf.groups import (
     CosetTable,
     GroupPresentation,
+    IncompleteTable,
     Overflow,
     TableMismatch,
     _Enumerator,
@@ -122,6 +123,29 @@ def test_table_check_rejects_representative_words_off_the_tree():
     assert moved.walk(range(5), (1,) * 5) == list(range(5))
     with pytest.raises(TableMismatch):
         moved.check(z5, ())
+
+
+def test_table_constructor_rejects_each_malformed_part():
+    # S3 on the cosets of <a>: columns a, a^-1, b, b^-1
+    action = [[0, 2, 1], [0, 2, 1], [1, 2, 0], [2, 0, 1]]
+    reps = [(), (2,), (-2,)]
+    CosetTable(2, action, reps, ())
+    for c, bad in ((0, -1), (1, 3), (3, 3)):  # an entry below 0, one equal to size
+        broken = [list(col) for col in action]
+        broken[c][2] = bad
+        with pytest.raises(IncompleteTable):
+            CosetTable(2, broken, reps, ())
+    with pytest.raises(IncompleteTable):  # a column of the wrong length
+        CosetTable(2, action[:3] + [[2, 0]], reps, ())
+    with pytest.raises(ValueError, match="not mutually inverse"):  # b^-1 := b
+        CosetTable(2, action[:3] + [action[2]], reps, ())
+    with pytest.raises(ValueError, match="not mutually inverse"):  # a^-1 := b^-1, on generator 0
+        CosetTable(2, [action[0], action[3]] + action[2:], reps, ())
+    for letter in (0, 3, -3):  # letters 0 and ngens + 1
+        with pytest.raises(ValueError, match="undeclared generator"):
+            CosetTable(2, action, [(), (2,), (-2, letter)], ())
+    with pytest.raises(ValueError, match="one representative word per coset"):
+        CosetTable(2, action, reps[:2], ())
 
 
 def test_table_check_rejects_a_foreign_presentation_or_subgroup():

@@ -111,9 +111,9 @@ def test_pipeline_memoizes_on_the_resolved_diagram(monkeypatch):
         pipe.quandle(spec, 3)
         pipe.branched(spec, 3)
     assert pipe.quandle("3_1", 3) is pipe.quandle("catalog:3_1", 3)
-    # Q_3 and G_3 once each, and once the abelian quotient pi1 / pi1' (H1 is
-    # Z/2 x Z/2) of the one certificate attempt that both misses share
-    assert len(enumerations) == 3
+    # Q_3 and G_3 once each; the one certificate attempt that both misses
+    # share reads pi1 / pi1' (H1 is Z/2 x Z/2) off a Hermite normal form
+    assert len(enumerations) == 2
 
 
 def test_unknot_results():
@@ -173,10 +173,12 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     # one witness per (spec, n), checked once for its extension and model rows
     witnessed = set(EXTENSION_CASES) | set(MODEL_CASES)
     assert len(galex_calls) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
-    # every enumeration is a cache miss, a trefoil cover presentation, or the
-    # abelian quotient of a certificate attempt that reached its second pass
-    second_passes = len(presented) - len(certificates)
-    assert len(enumerations) == cache.misses + len(TREFOIL_COVER_ORDERS) + second_passes
+    # every enumeration is a cache miss or a trefoil cover presentation: a
+    # certificate attempt presents pi1(M_n) once and enumerates nothing, as its
+    # second pass reads pi1 / pi1' off a Hermite normal form and abelianizes
+    # pi1' along the Reidemeister-Schreier walk
+    assert len(enumerations) == cache.misses + len(TREFOIL_COVER_ORDERS)
+    assert len(presented) == len(certificates)
     assert len({(pres, n) for pres, n in certificates}) == len(certificates)
 
 

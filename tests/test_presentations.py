@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qf.groups
 import qf.presentations
 from qf.diagrams import analyze, connected_sum, parse_pd, wirtinger_with_peripherals
 from qf.groups import (
@@ -19,11 +20,13 @@ from qf.groups import (
 from qf.intlinalg import AbelianGroup
 from qf.pipeline import CosetCache, Pipeline
 from qf.presentations import (
+    abelian_quotient_table,
     branched_cover_certificate,
     enumerate_cosets,
     grading_kernel_table,
     reidemeister_schreier,
     simplify,
+    subgroup_abelianization,
 )
 from qf.verify import CARDINALITY_CASES, H2_CASES, LONGITUDE_CASES, MONTESINOS_CANDIDATES
 
@@ -213,6 +216,87 @@ def test_no_certificate_on_a_two_bridge_double_cover(spec):
     # pi1 of a lens space is finite, so no certificate can exist
     pres = g_n_presentation(PIPE.peripherals(spec), 2)
     assert branched_cover_certificate(simplify(pres, (1,))[0], 2) is None
+
+
+# Rows whose certificate attempt reaches the second pass: H1(M_n) finite and
+# not trivial. (per, n) pairs; the sums first.
+SECOND_PASS_POOL = ([(wirtinger_with_peripherals(analyze(parse_pd(pd))), 2) for pd, _, _ in INFINITE_SUMS]
+                    + [(PIPE.peripherals(spec), n) for spec, n in (
+                        ("3_1", 3), ("3_1", 4), ("3_1", 8), ("4_1", 3), ("5_1", 5), ("5_2", 4),
+                        (MONTESINOS_CANDIDATES[0], 2), ("rational:29,12", 2), ("rational:25,3", 2))])
+
+
+def _second_pass(per, n):
+    """The simplified pi1(M_n), pi1 with its generators' commutators, and |H1(M_n)|."""
+    pres = simplify(g_n_presentation(per, n), (1,))[0]
+    pi1 = reidemeister_schreier(pres, grading_kernel_table(pres, n))
+    index = abelianization(pi1).order()
+    pi1, _ = simplify(pi1, ())
+    gens = range(1, pi1.ngens + 1)
+    abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(
+        (a, b, -a, -b) for a in gens for b in gens if a < b))
+    return pres, pi1, abelian, index
+
+
+def test_hermite_table_is_the_enumerated_table():
+    for per, n in SECOND_PASS_POOL:
+        _, _, abelian, index = _second_pass(per, n)
+        assert index > 1
+        table = abelian_quotient_table(abelian, index)
+        assert table.to_json() == todd_coxeter(abelian, (), 10 ** 6).to_json()
+        assert table.size == index
+
+
+def test_one_pass_abelianization_matches_the_presentation():
+    for per, n in SECOND_PASS_POOL:
+        _, pi1, abelian, index = _second_pass(per, n)
+        table = abelian_quotient_table(abelian, index)
+        assert subgroup_abelianization(pi1, table) == abelianization(reidemeister_schreier(pi1, table))
+    for subgroup in ([(2,)], [], [(1,), (2,)], [(1,)]):
+        table = todd_coxeter(S3, subgroup)
+        assert subgroup_abelianization(S3, table) == abelianization(reidemeister_schreier(S3, table))
+
+
+def _drop_hermite_row(monkeypatch, drop):
+    hermite = qf.presentations._hermite_rows
+    monkeypatch.setattr(qf.presentations, "_hermite_rows",
+                        lambda rows, k: hermite(rows[:drop] + rows[drop + 1:], k))
+
+
+def test_hermite_table_rejects_a_wrong_order_or_a_dropped_row(monkeypatch):
+    pres, pi1, abelian, index = _second_pass(PIPE.peripherals("rational:29,12"), 2)
+    with pytest.raises(TableMismatch):
+        abelian_quotient_table(abelian, index + 1)
+    with pytest.raises(ValueError):  # the lemma needs every commutator among the relators
+        abelian_quotient_table(pi1, index)
+    # pi1 without either of its two relators abelianizes to Z: no Hermite
+    # pivot in one column, so no certificate comes out
+    _drop_hermite_row(monkeypatch, 0)
+    with pytest.raises(TableMismatch):
+        branched_cover_certificate(pres, 2)
+
+
+def test_hermite_table_is_checked_against_every_relator(monkeypatch):
+    # H1 = Z/12; without a^2 b^3 the rows present Z/2 x Z/12, so given that
+    # order the Hermite form passes and only the table's check fails
+    g = GroupPresentation(2, [(1, 1, 1, 1), (2,) * 6, (1, 1, 2, 2, 2), (1, 2, -1, -2)])
+    assert abelian_quotient_table(g, 12).to_json() == todd_coxeter(g, (), 100).to_json()
+    _drop_hermite_row(monkeypatch, 2)
+    with pytest.raises(TableMismatch, match="does not act trivially"):
+        abelian_quotient_table(g, 24)
+
+
+def test_certificates_enumerate_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("todd_coxeter called")
+
+    for module in (qf.groups, qf.presentations):
+        monkeypatch.setattr(module, "todd_coxeter", refuse)
+    certified = 0
+    for per, n in SECOND_PASS_POOL:
+        pres = simplify(g_n_presentation(per, n), (1,))[0]
+        certified += branched_cover_certificate(pres, n) is not None
+    assert certified == len(INFINITE_SUMS) + 3  # 4_1 n=3, 5_1 n=5 and 5_2 n=4
 
 
 def _cover_homology(pres, n):

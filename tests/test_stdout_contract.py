@@ -3,7 +3,10 @@
 The references are the benchmark's golden files, which this test only reads,
 and (``tests/golden``) ``verify-tables --max-cosets 10`` as written before
 certificates of infiniteness existed: no row of the table is infinite, so none
-may change.
+may change. ``tests/golden/certificates.txt`` pins the ``infinite:`` stderr
+line of four infinite rows, one certified by H1(M_n) (3_1 at n=6) and three by
+the derived subgroup: one line per row, the knot (a catalog spec or a PD file
+named from the repository root), n and the line.
 """
 
 from pathlib import Path
@@ -42,3 +45,20 @@ def test_capped_verify_tables_stdout(capsys, argv, golden):
 def test_homology_stdout(capsys, spec, n, golden):
     assert main(["homology", "--knot", spec, "--n", str(n), "--no-cache"]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / "homology" / golden).read_text()
+
+
+def _certificate_rows():
+    for line in (CAPPED / "certificates.txt").read_text().splitlines():
+        knot, n, infinite = line.split(" ", 2)
+        yield knot, int(n), infinite
+
+
+@pytest.mark.parametrize("knot, n, infinite", list(_certificate_rows()))
+def test_certificate_lines(capsys, knot, n, infinite):
+    # the knot is a catalog spec or a PD file named from the repository root
+    path = CAPPED.parents[1] / knot
+    spec = str(path) if path.is_file() else knot
+    assert main(["enumerate", "--knot", spec, "--n", str(n), "--no-cache"]) == EXIT_OVERFLOW
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("infinite:")] == [infinite]
