@@ -17,7 +17,7 @@ from qf.groups import (
     GroupPresentation,
     Overflow,
     abelianization,
-    branched_cover_group,
+    branched_cover,
     g_n_presentation,
     quandle_from_cosets,
     todd_coxeter,
@@ -33,7 +33,7 @@ __all__ = [
     "AbelianGroup", "SNFResult", "SparseIntMatrix", "homology_of_pair", "smith_normal_form",
     "FiniteGroupElementSet", "FiniteQuandle", "GroupAutomorphism", "check_relators",
     "components", "galex", "is_connected", "quandle_type", "verify_extension",
-    "CosetTable", "GroupPresentation", "Overflow", "abelianization", "branched_cover_group",
+    "CosetTable", "GroupPresentation", "Overflow", "abelianization", "branched_cover",
     "g_n_presentation", "quandle_from_cosets", "todd_coxeter", "trefoil_branched_presentation",
     "analyze", "connected_sum", "parse_pd", "quandle_presentation", "wirtinger_with_peripherals",
     "build_montesinos", "build_rational", "build_torus",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from qf.diagrams import MultiComponent, ParameterError, PDCode
+from qf.diagrams import ParameterError, PDCode
 
 # slot layout on a crossing, counterclockwise: SW=0, SE=1, NE=2, NW=3;
 # strands join opposite slots (0-2 and 1-3)
@@ -110,35 +110,20 @@ def _closed_to_pd(over: list[bool], joins: dict) -> PDCode:
     n = len(over)
     if n == 0:
         raise ParameterError("degenerate parameters produce a crossing-free diagram")
+    # each component is labelled in turn, the first from crossing 0, slot 0;
+    # from_crossings counts the components
     labels: dict = {}
     entries: dict[int, list[int]] = {}
-    port = ("c", 0, 0)
-    total = 2 * n
-    for step in range(1, total + 1):
-        labels[port] = step
-        _, c, s = port
-        entries.setdefault(c, []).append(s)
-        exit_port = ("c", c, (s + 2) % 4)
-        labels[exit_port] = step % total + 1
-        port = joins[exit_port]
-        if port == ("c", 0, 0):
-            if step != total:
-                # trace the remaining cycles to report the component count
-                seen = set(labels)
-                comps = 1
-                remaining = [p for p in joins if p not in seen]
-                while remaining:
-                    comps += 1
-                    cur = remaining[0]
-                    while cur not in seen:
-                        seen.add(cur)
-                        _, c2, s2 = cur
-                        ex = ("c", c2, (s2 + 2) % 4)
-                        seen.add(ex)
-                        cur = joins[ex]
-                    remaining = [p for p in joins if p not in seen]
-                raise MultiComponent(comps)
-            break
+    for start in [("c", c, s) for c in range(n) for s in range(4)]:
+        port, first = start, len(labels) // 2 + 1
+        while port not in labels:
+            _, c, s = port
+            entries.setdefault(c, []).append(s)
+            label = len(labels) // 2 + 1
+            labels[port] = label
+            exit_port = ("c", c, (s + 2) % 4)
+            port = joins[exit_port]
+            labels[exit_port] = first if port == start else label + 1
     crossings = []
     for c in range(n):
         s_even = next(s for s in entries[c] if s % 2 == 0)

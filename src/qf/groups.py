@@ -1,4 +1,4 @@
-"""Finitely presented groups, Todd-Coxeter coset enumeration, and branched-cover groups.
+"""Finitely presented groups, Todd-Coxeter coset enumeration, and branched covers.
 
 Words are tuples of signed generator indices: +k stands for generator k-1 and
 -k for its inverse. Coset tables are standardized (cosets numbered in BFS
@@ -26,6 +26,8 @@ contains that orbit and is closed under every generator, so, the table being
 finite and transitive, O is every coset and by (a) the action is regular.
 A table that ``todd_coxeter`` enumerates over the trivial subgroup is the
 regular action of the group itself, so only cached tables need the proof.
+``branched_cover`` reads pi1(M_n), the kernel of G_n -> Z/n, off the regular
+table of G_n as one ``BranchedCover``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,14 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from qf.intlinalg import AbelianGroup, SparseIntMatrix, smith_normal_form
 from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism
+
+if TYPE_CHECKING:  # qf.diagrams imports this module
+    from qf.diagrams import PeripheralPresentation
 
 Word = tuple[int, ...]
 
@@ -539,10 +545,61 @@ def g_n_presentation(p, n: int) -> GroupPresentation:
     return GroupPresentation(p.group.ngens, relators)
 
 
-def _graded_kernel(p, n: int, t: CosetTable) -> tuple[list[int], int]:
-    """The cosets of G_n in the kernel of its grading by meridian exponent sum
-    mod n, and the longitude's coset; raises KernelSizeMismatch unless the
-    kernel has |G_n| / n cosets and holds the longitude."""
+@dataclass
+class BranchedCover:
+    """pi1(M_n), the kernel of the grading of G_n by meridian exponent sum mod
+    n, read off the regular action of G_n on its coset table (module
+    docstring), with ord(l), the length of the orbit of coset 0 under the
+    longitude word.
+
+    Element x of pi1(M_n) is the grade-0 coset ``kernel[x]``, so the word
+    ``table.rep_words[kernel[x]]`` spells it. ``group``, the automorphism
+    ``phi`` (g -> m^-1 g m) and the ``longitude``'s element are built from the
+    table when first read.
+    """
+
+    peripherals: PeripheralPresentation
+    table: CosetTable
+    kernel: list[int]
+    longitude_order: int
+
+    @property
+    def gn_order(self) -> int:
+        return self.table.size
+
+    @property
+    def pi1_order(self) -> int:
+        return len(self.kernel)
+
+    @cached_property
+    def _element(self) -> dict[int, int]:
+        return {c: x for x, c in enumerate(self.kernel)}
+
+    @cached_property
+    def group(self) -> FiniteGroupElementSet:
+        t, kernel, index = self.table, self.kernel, self._element
+        mult = tuple(zip(*([index[c] for c in t.walk(kernel, t.rep_words[d])] for d in kernel)))
+        identity = index[0]
+        return FiniteGroupElementSet(len(kernel), mult, identity,
+                                     tuple(row.index(identity) for row in mult))
+
+    @cached_property
+    def phi(self) -> GroupAutomorphism:
+        # x -> m^-1 x is the left translation to 0 -> m^-1
+        t, m_word = self.table, (self.peripherals.meridian + 1,)
+        left = t.left_translation(t.coset_of_word(invert_word(m_word)))
+        return GroupAutomorphism(self.group, tuple(
+            self._element[d] for d in t.walk([left[c] for c in self.kernel], m_word)))
+
+    @cached_property
+    def longitude(self) -> int:
+        return self._element[self.table.coset_of_word(self.peripherals.longitude)]
+
+
+def branched_cover(p: PeripheralPresentation, n: int, t: CosetTable) -> BranchedCover:
+    """pi1(M_n) of the knot p, read off the coset table of G_n over the trivial
+    subgroup, whose action must be regular; raises KernelSizeMismatch unless
+    the kernel of the grading has |G_n| / n cosets and holds the longitude."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if any(t.subgroup):
@@ -555,55 +612,14 @@ def _graded_kernel(p, n: int, t: CosetTable) -> tuple[list[int], int]:
     kernel = [c for c in range(t.size) if grades[c] == 0]
     if t.size != n * len(kernel):
         raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")
-    l_coset = t.coset_of_word(p.longitude)
-    if grades[l_coset] != 0:
+    c = t.coset_of_word(p.longitude)
+    if grades[c] != 0:
         raise KernelSizeMismatch("longitude does not land in the grading kernel")
-    return kernel, l_coset
-
-
-def branched_cover_orders(p, n: int, t: CosetTable) -> tuple[list[int], int]:
-    """The grading kernel and the order of the longitude, read off the coset
-    table of G_n over the trivial subgroup, whose action must be regular
-    (module docstring). The kernel lists the cosets of pi1(M_n) in the order
-    in which ``branched_cover_group`` numbers its elements, so |pi1| is its
-    length; ord(l) is the length of the orbit of coset 0 under the longitude
-    word."""
-    kernel, c = _graded_kernel(p, n, t)
     order = 1
     while c != 0:
         (c,) = t.walk([c], p.longitude)
         order += 1
-    return kernel, order
-
-
-def branched_cover_group(p, n: int, t: CosetTable
-                         ) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
-    """Fundamental group of the n-fold cyclic branched cover, meridian conjugation, longitude.
-
-    Takes the coset table of the meridian-power quotient G_n of the knot group
-    over the trivial subgroup, grades cosets by meridian exponent sum mod n, and
-    promotes the kernel of the grading to an explicit finite group. Returns the
-    group, the automorphism g -> m^-1 g m restricted to it, and the longitude's
-    element.
-    """
-    return _cover_group(p, t, _graded_kernel(p, n, t)[0])
-
-
-def _cover_group(p, t: CosetTable, kernel: list[int]
-                 ) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
-    """``branched_cover_group`` on the grading kernel that ``_graded_kernel``
-    found in the same table."""
-    index = {c: i for i, c in enumerate(kernel)}
-    mult = tuple(zip(*([index[c] for c in t.walk(kernel, t.rep_words[d])] for d in kernel)))
-    identity = index[0]
-    group = FiniteGroupElementSet(len(kernel), mult, identity,
-                                  tuple(row.index(identity) for row in mult))
-
-    # x -> m^-1 x is the left translation to 0 -> m^-1
-    m_word = (p.meridian + 1,)
-    left = t.left_translation(t.coset_of_word(invert_word(m_word)))
-    phi = GroupAutomorphism(group, tuple(index[d] for d in t.walk([left[c] for c in kernel], m_word)))
-    return group, phi, index[t.coset_of_word(p.longitude)]
+    return BranchedCover(p, t, kernel, order)
 
 
 def exponent_sums(word: Iterable[int]) -> dict[int, int]:

@@ -16,7 +16,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -31,8 +30,8 @@ from qf.groups import (
     Overflow,
     TableMismatch,
     Word,
-    _cover_group,
-    branched_cover_orders,
+    BranchedCover,
+    branched_cover,
     check_n,
     g_n_presentation,
     quandle_from_cosets,
@@ -46,7 +45,7 @@ from qf.presentations import (
     enumerate_cosets,
     simplify,
 )
-from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, is_connected, quandle_type
+from qf.quandles import FiniteQuandle, is_connected, quandle_type
 
 SCHEMA_VERSION = 1
 
@@ -75,7 +74,8 @@ class CosetCache:
             table.check(pres, subgroup)
             if not any(table.subgroup):
                 table.check_regular()
-        except (OSError, ValueError, KeyError, TypeError, IncompleteTable, TableMismatch):
+        except (OSError, ValueError, KeyError, TypeError, IncompleteTable, TableMismatch,
+                RecursionError):  # json.loads of an entry nested too deep
             return None
         return table
 
@@ -185,47 +185,6 @@ class PipelineResult:
         return buf.getvalue()
 
 
-@dataclass
-class BranchedData:
-    """|G_n|, |pi1(M_n)| and ord(l), read off the regular action of G_n on its
-    coset table; the group pi1(M_n) with its automorphism phi and the
-    longitude's element is built from the same table when first read.
-
-    ``kernel[x]`` is the coset of G_n that is element x of ``group``, so the
-    word ``table.rep_words[kernel[x]]`` spells x.
-    """
-
-    peripherals: PeripheralPresentation
-    n: int
-    table: CosetTable
-    kernel: list[int]
-    longitude_order: int
-
-    @property
-    def gn_order(self) -> int:
-        return self.table.size
-
-    @property
-    def pi1_order(self) -> int:
-        return len(self.kernel)
-
-    @cached_property
-    def _cover(self) -> tuple[FiniteGroupElementSet, GroupAutomorphism, int]:
-        return _cover_group(self.peripherals, self.table, self.kernel)
-
-    @property
-    def group(self) -> FiniteGroupElementSet:
-        return self._cover[0]
-
-    @property
-    def phi(self) -> GroupAutomorphism:
-        return self._cover[1]
-
-    @property
-    def longitude(self) -> int:
-        return self._cover[2]
-
-
 class Pipeline:
     """Memoizing driver shared by the CLI commands and the verification table.
 
@@ -245,7 +204,7 @@ class Pipeline:
         self._peripherals: dict[PDCode, PeripheralPresentation] = {}
         self._diagrams: dict[PDCode, Diagram] = {}
         self._quandles: dict[tuple[PDCode, int], tuple[CosetTable, FiniteQuandle]] = {}
-        self._branched: dict[tuple[PDCode, int], BranchedData] = {}
+        self._branched: dict[tuple[PDCode, int], BranchedCover] = {}
         # G_n simplified, with the certificate looked for over it
         self._simplified: dict[tuple[PDCode, int], tuple[tuple[GroupPresentation, tuple[Word, ...]],
                                                          Optional[InfinitenessCertificate]]] = {}
@@ -293,13 +252,11 @@ class Pipeline:
             self._quandles[key] = (table, quandle_from_cosets(table, meridian))
         return self._quandles[key]
 
-    def branched(self, spec: str, n: int) -> BranchedData:
+    def branched(self, spec: str, n: int) -> BranchedCover:
         key = (self.knot(spec).pd, n)
         if key not in self._branched:
-            per = self.peripherals(spec)
             table = self._enumerate(spec, n, (), f"G_{n}")
-            kernel, longitude_order = branched_cover_orders(per, n, table)
-            self._branched[key] = BranchedData(per, n, table, kernel, longitude_order)
+            self._branched[key] = branched_cover(self.peripherals(spec), n, table)
         return self._branched[key]
 
     def run_enumerate(self, spec: str, n: int) -> PipelineResult:

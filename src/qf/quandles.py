@@ -410,13 +410,7 @@ def verify_extension(w: ExtensionWitness) -> ExtensionReport:
     e1 = all(lam[tt[x][y]] == tt[lam[x]][y] and tt[x][lam[y]] == tt[x][y]
              for x in range(nt) for y in gens)
 
-    order = 1
-    img = tuple(lam)
-    ident = tuple(range(nt))
-    while img != ident and order <= nt:
-        img = tuple(lam[v] for v in img)
-        order += 1
-    action_order_matches = img == ident and order == w.group_order
+    action_order_matches = _perm_order(lam) == w.group_order
 
     fibers: dict[int, list[int]] = {}
     for x, b in enumerate(p):

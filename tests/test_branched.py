@@ -6,8 +6,7 @@ from qf.builders import build_rational, build_torus
 from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import (
     Overflow,
-    branched_cover_group,
-    branched_cover_orders,
+    branched_cover,
     g_n_presentation,
     quandle_from_cosets,
     todd_coxeter,
@@ -35,7 +34,8 @@ def peripherals(pd):
 
 
 def branched(per, n):
-    return branched_cover_group(per, n, todd_coxeter(g_n_presentation(per, n), []))
+    cover = branched_cover(per, n, todd_coxeter(g_n_presentation(per, n), []))
+    return cover.group, cover.phi, cover.longitude
 
 
 def enumerated(per, n):
@@ -45,11 +45,11 @@ def enumerated(per, n):
 
 def natural_projection(per, n):
     """pi1(M_n) with phi and l, Q_n, and the projection x -> <m, l> x between them."""
-    t = todd_coxeter(g_n_presentation(per, n), [])
-    kernel, _ = branched_cover_orders(per, n, t)
-    g, phi, ell = branched_cover_group(per, n, t)
+    cover = branched_cover(per, n, todd_coxeter(g_n_presentation(per, n), []))
     q_table, q_enum = enumerated(per, n)
-    return g, phi, ell, q_enum, tuple(q_table.coset_of_word(t.rep_words[c]) for c in kernel)
+    reps = cover.table.rep_words
+    return (cover.group, cover.phi, cover.longitude, q_enum,
+            tuple(q_table.coset_of_word(reps[c]) for c in cover.kernel))
 
 
 def is_homomorphism(p, total, base):
@@ -151,7 +151,7 @@ def test_finiteness_equivalence_on_composite():
         todd_coxeter(g_n_presentation(per, 2), [(per.meridian + 1,), per.longitude],
                      max_cosets=30000)
     with pytest.raises(Overflow):
-        branched_cover_group(per, 2, todd_coxeter(g_n_presentation(per, 2), [], max_cosets=30000))
+        branched_cover(per, 2, todd_coxeter(g_n_presentation(per, 2), [], max_cosets=30000))
 
 
 @pytest.mark.parametrize("spec, n, want", LONGITUDE_CASES)

@@ -88,10 +88,11 @@ def test_montesinos_outside_lemma_shapes():
 
 
 def test_montesinos_link_rejected():
-    # two half tangles close up to a 2-component link
-    with pytest.raises(MultiComponent) as err:
-        build_montesinos(0, [(1, 2), (1, 2), (1, 3)])
-    assert err.value.components == 2
+    # two half tangles close up to a 2-component link, three to a 3-component one
+    for third, components in (((1, 3), 2), ((1, 2), 3)):
+        with pytest.raises(MultiComponent) as err:
+            build_montesinos(0, [(1, 2), (1, 2), third])
+        assert err.value.components == components
 
 
 def test_montesinos_parameter_errors():

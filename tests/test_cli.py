@@ -11,10 +11,10 @@ import pytest
 import qf
 import qf.verify
 from qf.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
-from qf.groups import MAX_N, IncompleteTable, KernelSizeMismatch, TableMismatch
+from qf.groups import MAX_N, BranchedCover, IncompleteTable, KernelSizeMismatch, TableMismatch
 from qf.homology import DivisibilityError, h2_order_via_extension
 from qf.intlinalg import NotAComplex
-from qf.pipeline import BranchedData, Pipeline
+from qf.pipeline import Pipeline
 from qf.quandles import (
     AutomorphismInvalid,
     AxiomViolation,
@@ -301,7 +301,7 @@ def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
 
 def _phi_of_another_group(monkeypatch):
     trivial = GroupAutomorphism(FiniteGroupElementSet.cyclic(1), (0,))
-    monkeypatch.setattr(BranchedData, "phi", property(lambda self: trivial))
+    monkeypatch.setattr(BranchedCover, "phi", property(lambda self: trivial))
 
 
 def _witness_without_projection(monkeypatch, build=qf.verify._projection_witness):

@@ -154,12 +154,12 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
     extension_checks = _count_calls(monkeypatch, "verify_extension", qf.verify)
     batches = _count_calls(monkeypatch, "d3_columns", qf.homology._ReducedComplex)
-    gradings = _count_calls(monkeypatch, "_graded_kernel", qf.groups)
-    orders = _count_calls(monkeypatch, "branched_cover_orders", qf.pipeline)
+    covers = _count_calls(monkeypatch, "branched_cover", qf.pipeline)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
     presented = _count_calls(monkeypatch, "reidemeister_schreier", qf.presentations)
     cache = CosetCache(tmp_path)
-    rows = run_verification(Pipeline(cache))
+    pipe = Pipeline(cache)
+    rows = run_verification(pipe)
     homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
     assert len(homology_rows) == len(H2_CASES) + 1
     # one batch of the d3' columns whose first entry is in W per homology row,
@@ -169,7 +169,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     assert len(batches) == len(homology_rows) + torsion_rows
     # G_n is graded once per (diagram, n), for its orders; the cover group
     # that the extension and model rows read is built on the same kernel
-    assert len(gradings) == len(orders) == len({(p, n, id(t)) for p, n, t in orders})
+    assert len(covers) == len(pipe._branched)
     # one witness per (spec, n), checked once for its extension and model rows
     witnessed = set(EXTENSION_CASES) | set(MODEL_CASES)
     assert len(galex_calls) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
@@ -271,6 +271,24 @@ def test_cached_table_over_the_trivial_subgroup_must_be_regular(tmp_path, capsys
     cache = CosetCache(tmp_path)
     assert cache.todd_coxeter(pres, (), unreachable).size == 24
     assert cache.hits == 1
+
+
+def test_deeply_nested_cache_entries_are_misses(tmp_path, capsys):
+    # json.loads raises RecursionError on such an entry; planted at both keys
+    # of a homology row (Q_n and G_n), each is a miss, recomputed and rewritten
+    nested = "[" * 200000
+    with pytest.raises(RecursionError):
+        json.loads(nested)
+    args = ["homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    entries = {path: path.read_text() for path in tmp_path.glob("*.json")}
+    assert len(entries) == 2
+    for path in entries:
+        path.write_text(nested)
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
+    assert {path: path.read_text() for path in entries} == entries
 
 
 def test_homology_rows_build_no_group(monkeypatch, tmp_path):

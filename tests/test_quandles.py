@@ -133,6 +133,15 @@ def test_verify_extension_bad_action():
     assert not report.ok
 
 
+def test_action_order_is_the_order_of_the_permutation():
+    # cycle type (3, 4) on 7 points: order 12, more than the number of points
+    total = trivial_quandle(7)
+    action = (1, 2, 0, 4, 5, 6, 3)
+    for group_order, matches in ((12, True), (6, False)):
+        w = ExtensionWitness(total, trivial_quandle(1), (0,) * 7, group_order, action)
+        assert verify_extension(w).action_order_matches is matches
+
+
 def test_verify_extension_malformed():
     q = dihedral_quandle(3)
     with pytest.raises(MalformedWitness):

@@ -29,6 +29,17 @@ def test_verify_tables_stdout(capsys, argv, golden):
 
 
 @pytest.mark.parametrize("argv, golden", [
+    ((), "verify_tables.txt"),
+    (("--format", "csv"), "verify_tables.csv"),
+])
+def test_verify_tables_stdout_cold_then_warm(capsys, tmp_path, argv, golden):
+    # the warm run loads every table, and builds pi1(M_n) on the loaded G_n tables
+    for _ in range(2):
+        assert main(["verify-tables", "--cache-dir", str(tmp_path), *argv]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
     ((), "verify_tables_max_cosets_10.txt"),
     (("--format", "csv"), "verify_tables_max_cosets_10.csv"),
 ])
