@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from qf.intlinalg import AbelianGroup, SparseIntMatrix, smith_normal_form
-from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism
+from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, _generating_set
 
 if TYPE_CHECKING:  # qf.diagrams imports this module
     from qf.diagrams import PeripheralPresentation
@@ -170,6 +170,18 @@ class CosetTable:
 
     def coset_of_word(self, word: Iterable[int]) -> int:
         return self.walk([0], word)[0]
+
+    def rep_images(self, other: CosetTable) -> list[int]:
+        """``other.coset_of_word(w)`` for the representative word w of every
+        coset, in one pass along the tree of words (``CosetTable.check``: each
+        is its lower-numbered parent's plus one letter)."""
+        if other.ngens != self.ngens:
+            raise ValueError("the tables act by different generators")
+        image = [0] * self.size
+        for c, w in enumerate(self.rep_words[1:], 1):
+            x = _col(w[-1])
+            image[c] = other.action[x][image[self.action[x ^ 1][c]]]
+        return image
 
     def check(self, g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> None:
         """Raise TableMismatch unless this is a coset action of g over the subgroup:
@@ -553,9 +565,11 @@ class BranchedCover:
     longitude word.
 
     Element x of pi1(M_n) is the grade-0 coset ``kernel[x]``, so the word
-    ``table.rep_words[kernel[x]]`` spells it. ``group``, the automorphism
-    ``phi`` (g -> m^-1 g m) and the ``longitude``'s element are built from the
-    table when first read.
+    ``table.rep_words[kernel[x]]`` spells it. ``galex``, GAlex(pi1, phi) one
+    column at a time, and ``longitude_action``, x -> l x, are read off the
+    table when first read; neither builds a table of pi1. ``group``, the
+    automorphism ``phi`` (g -> m^-1 g m) and the ``longitude``'s element build
+    the Cayley table of pi1 when first read.
     """
 
     peripherals: PeripheralPresentation
@@ -583,17 +597,65 @@ class BranchedCover:
         return FiniteGroupElementSet(len(kernel), mult, identity,
                                      tuple(row.index(identity) for row in mult))
 
+    def _left_translation(self, word: Word) -> list[int]:
+        """c -> the coset of w rep_c, w the element that ``word`` spells."""
+        return self.table.left_translation(self.table.coset_of_word(word))
+
+    @cached_property
+    def _to_m_inverse(self) -> list[int]:
+        return self._left_translation((-(self.peripherals.meridian + 1),))
+
+    @cached_property
+    def galex(self) -> GAlexColumns:
+        return GAlexColumns(self)
+
+    @cached_property
+    def longitude_action(self) -> tuple[int, ...]:
+        """x -> l x on pi1(M_n): the left translation to l."""
+        left = self._left_translation(self.peripherals.longitude)
+        return tuple(self._element[left[c]] for c in self.kernel)
+
     @cached_property
     def phi(self) -> GroupAutomorphism:
-        # x -> m^-1 x is the left translation to 0 -> m^-1
-        t, m_word = self.table, (self.peripherals.meridian + 1,)
-        left = t.left_translation(t.coset_of_word(invert_word(m_word)))
-        return GroupAutomorphism(self.group, tuple(
-            self._element[d] for d in t.walk([left[c] for c in self.kernel], m_word)))
+        left = self._to_m_inverse
+        return GroupAutomorphism(self.group, tuple(self._element[d] for d in self.table.walk(
+            [left[c] for c in self.kernel], (self.peripherals.meridian + 1,))))
 
     @cached_property
     def longitude(self) -> int:
         return self._element[self.table.coset_of_word(self.peripherals.longitude)]
+
+
+class GAlexColumns:
+    """GAlex(pi1(M_n), phi), x * y = phi(x y^-1) y with phi(g) = m^-1 g m, on
+    the elements of a ``BranchedCover``, one column at a time (the lemma of
+    ``qf.verify`` proves it a quandle). Column y is x -> m^-1 x (y^-1 m y): a
+    walk of the word rep(y)^-1 m rep(y) from every kernel coset, then the left
+    translation to m^-1. ``generators`` is the greedy W of ``qf.quandles``;
+    columns are built when first read and kept.
+    """
+
+    def __init__(self, cover: BranchedCover):
+        # the cover's parts, not the cover, which keeps this view: no cycle
+        self.size = cover.pi1_order
+        self._table, self._kernel, self._element = cover.table, cover.kernel, cover._element
+        self._to_m_inverse = cover._to_m_inverse
+        self._meridian = cover.peripherals.meridian + 1
+        self._columns: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return tuple(_generating_set(self))
+
+    def column(self, y: int) -> tuple[int, ...]:
+        """The translation by y as a mapping x -> x * y."""
+        col = self._columns.get(y)
+        if col is None:
+            t, kernel, index, left = self._table, self._kernel, self._element, self._to_m_inverse
+            rep = t.rep_words[kernel[y]]
+            word = free_reduce(invert_word(rep) + (self._meridian,) + rep)
+            col = self._columns[y] = tuple(index[left[c]] for c in t.walk(kernel, word))
+        return col
 
 
 def branched_cover(p: PeripheralPresentation, n: int, t: CosetTable) -> BranchedCover:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import product
 from math import prod
 from operator import mul
@@ -72,21 +73,72 @@ def _canonical(relator: Word) -> Word:
     return min(w[i:] + w[:i] for w in (relator, invert_word(relator)) for i in range(len(w)))
 
 
-def _solvable(relator: Word, known: set[int]) -> Optional[int]:
-    """The generator the relator can be solved for, given the known ones: its
-    only letter outside ``known``, if it has exactly one; else None."""
-    free = [abs(letter) for letter in relator if abs(letter) not in known]
-    return free[0] if len(free) == 1 else None
+def _propagate(pres: GroupPresentation, protected: frozenset[int]
+               ) -> tuple[set[int], list[Optional[Word]], list[Word]]:
+    """Step 1 of ``simplify``: the kept generators, each generator's word in
+    them, and the unused relators rewritten in them, cyclically reduced, the
+    empty ones dropped. Each relator's count of unexpressed letters is kept up
+    to date, so a step costs the letters of the relators it touches, and the
+    propagation from each candidate to keep one pass over the relator letters.
+    """
+    known = set(protected)
+    kept = set(protected)
+    expr: list[Optional[Word]] = [(g,) if g in known else None for g in range(1, pres.ngens + 1)]
+    relators = pres.relators
+    letters = [[abs(letter) for letter in w] for w in relators]
+    # occurs[g]: (relator, occurrences of g in it); free[i]: how many letters
+    # of relator i are not yet expressed; ready: the relators with exactly
+    # one, a heap with lazy deletion (a count only falls, and a used
+    # relator's falls to 0)
+    occurs: list[list[tuple[int, int]]] = [[] for _ in range(pres.ngens + 1)]
+    for i, ls in enumerate(letters):
+        for g, k in Counter(ls).items():
+            occurs[g].append((i, k))
+    free = [sum(g not in known for g in ls) for ls in letters]
+    ready = [i for i, f in enumerate(free) if f == 1]
+    used = [False] * len(relators)
 
+    def reaches_all(g: int) -> bool:
+        """Whether solving relators one by one from ``known`` and g reaches
+        every generator: the closure, in one pass over the relator letters."""
+        count, reached, stack = free[:], known | {g}, [g]
+        while stack:
+            for i, k in occurs[stack.pop()]:
+                count[i] -= k
+                if count[i] == 1:
+                    y = next((h for h in letters[i] if h not in reached), None)
+                    if y is not None:  # else it is reached and not yet read
+                        reached.add(y)
+                        stack.append(y)
+        return len(reached) == pres.ngens
 
-def _closure(relators: Sequence[Word], known: set[int]) -> set[int]:
-    """``known`` and every generator that solving relators one by one reaches."""
-    known = set(known)
-    while True:
-        solved = {_solvable(w, known) for w in relators} - {None}
-        if not solved:
-            return known
-        known |= solved
+    while len(known) < pres.ngens:
+        while ready and free[ready[0]] != 1:
+            heappop(ready)
+        if ready:
+            i = heappop(ready)
+            x = next(g for g in letters[i] if g not in known)
+            expr[x - 1] = _substitute(_solve(relators[i], x), expr)
+            used[i] = True
+        else:
+            weight = Counter()
+            for i, ls in enumerate(letters):
+                if free[i] >= 2 and len(two := {g for g in ls if g not in known}) == 2:
+                    weight.update(two)
+            order = sorted((g for g in range(1, pres.ngens + 1) if g not in known),
+                           key=lambda g: (-weight[g], g))
+            x = next((g for g in order if reaches_all(g)), order[0])
+            expr[x - 1] = (x,)
+            kept.add(x)
+        known.add(x)
+        for i, k in occurs[x]:
+            free[i] -= k
+            if free[i] == 1:
+                heappush(ready, i)
+
+    rels = [w for w in (cyclic_reduce(_substitute(w, expr))
+                        for i, w in enumerate(relators) if not used[i]) if w]
+    return kept, expr, rels
 
 
 def simplify(pres: GroupPresentation, keep: Iterable[int]
@@ -97,12 +149,12 @@ def simplify(pres: GroupPresentation, keep: Iterable[int]
     word in the simplified one's generators that it equals. The generators
     left are the kept original ones, renumbered 1, 2, ... in their original
     order, so a kept generator 1 stays generator 1. Deterministic:
-      1. propagation: solve the first unused relator that holds exactly one
-         generator not yet expressed, once, for that generator. When no
-         relator fires, keep one more generator: one from which propagation
-         reaches every generator, if there is one; among those (or else among
-         all) the one in the most unused relators with exactly two
-         unexpressed generators; the lowest index on a tie;
+      1. propagation (``_propagate``): solve the first unused relator that
+         holds exactly one generator not yet expressed, once, for that
+         generator. When no relator fires, keep one more generator: one from
+         which propagation reaches every generator, if there is one; among
+         those (or else among all) the one in the most unused relators with
+         exactly two unexpressed generators; the lowest index on a tie;
       2. greedy: while some kept generator outside ``keep`` occurs once in a
          relator, eliminate the one whose substitution adds the least total
          relator length (ties by generator, then relator index);
@@ -110,31 +162,7 @@ def simplify(pres: GroupPresentation, keep: Iterable[int]
          inverses the first is kept; the rest are stably sorted by length.
     """
     protected = frozenset(keep)
-    known = set(protected)
-    kept = set(protected)
-    expr: list[Optional[Word]] = [(g,) if g in known else None for g in range(1, pres.ngens + 1)]
-    relators = pres.relators
-    unused = list(range(len(relators)))
-    while len(known) < pres.ngens:
-        i = next((i for i in unused if _solvable(relators[i], known) is not None), None)
-        if i is not None:
-            x = _solvable(relators[i], known)
-            expr[x - 1] = _substitute(_solve(relators[i], x), expr)
-            unused.remove(i)
-        else:
-            weight = Counter()
-            for i in unused:
-                free = {abs(letter) for letter in relators[i]} - known
-                if len(free) == 2:
-                    weight.update(free)
-            x = max((g for g in range(1, pres.ngens + 1) if g not in known),
-                    key=lambda g: (len(_closure(relators, known | {g})) == pres.ngens,
-                                   weight[g], -g))
-            expr[x - 1] = (x,)
-            kept.add(x)
-        known.add(x)
-
-    rels = [w for w in (cyclic_reduce(_substitute(relators[i], expr)) for i in unused) if w]
+    kept, expr, rels = _propagate(pres, protected)
     while True:
         best = None
         for x in sorted(kept - protected):

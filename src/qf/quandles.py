@@ -54,7 +54,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:  # qf.groups imports this module
+    from qf.groups import GAlexColumns
 
 MAX_SIZE = 1 << 16
 
@@ -100,9 +103,10 @@ class FiniteQuandle:
         self.size = n
         self.table = tab
         self.inverse_table = self._validate()
+        self._columns = tuple(zip(*tab))
         self.generators = tuple(_generating_set(self))
         for w in self.generators:  # Lemma 2
-            r = [row[w] for row in tab]
+            r = self._columns[w]
             for x, row in enumerate(tab):
                 rxw = tab[r[x]]
                 if [r[v] for v in row] != [rxw[v] for v in r]:
@@ -138,7 +142,7 @@ class FiniteQuandle:
 
     def column(self, y: int) -> tuple[int, ...]:
         """The translation permutation S_y as a mapping x -> x * y."""
-        return tuple(self.table[x][y] for x in range(self.size))
+        return self._columns[y]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteQuandle) and self.table == other.table
@@ -150,30 +154,31 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size})"
 
 
-def _generating_set(q: FiniteQuandle) -> list[int]:
+def _generating_set(q: FiniteQuandle | GAlexColumns) -> list[int]:
     """A small set W, in increasing order, whose orbit under the translations
     by W is all of q (a generating set of a quandle; see the module docstring).
 
     Greedy: each step adds the least element among those whose addition
     reaches the most. An element reached from the set plus c reaches no more
-    than c does, so it is not tried in that step.
+    than c does, so it is not tried in that step. The translations are read
+    through ``q.column``; a single element generates only itself (x * x = x),
+    so the first step, which picks 0, reads none.
     """
-    tab = q.table
-
     def generated(gens: list[int]) -> set[int]:
+        columns = [q.column(w) for w in gens]
         seen = set(gens)
         stack = list(gens)
         while stack:
-            row = tab[stack.pop()]
-            for w in gens:
-                b = row[w]
+            x = stack.pop()
+            for col in columns:
+                b = col[x]
                 if b not in seen:
                     seen.add(b)
                     stack.append(b)
         return seen
 
-    gens: list[int] = []
-    covered: set[int] = set()
+    gens = [0]
+    covered = {0}
     while len(covered) < q.size:
         best: tuple[int, set[int]] | None = None
         tried = set(covered)
@@ -363,7 +368,7 @@ class ExtensionWitness:
     permutation by which the cyclic group generator acts on the total quandle.
     """
 
-    total: FiniteQuandle
+    total: FiniteQuandle | GAlexColumns
     base: FiniteQuandle
     projection: tuple[int, ...]
     group_order: int
@@ -388,7 +393,10 @@ def verify_extension(w: ExtensionWitness) -> ExtensionReport:
     """Check the central-extension axioms (E1), (E2) on a finite witness.
 
     The homomorphism and (E1) are checked for y in the generating set W of
-    the total quandle only, which proves them for every y (Lemma 5d, 5e).
+    the total quandle only, which proves them for every y (Lemma 5d, 5e), so
+    the total quandle is read only through ``size``, ``generators`` and the
+    columns of y and lam(y) for y in W: a ``FiniteQuandle`` or the
+    ``GAlexColumns`` of a branched cover.
     """
     nt = w.total.size
     if len(w.projection) != nt or len(w.action) != nt:
@@ -400,15 +408,13 @@ def verify_extension(w: ExtensionWitness) -> ExtensionReport:
     if w.group_order < 1:
         raise MalformedWitness("group order must be positive")
 
-    tt, tb = w.total.table, w.base.table
-    p, lam = w.projection, w.action
-
-    gens = w.total.generators
-    hom = all(p[tt[x][y]] == tb[p[x]][p[y]] for x in range(nt) for y in gens)
+    tb, p, lam = w.base.table, w.projection, w.action
+    columns = {y: w.total.column(y) for y in w.total.generators}
+    hom = all(p[z] == tb[p[x]][p[y]] for y, col in columns.items() for x, z in enumerate(col))
     surj = len(set(p)) == w.base.size
 
-    e1 = all(lam[tt[x][y]] == tt[lam[x]][y] and tt[x][lam[y]] == tt[x][y]
-             for x in range(nt) for y in gens)
+    e1 = all(lam[col[x]] == col[lam[x]] for col in columns.values() for x in range(nt)) and all(
+        w.total.column(lam[y]) == col for y, col in columns.items())
 
     action_order_matches = _perm_order(lam) == w.group_order
 

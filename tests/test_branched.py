@@ -13,7 +13,7 @@ from qf.groups import (
 )
 from qf.pipeline import Pipeline
 from qf.quandles import ExtensionWitness, galex, quandle_type, verify_extension
-from qf.verify import LONGITUDE_CASES, _projection_witness
+from qf.verify import LONGITUDE_CASES, MODEL_CASES, _projection_witness
 
 TREFOIL = build_torus(2, 3)
 CINQUEFOIL = build_torus(2, 5)
@@ -163,9 +163,10 @@ def test_orbit_orders_match_the_group(spec, n, want):
     assert data.pi1_order == data.group.order == data.gn_order // n
 
 
-def brute_force_hom_and_e1(w):
-    """The homomorphism and (E1) over every pair (x, y), as defined."""
-    tt, tb, p, lam = w.total.table, w.base.table, w.projection, w.action
+def brute_force_hom_and_e1(w, total):
+    """The homomorphism and (E1) over every pair (x, y), as defined, on the
+    full table of the witness's total quandle, ``total``."""
+    tt, tb, p, lam = total.table, w.base.table, w.projection, w.action
     pairs = [(x, y) for x in range(w.total.size) for y in range(w.total.size)]
     return (all(p[tt[x][y]] == tb[p[x]][p[y]] for x, y in pairs),
             all(lam[tt[x][y]] == tt[lam[x]][y] and tt[x][lam[y]] == tt[x][y] for x, y in pairs))
@@ -175,8 +176,11 @@ def test_extension_checked_on_w_rejects_a_corruption_outside_w():
     # verify_extension checks the homomorphism and (E1) for y in W only
     # (Lemma 5d, 5e of qf.quandles); a witness wrong at one element outside W
     # must still fail, in the projection and in the action
-    w = _projection_witness(Pipeline(), "catalog:3_1", 4)
-    assert verify_extension(w).ok and brute_force_hom_and_e1(w) == (True, True)
+    pipe = Pipeline()
+    w = _projection_witness(pipe, "catalog:3_1", 4)
+    data = pipe.branched("catalog:3_1", 4)
+    total = galex(data.group, data.phi)
+    assert verify_extension(w).ok and brute_force_hom_and_e1(w, total) == (True, True)
     outside = [x for x in range(w.total.size) if x not in w.total.generators]
     assert len(outside) == w.total.size - len(w.total.generators) > 1
     for z, other in zip(outside, outside[1:] + outside[:1]):
@@ -185,11 +189,34 @@ def test_extension_checked_on_w_rejects_a_corruption_outside_w():
         bad = replace(w, projection=tuple(p))
         report = verify_extension(bad)
         assert not report.projection_is_homomorphism and not report.ok, z
-        assert not brute_force_hom_and_e1(bad)[0], z
+        assert not brute_force_hom_and_e1(bad, total)[0], z
 
         lam = list(w.action)
         lam[z], lam[other] = lam[other], lam[z]
         bad = replace(w, action=tuple(lam))
         report = verify_extension(bad)
         assert not report.e1 and not report.ok, z
-        assert not brute_force_hom_and_e1(bad)[1], z
+        assert not brute_force_hom_and_e1(bad, total)[1], z
+
+
+@pytest.mark.parametrize("spec, n", [*MODEL_CASES, ("montesinos:1,1/2,1/3,1/3", 2)])
+def test_witness_read_off_the_table_matches_galex(spec, n):
+    # the witness reads GAlex(pi1, phi) column by column and x -> l x off the
+    # regular G_n table, and the projection along its tree; the reference is
+    # galex on the Cayley table of pi1, its row of l, and one walk per element
+    pipe = Pipeline()
+    w = _projection_witness(pipe, spec, n)
+    data = pipe.branched(spec, n)
+    q_table, _ = pipe.quandle(spec, n)
+    view, total = data.galex, galex(data.group, data.phi)
+    assert w.total is view
+    assert (view.size, view.generators) == (total.size, total.generators)
+    reps = data.table.rep_words
+    assert w.projection == tuple(q_table.coset_of_word(reps[c]) for c in data.kernel)
+    assert w.action == data.longitude_action == data.group.mult[data.longitude]
+    read = {*view.generators, *(w.action[y] for y in view.generators)}
+    for y in sorted(read):
+        assert view.column(y) == total.column(y), y
+    # the witness check reads a few columns, not the table
+    assert verify_extension(w).ok
+    assert len(view._columns) <= max(8, view.size // 2)

@@ -9,19 +9,14 @@ from pathlib import Path
 import pytest
 
 import qf
+import qf.pipeline
 import qf.verify
 from qf.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
-from qf.groups import MAX_N, BranchedCover, IncompleteTable, KernelSizeMismatch, TableMismatch
+from qf.groups import MAX_N, CosetTable, IncompleteTable, KernelSizeMismatch, TableMismatch
 from qf.homology import DivisibilityError, h2_order_via_extension
 from qf.intlinalg import NotAComplex
 from qf.pipeline import Pipeline
-from qf.quandles import (
-    AutomorphismInvalid,
-    AxiomViolation,
-    FiniteGroupElementSet,
-    GroupAutomorphism,
-    MalformedWitness,
-)
+from qf.quandles import AxiomViolation, MalformedWitness
 
 
 def run(capsys, *argv):
@@ -299,9 +294,19 @@ def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
     assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
-def _phi_of_another_group(monkeypatch):
-    trivial = GroupAutomorphism(FiniteGroupElementSet.cyclic(1), (0,))
-    monkeypatch.setattr(BranchedCover, "phi", property(lambda self: trivial))
+def _cover_table_not_regular(monkeypatch, build=qf.pipeline.branched_cover):
+    # a G_n table that escaped its checks: a transposition in the column of
+    # generator 1 leaves no left translation for the witness to read
+    def broken(p, n, t):
+        action = [list(col) for col in t.action]
+        fwd, bwd = action[0], action[1]
+        fwd[0], fwd[1] = fwd[1], fwd[0]
+        for c, d in enumerate(fwd):
+            bwd[d] = c
+        table = CosetTable(t.ngens, action, t.rep_words, t.subgroup)
+        return dataclasses.replace(build(p, n, t), table=table)
+
+    monkeypatch.setattr(qf.pipeline, "branched_cover", broken)
 
 
 def _witness_without_projection(monkeypatch, build=qf.verify._projection_witness):
@@ -315,13 +320,13 @@ def _pi1_order_off_by_one(monkeypatch):
 
 
 @pytest.mark.parametrize("error, force", [
-    (AutomorphismInvalid, _phi_of_another_group),
+    (TableMismatch, _cover_table_not_regular),
     (MalformedWitness, _witness_without_projection),
     (DivisibilityError, _pi1_order_off_by_one),
 ])
 def test_verify_tables_reports_witness_errors_as_internal(capsys, monkeypatch, error, force):
-    # galex, verify_extension and the model row's |pi1|/|Q_n| raise these on
-    # their real call paths; each ends in one stderr line, not a traceback
+    # the witness's left translations, verify_extension and the model row's
+    # |pi1|/|Q_n| raise these on their real call paths; each ends in one stderr line, not a traceback
     force(monkeypatch)
     code, out, err = run(capsys, "verify-tables", "--no-cache")
     assert code == EXIT_INTERNAL

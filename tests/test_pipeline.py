@@ -1,13 +1,16 @@
+import gc
 import json
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+import qf
 import qf.groups
 import qf.homology
 import qf.pipeline
 import qf.presentations
+import qf.quandles
 import qf.verify
 from qf.catalog import resolve_knot_spec
 from qf.cli import main
@@ -151,7 +154,7 @@ def _count_calls(monkeypatch, name, *modules):
 def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline,
                                 qf.presentations, qf.verify)
-    galex_calls = _count_calls(monkeypatch, "galex", qf.verify)
+    witnesses = _count_calls(monkeypatch, "_projection_witness", qf.verify)
     extension_checks = _count_calls(monkeypatch, "verify_extension", qf.verify)
     batches = _count_calls(monkeypatch, "d3_columns", qf.homology._ReducedComplex)
     covers = _count_calls(monkeypatch, "branched_cover", qf.pipeline)
@@ -172,7 +175,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     assert len(covers) == len(pipe._branched)
     # one witness per (spec, n), checked once for its extension and model rows
     witnessed = set(EXTENSION_CASES) | set(MODEL_CASES)
-    assert len(galex_calls) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
+    assert len(witnesses) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
     # every enumeration is a cache miss or a trefoil cover presentation: a
     # certificate attempt presents pi1(M_n) once and enumerates nothing, as its
     # second pass reads pi1 / pi1' off a Hermite normal form and abelianizes
@@ -289,6 +292,29 @@ def test_deeply_nested_cache_entries_are_misses(tmp_path, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
     assert {path: path.read_text() for path in entries} == entries
+
+
+def test_verification_builds_no_group_table(monkeypatch):
+    # the witness reads GAlex(pi1, phi) and x -> l x off the regular G_n table
+    # (the lemma of qf.verify): no Cayley table of pi1, no automorphism, no galex
+    groups = _count_calls(monkeypatch, "__post_init__", FiniteGroupElementSet)
+    automorphisms = _count_calls(monkeypatch, "__post_init__", GroupAutomorphism)
+    galex_calls = _count_calls(monkeypatch, "galex", qf.quandles, qf)
+    rows = run_verification(Pipeline(CosetCache(None)))
+    assert len(rows) == 51 and all(r.status == "PASS" for r in rows)
+    assert groups == [] and automorphisms == [] and galex_calls == []
+
+
+def test_verification_leaves_no_reference_cycles():
+    # the column view that a BranchedCover caches keeps the cover's parts, not
+    # the cover: a run leaves no G_n table to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        run_verification(Pipeline(CosetCache(None)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_homology_rows_build_no_group(monkeypatch, tmp_path):

@@ -13,6 +13,7 @@ from qf.groups import (
     Overflow,
     TableMismatch,
     abelianization,
+    cyclic_reduce,
     g_n_presentation,
     todd_coxeter,
     trefoil_branched_presentation,
@@ -106,6 +107,67 @@ def test_simplify_never_eliminates_a_kept_generator():
     pres = GroupPresentation(3, [(2, 3, 3), (3, 3, 3), (1, 1), (1, 3, -1, -3)])
     small, rewrite = simplify(pres, (1, 2))
     assert small.ngens == 3 and rewrite == ((1,), (2,), (3,))
+
+
+def _propagate_by_closure(pres, protected):
+    """Step 1 of ``simplify`` as first written: every relator re-solved from
+    scratch for each step and, when none fires, for each candidate to keep."""
+    def solvable(relator, known):
+        free = [abs(letter) for letter in relator if abs(letter) not in known]
+        return free[0] if len(free) == 1 else None
+
+    def closure(known):
+        known = set(known)
+        while solved := {solvable(w, known) for w in relators} - {None}:
+            known |= solved
+        return known
+
+    known, kept = set(protected), set(protected)
+    expr = [(g,) if g in known else None for g in range(1, pres.ngens + 1)]
+    relators = pres.relators
+    unused = list(range(len(relators)))
+    while len(known) < pres.ngens:
+        i = next((i for i in unused if solvable(relators[i], known) is not None), None)
+        if i is not None:
+            x = solvable(relators[i], known)
+            expr[x - 1] = qf.presentations._substitute(qf.presentations._solve(relators[i], x), expr)
+            unused.remove(i)
+        else:
+            weight = Counter()
+            for i in unused:
+                free = {abs(letter) for letter in relators[i]} - known
+                if len(free) == 2:
+                    weight.update(free)
+            x = max((g for g in range(1, pres.ngens + 1) if g not in known),
+                    key=lambda g: (len(closure(known | {g})) == pres.ngens, weight[g], -g))
+            expr[x - 1] = (x,)
+            kept.add(x)
+        known.add(x)
+    rels = [cyclic_reduce(qf.presentations._substitute(relators[i], expr)) for i in unused]
+    return kept, expr, [w for w in rels if w]
+
+
+SIMPLIFY_POOL = [*(f"catalog:{k}" for k in ("3_1", "4_1", "5_1", "5_2")), *MONTESINOS_CANDIDATES,
+                 *(f"rational:{a},{b}" for a in range(3, 26, 2) for b in range(1, a) if gcd(a, b) == 1)]
+
+
+def test_propagation_matches_the_closure_version(monkeypatch):
+    # simplify(G_n, (1,)), simplify(G_n, ()) and simplify(pi1, ()), the three
+    # calls of the pipeline and the certificate, on every knot of the pool at
+    # n = 2..4: the incremental propagation gives what re-solving every
+    # relator gave, and so does simplify
+    compared = 0
+    for spec in SIMPLIFY_POOL:
+        for n in (2, 3, 4):
+            pres = g_n_presentation(PIPE.peripherals(spec), n)
+            small = simplify(pres, (1,))[0]
+            pi1 = reidemeister_schreier(small, grading_kernel_table(small, n))
+            for given, keep in ((pres, (1,)), (pres, ()), (pi1, ())):
+                protected = frozenset(keep)
+                want = _propagate_by_closure(given, protected)
+                assert qf.presentations._propagate(given, protected) == want, (spec, n, keep)
+                compared += 1
+    assert compared == 3 * 3 * len(SIMPLIFY_POOL) == 1278
 
 
 def test_enumerate_cosets_overflows_and_checks_words():

@@ -243,3 +243,14 @@ def test_automorphism_check_on_generators_is_exact(g, automorphisms):
         accepted += checked
     assert accepted == automorphisms
 
+
+
+def test_generating_sets_are_pinned():
+    # the greedy W of _generating_set, read through column(); the reduced
+    # complex of qf.homology and the extension witness are built on it
+    from qf.pipeline import Pipeline
+    assert [dihedral_quandle(k).generators for k in (9, 17, 29)] == [(0, 1)] * 3
+    pipe = Pipeline()
+    assert pipe.quandle("catalog:3_1", 5)[1].generators == (0, 1)
+    assert pipe.quandle("catalog:5_1", 3)[1].generators == (0, 10)
+    assert pipe.quandle("montesinos:1,1/2,1/3,1/3", 2)[1].generators == (0, 1, 5)
