@@ -1,9 +1,11 @@
 """End-to-end pipelines: knot spec -> enumerated n-quandle -> homology, with caching.
 
 Coset tables are cached as JSON keyed by a content hash of the presentation,
-the subgroup, and the enumeration strategy version; a cache hit is bit-identical
-to recomputation. Serialized results never include timings or cache counters,
-so stdout output is byte-identical across runs.
+the subgroup, and the enumeration strategy version; a cache hit is the table
+that uncapped recomputation gives. ``max_cosets`` bounds only the enumeration
+on a miss, so a row that overflows a low cap uncached is read in full from a
+cache that a higher cap filled. Serialized results never include timings or
+cache counters, so stdout output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -45,7 +48,7 @@ from qf.presentations import (
     enumerate_cosets,
     simplify,
 )
-from qf.quandles import FiniteQuandle, is_connected, quandle_type
+from qf.quandles import FiniteQuandle, is_connected, quandle_type, trivial_quandle
 
 SCHEMA_VERSION = 1
 
@@ -75,7 +78,8 @@ class CosetCache:
             if not any(table.subgroup):
                 table.check_regular()
         except (OSError, ValueError, KeyError, TypeError, IncompleteTable, TableMismatch,
-                RecursionError):  # json.loads of an entry nested too deep
+                RecursionError,  # json.loads of an entry nested too deep
+                OverflowError):  # int() of a number json.loads read as infinity
             return None
         return table
 
@@ -185,15 +189,55 @@ class PipelineResult:
         return buf.getvalue()
 
 
+class _Row:
+    """G_n (``pres``) of one Wirtinger presentation, and what the pipeline reads
+    off it. Each other field is computed when first read and kept; one whose
+    computation raises (Overflow) is not kept, so the next read raises again."""
+
+    def __init__(self, per: PeripheralPresentation, n: int, cache: CosetCache, max_cosets: int):
+        self.per, self.n, self.cache, self.max_cosets = per, n, cache, max_cosets
+        self.pres = g_n_presentation(per, n)
+
+    @cached_property
+    def simplified(self) -> tuple[tuple[GroupPresentation, tuple[Word, ...]],
+                                  Optional[InfinitenessCertificate]]:
+        """G_n simplified once for every enumeration of it, with the
+        certificate looked for over it; read only on a cache miss."""
+        simplified = simplify(self.pres, (1,))
+        return simplified, branched_cover_certificate(simplified[0], self.n)
+
+    def _enumerate(self, subgroup: tuple[Word, ...], name: str) -> CosetTable:
+        """The table of G_n over the subgroup; Overflow names the quotient it
+        counts (``name``) where a miss finds pi1(M_n) infinite."""
+
+        def compute() -> CosetTable:
+            simplified, certificate = self.simplified
+            if certificate is not None:
+                raise Overflow(self.max_cosets, certificate, name)
+            return enumerate_cosets(self.pres, subgroup, self.max_cosets, simplified)
+
+        return self.cache.todd_coxeter(self.pres, subgroup, compute)
+
+    @cached_property
+    def quandle(self) -> tuple[CosetTable, FiniteQuandle]:
+        meridian = (self.per.meridian + 1,)
+        table = self._enumerate((meridian, self.per.longitude), f"Q_{self.n}")
+        return table, quandle_from_cosets(table, meridian)
+
+    @cached_property
+    def cover(self) -> BranchedCover:
+        return branched_cover(self.per, self.n, self._enumerate((), f"G_{self.n}"))
+
+
 class Pipeline:
     """Memoizing driver shared by the CLI commands and the verification table.
 
-    Everything past spec resolution is memoized on the resolved diagram, so
-    specs that name one diagram (``3_1`` and ``catalog:3_1``) share the work.
-    A cache miss on G_n simplifies it once per (diagram, n), for every
-    enumeration of it, and first looks for a certificate that pi1(M_n) is
-    infinite (``branched_cover_certificate``, once per (diagram, n)); where
-    one is found, Overflow carries it instead of an enumeration filling its cap.
+    Everything past the Wirtinger presentation is memoized on (presentation,
+    n), the data the disk cache keys by, so specs with one presentation
+    (``catalog:3_1`` and ``rational:3,1``) share G_n and all read off it. A
+    cache miss on G_n simplifies it and looks for a certificate that pi1(M_n)
+    is infinite (``branched_cover_certificate``) once per key; where one is
+    found, Overflow carries it instead of an enumeration filling its cap.
     """
 
     def __init__(self, cache: Optional[CosetCache] = None,
@@ -202,12 +246,7 @@ class Pipeline:
         self.max_cosets = max_cosets
         self._knots: dict[str, KnotInput] = {}
         self._peripherals: dict[PDCode, PeripheralPresentation] = {}
-        self._diagrams: dict[PDCode, Diagram] = {}
-        self._quandles: dict[tuple[PDCode, int], tuple[CosetTable, FiniteQuandle]] = {}
-        self._branched: dict[tuple[PDCode, int], BranchedCover] = {}
-        # G_n simplified, with the certificate looked for over it
-        self._simplified: dict[tuple[PDCode, int], tuple[tuple[GroupPresentation, tuple[Word, ...]],
-                                                         Optional[InfinitenessCertificate]]] = {}
+        self._rows: dict[tuple[PeripheralPresentation, int], _Row] = {}
 
     def knot(self, spec: str) -> KnotInput:
         if spec not in self._knots:
@@ -215,10 +254,7 @@ class Pipeline:
         return self._knots[spec]
 
     def diagram(self, spec: str) -> Diagram:
-        pd = self.knot(spec).pd
-        if pd not in self._diagrams:
-            self._diagrams[pd] = analyze(pd)
-        return self._diagrams[pd]
+        return analyze(self.knot(spec).pd)
 
     def peripherals(self, spec: str) -> PeripheralPresentation:
         pd = self.knot(spec).pd
@@ -226,78 +262,40 @@ class Pipeline:
             self._peripherals[pd] = wirtinger_with_peripherals(self.diagram(spec))
         return self._peripherals[pd]
 
-    def _enumerate(self, spec: str, n: int, subgroup: tuple[Word, ...], name: str) -> CosetTable:
-        """The table of G_n over the subgroup; Overflow names the quotient it
-        counts (``name``) where a miss finds pi1(M_n) infinite."""
-        key = (self.knot(spec).pd, n)
-        pres = g_n_presentation(self.peripherals(spec), n)
-
-        def compute() -> CosetTable:
-            if key not in self._simplified:
-                simplified = simplify(pres, (1,))
-                self._simplified[key] = simplified, branched_cover_certificate(simplified[0], n)
-            simplified, certificate = self._simplified[key]
-            if certificate is not None:
-                raise Overflow(self.max_cosets, certificate, name)
-            return enumerate_cosets(pres, subgroup, self.max_cosets, simplified)
-
-        return self.cache.todd_coxeter(pres, subgroup, compute)
+    def _row(self, spec: str, n: int) -> _Row:
+        key = (self.peripherals(spec), n)
+        if key not in self._rows:
+            self._rows[key] = _Row(*key, self.cache, self.max_cosets)
+        return self._rows[key]
 
     def quandle(self, spec: str, n: int) -> tuple[CosetTable, FiniteQuandle]:
-        key = (self.knot(spec).pd, n)
-        if key not in self._quandles:
-            per = self.peripherals(spec)
-            meridian = (per.meridian + 1,)
-            table = self._enumerate(spec, n, (meridian, per.longitude), f"Q_{n}")
-            self._quandles[key] = (table, quandle_from_cosets(table, meridian))
-        return self._quandles[key]
+        return self._row(spec, n).quandle
 
     def branched(self, spec: str, n: int) -> BranchedCover:
-        key = (self.knot(spec).pd, n)
-        if key not in self._branched:
-            table = self._enumerate(spec, n, (), f"G_{n}")
-            self._branched[key] = branched_cover(self.peripherals(spec), n, table)
-        return self._branched[key]
+        return self._row(spec, n).cover
 
     def run_enumerate(self, spec: str, n: int) -> PipelineResult:
-        t0 = time.perf_counter()
-        knot = self.knot(spec)
-        if knot.is_unknot:
-            return self._unknot_result(spec, n, full=False)
-        _, q = self.quandle(spec, n)
-        result = PipelineResult(
-            knot=spec, n=n, qn_size=q.size, qn_type=quandle_type(q),
-            qn_connected=is_connected(q), mu=knot.mu, mu_family=knot.mu_family,
-            cache_hits=self.cache.hits)
-        result.timings["total"] = time.perf_counter() - t0
-        return result
+        return self._result(spec, n, homology=False)
 
     def run_homology(self, spec: str, n: int) -> PipelineResult:
+        return self._result(spec, n, homology=True)
+
+    def _result(self, spec: str, n: int, homology: bool) -> PipelineResult:
         t0 = time.perf_counter()
         knot = self.knot(spec)
-        if knot.is_unknot:
-            return self._unknot_result(spec, n, full=True)
-        _, q = self.quandle(spec, n)
-        data = self.branched(spec, n) if n >= 2 else None
-        h1, h2 = quandle_homology(q)
-        result = PipelineResult(
-            knot=spec, n=n, qn_size=q.size, qn_type=quandle_type(q),
-            qn_connected=is_connected(q), h1=h1, h2=h2,
-            mu=knot.mu, mu_family=knot.mu_family, cache_hits=self.cache.hits)
-        if data is not None:
-            result.gn_order = data.gn_order
-            result.pi1_order = data.pi1_order
-            result.longitude_order = data.longitude_order
+        if knot.is_unknot:  # G_n = Z/n, so pi1(M_n) = 1 and Q_n has one element
+            check_n(n)  # every other knot checks n in g_n_presentation
+        q = trivial_quandle(1) if knot.is_unknot else self.quandle(spec, n)[1]
+        result = PipelineResult(knot=spec, n=n, qn_size=q.size, qn_type=quandle_type(q),
+                                qn_connected=is_connected(q), mu=knot.mu, mu_family=knot.mu_family)
+        if homology:
+            if knot.is_unknot:
+                result.gn_order, result.pi1_order, result.longitude_order = n, 1, 1
+            elif n >= 2:
+                data = self.branched(spec, n)
+                result.gn_order, result.pi1_order, result.longitude_order = (
+                    data.gn_order, data.pi1_order, data.longitude_order)
+            result.h1, result.h2 = quandle_homology(q)
+        result.cache_hits = self.cache.hits
         result.timings["total"] = time.perf_counter() - t0
-        return result
-
-    def _unknot_result(self, spec: str, n: int, full: bool) -> PipelineResult:
-        check_n(n)  # every other knot checks n in g_n_presentation
-        result = PipelineResult(knot=spec, n=n, qn_size=1, qn_type=1, qn_connected=True)
-        if full:
-            result.gn_order = n
-            result.pi1_order = 1
-            result.longitude_order = 1
-            result.h1 = AbelianGroup(1)
-            result.h2 = AbelianGroup(0)
         return result

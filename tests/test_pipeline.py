@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 from functools import partial
 from pathlib import Path
 
@@ -107,16 +108,26 @@ def test_pipeline_memoizes():
     assert t1 is t2 and q1 is q2
 
 
-def test_pipeline_memoizes_on_the_resolved_diagram(monkeypatch):
+def test_pipeline_memoizes_on_the_presentation(monkeypatch):
+    # 3_1 and catalog:3_1 name one diagram; rational:3,1 names another with
+    # the same Wirtinger presentation
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.presentations)
+    simplified = _count_calls(monkeypatch, "simplify", qf.pipeline)
+    certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
+    covers = _count_calls(monkeypatch, "branched_cover", qf.pipeline)
     pipe = Pipeline()
-    for spec in ("3_1", "catalog:3_1"):
+    specs = ("3_1", "catalog:3_1", "rational:3,1")
+    assert pipe.knot("rational:3,1").pd != pipe.knot("catalog:3_1").pd
+    for spec in specs:
         pipe.quandle(spec, 3)
         pipe.branched(spec, 3)
-    assert pipe.quandle("3_1", 3) is pipe.quandle("catalog:3_1", 3)
-    # Q_3 and G_3 once each; the one certificate attempt that both misses
-    # share reads pi1 / pi1' (H1 is Z/2 x Z/2) off a Hermite normal form
+    assert pipe.quandle("3_1", 3) is pipe.quandle("catalog:3_1", 3) is pipe.quandle("rational:3,1", 3)
+    assert pipe.branched("rational:3,1", 3) is pipe.branched("catalog:3_1", 3)
+    # Q_3 and G_3 once each; the one simplification of G_3 and the one
+    # certificate attempt that both misses share, which reads pi1 / pi1'
+    # (H1 is Z/2 x Z/2) off a Hermite normal form
     assert len(enumerations) == 2
+    assert len(simplified) == len(certificates) == len(covers) == 1
 
 
 def test_unknot_results():
@@ -158,6 +169,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     extension_checks = _count_calls(monkeypatch, "verify_extension", qf.verify)
     batches = _count_calls(monkeypatch, "d3_columns", qf.homology._ReducedComplex)
     covers = _count_calls(monkeypatch, "branched_cover", qf.pipeline)
+    simplified = _count_calls(monkeypatch, "simplify", qf.pipeline)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
     presented = _count_calls(monkeypatch, "reidemeister_schreier", qf.presentations)
     cache = CosetCache(tmp_path)
@@ -170,9 +182,13 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     # row's H2 is Z/2), where those columns certify nothing
     torsion_rows = sum(want != AbelianGroup(0) for _, _, want in H2_CASES) + 1
     assert len(batches) == len(homology_rows) + torsion_rows
-    # G_n is graded once per (diagram, n), for its orders; the cover group
-    # that the extension and model rows read is built on the same kernel
-    assert len(covers) == len(pipe._branched)
+    # G_n is graded once per (presentation, n), for its orders: ten pairs, as
+    # rational:3,1 and catalog:3_1 share the trefoil's n=2; the cover group
+    # that the extension and model rows read is built on the same kernel.
+    # Every pair misses the fresh cache, so G_n is simplified and a
+    # certificate looked for once per pair
+    assert len(covers) == len({(per, n) for per, n, _ in covers}) == 10
+    assert len(simplified) == len({pres for pres, _ in simplified}) == 10
     # one witness per (spec, n), checked once for its extension and model rows
     witnessed = set(EXTENSION_CASES) | set(MODEL_CASES)
     assert len(witnesses) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
@@ -182,7 +198,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     # pi1' along the Reidemeister-Schreier walk
     assert len(enumerations) == cache.misses + len(TREFOIL_COVER_ORDERS)
     assert len(presented) == len(certificates)
-    assert len({(pres, n) for pres, n in certificates}) == len(certificates)
+    assert len({(pres, n) for pres, n in certificates}) == len(certificates) == 10
 
 
 def test_warm_cache_homology_enumerates_nothing(monkeypatch, tmp_path, capsys):
@@ -277,8 +293,10 @@ def test_cached_table_over_the_trivial_subgroup_must_be_regular(tmp_path, capsys
 
 
 def test_deeply_nested_cache_entries_are_misses(tmp_path, capsys):
-    # json.loads raises RecursionError on such an entry; planted at both keys
-    # of a homology row (Q_n and G_n), each is a miss, recomputed and rewritten
+    # json.loads raises RecursionError on a deeply nested entry, and
+    # CosetTable.from_json OverflowError on a count json reads as infinity;
+    # planted at both keys of a homology row (Q_n and G_n), each is a miss,
+    # recomputed and rewritten
     nested = "[" * 200000
     with pytest.raises(RecursionError):
         json.loads(nested)
@@ -287,11 +305,30 @@ def test_deeply_nested_cache_entries_are_misses(tmp_path, capsys):
     capsys.readouterr()
     entries = {path: path.read_text() for path in tmp_path.glob("*.json")}
     assert len(entries) == 2
-    for path in entries:
-        path.write_text(nested)
-    assert main(args) == 0
-    assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
-    assert {path: path.read_text() for path in entries} == entries
+    infinite = {path: re.sub(r'"generators": \d+', '"generators": 1e999', text)
+                for path, text in entries.items()}
+    for text in infinite.values():
+        with pytest.raises(OverflowError):
+            CosetTable.from_json(json.loads(text)["table"])
+    for planted in ({path: nested for path in entries}, infinite):
+        for path, text in planted.items():
+            path.write_text(text)
+        assert main(args) == 0
+        assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
+        assert {path: path.read_text() for path in entries} == entries
+
+
+def test_a_cache_hit_ignores_the_cap(tmp_path, capsys):
+    # --max-cosets bounds only the enumeration on a miss: G_3 of 5_1 has 360
+    # cosets, so the row overflows a cap of 10 uncached, and is read in full
+    # from a cache that an uncapped run filled
+    args = ["homology", "--knot", "catalog:5_1", "--n", "3"]
+    capped = args + ["--max-cosets", "10"]
+    assert main(capped + ["--no-cache"]) == 3
+    assert main(args + ["--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(capped + ["--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "catalog_5_1_n3.json").read_text()
 
 
 def test_verification_builds_no_group_table(monkeypatch):
