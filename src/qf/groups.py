@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from qf.intlinalg import AbelianGroup, SparseIntMatrix, smith_normal_form
+from qf.intlinalg import AbelianGroup, SparseIntMatrix, abelian_group
 from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, _generating_set
 
 if TYPE_CHECKING:  # qf.diagrams imports this module
@@ -692,18 +692,6 @@ def exponent_sums(word: Iterable[int]) -> dict[int, int]:
         c = abs(letter) - 1
         row[c] = row.get(c, 0) + (1 if letter > 0 else -1)
     return {c: v for c, v in row.items() if v}
-
-
-def abelian_group(m: SparseIntMatrix) -> AbelianGroup:
-    """The abelian group that the rows of m present, Z^cols / (row span), from
-    its Smith form.
-
-    Relation matrices are sparse and rich in +-1 entries at any size (those of
-    Reidemeister-Schreier presentations have hundreds of rows), so unit pivots
-    are eliminated before anything is handled densely.
-    """
-    snf = smith_normal_form(m)
-    return AbelianGroup(m.cols - snf.rank, tuple(d for d in snf.factors if d > 1))
 
 
 def abelianization(g: GroupPresentation) -> AbelianGroup:

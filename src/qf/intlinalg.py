@@ -1,8 +1,13 @@
-"""Exact sparse integer matrices, Smith normal form, and homology of a pair of boundary maps.
+"""Exact sparse integer matrices, Smith and Hermite forms, finitely generated
+abelian groups, and homology of a pair of boundary maps.
 
-All arithmetic uses Python integers, so there is no overflow anywhere.
-Matrices are stored row-major, one {column: value} dict per row, with
-0-based indices; Smith normal form eliminates copies of those rows in place.
+This module is the one home of integer elimination: ``smith_normal_form`` and
+``abelian_group`` for invariant factors and abelianizations, and
+``hermite_rows``, the one dense kernel, which also gives the triangular basis
+that ``qf.presentations.abelian_quotient_table`` reads pi1 / pi1' off. All
+arithmetic uses Python integers, so there is no overflow anywhere. Matrices
+are stored row-major, one {column: value} dict per row, with 0-based indices;
+Smith normal form eliminates copies of those rows in place.
 """
 
 from __future__ import annotations
@@ -73,6 +78,18 @@ class AbelianGroup:
         return " x ".join(parts) if parts else "0"
 
 
+def abelian_group(m: SparseIntMatrix) -> AbelianGroup:
+    """The abelian group that the rows of m present, Z^cols / (row span), from
+    its Smith form.
+
+    Relation matrices are sparse and rich in +-1 entries at any size (those of
+    Reidemeister-Schreier presentations have hundreds of rows), so unit pivots
+    are eliminated before anything is handled densely.
+    """
+    snf = smith_normal_form(m)
+    return AbelianGroup(m.cols - snf.rank, tuple(d for d in snf.factors if d > 1))
+
+
 class SparseIntMatrix:
     """Integer matrix stored row-major: ``row_dicts[r]`` maps column -> value, and
     zero entries are never stored. The matrix owns the dicts it is given and
@@ -134,56 +151,47 @@ def _chain_fix(values: list[int]) -> tuple[int, ...]:
     return tuple(ds)
 
 
-def _dense_diagonalize(a: list[list[int]]) -> list[int]:
-    """Diagonalize a small dense integer matrix in place; returns the diagonal values."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    key = (abs(v), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            a[bi], a[t] = a[t], a[bi]
-        if bj != t:
-            for row in a:
-                row[bj], row[t] = row[t], row[bj]
-        pivot = a[t][t]
-        clean = True
-        for i in range(t + 1, m):
-            v = a[i][t]
-            if v:
-                q = v // pivot
-                if q:
-                    arow, prow = a[i], a[t]
-                    for j in range(t, n):
-                        arow[j] -= q * prow[j]
-                if a[i][t]:
-                    clean = False  # remainder smaller than the pivot; re-pivot
-        if clean:
-            for j in range(t + 1, n):
-                v = a[t][j]
-                if v:
-                    q = v // pivot
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        clean = False
-        if clean:
-            diag.append(abs(pivot))
-            t += 1
-    return diag
+def hermite_rows(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
+    """An upper triangular basis of the lattice that the rows (each of k
+    integers) span in Z^k, as k rows of k integers, by extended-gcd row
+    operations, column by column: row i has its first nonzero entry h_i > 0
+    in column i, or is zero (h_i = 0) where the lattice has lower rank. It is
+    the row-style Hermite normal form but for the reduction of the entries
+    above the diagonal, which no caller needs. Where the pivot divides an
+    entry, that multiple of it is subtracted and the pivot kept; without this
+    step the alternating Hermite forms of ``smith_normal_form`` can cycle."""
+    rest = [row for row in rows if any(row)]
+    hermite = []
+    for i in range(k):
+        pivot, left = [0] * k, []
+        for row in rest:
+            b = row[i]
+            if not b:
+                left.append(row)
+                continue
+            a = pivot[i]
+            if a and not b % a:
+                other = [r - b // a * p for p, r in zip(pivot, row)]
+            else:
+                # (pivot, row) <- (s pivot + t row, b/g pivot - a/g row): unimodular, as s a + t b = g
+                g, s, t = _xgcd(a, b)
+                other = [b // g * p - a // g * r for p, r in zip(pivot, row)]
+                pivot = [s * p + t * r for p, r in zip(pivot, row)]
+            if any(other):
+                left.append(other)
+        hermite.append(pivot)
+        rest = left
+    return hermite
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
@@ -198,9 +206,17 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     A row can only gain a unit by changing, which pushes it again, so every
     row that holds a unit has an entry at its current length, and the first
     entry that survives is the least (length, row) over those rows: the
-    pivot that a scan of every live row would pick. Once no unit pivot is
-    left, the remainder is handled densely and the divisibility chain is
-    repaired at the end.
+    pivot that a scan of every live row would pick.
+
+    Once no unit pivot is left, the remainder is made dense, transposed where
+    needed so that each row has k = min(rows, cols) entries, and diagonalized by
+    alternating Hermite forms (Kannan & Bachem, SIAM J. Comput. 8, 1979):
+    ``hermite_rows`` of its rows, then of the transpose, until nothing is left
+    above the diagonal; the divisibility chain is repaired at the end. The
+    loop ends because the first diagonal entry h never grows: after a
+    transpose it becomes the gcd of h's row. It falls strictly unless h
+    divides its row, and then the kept pivot clears its row and column, which
+    stay clear; the same holds for the block that is left.
     """
     rows = [dict(row) for row in m.row_dicts]
     col_rows: dict[int, set[int]] = {}
@@ -253,13 +269,15 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
 
     live_rows = sorted(live)
     live_cols = sorted({c for r in live_rows for c in rows[r]})
-    col_index = {c: j for j, c in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for i, r in enumerate(live_rows):
-        for c, v in rows[r].items():
-            dense[i][col_index[c]] = v
-    diag = _dense_diagonalize(dense)
-    return SNFResult((1,) * units + _chain_fix(diag))
+    dense = [[rows[r].get(c, 0) for c in live_cols] for r in live_rows]
+    if len(live_rows) < len(live_cols):
+        dense = list(zip(*dense))
+    k = min(len(live_rows), len(live_cols))
+    while True:
+        dense = hermite_rows(dense, k)
+        if not any(any(row[i + 1:]) for i, row in enumerate(dense)):
+            return SNFResult((1,) * units + _chain_fix([row[i] for i, row in enumerate(dense)]))
+        dense = list(zip(*dense))
 
 
 def check_complex(d_low: SparseIntMatrix, d_high: SparseIntMatrix) -> None:

@@ -191,12 +191,14 @@ class PipelineResult:
 
 class _Row:
     """G_n (``pres``) of one Wirtinger presentation, and what the pipeline reads
-    off it. Each other field is computed when first read and kept; one whose
-    computation raises (Overflow) is not kept, so the next read raises again."""
+    off it. Each other field is computed when first read and kept; Overflow is
+    not, but the subgroup of an enumeration that filled the cap is recorded, so
+    a later read raises Overflow again without enumerating."""
 
     def __init__(self, per: PeripheralPresentation, n: int, cache: CosetCache, max_cosets: int):
         self.per, self.n, self.cache, self.max_cosets = per, n, cache, max_cosets
         self.pres = g_n_presentation(per, n)
+        self.overflowed: set[tuple[Word, ...]] = set()
 
     @cached_property
     def simplified(self) -> tuple[tuple[GroupPresentation, tuple[Word, ...]],
@@ -216,7 +218,14 @@ class _Row:
                 raise Overflow(self.max_cosets, certificate, name)
             return enumerate_cosets(self.pres, subgroup, self.max_cosets, simplified)
 
-        return self.cache.todd_coxeter(self.pres, subgroup, compute)
+        if subgroup in self.overflowed:
+            raise Overflow(self.max_cosets)
+        try:
+            return self.cache.todd_coxeter(self.pres, subgroup, compute)
+        except Overflow as exc:
+            if exc.certificate is None:
+                self.overflowed.add(subgroup)
+            raise
 
     @cached_property
     def quandle(self) -> tuple[CosetTable, FiniteQuandle]:

@@ -14,7 +14,7 @@ building the presentation. ``branched_cover_certificate`` uses them to prove
 pi1 of a cyclic branched cover infinite before any enumeration to a cap is
 tried; it enumerates nothing itself, since the one coset table it needs
 between its two passes, that of pi1 / pi1', is read off a Hermite normal form
-(``abelian_quotient_table``).
+(``abelian_quotient_table``, on the rows of ``qf.intlinalg.hermite_rows``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from qf.groups import (
     Word,
     _standardized_table,
     _subgroup_words,
-    abelian_group,
     abelianization,
     cyclic_reduce,
     exponent_sums,
@@ -43,7 +42,7 @@ from qf.groups import (
     invert_word,
     todd_coxeter,
 )
-from qf.intlinalg import AbelianGroup, SparseIntMatrix
+from qf.intlinalg import AbelianGroup, SparseIntMatrix, abelian_group, hermite_rows
 
 # Bounds the work of one certificate, in (cosets x total relator length): that
 # of each Reidemeister-Schreier pass, and that of the check of the table of
@@ -339,43 +338,6 @@ def _commutators(ngens: int) -> list[Word]:
     return [(a, b, -a, -b) for a in gens for b in gens if a < b]
 
 
-def _hermite_rows(rows: Sequence[dict[int, int]], k: int) -> list[list[int]]:
-    """An upper triangular basis of the lattice that the rows span in Z^k, by
-    extended-gcd row operations, column by column: row i has its first
-    nonzero entry h_i > 0 in column i, or is zero (h_i = 0) where the lattice
-    has lower rank. It is the row-style Hermite normal form but for the
-    reduction of the entries above the diagonal, which no caller needs."""
-    rest = [[row.get(c, 0) for c in range(k)] for row in rows if row]
-    hermite = []
-    for i in range(k):
-        pivot, left = [0] * k, []
-        for row in rest:
-            b = row[i]
-            if not b:
-                left.append(row)
-                continue
-            # (pivot, row) <- (s pivot + t row, b/g pivot - a/g row): unimodular, as s a + t b = g
-            a = pivot[i]
-            g, s, t = _xgcd(a, b)
-            other = [b // g * p - a // g * r for p, r in zip(pivot, row)]
-            pivot = [s * p + t * r for p, r in zip(pivot, row)]
-            if any(other):
-                left.append(other)
-        hermite.append(pivot)
-        rest = left
-    return hermite
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s a + t b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
-
-
 def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable:
     """The coset table of pi1 / pi1', of the given order, read off a Hermite
     normal form of the relation matrix; ``abelian`` presents pi1 with the
@@ -402,7 +364,8 @@ def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable
     k = abelian.ngens
     if not set(_commutators(k)) <= set(abelian.relators):
         raise ValueError("the presentation lacks a commutator of its generators")
-    hermite = _hermite_rows([exponent_sums(w) for w in abelian.relators], k)
+    hermite = hermite_rows([[e.get(c, 0) for c in range(k)]
+                            for e in map(exponent_sums, abelian.relators)], k)
     h = [row[i] for i, row in enumerate(hermite)]
     if prod(h) != order:
         raise TableMismatch(f"the Hermite form has {prod(h)} cosets, not {order}")

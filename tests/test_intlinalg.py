@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -39,6 +41,58 @@ def rational_rank(dense):
                 a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
         rank += 1
     return rank
+
+
+def determinant(a):
+    """Laplace expansion along the first row; exact, and quick at these sizes."""
+    if not a:
+        return 1
+    return sum((-1) ** j * v * determinant([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, v in enumerate(a[0]) if v)
+
+
+def determinantal_factors(dense):
+    """Independent invariant-factor oracle: d_k is the gcd of all k x k minors,
+    and the invariant factors are d_k / d_(k-1) for every k with d_k != 0."""
+    rows = len(dense)
+    cols = len(dense[0]) if dense else 0
+    factors, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                d = gcd(d, determinant([[dense[r][c] for c in cs] for r in rs]))
+        if not d:
+            break
+        factors.append(d // previous)
+        previous = d
+    return tuple(factors)
+
+
+def oracle_pool():
+    # without the kept pivot, alternating Hermite forms of this one cycle
+    yield [[-2, 2], [0, -2]]
+    for entries in product(range(-2, 3), repeat=4):
+        yield [list(entries[:2]), list(entries[2:])]
+    rng = random.Random(23)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        yield from (random_dense(rng, rows, cols), random_dense(rng, cols, rows))
+
+
+def test_snf_matches_the_determinantal_divisors():
+    for dense in oracle_pool():
+        assert smith_normal_form(from_dense(dense)).factors == determinantal_factors(dense), dense
+
+
+def test_hermite_rows_is_a_triangular_basis_of_the_row_lattice():
+    for dense in oracle_pool():
+        k = len(dense[0])
+        hermite = intlinalg.hermite_rows(dense, k)
+        assert len(hermite) == k and all(len(row) == k for row in hermite), dense
+        for i, row in enumerate(hermite):
+            assert not any(row[:i]) and row[i] >= 0 and (row[i] or not any(row)), dense
+        assert determinantal_factors(hermite) == determinantal_factors(dense), dense
 
 
 def test_zero_matrix():
@@ -108,15 +162,16 @@ def test_snf_large_sparse_unit_phase():
 
 @pytest.fixture
 def dense_rows(monkeypatch):
-    """Row counts of the blocks that smith_normal_form hands to the dense phase."""
+    """Sizes k = min(rows, cols) of the blocks that smith_normal_form hands to
+    the dense phase, one per Hermite pass."""
     seen = []
-    dense_diagonalize = intlinalg._dense_diagonalize
+    hermite = intlinalg.hermite_rows
 
-    def spy(a):
-        seen.append(len(a))
-        return dense_diagonalize(a)
+    def spy(rows, k):
+        seen.append(k)
+        return hermite(rows, k)
 
-    monkeypatch.setattr(intlinalg, "_dense_diagonalize", spy)
+    monkeypatch.setattr(intlinalg, "hermite_rows", spy)
     return seen
 
 

@@ -331,6 +331,16 @@ def test_a_cache_hit_ignores_the_cap(tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "catalog_5_1_n3.json").read_text()
 
 
+def test_a_capped_overflow_is_enumerated_once(monkeypatch, capsys):
+    # an enumeration that fills the cap is recorded on its row, so the verify
+    # rows that read it again raise Overflow without enumerating
+    enumerations = _count_calls(monkeypatch, "enumerate_cosets", qf.pipeline)
+    assert main(["verify-tables", "--no-cache", "--max-cosets", "10"]) == 3
+    capsys.readouterr()
+    assert len({(pres, tuple(subgroup)) for pres, subgroup, *_ in enumerations}) == 18
+    assert len(enumerations) == 18
+
+
 def test_verification_builds_no_group_table(monkeypatch):
     # the witness reads GAlex(pi1, phi) and x -> l x off the regular G_n table
     # (the lemma of qf.verify): no Cayley table of pi1, no automorphism, no galex

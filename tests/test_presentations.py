@@ -320,8 +320,8 @@ def test_one_pass_abelianization_matches_the_presentation():
 
 
 def _drop_hermite_row(monkeypatch, drop):
-    hermite = qf.presentations._hermite_rows
-    monkeypatch.setattr(qf.presentations, "_hermite_rows",
+    hermite = qf.presentations.hermite_rows
+    monkeypatch.setattr(qf.presentations, "hermite_rows",
                         lambda rows, k: hermite(rows[:drop] + rows[drop + 1:], k))
 
 

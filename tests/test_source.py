@@ -1,6 +1,7 @@
 import ast
 import builtins
 import importlib
+import re
 from pathlib import Path
 
 import qf
@@ -43,3 +44,16 @@ def test_every_public_exception_has_an_exit_code():
     assert len(public) >= 14
     assert [cls.__name__ for cls in public
             if cls is not Overflow and not issubclass(cls, _INPUT_ERRORS + _INTERNAL_ERRORS)] == []
+
+
+def test_integer_elimination_lives_in_intlinalg():
+    # one home of integer elimination, with one dense kernel: smith_normal_form
+    # takes its dense remainder by alternating hermite_rows, and no other
+    # module keeps a Hermite form, an extended gcd or a diagonalization of its own
+    elimination = re.compile(r"hermite|smith|xgcd|diagonali[sz]|abelian_group$")
+    found = {}
+    for path in sorted(Path(qf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and elimination.search(node.name.lower()):
+                found.setdefault(path.stem, set()).add(node.name)
+    assert found == {"intlinalg": {"abelian_group", "hermite_rows", "_xgcd", "smith_normal_form"}}
