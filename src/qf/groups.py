@@ -36,7 +36,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from qf.intlinalg import AbelianGroup, SparseIntMatrix, abelian_group
 from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, _generating_set
@@ -455,7 +455,9 @@ class _CapHit(Exception):
 
 
 def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
-                 max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
+                 max_cosets: int = DEFAULT_MAX_COSETS,
+                 lift: Optional[Callable[[Sequence[int], int, int], CosetTable]] = None
+                 ) -> CosetTable:
     """Enumerate the cosets of the given subgroup; raises Overflow past the cap.
 
     HLT strategy: relators are scanned in declaration order at each coset in
@@ -467,6 +469,10 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
     closed. Rounds repeat until one leaves at least 90% of the cap in use, which
     raises Overflow. A finished table with an undefined entry also raises
     Overflow: the index is infinite.
+
+    ``lift`` (of ``qf.presentations.enumerate_cosets``) reads the finished
+    table in place of the standardization here: it is given the raw table,
+    its width and its number of rows, as ``_standardized_table`` is.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -476,6 +482,8 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
                        [_word_to_cols(w) for w in subgroup_words if w],
                        max_cosets)
     enum.run()
+    if lift is not None:
+        return lift(enum.table, enum.width, enum.nrows)
     return _standardized_table(g, subgroup_words, enum.table, enum.width, enum.nrows, max_cosets)
 
 

@@ -1,7 +1,8 @@
 """Quandle chain complex in low degrees and the first two quandle homology groups.
 
 H1 is read off the orbits of the quandle, on which it is free (Lemma 5c of
-``qf.quandles``); H2 off Smith normal forms of the reduced d3' below.
+``qf.quandles``); H2 off one Smith normal form of columns of the reduced d3'
+below, and the images of the others in its torsion (Lemma 6).
 
 Degenerate tuples (equal adjacent entries) are quotiented away by deleting
 them from the bases and zeroing their images, which is valid because they span
@@ -65,12 +66,37 @@ im(d3') = ker(d2') and H2 = 0. Proof: im S is in im(d3'), which is in
 ker(d2'). All factors 1 make Z^pairs / im S free, so im S is saturated: kv in
 im S with k != 0 puts v in im S. Equal ranks make ker(d2') / im S a torsion
 group, as both lattices span the same rational space; saturation makes it
-0. So im S = ker(d2'), and im(d3') lies between them. This is a certificate,
-not a spanning lemma: ``quandle_homology`` builds the columns (x, y, w) with x
-in W first (58 of the 812 of R_29) and stops where they certify H2 = 0, as
-they do on the dihedral quandles R_p of odd p that the tests reach. Where they
-do not, it adds the other columns. On Q_4(3_1) the first ones have rank 4 and
-all of d3' rank 5, so they alone do not span im(d3').
+0. So im S = ker(d2'), and im(d3') lies between them. It is the case T = 0 of
+Lemma 6.
+
+Lemma 6: let S be a set of columns of d3' with rank S = rank ker(d2'), and
+T = ker(d2') / im S. Then T is the torsion subgroup of Z^pairs / im S, and
+H2 is T / <phi(c)> over the other columns c of d3', phi the quotient map.
+Proof: ker(d2') is saturated (kv in it with k != 0 puts v in it), and with the
+rank of im S it is the saturation of im S, the v with kv in im S for some
+k != 0: exactly the preimage of the torsion of Z^pairs / im S. Let
+U S V = diag(1, ..., d_1, ..., d_k, 0, ...) with U and V unimodular, d_i > 1
+in row j_i. Then v -> Uv maps Z^pairs / im S isomorphically onto
+Z^pairs / im(U S V): a Z/1 or Z/d_i per nonzero diagonal entry and a Z per
+other row, whose torsion is at the rows j_i. So
+phi(v) = ((Uv)_{j_i} mod d_i)_i maps T isomorphically onto the sum of the
+Z/d_i. The d_i need not form a divisibility chain. As im S <= im(d3') <=
+ker(d2') and im(d3') / im S is generated by the images of the other columns,
+H2 = ker(d2') / im(d3') is T / <phi(c)>: the abelian group that the rows
+d_i e_i and phi(c) present on k generators, whose Smith form gives the chain.
+This needs every c in ker(d2'), which the check d2' d3' = 0 proves. With
+k = 0 it is Lemma 4, and the other columns are never built.
+
+``quandle_homology`` builds the columns (x, y, w) with x in W first (58 of
+the 812 of R_29) and takes their Smith form, with the rows of U at the d_i
+(``smith_normal_form(..., torsion_map=True)``). While their rank is below
+that of ker(d2'), it adds the columns whose first entry is the next layer of
+the breadth-first search of Lemma 3 and takes the Smith form again. On
+Q_4(3_1) the W-first columns have rank 4 and ker(d2') rank 5; with the first
+entries at depth 1, 22 of the 30 columns, they reach it. Once the rank is
+reached, the other columns are built only where T != 0, and mapped into T by
+phi. Where no set of layers reaches it (W is all of T_2, whose H2 is Z^2),
+H2 is read off the Smith form of all of d3'.
 """
 
 from __future__ import annotations
@@ -80,10 +106,9 @@ from typing import Iterable
 
 from qf.intlinalg import (
     AbelianGroup,
-    SNFResult,
     SparseIntMatrix,
+    abelian_group,
     check_complex,
-    homology_from_factors,
     smith_normal_form,
 )
 from qf.quandles import FiniteQuandle, components
@@ -246,25 +271,41 @@ def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
 
 def quandle_homology(q: FiniteQuandle) -> tuple[AbelianGroup, AbelianGroup]:
     """First and second quandle homology: H1 = coker(d2), H2 = ker(d2) / im(d3),
-    computed on the reduced pair of Lemma 3. The invariant factors of d2' are
-    read off the orbits (Lemma 5c of ``qf.quandles``), not eliminated. The
-    columns of d3' whose first entry is in W come first; where they certify
-    H2 = 0 (Lemma 4), the others are never built. Otherwise they are added,
-    and H2 is read off all of d3'. d2' d3' = 0 is checked once, on the
-    columns that H2 is read off.
+    computed on the reduced pair of Lemma 3. H1 is free on the orbits
+    (Lemma 5c of ``qf.quandles``), so d2' is not eliminated. The columns of
+    d3' are built by the layers of their first entry, W first, until their
+    rank is that of ker(d2'); H2 is then read off their one Smith form and,
+    where it has torsion, the images of the other columns in it (Lemmas 4 and
+    6 of the module docstring). d2' d3' = 0 is checked once, on every column
+    that is built.
     """
     c = _ReducedComplex(q)
-    gens = set(q.generators)
-    others = [x for x in range(q.size) if x not in gens]
-    _, d3 = c.d3_columns([x for x in range(q.size) if x in gens])
-    snf_low = SNFResult((1,) * (q.size - len(components(q))))
-    snf_high = smith_normal_form(d3)
-    if others and not (snf_high.rank == c.d2.cols - snf_low.rank
-                       and all(d == 1 for d in snf_high.factors)):
-        _, d3 = c.d3_columns(others, after=d3)  # no certificate: all of d3'
-        snf_high = smith_normal_form(d3)
+    h1 = AbelianGroup(len(components(q)))
+    kernel_rank = c.d2.cols - (q.size - h1.free_rank)
+    depth = c._depth
+    d3 = None
+    for level in range(max(depth) + 1):  # the search of Lemma 3 leaves no level empty
+        _, d3 = c.d3_columns([x for x in range(q.size) if depth[x] == level], after=d3)
+        snf = smith_normal_form(d3, torsion_map=True)
+        if snf.rank == kernel_rank:
+            break
+    others = [x for x in range(q.size) if depth[x] > level] if snf.torsion_map else []
+    if others:
+        _, d3 = c.d3_columns(others, after=d3)
     check_complex(c.d2, d3)
-    return homology_from_factors(c.d2, snf_low, snf_high)
+    if not others:  # S is all of d3', or T = 0 (Lemma 4)
+        return h1, AbelianGroup(kernel_rank - snf.rank, tuple(d for d in snf.factors if d > 1))
+    # Lemma 6: T is the sum of the Z/d, and H2 is T modulo the phi(c); phi
+    # is 0 on the columns of S
+    moduli = [d for d, _ in snf.torsion_map]
+    phi = SparseIntMatrix(len(moduli), d3.rows, [u for _, u in snf.torsion_map]).mul(d3)
+    images: list[dict[int, int]] = [{} for _ in range(d3.cols)]
+    for i, (d, row) in enumerate(zip(moduli, phi.row_dicts)):
+        for col, v in row.items():
+            if v % d:
+                images[col][i] = v % d
+    relations = [{i: d} for i, d in enumerate(moduli)] + [image for image in images if image]
+    return h1, abelian_group(SparseIntMatrix(len(relations), len(moduli), relations))
 
 
 def h2_order_via_extension(pi1_order: int, qn_order: int) -> int:

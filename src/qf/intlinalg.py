@@ -2,7 +2,8 @@
 abelian groups, and homology of a pair of boundary maps.
 
 This module is the one home of integer elimination: ``smith_normal_form`` and
-``abelian_group`` for invariant factors and abelianizations, and
+``abelian_group`` for invariant factors and abelianizations (and, where asked
+for, the map of a cokernel's torsion onto its factors), and
 ``hermite_rows``, the one dense kernel, which also gives the triangular basis
 that ``qf.presentations.abelian_quotient_table`` reads pi1 / pi1' off. All
 arithmetic uses Python integers, so there is no overflow anywhere. Matrices
@@ -12,7 +13,7 @@ Smith normal form eliminates copies of those rows in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
@@ -24,9 +25,18 @@ class NotAComplex(Exception):
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
+    """Invariant factors d1 | d2 | ... | dr of an integer matrix m.
+
+    ``torsion_map``, filled only when ``smith_normal_form`` is asked for it:
+    one pair (d, u) for each diagonal entry d > 1 of a diagonalization
+    U m V = diag(...) with U and V unimodular, u being that row of U as a
+    {row: coefficient} dict. Then v -> (u . v mod d) over the pairs maps the
+    torsion of Z^rows / im(m) onto the direct sum of the Z/d. These d need
+    not form a divisibility chain.
+    """
 
     factors: tuple[int, ...]
+    torsion_map: tuple[tuple[int, dict[int, int]], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if any(d <= 0 for d in self.factors):
@@ -159,11 +169,16 @@ def hermite_rows(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     the row-style Hermite normal form but for the reduction of the entries
     above the diagonal, which no caller needs. Where the pivot divides an
     entry, that multiple of it is subtracted and the pivot kept; without this
-    step the alternating Hermite forms of ``smith_normal_form`` can cycle."""
+    step the alternating Hermite forms of ``smith_normal_form`` can cycle.
+
+    Rows may be longer than k: the entries past k are carried through the
+    same operations but never pivoted on, so rows extended by the identity
+    return the rows of the transform that give the k rows returned."""
+    width = len(rows[0]) if rows else k
     rest = [row for row in rows if any(row)]
     hermite = []
     for i in range(k):
-        pivot, left = [0] * k, []
+        pivot, left = [0] * width, []
         for row in rest:
             b = row[i]
             if not b:
@@ -194,8 +209,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
-def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
-    """Invariant factors of an integer matrix.
+def smith_normal_form(m: SparseIntMatrix, torsion_map: bool = False) -> SNFResult:
+    """Invariant factors of an integer matrix, and with ``torsion_map`` the
+    rows of the left transform at its torsion positions (``SNFResult``).
 
     Sparse elimination greedily pivots on +-1 entries: the shortest row that
     holds one, then its unit in the lightest column, to limit fill-in; ties
@@ -217,6 +233,12 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     transpose it becomes the gcd of h's row. It falls strictly unless h
     divides its row, and then the kept pivot clears its row and column, which
     stay clear; the same holds for the block that is left.
+
+    For ``torsion_map`` the unit phase logs its row operations (row r2 minus f
+    times the pivot row pr), and only a remainder that is left replays them,
+    for the coefficients over m's rows of the remainder's rows; the Hermite
+    forms of its rows carry those coefficients along. The pivots are the same
+    either way.
     """
     rows = [dict(row) for row in m.row_dicts]
     col_rows: dict[int, set[int]] = {}
@@ -227,6 +249,7 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     heap = [(len(rows[r]), r) for r in live]
     heapify(heap)
 
+    log: list[tuple[int, int, int]] | None = [] if torsion_map else None
     units = 0
     while live:
         while heap:
@@ -238,6 +261,8 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
             break  # no live row holds a unit
         _, pc = min((len(col_rows[c]), c) for c, v in prow.items() if v == 1 or v == -1)
         pv = prow[pc]
+        if log is not None:
+            log.extend((pr, r2, rows[r2][pc] * pv) for r2 in col_rows[pc] if r2 != pr)
         for r2 in list(col_rows[pc]):
             if r2 == pr:
                 continue
@@ -270,14 +295,47 @@ def smith_normal_form(m: SparseIntMatrix) -> SNFResult:
     live_rows = sorted(live)
     live_cols = sorted({c for r in live_rows for c in rows[r]})
     dense = [[rows[r].get(c, 0) for c in live_cols] for r in live_rows]
-    if len(live_rows) < len(live_cols):
+    left = _coefficients(log, live_rows, m.rows) if log is not None and live_rows else None
+    flipped = len(live_rows) < len(live_cols)
+    if flipped:
         dense = list(zip(*dense))
     k = min(len(live_rows), len(live_cols))
     while True:
-        dense = hermite_rows(dense, k)
+        if left is None or flipped:
+            dense = hermite_rows(dense, k)
+        else:
+            extended = hermite_rows([list(row) + u for row, u in zip(dense, left)], k)
+            dense, left = [row[:k] for row in extended], [row[k:] for row in extended]
         if not any(any(row[i + 1:]) for i, row in enumerate(dense)):
-            return SNFResult((1,) * units + _chain_fix([row[i] for i, row in enumerate(dense)]))
+            break
         dense = list(zip(*dense))
+        flipped = not flipped
+    diagonal = [row[i] for i, row in enumerate(dense)]
+    torsion = () if left is None else tuple(
+        (d, {j: u for j, u in enumerate(left[i]) if u}) for i, d in enumerate(diagonal) if d > 1)
+    return SNFResult((1,) * units + _chain_fix(diagonal), torsion)
+
+
+def _coefficients(log: list[tuple[int, int, int]], targets: list[int], rows: int
+                  ) -> list[list[int]]:
+    """Each target row of the eliminated matrix as a dense combination of the
+    original rows: the logged operations (row r2 minus f times row pr) that
+    reach a target are found from the last back, then replayed in order."""
+    needed, kept = set(targets), []
+    for op in reversed(log):
+        if op[1] in needed:
+            needed.add(op[0])
+            kept.append(op)
+    coef = {r: {r: 1} for r in needed}
+    for pr, r2, f in reversed(kept):
+        c2 = coef[r2]
+        for j, u in coef[pr].items():
+            v = c2.get(j, 0) - f * u
+            if v:
+                c2[j] = v
+            else:
+                del c2[j]
+    return [[coef[r].get(j, 0) for j in range(rows)] for r in targets]
 
 
 def check_complex(d_low: SparseIntMatrix, d_high: SparseIntMatrix) -> None:
@@ -289,15 +347,6 @@ def check_complex(d_low: SparseIntMatrix, d_high: SparseIntMatrix) -> None:
         raise NotAComplex("d_low * d_high != 0")
 
 
-def homology_from_factors(d_low: SparseIntMatrix, snf_low: SNFResult, snf_high: SNFResult
-                          ) -> tuple[AbelianGroup, AbelianGroup]:
-    """coker(d_low) and ker(d_low) / im(d_high), given the invariant factors of
-    both maps of a checked pair."""
-    coker = AbelianGroup(d_low.rows - snf_low.rank, tuple(d for d in snf_low.factors if d > 1))
-    free = d_low.cols - snf_low.rank - snf_high.rank
-    return coker, AbelianGroup(free, tuple(d for d in snf_high.factors if d > 1))
-
-
 def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix
                      ) -> tuple[AbelianGroup, AbelianGroup]:
     """Isomorphism types of coker(d_low) and ker(d_low) / im(d_high).
@@ -306,4 +355,6 @@ def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix
     d_low.cols == d_high.rows and d_low * d_high must vanish.
     """
     check_complex(d_low, d_high)
-    return homology_from_factors(d_low, smith_normal_form(d_low), smith_normal_form(d_high))
+    low, high = smith_normal_form(d_low), smith_normal_form(d_high)
+    return (AbelianGroup(d_low.rows - low.rank, tuple(d for d in low.factors if d > 1)),
+            AbelianGroup(d_low.cols - low.rank - high.rank, tuple(d for d in high.factors if d > 1)))

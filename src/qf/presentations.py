@@ -31,10 +31,12 @@ from qf.groups import (
     DEFAULT_MAX_COSETS,
     CosetTable,
     GroupPresentation,
+    Overflow,
     TableMismatch,
     Word,
     _standardized_table,
     _subgroup_words,
+    _word_to_cols,
     abelianization,
     cyclic_reduce,
     exponent_sums,
@@ -202,24 +204,44 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
     """The table ``todd_coxeter(pres, subgroup, max_cosets)`` gives, found faster.
 
     Simplifies the presentation (keeping generator 1; ``simplified`` passes in
-    a result of ``simplify(pres, (1,))`` already at hand), enumerates the cosets of
-    the rewritten subgroup there (``max_cosets`` bounds that enumeration, and
-    Overflow comes from it), sets each original generator's column to the
-    action of its rewrite word, then standardizes and checks against ``pres``
-    as ``todd_coxeter`` does. A standardized table is determined by the action
-    on cosets, so the result, representative words included, is the one that
-    enumerating ``pres`` itself gives.
+    a result of ``simplify(pres, (1,))`` already at hand) and enumerates the
+    cosets of the rewritten subgroup there (``max_cosets`` bounds that
+    enumeration, and Overflow comes from it). Over the live cosets that the
+    enumerator's raw table reaches from coset 0, each original generator's
+    column is set to the action of its rewrite word; the result is then
+    standardized and checked against ``pres`` once, as ``todd_coxeter`` does.
+    A standardized table is determined by the action on cosets, so the
+    result, representative words included, is the one that enumerating
+    ``pres`` itself gives.
     """
     subgroup_words = _subgroup_words(pres, subgroup)
     small_pres, rewrite = simplified or simplify(pres, (1,) if pres.ngens else ())
-    small = todd_coxeter(small_pres, [_substitute(w, rewrite) for w in subgroup_words], max_cosets)
-    size, width = small.size, 2 * pres.ngens
-    table = [0] * (size * width)
-    for g, word in enumerate(rewrite):
-        for c, d in enumerate(small.walk(range(size), word)):
-            table[c * width + 2 * g] = d
-            table[d * width + 2 * g + 1] = c
-    return _standardized_table(pres, subgroup_words, table, width, size, max_cosets)
+
+    def lift(raw: Sequence[int], raw_width: int, nrows: int) -> CosetTable:
+        reached, index = [0], [-1] * nrows
+        index[0] = 0
+        for c in reached:
+            for t in raw[c * raw_width:(c + 1) * raw_width]:
+                if t < 0:
+                    # a gap in a generator that no relator mentions: the index is infinite
+                    raise Overflow(max_cosets)
+                if index[t] < 0:
+                    index[t] = len(reached)
+                    reached.append(t)
+        size, width = len(reached), 2 * pres.ngens
+        table = [0] * (size * width)
+        for g, word in enumerate(rewrite):
+            image = reached
+            for x in _word_to_cols(word):
+                image = [raw[d * raw_width + x] for d in image]
+            for c, d in enumerate(image):
+                d = index[d]
+                table[c * width + 2 * g] = d
+                table[d * width + 2 * g + 1] = c
+        return _standardized_table(pres, subgroup_words, table, width, size, max_cosets)
+
+    return todd_coxeter(small_pres, [_substitute(w, rewrite) for w in subgroup_words],
+                        max_cosets, lift)
 
 
 def _schreier_steps(pres: GroupPresentation, table: CosetTable

@@ -298,6 +298,75 @@ def test_spanning_triples_keep_the_homology(reduction_pool):
         assert homology_of_pair(s.d2, s.d3) == quandle_homology(q), (i, q.size)
 
 
+def test_lemma_6_matches_the_full_complex():
+    # every Alexander quandle Z/m, x * y = a x + (1 - a) y, with m <= 15 and a
+    # a unit; the reduction pool is compared in the test above
+    quandles = [alexander_quandle(m, a) for m in range(2, 16) for a in range(1, m)
+                if math.gcd(a, m) == 1]
+    torsion = 0
+    for q in quandles:
+        s = boundaries(q)
+        h = quandle_homology(q)
+        assert h == homology_of_pair(s.d2, s.d3), q.table
+        torsion += bool(h[1].torsion)
+    assert len(quandles) == 71 and torsion == 8
+
+
+# (spec, n): shapes of the Smith forms that quandle_homology takes, the
+# columns of all of d3' and H2. The last Smith form is that of Lemma 6, on one
+# column per torsion entry of the one before; none is of all of d3'.
+LEMMA_6_PATHS = {
+    ("5_1", 3): ([(38, 40), (1, 1)], 380, AbelianGroup(0, (6,))),
+    (MONTESINOS_CANDIDATES[0], 2): ([(33, 70), (1, 1)], 264, AbelianGroup(0, (2,))),
+    ("3_1", 4): ([(10, 12), (10, 22), (1, 1)], 30, AbelianGroup(0, (4,))),
+    ("3_1", 5): ([(22, 24), (22, 46), (1, 1)], 132, AbelianGroup(0, (10,))),
+}
+
+
+def test_h2_is_read_off_one_smith_form_per_layer(monkeypatch):
+    batches = spy_on_batches(monkeypatch)
+    matrices = spy_on_smith_forms(monkeypatch)
+    pipe = Pipeline()
+    for (spec, n), (shapes, cols, h2) in LEMMA_6_PATHS.items():
+        q = pipe.quandle(spec, n)[1]
+        batches.clear()
+        matrices.clear()
+        assert quandle_homology(q)[1] == h2, spec
+        assert [(m.rows, m.cols) for m in matrices] == shapes, spec
+        # one batch per Smith form of S, then one of the columns mapped
+        assert len(batches) == len(shapes) and batches[-1][2].cols == cols, spec
+
+
+def test_lemma_6_maps_the_other_columns_into_the_torsion(monkeypatch):
+    # On every quandle above, the columns that reach rank ker(d2') already
+    # span im(d3'), so each phi(c) is 0. Doubling them all puts a Z/2 per
+    # unit of rank into T that only mapped columns can remove: the columns
+    # as they were ride along with the others, and H2 must not change.
+    build = _ReducedComplex.d3_columns
+
+    def doubled(self, xs, after=None):
+        basis3, d3 = build(self, xs, after)
+        if after is None:
+            self.first = (basis3, d3)
+            return basis3, SparseIntMatrix(d3.rows, d3.cols, [
+                {c: 2 * v for c, v in row.items()} for row in d3.row_dicts])
+        first3, first = self.first
+        rows = [{**row, **{d3.cols + c: v for c, v in extra.items()}}
+                for row, extra in zip(d3.row_dicts, first.row_dicts)]
+        return basis3 + first3, SparseIntMatrix(d3.rows, d3.cols + first.cols, rows)
+
+    pipe = Pipeline()
+    quandles = [dihedral_quandle(7), pipe.quandle("5_1", 3)[1],
+                pipe.quandle(MONTESINOS_CANDIDATES[0], 2)[1]]
+    expected = [quandle_homology(q) for q in quandles]
+    monkeypatch.setattr(_ReducedComplex, "d3_columns", doubled)
+    batches = spy_on_batches(monkeypatch)
+    for q, h in zip(quandles, expected):
+        batches.clear()
+        assert quandle_homology(q) == h, q.size
+        assert len(batches) == 2, q.size  # R_7's S now has torsion, so it maps too
+
+
 def test_spanning_triples_are_nondegenerate_and_few():
     q = dihedral_quandle(29)
     gens = _generating_set(q)
@@ -352,11 +421,14 @@ def spy_on_batches(monkeypatch) -> list:
 
 def test_w_first_columns_certify_h2_zero(monkeypatch):
     # Lemma 4 on R_29: the 58 columns (x, y, w) with x in W give H2 = 0 alone,
-    # so the other 754 columns of d3' are never built
+    # so the other 754 columns of d3' are never built, and theirs is the one
+    # Smith form taken
     batches = spy_on_batches(monkeypatch)
+    matrices = spy_on_smith_forms(monkeypatch)
     q = dihedral_quandle(29)
     assert quandle_homology(q)[1] == AbelianGroup(0)
     (xs, basis3, d3), = batches
+    assert matrices == [d3]
     assert sorted(xs) == sorted(q.generators)
     assert (d3.rows, d3.cols, d3.nnz) == (56, 58, 180) and len(basis3) == 58
 
@@ -367,45 +439,69 @@ def test_w_first_certificate_does_not_fire_where_h2_is_not_zero(monkeypatch):
     s = reduced_boundaries(q)
     batches = spy_on_batches(monkeypatch)
     assert quandle_homology(q) == homology_of_pair(s.d2, s.d3) == (AbelianGroup(1), AbelianGroup(0, (4,)))
-    (_, first, w_first), (_, rest, d3) = batches
-    # the W-first columns have rank 4, all of d3' rank 5
+    (_, first, w_first), (_, layer, grown), (_, rest, d3) = batches
+    # the W-first columns have rank 4; with the first entries at depth 1 they
+    # reach rank ker(d2') = 5, that of all of d3', and the rest are mapped
     assert intlinalg.smith_normal_form(w_first).rank == 4
-    assert intlinalg.smith_normal_form(d3).rank == 5
-    assert sorted(first + rest) == list(s.basis3) and d3.cols == len(s.basis3)
-    # T_2: W is the whole quandle, so the W-first columns are all of d3', and
-    # H2 = Z^2 is free
+    assert intlinalg.smith_normal_form(grown).rank == intlinalg.smith_normal_form(d3).rank == 5
+    assert sorted(first + layer + rest) == list(s.basis3) and d3.cols == len(s.basis3)
+    # T_2: W is the whole quandle, so the W-first columns are all of d3', their
+    # rank stays below that of ker(d2'), and H2 = Z^2 is free
     batches.clear()
     s = boundaries(trivial_quandle(2))
     assert quandle_homology(trivial_quandle(2)) == homology_of_pair(s.d2, s.d3)
     assert homology_of_pair(s.d2, s.d3)[1] == AbelianGroup(2) and len(batches) == 1
 
 
+def spy_on_smith_forms(monkeypatch) -> list:
+    """The matrix of every Smith normal form taken, abelian_group's included."""
+    matrices = []
+
+    def spy(m, torsion_map=False):
+        matrices.append(m)
+        return smith_normal_form(m, torsion_map)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", spy)
+    monkeypatch.setattr(qf.homology, "smith_normal_form", spy)
+    return matrices
+
+
 def test_quandle_homology_builds_each_column_once(reduction_pool, monkeypatch):
     batches = spy_on_batches(monkeypatch)
-    snfs = []
-    snf = intlinalg.smith_normal_form
-    monkeypatch.setattr(qf.homology, "smith_normal_form", lambda m: snfs.append(m) or snf(m))
-    fell_back = 0
+    matrices = spy_on_smith_forms(monkeypatch)
+    grown = mapped = 0
     for i, q in enumerate(reduction_pool):
         batches.clear()
-        snfs.clear()
+        matrices.clear()
         h2 = quandle_homology(q)[1]
-        gens = set(q.generators)
-        (xs, first, _), *rest = batches
-        assert set(xs) == gens, i
-        # one Smith normal form per batch, of the batch's own matrix, so none
+        n, w = q.size, len(q.generators)
+        kernel_rank = w * (n - 1) - (n - len(components(q)))
+        (xs, _, _), *_ = batches
+        assert set(xs) == set(q.generators), i
+        built = [t for _, basis3, _ in batches for t in basis3]
+        assert len(set(built)) == len(built), i
+        # one Smith form of the columns built so far after each batch, and
+        # another batch only while their rank is below that of ker(d2'); none
         # of d2', whose factors are read off the orbits (Lemma 5c)
-        assert list(map(id, snfs)) == [id(d3) for _, _, d3 in batches], i
-        if not rest:
-            # certified (or W is all of q): stage 1 is every column read
-            assert h2 == AbelianGroup(0) or gens == set(range(q.size)), i
+        taken = [d3 for _, _, d3 in batches if any(m is d3 for m in matrices)]
+        assert matrices[:len(taken)] == taken and all(
+            a is b for a, (_, _, b) in zip(taken, batches)), i
+        ranks = [smith_normal_form(m).rank for m in taken]
+        assert all(r < kernel_rank for r in ranks[:-1]), i
+        grown += len(taken) > 1
+        if len(batches) == len(taken):
+            # T = 0 (Lemma 4), or S is all of d3'
+            assert len(matrices) == len(taken), i
+            assert h2 == AbelianGroup(0) or taken[-1].cols == n * (n - 1) * (w - 1), i
             continue
-        fell_back += 1
-        (others, second, d3), = rest
-        assert not gens & set(others) and len(set(first + second)) == len(first) + len(second), i
-        assert sorted(first + second) == list(reduced_boundaries(q).basis3), i
-        assert d3.cols == len(first) + len(second), i
-    assert 0 < fell_back < len(reduction_pool)
+        # Lemma 6: the other columns are mapped into the torsion T of the last
+        # Smith form, and the last one is of k columns, one per factor of T
+        mapped += 1
+        (_, _, d3), = batches[len(taken):]
+        assert ranks[-1] == kernel_rank and d3.cols == n * (n - 1) * (w - 1), i
+        other, = matrices[len(taken):]
+        assert other.cols == len(smith_normal_form(taken[-1], torsion_map=True).torsion_map) > 0, i
+    assert (grown, mapped) == (56, 5)
 
 
 def test_d3_kills_d4(reduction_pool):
@@ -467,20 +563,31 @@ def test_reduced_pair_is_checked_as_a_complex(monkeypatch):
         with pytest.raises(NotAComplex):
             homology_of_pair(s.d2, SparseIntMatrix(s.d3.rows, s.d3.cols, rows))
 
-    # quandle_homology checks the columns it reads, where the W-first ones
-    # certify H2 = 0 (R_7) and where it builds all of d3' (Q_4(3_1))
+    # quandle_homology checks every column it builds: one entry off raises
+    # where the column is in S, the columns whose Smith form is taken (R_7,
+    # where they certify H2 = 0, and Q_4(3_1), which adds a layer), and where
+    # it is among the columns mapped into the torsion of S (the Montesinos
+    # row, whose second and last batch they are)
     build = _ReducedComplex.d3_columns
 
-    def one_entry_off(self, xs, after=None):
-        basis3, d3 = build(self, xs, after)
-        rows = [dict(row) for row in d3.row_dicts]
-        # a row (x, w) with x*w != x, so that d2' sees the change
-        r = next(i for i, (x, w) in enumerate(self.basis2) if self.q.table[x][w] != x)
-        rows[r][0] = rows[r].get(0, 0) + 1 or 1
-        return basis3, SparseIntMatrix(d3.rows, d3.cols, rows)
+    def one_entry_off(in_first_batch):
+        def spy(self, xs, after=None):
+            basis3, d3 = build(self, xs, after)
+            if (after is None) != in_first_batch:
+                return basis3, d3
+            rows = [dict(row) for row in d3.row_dicts]
+            # the batch's first column, in a row (x, w) with x*w != x, so that
+            # d2' sees the change
+            col = 0 if after is None else after.cols
+            r = next(i for i, (x, w) in enumerate(self.basis2) if self.q.table[x][w] != x)
+            rows[r][col] = rows[r].get(col, 0) + 1 or 1
+            return basis3, SparseIntMatrix(d3.rows, d3.cols, rows)
+        return spy
 
-    monkeypatch.setattr(_ReducedComplex, "d3_columns", one_entry_off)
-    for q in (dihedral_quandle(7), Pipeline().quandle("3_1", 4)[1]):
+    pipe = Pipeline()
+    for in_first_batch, q in ((True, dihedral_quandle(7)), (True, pipe.quandle("3_1", 4)[1]),
+                              (False, pipe.quandle(MONTESINOS_CANDIDATES[0], 2)[1])):
+        monkeypatch.setattr(_ReducedComplex, "d3_columns", one_entry_off(in_first_batch))
         with pytest.raises(NotAComplex):
             quandle_homology(q)
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -93,6 +93,67 @@ def test_hermite_rows_is_a_triangular_basis_of_the_row_lattice():
         for i, row in enumerate(hermite):
             assert not any(row[:i]) and row[i] >= 0 and (row[i] or not any(row)), dense
         assert determinantal_factors(hermite) == determinantal_factors(dense), dense
+
+
+def test_torsion_map_is_the_quotient_onto_the_torsion():
+    # phi(v) = (u . v mod d) over the pairs (d, u) kills im(m), its moduli
+    # multiply to the order of the torsion of Z^rows / im(m), and it maps the
+    # torsion, the v in Z^rows in the rational span of m's columns (here those
+    # in {-1, 0, 1}^rows), onto the sum of the Z/d
+    checked = 0
+    for dense in oracle_pool():
+        m = from_dense(dense)
+        snf = smith_normal_form(m, torsion_map=True)
+        assert snf == smith_normal_form(m) and snf.factors == determinantal_factors(dense), dense
+        pairs = snf.torsion_map
+        moduli = [d for d, _ in pairs]
+        assert prod(moduli) == prod(snf.factors), dense
+        for d, u in pairs:
+            assert all(sum(u.get(r, 0) * v for r, v in enumerate(col)) % d == 0
+                       for col in zip(*dense)), dense
+        if not pairs:
+            continue
+        kernel = left_kernel(dense)
+        images = {tuple(sum(u.get(r, 0) * a for r, a in enumerate(v)) % d for d, u in pairs)
+                  for v in product((-1, 0, 1), repeat=len(dense))
+                  if not any(sum(y * a for y, a in zip(row, v)) for row in kernel)}
+        span = {tuple(0 for _ in moduli)}
+        frontier = list(span)
+        while frontier:
+            a = frontier.pop()
+            for b in images:
+                c = tuple((x + y) % d for x, y, d in zip(a, b, moduli))
+                if c not in span:
+                    span.add(c)
+                    frontier.append(c)
+        assert len(span) == prod(moduli), dense
+        checked += 1
+    assert checked > 50
+
+
+def left_kernel(dense):
+    """A basis of the y with y m = 0 over the rationals, as Fraction rows."""
+    a = [[Fraction(v) for v in col] for col in zip(*dense)]
+    pivots = []
+    for c in range(len(dense)):
+        r = next((r for r in range(len(pivots), len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        i = len(pivots)
+        a[i], a[r] = a[r], a[i]
+        a[i] = [v / a[i][c] for v in a[i]]
+        for j in range(len(a)):
+            if j != i and a[j][c]:
+                a[j] = [v - a[j][c] * w for v, w in zip(a[j], a[i])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(len(dense)) if c not in pivots):
+        y = [Fraction(0)] * len(dense)
+        y[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            y[c] = -a[i][free]
+        basis.append(y)
+    return basis
 
 
 def test_zero_matrix():

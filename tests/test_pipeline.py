@@ -177,11 +177,13 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     rows = run_verification(pipe)
     homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
     assert len(homology_rows) == len(H2_CASES) + 1
-    # one batch of the d3' columns whose first entry is in W per homology row,
-    # and one of the remaining columns per row with H2 != 0 (the Montesinos
-    # row's H2 is Z/2), where those columns certify nothing
+    # one batch of the d3' columns whose first entry is in W per homology row;
+    # one more layer of first entries on the two rows where those columns fall
+    # short of rank ker(d2') (3_1 at n=4 and 5); and one of the remaining
+    # columns, mapped into the torsion of the first ones (Lemma 6 of
+    # qf.homology), per row with H2 != 0 (the Montesinos row's H2 is Z/2)
     torsion_rows = sum(want != AbelianGroup(0) for _, _, want in H2_CASES) + 1
-    assert len(batches) == len(homology_rows) + torsion_rows
+    assert len(batches) == len(homology_rows) + 2 + torsion_rows
     # G_n is graded once per (presentation, n), for its orders: ten pairs, as
     # rational:3,1 and catalog:3_1 share the trefoil's n=2; the cover group
     # that the extension and model rows read is built on the same kernel.
