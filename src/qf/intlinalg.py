@@ -8,7 +8,8 @@ for, the map of a cokernel's torsion onto its factors), and
 that ``qf.presentations.abelian_quotient_table`` reads pi1 / pi1' off. All
 arithmetic uses Python integers, so there is no overflow anywhere. Matrices
 are stored row-major, one {column: value} dict per row, with 0-based indices;
-Smith normal form eliminates copies of those rows in place.
+Smith normal form eliminates copies of those rows in place. The dense kernel
+reduces by one rule, the Euclidean step, and never by gcd cofactors.
 """
 
 from __future__ import annotations
@@ -163,13 +164,17 @@ def _chain_fix(values: list[int]) -> tuple[int, ...]:
 
 def hermite_rows(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     """An upper triangular basis of the lattice that the rows (each of k
-    integers) span in Z^k, as k rows of k integers, by extended-gcd row
-    operations, column by column: row i has its first nonzero entry h_i > 0
-    in column i, or is zero (h_i = 0) where the lattice has lower rank. It is
-    the row-style Hermite normal form but for the reduction of the entries
-    above the diagonal, which no caller needs. Where the pivot divides an
-    entry, that multiple of it is subtracted and the pivot kept; without this
-    step the alternating Hermite forms of ``smith_normal_form`` can cycle.
+    integers) span in Z^k, as k rows of k integers: row i has its first
+    nonzero entry h_i > 0 in column i, or is zero (h_i = 0) where the lattice
+    has lower rank. It is the row-style Hermite normal form but for the
+    reduction of the entries above the diagonal, which no caller needs.
+
+    Each column takes one rule, the Euclidean step (Kannan & Bachem, SIAM J.
+    Comput. 8, 1979; Havas, Holt & Rees, Linear Algebra Appl. 192, 1993): the
+    live row of least |entry|, the first in list order on a tie, reduces each
+    other live row by its nearest-integer multiple, to at most half its entry,
+    until one row is left; that pivot, the gcd of the column, is made positive.
+    A first row whose entry divides the column is kept and clears it.
 
     Rows may be longer than k: the entries past k are carried through the
     same operations but never pivoted on, so rows extended by the identity
@@ -178,35 +183,24 @@ def hermite_rows(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     rest = [row for row in rows if any(row)]
     hermite = []
     for i in range(k):
-        pivot, left = [0] * width, []
-        for row in rest:
-            b = row[i]
-            if not b:
-                left.append(row)
-                continue
-            a = pivot[i]
-            if a and not b % a:
-                other = [r - b // a * p for p, r in zip(pivot, row)]
-            else:
-                # (pivot, row) <- (s pivot + t row, b/g pivot - a/g row): unimodular, as s a + t b = g
-                g, s, t = _xgcd(a, b)
-                other = [b // g * p - a // g * r for p, r in zip(pivot, row)]
-                pivot = [s * p + t * r for p, r in zip(pivot, row)]
-            if any(other):
-                left.append(other)
-        hermite.append(pivot)
-        rest = left
+        live = [row for row in rest if row[i]]
+        rest = [row for row in rest if not row[i]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda row: abs(row[i]))
+            a, kept = pivot[i], []
+            for row in live:
+                if row is not pivot:
+                    q = (2 * row[i] + a) // (2 * a)
+                    row = [r - q * p for r, p in zip(row, pivot)]
+                    if not row[i]:
+                        if any(row):
+                            rest.append(row)
+                        continue
+                kept.append(row)
+            live = kept
+        pivot = live[0] if live else [0] * width
+        hermite.append([-p for p in pivot] if pivot[i] < 0 else list(pivot))
     return hermite
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s a + t b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def smith_normal_form(m: SparseIntMatrix, torsion_map: bool = False) -> SNFResult:
@@ -229,10 +223,13 @@ def smith_normal_form(m: SparseIntMatrix, torsion_map: bool = False) -> SNFResul
     alternating Hermite forms (Kannan & Bachem, SIAM J. Comput. 8, 1979):
     ``hermite_rows`` of its rows, then of the transpose, until nothing is left
     above the diagonal; the divisibility chain is repaired at the end. The
-    loop ends because the first diagonal entry h never grows: after a
-    transpose it becomes the gcd of h's row. It falls strictly unless h
-    divides its row, and then the kept pivot clears its row and column, which
-    stay clear; the same holds for the block that is left.
+    loop ends because the first diagonal entry h never grows. A pass makes it
+    the gcd of column 0, and after a transpose that column is h's row, so h
+    falls strictly unless it divides its row. If it does, h is the least
+    |entry| of that column and the first in list order, so the Euclidean
+    step keeps it as the pivot and subtracts exact multiples of its row,
+    (h, 0, ..., 0): row and column 0 are cleared and stay clear. The same
+    holds for the block that is left, whose rows keep their order.
 
     For ``torsion_map`` the unit phase logs its row operations (row r2 minus f
     times the pivot row pr), and only a remainder that is left replays them,

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
@@ -6,12 +7,22 @@ from math import gcd, prod
 import pytest
 
 from qf import intlinalg
+from qf.groups import GroupPresentation, abelianization, g_n_presentation
 from qf.intlinalg import (
     AbelianGroup,
     NotAComplex,
     SparseIntMatrix,
+    abelian_group,
     homology_of_pair,
     smith_normal_form,
+)
+from qf.pipeline import CosetCache, Pipeline
+from qf.presentations import (
+    _schreier_steps,
+    abelian_quotient_table,
+    grading_kernel_table,
+    reidemeister_schreier,
+    simplify,
 )
 
 
@@ -292,6 +303,81 @@ def test_snf_repicks_a_row_that_gains_a_unit(dense_rows):
     # the 3x3 minors have gcd 2 (e.g. -6 and -2), the 2x2 minors gcd 1
     assert smith_normal_form(m).factors == (1, 1, 2)
     assert dense_rows == [1]  # both unit pivots were taken sparsely
+
+
+@pytest.fixture(scope="module")
+def derived_5_2():
+    """The relation matrix of pi1' for 5_2 at n=5 (605 x 485), as
+    ``branched_cover_certificate`` builds it, and the dense remainder that the
+    unit phase of its Smith form leaves."""
+    per = Pipeline(CosetCache(None)).peripherals("5_2")
+    pres = simplify(g_n_presentation(per, 5), (1,))[0]
+    pi1 = reidemeister_schreier(pres, grading_kernel_table(pres, 5))
+    index = abelianization(pi1).order()
+    pi1, _ = simplify(pi1, ())
+    gens = range(1, pi1.ngens + 1)
+    abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(
+        (a, b, -a, -b) for a in gens for b in gens if a < b))
+    table = abelian_quotient_table(abelian, index)
+    ngens, walks = _schreier_steps(pi1, table)
+    rows = []
+    for steps in walks:
+        for start in range(table.size):
+            c, row = start, Counter()
+            for crossed, col, sign in steps:
+                if crossed[c]:
+                    row[crossed[c] - 1] += sign
+                c = col[c]
+            rows.append({g: v for g, v in row.items() if v})
+    m = SparseIntMatrix(len(rows), ngens, rows)
+    remainders = []
+
+    def capture(rows, k):  # the Smith form stops at its first dense pass
+        remainders.append([list(row) for row in rows])
+        raise LookupError
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(LookupError):
+        patch.setattr(intlinalg, "hermite_rows", capture)
+        abelian_group(m)
+    return m, remainders[0]
+
+
+def test_certificate_smith_form_keeps_its_entries_small(derived_5_2):
+    # combining rows by gcd cofactors takes the first 40 rows of this
+    # remainder to entries of 50,873 bits, and the whole Smith form past
+    # minutes; the factors are those of an independent dense routine that
+    # pivots on the least entry of the whole block
+    m, remainder = derived_5_2
+    assert (m.rows, m.cols) == (605, 485)
+    assert (len(remainder), len(remainder[0])) == (131, 55)
+    hermite = intlinalg.hermite_rows(remainder[:40], 55)
+    assert max(abs(v) for row in hermite for v in row).bit_length() <= 256
+    assert abelian_group(m) == AbelianGroup(0, (2,) * 10 + (3082,) * 7 + (33902,) * 2 + (372922,))
+
+
+def test_hermite_rows_spans_the_row_lattice_at_scale(derived_5_2):
+    # minors do not scale to 131 x 55, so the two inclusions of lattices are
+    # checked directly: each input row reduces to 0 against the triangular
+    # rows, and each triangular row is its transform row times the input
+    rows = derived_5_2[1]
+    k = len(rows[0])
+    extended = intlinalg.hermite_rows(
+        [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)], k)
+    hermite = [row[:k] for row in extended]
+    assert hermite == intlinalg.hermite_rows(rows, k)
+    for i, row in enumerate(hermite):
+        assert not any(row[:i]) and row[i] >= 0 and (row[i] or not any(row)), i
+    for v in rows:
+        v = list(v)
+        for i, h in enumerate(hermite):
+            if v[i]:
+                assert h[i] and v[i] % h[i] == 0, i
+                q = v[i] // h[i]
+                v = [a - q * b for a, b in zip(v, h)]
+        assert not any(v)
+    for h, row in zip(hermite, extended):
+        u = row[k:]
+        assert [sum(c * r[j] for c, r in zip(u, rows)) for j in range(k)] == h
 
 
 def test_homology_free():
