@@ -2,7 +2,7 @@
 
 H1 is read off the orbits of the quandle, on which it is free (Lemma 5c of
 ``qf.quandles``); H2 off one Smith normal form of columns of the reduced d3'
-below, and the images of the others in its torsion (Lemma 6).
+below, and the images of the others in its torsion (Lemmas 6 and 7).
 
 Degenerate tuples (equal adjacent entries) are quotiented away by deleting
 them from the bases and zeroing their images, which is valid because they span
@@ -84,8 +84,33 @@ Z/d_i. The d_i need not form a divisibility chain. As im S <= im(d3') <=
 ker(d2') and im(d3') / im S is generated by the images of the other columns,
 H2 = ker(d2') / im(d3') is T / <phi(c)>: the abelian group that the rows
 d_i e_i and phi(c) present on k generators, whose Smith form gives the chain.
-This needs every c in ker(d2'), which the check d2' d3' = 0 proves. With
-k = 0 it is Lemma 4, and the other columns are never built.
+This needs every c in ker(d2'), which the check of Lemma 7 proves without
+building c. With k = 0 it is Lemma 4, and the other columns are never built.
+
+Lemma 7: for u on the rows of d3' (0 on the sink) let psi_u(a, b) =
+u . E(a, b). Then psi_u(a, w) = u<a,w> for w in W (0 on the degenerate
+(w, w)), and down the tree in search order
+
+    psi_u(a, z) = psi_u(a', p(z)) - u<a',w_z> + u<a'*p(z),w_z>,
+
+n^2 entries per u. The column of a kept triple (x, y, w) is
+c = <x,w> - <x*y,w> - E(x,y) + E(x*w,y*w), so
+u . c = u<x,w> - u<x*y,w> - psi_u(x,y) + psi_u(x*w,y*w), and phi(c) of
+Lemma 6 is read off one table per pair (d_i, u_i), with c never built.
+Every such c is in ker(d2') if every tree step preserves the image under
+d2': <a'> - <a'*p(z)> - d2'<a',w_z> + d2'<a'*p(z),w_z> = <a> - <a*z> for
+each z off W and each a, a sink row counting as 0. Proof: then
+d2' E(a, b) = <a> - <a*b> for every pair, by induction along the search (a
+pair ending in W is its own row, and a degenerate one is 0, as is
+<a> - <a*a>), so
+
+    d2' c = <x> - <x*w> - <x*y> + <(x*y)*w> - <x> + <x*y> + <x*w> - <(x*w)*(y*w)>
+          = <(x*y)*w> - <(x*w)*(y*w)>,
+
+which is 0 by right distributivity (Lemma 2, checked by the ``FiniteQuandle``
+constructor). The check costs n per node of the tree, and fails only on step
+tables that Lemma 3 did not build; ``quandle_homology`` then raises
+``NotAComplex``.
 
 ``quandle_homology`` builds the columns (x, y, w) with x in W first (58 of
 the 812 of R_29) and takes their Smith form, with the rows of U at the d_i
@@ -94,18 +119,19 @@ that of ker(d2'), it adds the columns whose first entry is the next layer of
 the breadth-first search of Lemma 3 and takes the Smith form again. On
 Q_4(3_1) the W-first columns have rank 4 and ker(d2') rank 5; with the first
 entries at depth 1, 22 of the 30 columns, they reach it. Once the rank is
-reached, the other columns are built only where T != 0, and mapped into T by
-phi. Where no set of layers reaches it (W is all of T_2, whose H2 is Z^2),
-H2 is read off the Smith form of all of d3'.
+reached, the other columns are never built: where T != 0 their images under
+phi are read off the tables of Lemma 7. Where no set of layers reaches it (W
+is all of T_2, whose H2 is Z^2), H2 is read off the Smith form of all of d3'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from qf.intlinalg import (
     AbelianGroup,
+    NotAComplex,
     SparseIntMatrix,
     abelian_group,
     check_complex,
@@ -166,7 +192,8 @@ def _d2(q: FiniteQuandle, basis2: tuple[tuple[int, int], ...]) -> SparseIntMatri
 
 class _ReducedComplex:
     """The pairs, the tree and d2' of Lemma 3; the columns of d3' are built in
-    batches, by their first entry (``d3_columns``)."""
+    batches, by their first entry (``d3_columns``), and the others are mapped
+    into the torsion of Lemma 6 without being built (``torsion_images``)."""
 
     def __init__(self, q: FiniteQuandle):
         n = q.size
@@ -201,6 +228,11 @@ class _ReducedComplex:
                 ru = rows[u]
                 step[z] = [(ap, ru[ap], ru[tab[ap][p]]) for ap in (row[u] for row in q.inverse_table)]
         self._rows, self._depth, self._edge, self._step = rows, depth, edge, step
+        self._tree = order[len(gens):]  # the z not in W, in search order
+        # the second and third entries (y, w) of the kept triples: neither
+        # degenerate nor a tree edge, so not matched as a pivot
+        self._kept = [(y, w) for y in range(n) for w in gens
+                      if y != w and edge[tab[y][w]] != (y, w)]
         self.d2 = _d2(q, self.basis2)
 
     def d3_columns(self, xs: Iterable[int], after: SparseIntMatrix | None = None
@@ -209,7 +241,6 @@ class _ReducedComplex:
         and then lexicographic, and a matrix of d3' columns: those of
         ``after`` (copied, not rebuilt), then one for each of these triples."""
         tab = self.q.table
-        gens = self.q.generators
         rows, depth, edge, step = self._rows, self._depth, self._edge, self._step
         m = len(self.basis2)
         basis3 = []
@@ -220,42 +251,93 @@ class _ReducedComplex:
             col = after.cols
         for x in xs:
             tx = tab[x]
-            for y in range(self.q.size):
+            for y, w in self._kept:
                 if x == y:
                     continue
-                xy, ty = tx[y], tab[y]
-                for w in gens:
-                    yw = ty[w]
-                    if y == w or edge[yw] == (y, w):
-                        continue  # degenerate, or matched as a pivot
-                    basis3.append((x, y, w))
-                    rw = rows[w]
-                    total = {rw[x]: 1}
-                    total[rw[xy]] = total.get(rw[xy], 0) - 1
-                    # - E(x, y) + E(x*w, y*w): walk both up the tree, deeper first;
-                    # once they reach the same pair, the rest cancels
-                    a, b, c, d = x, y, tx[w], yw
-                    while a != c or b != d:
-                        db, dd = depth[b], depth[d]
-                        if db >= dd:
-                            if not db:  # both end in W
-                                total[rows[b][a]] = total.get(rows[b][a], 0) - 1
-                                total[rows[d][c]] = total.get(rows[d][c], 0) + 1
-                                break
-                            a, r1, r2 = step[b][a]
-                            b = edge[b][0]
-                            total[r1] = total.get(r1, 0) + 1
-                            total[r2] = total.get(r2, 0) - 1
-                        if dd >= db:
-                            c, r1, r2 = step[d][c]
-                            d = edge[d][0]
-                            total[r1] = total.get(r1, 0) - 1
-                            total[r2] = total.get(r2, 0) + 1
-                    for r, v in total.items():
-                        if v:
-                            d3_rows[r][col] = v
-                    col += 1
+                basis3.append((x, y, w))
+                rw = rows[w]
+                xy = tx[y]
+                total = {rw[x]: 1}
+                total[rw[xy]] = total.get(rw[xy], 0) - 1
+                # - E(x, y) + E(x*w, y*w): walk both up the tree, deeper first;
+                # once they reach the same pair, the rest cancels
+                a, b, c, d = x, y, tx[w], tab[y][w]
+                while a != c or b != d:
+                    db, dd = depth[b], depth[d]
+                    if db >= dd:
+                        if not db:  # both end in W
+                            total[rows[b][a]] = total.get(rows[b][a], 0) - 1
+                            total[rows[d][c]] = total.get(rows[d][c], 0) + 1
+                            break
+                        a, r1, r2 = step[b][a]
+                        b = edge[b][0]
+                        total[r1] = total.get(r1, 0) + 1
+                        total[r2] = total.get(r2, 0) - 1
+                    if dd >= db:
+                        c, r1, r2 = step[d][c]
+                        d = edge[d][0]
+                        total[r1] = total.get(r1, 0) - 1
+                        total[r2] = total.get(r2, 0) + 1
+                for r, v in total.items():
+                    if v:
+                        d3_rows[r][col] = v
+                col += 1
         return tuple(basis3), SparseIntMatrix(m, col, d3_rows[:m])
+
+    def torsion_images(self, xs: Iterable[int],
+                       torsion_map: Sequence[tuple[int, dict[int, int]]]) -> list[dict[int, int]]:
+        """phi(c) of Lemma 6 for the d3' column c of each kept triple with
+        first entry in ``xs``, in the order of ``d3_columns``: {i: u_i . c mod
+        d_i} over the pairs (d_i, u_i) of ``torsion_map``, zeros left out.
+        No column is built: the images are read off the tables of Lemma 7,
+        after its check, which raises ``NotAComplex`` where a tree step does
+        not preserve the d2' image."""
+        self._check_steps()
+        tab = self.q.table
+        rows, edge, step = self._rows, self._edge, self._step
+        tables = []
+        for d, u in torsion_map:
+            dense = [0] * (len(self.basis2) + 1)  # the sink row is 0
+            for r, v in u.items():
+                dense[r] = v
+            # psi[b][a] = u . E(a, b), down the tree in search order
+            psi = [[dense[r] for r in row] for row in rows]
+            for z in self._tree:
+                prev = psi[edge[z][0]]
+                psi[z] = [prev[ap] - dense[r1] + dense[r2] for ap, r1, r2 in step[z]]
+            tables.append((d, dense, psi))
+        images = []
+        for x in xs:
+            tx = tab[x]
+            for y, w in self._kept:
+                if x == y:
+                    continue
+                rw, xy, xw, yw = rows[w], tx[y], tx[w], tab[y][w]
+                image = {}
+                for i, (d, dense, psi) in enumerate(tables):
+                    v = (dense[rw[x]] - dense[rw[xy]] - psi[y][x] + psi[yw][xw]) % d
+                    if v:
+                        image[i] = v
+                images.append(image)
+        return images
+
+    def _check_steps(self) -> None:
+        """Lemma 7's check: for every z off W and every a, d2' of E(a', p(z))
+        minus the step's first row plus its second is <a> - <a*z>, given that
+        d2' E(a', p(z)) = <a'> - <a'*p(z)>."""
+        n, tab = self.q.size, self.q.table
+        # <x> is coded as 8^x. Each comparison is of 8 signed terms, so every
+        # coefficient of the difference is in [-4, 4], and its code, the sum
+        # of c_x 8^x, is 0 only if every c_x is
+        code = [1 << 3 * x for x in range(n)]
+        d2 = [code[x] - code[tab[x][w]] for x, w in self.basis2] + [0]  # the sink's is 0
+        for z in self._tree:
+            p = self._edge[z][0]
+            got = [code[ap] - code[tab[ap][p]] - d2[r1] + d2[r2] for ap, r1, r2 in self._step[z]]
+            want = [code[a] - code[az] for a, az in enumerate(self.q.column(z))]
+            if got != want:
+                a = next(a for a in range(n) if got[a] != want[a])
+                raise NotAComplex(f"the tree step of ({a}, {z}) changes its image under d2'")
 
 
 def reduced_boundaries(q: FiniteQuandle) -> QuandleComplexSlice:
@@ -275,9 +357,10 @@ def quandle_homology(q: FiniteQuandle) -> tuple[AbelianGroup, AbelianGroup]:
     (Lemma 5c of ``qf.quandles``), so d2' is not eliminated. The columns of
     d3' are built by the layers of their first entry, W first, until their
     rank is that of ker(d2'); H2 is then read off their one Smith form and,
-    where it has torsion, the images of the other columns in it (Lemmas 4 and
-    6 of the module docstring). d2' d3' = 0 is checked once, on every column
-    that is built.
+    where it has torsion, the images of the other columns in it, which are
+    not built (Lemmas 4, 6 and 7 of the module docstring). d2' d3' = 0 is
+    checked once, on every column that is built, and Lemma 7's check of
+    every tree step stands for it on the columns mapped.
     """
     c = _ReducedComplex(q)
     h1 = AbelianGroup(len(components(q)))
@@ -289,22 +372,15 @@ def quandle_homology(q: FiniteQuandle) -> tuple[AbelianGroup, AbelianGroup]:
         snf = smith_normal_form(d3, torsion_map=True)
         if snf.rank == kernel_rank:
             break
-    others = [x for x in range(q.size) if depth[x] > level] if snf.torsion_map else []
-    if others:
-        _, d3 = c.d3_columns(others, after=d3)
     check_complex(c.d2, d3)
+    others = [x for x in range(q.size) if depth[x] > level] if snf.torsion_map else []
     if not others:  # S is all of d3', or T = 0 (Lemma 4)
         return h1, AbelianGroup(kernel_rank - snf.rank, tuple(d for d in snf.factors if d > 1))
-    # Lemma 6: T is the sum of the Z/d, and H2 is T modulo the phi(c); phi
-    # is 0 on the columns of S
+    # Lemma 6: T is the sum of the Z/d, and H2 is T modulo the phi(c), read
+    # off the tables of Lemma 7; phi is 0 on the columns of S
     moduli = [d for d, _ in snf.torsion_map]
-    phi = SparseIntMatrix(len(moduli), d3.rows, [u for _, u in snf.torsion_map]).mul(d3)
-    images: list[dict[int, int]] = [{} for _ in range(d3.cols)]
-    for i, (d, row) in enumerate(zip(moduli, phi.row_dicts)):
-        for col, v in row.items():
-            if v % d:
-                images[col][i] = v % d
-    relations = [{i: d} for i, d in enumerate(moduli)] + [image for image in images if image]
+    relations = [{i: d} for i, d in enumerate(moduli)]
+    relations += [image for image in c.torsion_images(others, snf.torsion_map) if image]
     return h1, abelian_group(SparseIntMatrix(len(relations), len(moduli), relations))
 
 

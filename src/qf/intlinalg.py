@@ -336,12 +336,19 @@ def _coefficients(log: list[tuple[int, int, int]], targets: list[int], rows: int
 
 
 def check_complex(d_low: SparseIntMatrix, d_high: SparseIntMatrix) -> None:
-    """Raise unless d_high maps into the domain of d_low and d_low * d_high = 0."""
+    """Raise unless d_high maps into the domain of d_low and d_low * d_high = 0.
+    The product is taken one row at a time and never stored."""
     if d_low.cols != d_high.rows:
         raise ValueError(f"incompatible dimensions: d_low is {d_low.rows}x{d_low.cols}, "
                          f"d_high is {d_high.rows}x{d_high.cols}")
-    if not d_low.mul(d_high).is_zero():
-        raise NotAComplex("d_low * d_high != 0")
+    right = d_high.row_dicts
+    for i, row in enumerate(d_low.row_dicts):
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for c, b in right[k].items():
+                acc[c] = acc.get(c, 0) + a * b
+        if any(acc.values()):
+            raise NotAComplex(f"d_low * d_high != 0 in row {i}")
 
 
 def homology_of_pair(d_low: SparseIntMatrix, d_high: SparseIntMatrix

@@ -168,6 +168,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     witnesses = _count_calls(monkeypatch, "_projection_witness", qf.verify)
     extension_checks = _count_calls(monkeypatch, "verify_extension", qf.verify)
     batches = _count_calls(monkeypatch, "d3_columns", qf.homology._ReducedComplex)
+    images = _count_calls(monkeypatch, "torsion_images", qf.homology._ReducedComplex)
     covers = _count_calls(monkeypatch, "branched_cover", qf.pipeline)
     simplified = _count_calls(monkeypatch, "simplify", qf.pipeline)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
@@ -177,13 +178,15 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     rows = run_verification(pipe)
     homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
     assert len(homology_rows) == len(H2_CASES) + 1
-    # one batch of the d3' columns whose first entry is in W per homology row;
-    # one more layer of first entries on the two rows where those columns fall
-    # short of rank ker(d2') (3_1 at n=4 and 5); and one of the remaining
-    # columns, mapped into the torsion of the first ones (Lemma 6 of
-    # qf.homology), per row with H2 != 0 (the Montesinos row's H2 is Z/2)
+    # one batch of the d3' columns whose first entry is in W per homology row,
+    # and one more layer of first entries on the two rows where those columns
+    # fall short of rank ker(d2') (3_1 at n=4 and 5). No deeper column is
+    # built: on the rows with H2 != 0 (the Montesinos row's H2 is Z/2) the
+    # others are mapped into the torsion of the first ones (Lemmas 6 and 7 of
+    # qf.homology), once per row
     torsion_rows = sum(want != AbelianGroup(0) for _, _, want in H2_CASES) + 1
-    assert len(batches) == len(homology_rows) + 2 + torsion_rows
+    assert len(batches) == len(homology_rows) + 2
+    assert len(images) == torsion_rows
     # G_n is graded once per (presentation, n), for its orders: ten pairs, as
     # rational:3,1 and catalog:3_1 share the trefoil's n=2; the cover group
     # that the extension and model rows read is built on the same kernel.
