@@ -2,7 +2,14 @@
 
 Words are tuples of signed generator indices: +k stands for generator k-1 and
 -k for its inverse. Coset tables are standardized (cosets numbered in BFS
-discovery order), so identical inputs always produce identical tables.
+discovery order), so identical inputs always produce identical tables, and a
+table is fixed by its forward columns, all that ``CosetTable.to_json`` stores.
+``CosetTable.from_json`` derives the rest in one pass that proves it: each
+column must hold every coset once, compared as a set before any entry is read
+as an index (a negative one would alias), and is inverted; a BFS from coset 0
+over the columns in order (x1, x1^-1, x2, ...) derives the representative
+words, each its parent's plus one letter, and proves the action transitive
+and the numbering standardized: each coset first reached is the next.
 
 ``CosetTable.check(g, subgroup)`` proves a table to be the action of g on the
 cosets of some subgroup H that contains the given words; a table loaded from
@@ -24,6 +31,9 @@ L_x with L_x(0) = 0 x for a greedy set of generators x, skipping each x whose
 0 x already lies in the orbit of 0 under the columns chosen so far. By (b) O
 contains that orbit and is closed under every generator, so, the table being
 finite and transitive, O is every coset and by (a) the action is regular.
+(c) In a regular action a word w that fixes a coset d fixes every coset c,
+as c = L(d) for a translation L by (a) and c w = L(d w) = L(d) = c; so a
+cached table proved regular needs each relator walked from coset 0 alone.
 A table that ``todd_coxeter`` enumerates over the trivial subgroup is the
 regular action of the group itself, so only cached tables need the proof.
 ``branched_cover`` reads pi1(M_n), the kernel of G_n -> Z/n, off the regular
@@ -173,22 +183,18 @@ class CosetTable:
 
     def rep_images(self, other: CosetTable) -> list[int]:
         """``other.coset_of_word(w)`` for the representative word w of every
-        coset, in one pass along the tree of words (``CosetTable.check``: each
-        is its lower-numbered parent's plus one letter)."""
+        coset, in one pass along the tree of ``parents``, numbered lower."""
         if other.ngens != self.ngens:
             raise ValueError("the tables act by different generators")
         image = [0] * self.size
         for c, w in enumerate(self.rep_words[1:], 1):
-            x = _col(w[-1])
-            image[c] = other.action[x][image[self.action[x ^ 1][c]]]
+            image[c] = other.action[_col(w[-1])][image[self.parents[c]]]
         return image
 
     def check(self, g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> None:
         """Raise TableMismatch unless this is a coset action of g over the subgroup:
         every relator acts trivially, every subgroup word fixes coset 0 and the
-        representative words form a tree from coset 0, each its parent's word
-        plus one letter (so, by induction on length, each reaches its coset),
-        with the parent numbered lower."""
+        representative words form a tree from coset 0 (``parents``)."""
         if self.ngens != g.ngens or self.subgroup != tuple(free_reduce(w) for w in subgroup):
             raise TableMismatch("table belongs to another presentation or subgroup")
         cosets = list(range(self.size))
@@ -198,13 +204,13 @@ class CosetTable:
         for word in self.subgroup:
             if self.walk([0], word) != [0]:
                 raise TableMismatch(f"subgroup word {word} moves coset 0")
-        self.tree_parents()
+        self.parents
 
-    def tree_parents(self) -> list[int]:
-        """parents[c] is the coset whose representative word is that of c
-        without its last letter (0 for coset 0); raises TableMismatch unless
-        coset 0's word is empty and every other word is its parent's plus one
-        letter, with the parent numbered lower."""
+    @cached_property
+    def parents(self) -> list[int]:
+        """parents[c] is the coset whose word is that of c less its last letter
+        (0 for coset 0); raises TableMismatch unless coset 0's word is empty and
+        every other is its parent's plus one letter, the parent numbered lower."""
         reps = self.rep_words
         if reps[0]:
             raise TableMismatch("coset 0 has a nonempty representative word")
@@ -218,9 +224,10 @@ class CosetTable:
     def left_translation(self, d: int) -> list[int]:
         """The map on cosets that sends 0 to d and commutes with every column.
 
-        It spreads from 0 -> d along the columns in BFS order; raises
-        TableMismatch where two columns disagree, that is, where no such map
-        exists. Commuting with a column, it commutes with its inverse too.
+        It spreads from 0 -> d along the columns in BFS order, to every coset
+        of a transitive table; raises TableMismatch where two columns disagree,
+        that is, where no such map exists. Commuting with a column, it commutes
+        with its inverse too.
         """
         left = [-1] * self.size
         left[0] = d
@@ -236,13 +243,11 @@ class CosetTable:
                     reached.append(e)
                 elif le != want:
                     raise TableMismatch(f"no map sends coset 0 to {d} and commutes with every column")
-        if len(reached) != self.size:
-            raise TableMismatch("the columns do not act transitively")
         return left
 
     def check_regular(self) -> None:
-        """Raise TableMismatch unless the columns act regularly (the regularity
-        lemma of the module docstring)."""
+        """Raise TableMismatch unless the columns, transitive as ``from_json``
+        and ``check`` prove, act regularly (regularity lemma, module docstring)."""
         in_orbit = [False] * self.size
         in_orbit[0] = True
         orbit = [0]  # of coset 0 under the chosen columns
@@ -260,20 +265,40 @@ class CosetTable:
                         orbit.append(e)
 
     def to_json(self) -> dict:
-        return {
-            "generators": self.ngens,
-            "cosets": self.size,
-            "action": [list(col) for col in self.action],
-            "rep_words": [list(w) for w in self.rep_words],
-            "subgroup": [list(w) for w in self.subgroup],
-        }
+        return {"generators": self.ngens, "forward": [list(col) for col in self.action[::2]]}
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "CosetTable":
-        return cls(int(data["generators"]),
-                   [tuple(col) for col in data["action"]],
-                   [tuple(w) for w in data["rep_words"]],
-                   [tuple(w) for w in data["subgroup"]])
+    def from_json(cls, data: Mapping, subgroup: Iterable[Iterable[int]]) -> CosetTable:
+        """The table over the subgroup whose forward columns ``data`` holds,
+        the rest derived in one pass that proves it (module docstring)."""
+        ngens, forward = int(data["generators"]), data["forward"]
+        if len(forward) != ngens:
+            raise ValueError("need one forward column per generator")
+        size = len(forward[0]) if ngens else 1
+        action = []
+        for col in forward:
+            if not size or len(col) != size or set(col) != set(range(size)):
+                raise IncompleteTable("a forward column is not a permutation of the cosets")
+            inverse = [0] * size
+            for c, d in enumerate(col):
+                inverse[d] = c
+            action += (tuple(col), tuple(inverse))
+        letters = [sign * g for g in range(1, ngens + 1) for sign in (1, -1)]
+        reps, parents, n = [()], [0], 1  # n cosets reached
+        for c, row in enumerate(zip(*action)):
+            if c == n:
+                raise TableMismatch("coset 0 does not reach every coset")
+            for x, d in enumerate(row):
+                if d >= n:
+                    if d > n:
+                        raise TableMismatch("the cosets are not numbered in BFS order")
+                    reps.append(reps[c] + (letters[x],))
+                    parents.append(c)
+                    n += 1
+        table = cls.__new__(cls)  # what __init__ and parents would check is proved
+        vars(table).update(ngens=ngens, size=size, action=tuple(action), rep_words=tuple(reps),
+                           subgroup=tuple(map(free_reduce, subgroup)), parents=parents)
+        return table
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CosetTable) and self.ngens == other.ngens
@@ -497,7 +522,7 @@ def _subgroup_words(g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> 
 def _standardized_table(g: GroupPresentation, subgroup_words: list[Word], table: Sequence[int],
                         width: int, nrows: int, max_cosets: int) -> CosetTable:
     """Renumber the cosets reachable from coset 0 in BFS discovery order, columns
-    in order, and check the result against g.
+    in order, and check against g the table of their forward columns.
 
     ``table[c * width + x]`` is coset c times signed generator column x, or -1.
     Every coset the BFS reaches must be live and no live entry may point at a
@@ -506,11 +531,8 @@ def _standardized_table(g: GroupPresentation, subgroup_words: list[Word], table:
     order = [0]
     remap = [-1] * nrows
     remap[0] = 0
-    reps: list[Word] = [()]
     for c in order:
-        base = c * width
-        for x in range(width):
-            t = table[base + x]
+        for t in table[c * width:(c + 1) * width]:
             if t < 0:
                 # Every relator is closed at every coset, so each generator that a
                 # relator mentions has a total column; this gap is in one that none
@@ -519,16 +541,8 @@ def _standardized_table(g: GroupPresentation, subgroup_words: list[Word], table:
             if remap[t] < 0:
                 remap[t] = len(order)
                 order.append(t)
-                letter = x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1)
-                reps.append(reps[remap[c]] + (letter,))
-    size = len(order)
-    action = [[0] * size for _ in range(width)]
-    for new, old in enumerate(order):
-        base = old * width
-        for x in range(width):
-            action[x][new] = remap[table[base + x]]
-
-    result = CosetTable(g.ngens, action, reps, subgroup_words)
+    forward = [[remap[table[c * width + x]] for c in order] for x in range(0, width, 2)]
+    result = CosetTable.from_json({"generators": g.ngens, "forward": forward}, subgroup_words)
     result.check(g, subgroup_words)
     return result
 
@@ -537,12 +551,11 @@ def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle
     """The quandle on coset indices with op(i, j) = i . (rep_j^-1 m rep_j).
 
     Column 0 reads m. Each other column is built from its parent's along the
-    tree of ``CosetTable.tree_parents``: with rep_j = rep_p x for a letter x,
+    tree of ``CosetTable.parents``: with rep_j = rep_p x for a letter x,
     col_j = A_x col_p A_x^-1, where A_x is the column of x.
     """
-    parents = t.tree_parents()
     columns = [t.walk(range(t.size), free_reduce(meridian))]
-    for p, w in zip(parents[1:], t.rep_words[1:]):
+    for p, w in zip(t.parents[1:], t.rep_words[1:]):
         x = _col(w[-1])
         ax, col_p = t.action[x], columns[p]
         columns.append([ax[col_p[i]] for i in t.action[x ^ 1]])
@@ -674,11 +687,10 @@ def branched_cover(p: PeripheralPresentation, n: int, t: CosetTable) -> Branched
         raise ValueError("n must be at least 2")
     if any(t.subgroup):
         raise ValueError("need the coset table of G_n over the trivial subgroup")
-    # each representative word is its lower-numbered parent's plus one letter
-    # (CosetTable.check), so one pass in coset order grades every word
+    # parents are numbered lower, so one pass in coset order grades every word
     grades = [0] * t.size
     for c, w in enumerate(t.rep_words[1:], 1):
-        grades[c] = (grades[t.action[_col(w[-1]) ^ 1][c]] + (1 if w[-1] > 0 else -1)) % n
+        grades[c] = (grades[t.parents[c]] + (1 if w[-1] > 0 else -1)) % n
     kernel = [c for c in range(t.size) if grades[c] == 0]
     if t.size != n * len(kernel):
         raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")

@@ -121,23 +121,6 @@ class SparseIntMatrix:
         self.row_dicts = row_dicts
         self.nnz = sum(map(len, row_dicts))
 
-    def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        """Row-major product: row i of self * other is sum_k self[i][k] * other[k]."""
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        right = other.row_dicts
-        out = []
-        for row in self.row_dicts:
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                for c, b in right[k].items():
-                    acc[c] = acc.get(c, 0) + a * b
-            out.append({c: v for c, v in acc.items() if v})
-        return SparseIntMatrix(self.rows, other.cols, out)
-
-    def is_zero(self) -> bool:
-        return not self.nnz
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SparseIntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.row_dicts == other.row_dicts)

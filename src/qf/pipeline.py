@@ -1,11 +1,12 @@
 """End-to-end pipelines: knot spec -> enumerated n-quandle -> homology, with caching.
 
-Coset tables are cached as JSON keyed by a content hash of the presentation,
-the subgroup, and the enumeration strategy version; a cache hit is the table
-that uncapped recomputation gives. ``max_cosets`` bounds only the enumeration
-on a miss, so a row that overflows a low cap uncached is read in full from a
-cache that a higher cap filled. Serialized results never include timings or
-cache counters, so stdout output is byte-identical across runs.
+Coset tables are cached as JSON, by their forward columns, keyed by a content
+hash of the presentation, the subgroup and the enumeration strategy version;
+a cache hit is the table that uncapped recomputation gives. ``max_cosets``
+bounds only the enumeration on a miss, so a row that overflows a low cap
+uncached is read in full from a cache that a higher cap filled. Serialized
+results never include timings or cache counters, so stdout output is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ SCHEMA_VERSION = 1
 class CosetCache:
     """Disk cache for coset tables; None directory disables caching.
 
-    Each entry stores its key payload next to the table. An entry whose payload
-    differs from the request, that does not parse, or whose table fails
-    CosetTable.check (over the trivial subgroup, also CosetTable.check_regular)
-    is treated as a miss: recomputed and overwritten.
+    Each entry stores its key payload next to the table's forward columns
+    (``CosetTable.to_json``). The load proves them a standardized table
+    (``CosetTable.from_json``) and runs ``CosetTable.check``, or over the
+    trivial subgroup proves the action regular and walks each relator from
+    coset 0 alone (corollary (c) of ``qf.groups``). An entry of another key or
+    layout, or one that fails to parse or load, is recomputed and overwritten.
     """
 
     def __init__(self, directory: Optional[Path]):
@@ -73,10 +76,13 @@ class CosetCache:
             entry = json.loads(path.read_text())
             if entry["key"] != payload:
                 return None
-            table = CosetTable.from_json(entry["table"])
-            table.check(pres, subgroup)
-            if not any(table.subgroup):
+            table = CosetTable.from_json(entry["table"], subgroup)
+            if any(table.subgroup):
+                table.check(pres, subgroup)
+            else:
                 table.check_regular()
+                if table.ngens != pres.ngens or any(map(table.coset_of_word, pres.relators)):
+                    return None
         except (OSError, ValueError, KeyError, TypeError, IncompleteTable, TableMismatch,
                 RecursionError,  # json.loads of an entry nested too deep
                 OverflowError):  # int() of a number json.loads read as infinity
@@ -89,8 +95,7 @@ class CosetCache:
         ``compute()`` on a miss.
 
         ``compute`` must return the table ``todd_coxeter(pres, subgroup)``
-        gives, representative words included: the entry is keyed by pres
-        itself and is checked against it on load.
+        gives: the entry is keyed by pres itself and checked against it on load.
         """
         if self.directory is None:
             return compute()

@@ -220,15 +220,16 @@ def test_cache_entry_of_another_key_is_recomputed(capsys, tmp_path):
 
 
 def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
-    # a cut-off entry, and one whose representative word names an undeclared
-    # generator, are misses: recomputed and rewritten
+    # a cut-off entry, and one with a column for an undeclared generator, are
+    # misses: recomputed and rewritten
     args = ("enumerate", "--knot", "3_1", "--n", "3", "--cache-dir", str(tmp_path))
     _, want, _ = run(capsys, *args)
     (entry,) = tmp_path.glob("*.json")
     good = entry.read_text()
-    bad_letter = json.loads(good)
-    bad_letter["table"]["rep_words"][1] = [99]
-    for corrupt in (good[: len(good) // 2], json.dumps(bad_letter, sort_keys=True)):
+    extra_column = json.loads(good)
+    forward = extra_column["table"]["forward"]
+    forward.append(list(range(len(forward[0]))))
+    for corrupt in (good[: len(good) // 2], json.dumps(extra_column, sort_keys=True)):
         entry.write_text(corrupt)
         code, out, _ = run(capsys, *args)
         assert code == EXIT_OK

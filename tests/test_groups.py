@@ -81,8 +81,10 @@ def test_table_is_deterministic_and_serializable():
     t1 = todd_coxeter(g, [(1,)])
     t2 = todd_coxeter(g, [(1,)])
     assert t1 == t2
-    assert CosetTable.from_json(t1.to_json()) == t1
+    loaded = CosetTable.from_json(t1.to_json(), [(1,)])
+    assert loaded == t1 and loaded.parents == t1.parents
     assert t1.rep_words[0] == ()
+    assert set(t1.to_json()) == {"generators", "forward"}
 
 
 def test_walk_and_reps():
@@ -101,17 +103,19 @@ def test_walk_and_reps():
 def test_table_check_rejects_representative_words_off_the_tree():
     g = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
     t = todd_coxeter(g, [(1,)])
-    data = t.to_json()
-    c = next(c for c, w in enumerate(t.rep_words) if len(w) == 1)
-    data["rep_words"][c] = [data["rep_words"][c][0]] * 3  # same coset (generators are involutions)
-    other = CosetTable.from_json(data)
+    reps = list(t.rep_words)
+    c = next(c for c, w in enumerate(reps) if len(w) == 1)
+    reps[c] = reps[c] * 3  # same coset (generators are involutions)
+    other = CosetTable(t.ngens, t.action, reps, t.subgroup)
     assert other.coset_of_word(other.rep_words[c]) == c
     with pytest.raises(TableMismatch):
         other.check(g, [(1,)])
-    for bad in ([0], [3], [-3]):
-        data["rep_words"][c] = bad
-        with pytest.raises(ValueError):
-            CosetTable.from_json(data)
+    # a stored table derives its words, so it cannot hold such a word; the
+    # stored columns must match the generators they are read for
+    data = t.to_json()
+    for bad in (data["forward"][:1], data["forward"] + [list(range(t.size))]):
+        with pytest.raises(ValueError, match="one forward column per generator"):
+            CosetTable.from_json({"generators": 2, "forward": bad}, [(1,)])
     # still a tree, but coset (1,) renumbered past its child (1, 1): grading
     # G_n in one pass needs every parent numbered before its children
     z5 = GroupPresentation(1, [(1,) * 5])
@@ -123,6 +127,8 @@ def test_table_check_rejects_representative_words_off_the_tree():
     assert moved.walk(range(5), (1,) * 5) == list(range(5))
     with pytest.raises(TableMismatch):
         moved.check(z5, ())
+    with pytest.raises(TableMismatch, match="BFS order"):
+        CosetTable.from_json(moved.to_json(), ())
 
 
 def test_table_constructor_rejects_each_malformed_part():

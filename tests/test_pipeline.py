@@ -19,6 +19,7 @@ from qf.diagrams import ParameterError
 from qf.groups import (
     CosetTable,
     GroupPresentation,
+    IncompleteTable,
     Overflow,
     TableMismatch,
     g_n_presentation,
@@ -297,6 +298,101 @@ def test_cached_table_over_the_trivial_subgroup_must_be_regular(tmp_path, capsys
     assert cache.hits == 1
 
 
+def _relabel(forward, perm):
+    """The forward columns with coset c renamed perm[c]."""
+    return [[perm[col[c]] for c in sorted(range(len(col)), key=perm.__getitem__)]
+            for col in forward]
+
+
+def _malformed(table):
+    """Each way a stored table can fail the load, by name."""
+    forward, size = table.to_json()["forward"], table.size
+    last = forward[0].index(size - 1)
+
+    def with_entry(k, value):
+        return [[value if (i, c) == (0, k) else d for c, d in enumerate(col)]
+                for i, col in enumerate(forward)]
+
+    swap = list(range(size))
+    swap[1], swap[2] = 2, 1
+    return {
+        # -1 would index as size - 1, keeping the column a permutation
+        "negative entry": {"forward": with_entry(last, -1)},
+        "entry past the last coset": {"forward": with_entry(last, size)},
+        "not a permutation": {"forward": with_entry(last, forward[0][last - 1])},
+        "unequal lengths": {"forward": [forward[0]] + [col[:-1] for col in forward[1:]]},
+        "no cosets": {"forward": [[] for _ in forward]},
+        "not numbered in BFS order": {"forward": _relabel(forward, swap)},
+        # two copies of the action: the second is an orbit that coset 0 misses
+        "coset not reached": {"forward": [col + [d + size for d in col] for col in forward]},
+        # a well-formed table, over one generator more than the presentation
+        "another generator count": {"generators": table.ngens + 1,
+                                    "forward": forward + [list(range(size))]},
+        "parent layout": {"cosets": size, "action": [list(col) for col in table.action],
+                          "rep_words": [list(w) for w in table.rep_words],
+                          "subgroup": [list(w) for w in table.subgroup]},
+    }
+
+
+@pytest.mark.parametrize("name, error", [
+    ("negative entry", "permutation"), ("entry past the last coset", "permutation"),
+    ("not a permutation", "permutation"), ("unequal lengths", "permutation"),
+    ("no cosets", "permutation"), ("not numbered in BFS order", "BFS order"),
+    ("coset not reached", "reach every coset"), ("another generator count", None),
+    ("parent layout", "forward")])
+def test_malformed_cache_entries_are_misses(tmp_path, capsys, name, error):
+    # planted at both keys of a homology row (Q_n and G_n), each malformed
+    # table is a miss: recomputed, the golden stdout, the entry rewritten
+    args = ["homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    capsys.readouterr()
+    entries = {path: path.read_text() for path in tmp_path.glob("*.json")}
+    assert len(entries) == 2
+    pipe = Pipeline()
+    tables = [pipe.quandle("catalog:3_1", 3)[0], pipe.branched("catalog:3_1", 3).table]
+    for path, text in entries.items():
+        entry = json.loads(text)
+        subgroup = tuple(map(tuple, entry["key"]["subgroup"]))
+        (table,) = (t for t in tables if t.subgroup == subgroup)
+        assert entry["table"]["forward"] == table.to_json()["forward"]
+        planted = {"generators": table.ngens, **_malformed(table)[name]}
+        if error is None:  # from_json accepts it; the check against pres does not
+            CosetTable.from_json(planted, subgroup)
+        else:
+            with pytest.raises((KeyError, IncompleteTable, TableMismatch), match=error):
+                CosetTable.from_json(planted, subgroup)
+        path.write_text(json.dumps({"key": entry["key"], "table": planted}, sort_keys=True))
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
+    assert {path: path.read_text() for path in entries} == entries
+
+
+def test_a_regular_table_of_another_group_is_a_miss(tmp_path, capsys):
+    # Z/24 acting on itself, each generator by +1, is standardized and regular,
+    # and every Wirtinger relator of 3_1 fixes it; the relator m^3 moves coset
+    # 0, which is all a regular action needs to be checked at
+    pipe = Pipeline()
+    pres = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
+    cyclic = todd_coxeter(GroupPresentation(3, [(1, -2), (2, -3), (1,) * 24]))
+    assert cyclic.size == pipe.branched("catalog:3_1", 3).gn_order == 24
+    cyclic.check_regular()
+    *wirtinger, power = pres.relators
+    assert power == (pipe.peripherals("catalog:3_1").meridian + 1,) * 3
+    assert all(cyclic.walk(range(24), r) == list(range(24)) for r in wirtinger)
+    assert cyclic.coset_of_word(power) != 0
+    CosetCache(tmp_path).todd_coxeter(pres, (), lambda: cyclic)
+    args = ["homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
+
+    def unreachable():
+        raise AssertionError("the rewritten entry must be a hit")
+
+    cache = CosetCache(tmp_path)
+    assert cache.todd_coxeter(pres, (), unreachable) == pipe.branched("catalog:3_1", 3).table
+    assert cache.hits == 1
+
+
 def test_deeply_nested_cache_entries_are_misses(tmp_path, capsys):
     # json.loads raises RecursionError on a deeply nested entry, and
     # CosetTable.from_json OverflowError on a count json reads as infinity;
@@ -314,7 +410,7 @@ def test_deeply_nested_cache_entries_are_misses(tmp_path, capsys):
                 for path, text in entries.items()}
     for text in infinite.values():
         with pytest.raises(OverflowError):
-            CosetTable.from_json(json.loads(text)["table"])
+            CosetTable.from_json(json.loads(text)["table"], ())
     for planted in ({path: nested for path in entries}, infinite):
         for path, text in planted.items():
             path.write_text(text)
