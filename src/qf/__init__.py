@@ -2,12 +2,9 @@
 
 from qf.intlinalg import AbelianGroup, SNFResult, SparseIntMatrix, homology_of_pair, smith_normal_form
 from qf.quandles import (
-    FiniteGroupElementSet,
     FiniteQuandle,
-    GroupAutomorphism,
     check_relators,
     components,
-    galex,
     is_connected,
     quandle_type,
     verify_extension,
@@ -31,8 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup", "SNFResult", "SparseIntMatrix", "homology_of_pair", "smith_normal_form",
-    "FiniteGroupElementSet", "FiniteQuandle", "GroupAutomorphism", "check_relators",
-    "components", "galex", "is_connected", "quandle_type", "verify_extension",
+    "FiniteQuandle", "check_relators", "components", "is_connected", "quandle_type",
+    "verify_extension",
     "CosetTable", "GroupPresentation", "Overflow", "abelianization", "branched_cover",
     "g_n_presentation", "quandle_from_cosets", "todd_coxeter", "trefoil_branched_presentation",
     "analyze", "connected_sum", "parse_pd", "quandle_presentation", "wirtinger_with_peripherals",

@@ -3,14 +3,14 @@
 Exit codes: 0 success, 2 input error (a bad argument, or a knot file or cache
 directory that cannot be read or written), 3 enumeration overflow, 4 verification
 mismatch, 5 internal error (a broken invariant: KernelSizeMismatch,
-TableMismatch, IncompleteTable, AxiomViolation, AutomorphismInvalid,
-MalformedWitness, NotAComplex or DivisibilityError, reported as one
-"internal error: ..." line on stderr). An overflow writes one "overflow: ..."
-line that names the cap; where pi1 of the branched cover is proved infinite
-before enumerating, that line reads "Q_n is infinite, so its index exceeded N
-cosets" and one "infinite: ..." line names the certificate's subgroup index
-and abelianization. Result JSON/CSV goes to stdout and is byte-identical
-across runs; timings and cache statistics go to stderr.
+TableMismatch, IncompleteTable, AxiomViolation, MalformedWitness, NotAComplex
+or DivisibilityError, reported as one "internal error: ..." line on stderr).
+An overflow writes one "overflow: ..." line that names the cap; where pi1 of
+the branched cover is proved infinite before enumerating, that line reads
+"Q_n is infinite, so its index exceeded N cosets" and one "infinite: ..."
+line names the certificate's subgroup index and abelianization. Result
+JSON/CSV goes to stdout and is byte-identical across runs; timings and cache
+statistics go to stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from qf.groups import (
 from qf.homology import DivisibilityError
 from qf.intlinalg import NotAComplex
 from qf.pipeline import CosetCache, Pipeline
-from qf.quandles import AutomorphismInvalid, AxiomViolation, MalformedWitness
+from qf.quandles import AxiomViolation, MalformedWitness
 from qf.verify import format_rows, format_rows_csv, run_verification
 
 EXIT_OK = 0
@@ -54,7 +54,7 @@ EXIT_INTERNAL = 5
 _INPUT_ERRORS = (ParameterError, PDSyntaxError, LabelError, MultiComponent,
                  OrientationInconsistent, ValueError, OSError)
 _INTERNAL_ERRORS = (KernelSizeMismatch, TableMismatch, IncompleteTable, AxiomViolation,
-                    AutomorphismInvalid, MalformedWitness, NotAComplex, DivisibilityError)
+                    MalformedWitness, NotAComplex, DivisibilityError)
 
 
 def positive_int(text: str) -> int:

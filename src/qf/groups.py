@@ -49,7 +49,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from qf.intlinalg import AbelianGroup, SparseIntMatrix, abelian_group
-from qf.quandles import FiniteGroupElementSet, FiniteQuandle, GroupAutomorphism, _generating_set
+from qf.quandles import FiniteQuandle, _generating_set
 
 if TYPE_CHECKING:  # qf.diagrams imports this module
     from qf.diagrams import PeripheralPresentation
@@ -587,10 +587,9 @@ class BranchedCover:
 
     Element x of pi1(M_n) is the grade-0 coset ``kernel[x]``, so the word
     ``table.rep_words[kernel[x]]`` spells it. ``galex``, GAlex(pi1, phi) one
-    column at a time, and ``longitude_action``, x -> l x, are read off the
-    table when first read; neither builds a table of pi1. ``group``, the
-    automorphism ``phi`` (g -> m^-1 g m) and the ``longitude``'s element build
-    the Cayley table of pi1 when first read.
+    column at a time with phi(g) = m^-1 g m, and ``longitude_action``,
+    x -> l x, are read off the table when first read; neither builds a table
+    of pi1.
     """
 
     peripherals: PeripheralPresentation
@@ -610,14 +609,6 @@ class BranchedCover:
     def _element(self) -> dict[int, int]:
         return {c: x for x, c in enumerate(self.kernel)}
 
-    @cached_property
-    def group(self) -> FiniteGroupElementSet:
-        t, kernel, index = self.table, self.kernel, self._element
-        mult = tuple(zip(*([index[c] for c in t.walk(kernel, t.rep_words[d])] for d in kernel)))
-        identity = index[0]
-        return FiniteGroupElementSet(len(kernel), mult, identity,
-                                     tuple(row.index(identity) for row in mult))
-
     def _left_translation(self, word: Word) -> list[int]:
         """c -> the coset of w rep_c, w the element that ``word`` spells."""
         return self.table.left_translation(self.table.coset_of_word(word))
@@ -635,16 +626,6 @@ class BranchedCover:
         """x -> l x on pi1(M_n): the left translation to l."""
         left = self._left_translation(self.peripherals.longitude)
         return tuple(self._element[left[c]] for c in self.kernel)
-
-    @cached_property
-    def phi(self) -> GroupAutomorphism:
-        left = self._to_m_inverse
-        return GroupAutomorphism(self.group, tuple(self._element[d] for d in self.table.walk(
-            [left[c] for c in self.kernel], (self.peripherals.meridian + 1,))))
-
-    @cached_property
-    def longitude(self) -> int:
-        return self._element[self.table.coset_of_word(self.peripherals.longitude)]
 
 
 class GAlexColumns:

@@ -1,12 +1,9 @@
-"""Finite quandles as explicit operation tables, plus the group-flavoured constructions.
+"""Finite quandles as explicit operation tables, central-extension witnesses and relators.
 
 Elements are dense 0-based indices. ``FiniteQuandle(table)`` checks every
 quandle axiom, so each ``FiniteQuandle`` is a quandle, whether its table comes
 from a construction here or from the on-disk cache: idempotence and bijective
 columns in O(n^2), and right distributivity by Lemma 2 in O(n^2 |W|).
-``FiniteGroupElementSet`` proves associativity and keeps its greedy
-generating set S as ``generators``; ``GroupAutomorphism`` proves a map a
-homomorphism on S.
 
 Let W be a set whose orbit under the translations R_w (w in W) is the whole
 table, so each z is w R_w1^e1 ... R_wk^ek with w and every wi in W and each
@@ -72,10 +69,6 @@ class AxiomViolation(Exception):
         self.axiom = axiom
         self.witness = witness
         super().__init__(f"{axiom} fails at {witness}")
-
-
-class AutomorphismInvalid(Exception):
-    """A claimed group automorphism does not satisfy its invariants."""
 
 
 class MalformedWitness(Exception):
@@ -247,117 +240,6 @@ def components(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
 
 def is_connected(q: FiniteQuandle) -> bool:
     return len(components(q)) == 1
-
-
-@dataclass
-class FiniteGroupElementSet:
-    """A finite group as a full multiplication table on indices 0..order-1.
-
-    The constructor raises ValueError unless the table is a group, and keeps
-    the greedy generating set of Light's test as ``generators``.
-    """
-
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    identity: int
-    inv: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.order
-        if len(self.mult) != n or any(len(row) != n for row in self.mult):
-            raise ValueError("multiplication table must be order x order")
-        if any(min(row) < 0 or max(row) >= n for row in self.mult):
-            raise ValueError("multiplication table entry out of range")
-        if len(self.inv) != n or any(not 0 <= v < n for v in (self.identity, *self.inv)):
-            raise ValueError("identity or inverse table out of range")
-        e = self.identity
-        for a in range(n):
-            if self.mult[e][a] != a or self.mult[a][e] != a:
-                raise ValueError(f"identity law fails at {a}")
-            if self.mult[a][self.inv[a]] != e or self.mult[self.inv[a]][a] != e:
-                raise ValueError(f"inverse law fails at {a}")
-        # Associativity is proved at every order by Light's test (Clifford & Preston,
-        # The Algebraic Theory of Semigroups, 1961, section 1.2): the elements s with
-        # (a s) b == a (s b) for all a, b contain e and are closed under products, and
-        # subgroup_generated reaches every element as a product of the greedy
-        # generators and their inverses, so checking those s suffices.
-        gens: list[int] = []
-        reached = {e}
-        for x in range(n):
-            if x not in reached:
-                gens.append(x)
-                reached = set(self.subgroup_generated(gens))
-        self.generators = tuple(gens)
-        mult = self.mult
-        for s in sorted({*gens, *(self.inv[g] for g in gens)}):
-            ms = mult[s]
-            for a in range(n):
-                ma = mult[a]
-                mas = mult[ma[s]]
-                for b in range(n):
-                    if mas[b] != ma[ms[b]]:
-                        raise ValueError(f"associativity fails at {(a, s, b)}")
-
-    def subgroup_generated(self, gens: Iterable[int]) -> tuple[int, ...]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    for b in (self.mult[a][g], self.mult[a][self.inv[g]]):
-                        if b not in seen:
-                            seen.add(b)
-                            nxt.append(b)
-            frontier = nxt
-        return tuple(sorted(seen))
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FiniteGroupElementSet":
-        mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-        return cls(n, mult, 0, tuple((-a) % n for a in range(n)))
-
-
-@dataclass
-class GroupAutomorphism:
-    """A group automorphism given as a permutation of element indices.
-
-    A permutation f that fixes e is a homomorphism iff f(a s) = f(a) f(s) for
-    every a and every s in S u S^-1, S = ``source.generators``: every b is a
-    product over S u S^-1, and by induction on its length
-    f(a b s) = f(a b) f(s) = f(a) f(b) f(s) = f(a) f(b s). The constructor
-    checks that in O(order |S|).
-    """
-
-    source: FiniteGroupElementSet
-    map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.source.order
-        if len(self.map) != n or sorted(self.map) != list(range(n)):
-            raise AutomorphismInvalid("map is not a permutation of the elements")
-        if self.map[self.source.identity] != self.source.identity:
-            raise AutomorphismInvalid("identity is not fixed")
-        g, f = self.source, self.map
-        mult = g.mult
-        for s in sorted({*g.generators, *(g.inv[x] for x in g.generators)}):
-            fs = f[s]
-            for a in range(n):
-                if f[mult[a][s]] != mult[f[a]][fs]:
-                    raise AutomorphismInvalid(f"homomorphism fails at {(a, s)}")
-
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
-
-def galex(g: FiniteGroupElementSet, phi: GroupAutomorphism) -> FiniteQuandle:
-    """Generalized Alexander quandle on the elements of g: x * y = phi(x y^-1) y."""
-    if phi.source is not g and phi.source != g:
-        raise AutomorphismInvalid("automorphism does not act on the given group")
-    mult, inv, f = g.mult, g.inv, phi.map
-    table = [[mult[f[mult[x][inv[y]]]][y] for y in range(g.order)] for x in range(g.order)]
-    return FiniteQuandle(table)
 
 
 @dataclass(frozen=True)

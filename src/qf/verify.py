@@ -113,10 +113,6 @@ class VerifyRow:
     status: str  # PASS, FAIL, SKIP, or OVERFLOW
     detail: str
 
-    @property
-    def passed(self) -> bool:
-        return self.status in ("PASS", "SKIP")
-
 
 def _projection_witness(pipe: Pipeline, spec: str, n: int) -> ExtensionWitness:
     """The natural projection of GAlex(pi1, phi) onto Q_n (module docstring)."""

@@ -12,8 +12,10 @@ from qf.groups import (
     todd_coxeter,
 )
 from qf.pipeline import Pipeline
-from qf.quandles import ExtensionWitness, galex, quandle_type, verify_extension
+from qf.quandles import ExtensionWitness, FiniteQuandle, quandle_type, verify_extension
 from qf.verify import LONGITUDE_CASES, MODEL_CASES, _projection_witness
+
+from test_quandles import cover_reference
 
 TREFOIL = build_torus(2, 3)
 CINQUEFOIL = build_torus(2, 5)
@@ -34,8 +36,11 @@ def peripherals(pd):
 
 
 def branched(per, n):
-    cover = branched_cover(per, n, todd_coxeter(g_n_presentation(per, n), []))
-    return cover.group, cover.phi, cover.longitude
+    return cover_reference(branched_cover(per, n, todd_coxeter(g_n_presentation(per, n), [])))
+
+
+def galex(g):
+    return FiniteQuandle(g.galex())
 
 
 def enumerated(per, n):
@@ -48,7 +53,7 @@ def natural_projection(per, n):
     cover = branched_cover(per, n, todd_coxeter(g_n_presentation(per, n), []))
     q_table, q_enum = enumerated(per, n)
     reps = cover.table.rep_words
-    return (cover.group, cover.phi, cover.longitude, q_enum,
+    return (cover_reference(cover), q_enum,
             tuple(q_table.coset_of_word(reps[c]) for c in cover.kernel))
 
 
@@ -59,33 +64,33 @@ def is_homomorphism(p, total, base):
 
 def test_trefoil_n3_branched_data():
     per = peripherals(TREFOIL)
-    g, phi, ell = branched(per, 3)
+    g = branched(per, 3)
     assert g.order == 8
-    assert phi(ell) == ell
-    assert element_order(g, ell) == 2
+    assert g.phi[g.longitude] == g.longitude
+    assert element_order(g, g.longitude) == 2
 
 
 def test_trefoil_n5_branched_data():
     per = peripherals(TREFOIL)
-    g, phi, ell = branched(per, 5)
+    g = branched(per, 5)
     assert g.order == 120
-    assert element_order(g, ell) == 10
+    assert element_order(g, g.longitude) == 10
 
 
 def test_cinquefoil_gn_order():
     per = peripherals(CINQUEFOIL)
     pres = g_n_presentation(per, 3)
     assert todd_coxeter(pres, []).size == 360
-    g, _, ell = branched(per, 3)
+    g = branched(per, 3)
     assert g.order == 120
-    assert element_order(g, ell) == 6
+    assert element_order(g, g.longitude) == 6
 
 
 def test_two_bridge_longitude_trivial():
     per = peripherals(build_rational(5, 1))
-    g, _, ell = branched(per, 2)
+    g = branched(per, 2)
     assert g.order == 5
-    assert ell == g.identity
+    assert g.longitude == g.identity
 
 
 @pytest.mark.parametrize("alpha", range(13, 30, 2))
@@ -95,14 +100,14 @@ def test_torus_diagram_double_covers_through_the_pipeline(alpha):
     pipe = Pipeline()
     for beta in (1, alpha - 1):
         data = pipe.branched(f"rational:{alpha},{beta}", 2)
-        assert (data.gn_order, data.group.order, data.longitude_order) == (2 * alpha, alpha, 1)
+        assert (data.gn_order, cover_reference(data).order, data.longitude_order) == \
+            (2 * alpha, alpha, 1)
 
 
 def test_galex_on_branched_cover_type():
     # the twist-spin quandle on pi_1(M^3) has 8 elements and type 3
     per = peripherals(TREFOIL)
-    g, phi, _ = branched(per, 3)
-    q = galex(g, phi)
+    q = galex(branched(per, 3))
     assert q.size == 8
     assert quandle_type(q) == 3
 
@@ -112,10 +117,10 @@ def test_coset_model_matches_enumeration():
     # GAlex onto Q_n whose fibres are the right cosets <l> x, so it factors through
     # an isomorphism from the coset quandle
     per = peripherals(TREFOIL)
-    g, phi, ell, q_enum, p = natural_projection(per, 3)
-    sub = g.subgroup_generated([ell])
-    assert len(sub) == 2
-    assert is_homomorphism(p, galex(g, phi), q_enum)
+    g, q_enum, p = natural_projection(per, 3)
+    sub = [g.identity, g.longitude]
+    assert element_order(g, g.longitude) == 2
+    assert is_homomorphism(p, galex(g), q_enum)
     fibres = {frozenset(x for x in range(g.order) if p[x] == b) for b in range(q_enum.size)}
     assert fibres == {frozenset(g.mult[a][x] for a in sub) for x in range(g.order)}
     assert len(fibres) == q_enum.size == 4
@@ -125,18 +130,19 @@ def test_remark_trivial_longitude_collapses_extension():
     # for a 2-bridge knot at n = 2 the longitude dies, so the projection is an
     # isomorphism from the twist-spin quandle onto the knot 2-quandle itself
     per = peripherals(build_rational(7, 3))
-    g, phi, ell, q_enum, p = natural_projection(per, 2)
-    assert ell == g.identity
+    g, q_enum, p = natural_projection(per, 2)
+    assert g.longitude == g.identity
     assert sorted(p) == list(range(q_enum.size))
-    assert is_homomorphism(p, galex(g, phi), q_enum)
+    assert is_homomorphism(p, galex(g), q_enum)
 
 
 def test_extension_witness_and_type_transfer():
     per = peripherals(TREFOIL)
     for n in (3, 4):
-        g, phi, ell, q_enum, p = natural_projection(per, n)
-        total = galex(g, phi)
-        witness = ExtensionWitness(total, q_enum, p, element_order(g, ell), g.mult[ell])
+        g, q_enum, p = natural_projection(per, n)
+        total = galex(g)
+        witness = ExtensionWitness(total, q_enum, p, element_order(g, g.longitude),
+                                   tuple(g.mult[g.longitude]))
         assert verify_extension(witness).ok
         # covering with connected total: source and target types agree
         assert quandle_type(total) == quandle_type(q_enum) == n
@@ -159,8 +165,9 @@ def test_orbit_orders_match_the_group(spec, n, want):
     # the rows read |pi1| and ord(l) off the orbit of coset 0; the group built
     # from the same table is the reference (LONGITUDE_CASES has 5_1 n=3 and 3_1 n=5)
     data = Pipeline().branched(spec, n)
-    assert data.longitude_order == element_order(data.group, data.longitude) == want
-    assert data.pi1_order == data.group.order == data.gn_order // n
+    g = cover_reference(data)
+    assert data.longitude_order == element_order(g, g.longitude) == want
+    assert data.pi1_order == g.order == data.gn_order // n
 
 
 def brute_force_hom_and_e1(w, total):
@@ -179,7 +186,7 @@ def test_extension_checked_on_w_rejects_a_corruption_outside_w():
     pipe = Pipeline()
     w = _projection_witness(pipe, "catalog:3_1", 4)
     data = pipe.branched("catalog:3_1", 4)
-    total = galex(data.group, data.phi)
+    total = galex(cover_reference(data))
     assert verify_extension(w).ok and brute_force_hom_and_e1(w, total) == (True, True)
     outside = [x for x in range(w.total.size) if x not in w.total.generators]
     assert len(outside) == w.total.size - len(w.total.generators) > 1
@@ -203,17 +210,18 @@ def test_extension_checked_on_w_rejects_a_corruption_outside_w():
 def test_witness_read_off_the_table_matches_galex(spec, n):
     # the witness reads GAlex(pi1, phi) column by column and x -> l x off the
     # regular G_n table, and the projection along its tree; the reference is
-    # galex on the Cayley table of pi1, its row of l, and one walk per element
+    # GAlex on the Cayley table of pi1, its row of l, and one walk per element
     pipe = Pipeline()
     w = _projection_witness(pipe, spec, n)
     data = pipe.branched(spec, n)
     q_table, _ = pipe.quandle(spec, n)
-    view, total = data.galex, galex(data.group, data.phi)
+    g = cover_reference(data)
+    view, total = data.galex, galex(g)
     assert w.total is view
     assert (view.size, view.generators) == (total.size, total.generators)
     reps = data.table.rep_words
     assert w.projection == tuple(q_table.coset_of_word(reps[c]) for c in data.kernel)
-    assert w.action == data.longitude_action == data.group.mult[data.longitude]
+    assert w.action == data.longitude_action == tuple(g.mult[g.longitude])
     read = {*view.generators, *(w.action[y] for y in view.generators)}
     for y in sorted(read):
         assert view.column(y) == total.column(y), y

@@ -29,20 +29,17 @@ from qf.intlinalg import (
 from qf.pipeline import Pipeline
 from qf.quandles import (
     AxiomViolation,
-    FiniteGroupElementSet,
     FiniteQuandle,
-    GroupAutomorphism,
     _generating_set,
     components,
     dihedral_quandle,
-    galex,
     is_connected,
     quandle_type,
     trivial_quandle,
 )
 from qf.verify import CARDINALITY_CASES, H2_CASES, MONTESINOS_CANDIDATES
 
-from test_quandles import brute_force_axioms
+from test_quandles import alexander_quandle, brute_force_axioms
 
 
 def random_quandle(rng: random.Random) -> FiniteQuandle:
@@ -54,10 +51,9 @@ def random_quandle(rng: random.Random) -> FiniteQuandle:
         q = trivial_quandle(rng.randint(1, 6))
     elif kind == "galex":
         n = rng.randint(2, 6)
-        units = [u for u in range(1, n) if __import__("math").gcd(u, n) == 1]
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
         u = rng.choice(units)
-        g = FiniteGroupElementSet.cyclic(n)
-        q = galex(g, GroupAutomorphism(g, tuple((u * a) % n for a in range(n))))
+        q = alexander_quandle(n, u)
     else:
         a = dihedral_quandle(rng.choice([1, 3]))
         b = trivial_quandle(rng.randint(1, 2))
@@ -121,11 +117,6 @@ def test_h1_counts_the_orbits(reduction_pool):
     # connected pieces are the orbits, so coker(d2') is free of that rank
     for i, q in enumerate(reduction_pool):
         assert quandle_homology(q)[0] == AbelianGroup(len(components(q))), (i, q.size)
-
-
-def alexander_quandle(m: int, t: int) -> FiniteQuandle:
-    """Z/m with x * y = t x + (1 - t) y, t a unit mod m."""
-    return FiniteQuandle([[(t * x + (1 - t) * y) % m for y in range(m)] for x in range(m)])
 
 
 def disjoint_union(a: FiniteQuandle, b: FiniteQuandle) -> FiniteQuandle:

@@ -6,12 +6,10 @@ from pathlib import Path
 
 import pytest
 
-import qf
 import qf.groups
 import qf.homology
 import qf.pipeline
 import qf.presentations
-import qf.quandles
 import qf.verify
 from qf.catalog import resolve_knot_spec
 from qf.cli import main
@@ -28,7 +26,7 @@ from qf.groups import (
 from qf.intlinalg import AbelianGroup
 from qf.pipeline import CosetCache, Pipeline
 from qf.presentations import enumerate_cosets
-from qf.quandles import ExtensionWitness, FiniteGroupElementSet, GroupAutomorphism
+from qf.quandles import ExtensionWitness
 from qf.verify import EXTENSION_CASES, H2_CASES, MODEL_CASES, TREFOIL_COVER_ORDERS, run_verification
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "homology"
@@ -208,6 +206,9 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
 
 
 def test_warm_cache_homology_enumerates_nothing(monkeypatch, tmp_path, capsys):
+    for _ in range(2):  # cold, then warm: the orders are read off G_n's table
+        res = Pipeline(CosetCache(tmp_path)).run_homology("catalog:5_1", 3)
+        assert (res.gn_order, res.pi1_order, res.longitude_order) == (360, 120, 6)
     args = ["homology", "--knot", "3_1", "--n", "3", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.groups, qf.pipeline,
@@ -442,37 +443,14 @@ def test_a_capped_overflow_is_enumerated_once(monkeypatch, capsys):
     assert len(enumerations) == 18
 
 
-def test_verification_builds_no_group_table(monkeypatch):
-    # the witness reads GAlex(pi1, phi) and x -> l x off the regular G_n table
-    # (the lemma of qf.verify): no Cayley table of pi1, no automorphism, no galex
-    groups = _count_calls(monkeypatch, "__post_init__", FiniteGroupElementSet)
-    automorphisms = _count_calls(monkeypatch, "__post_init__", GroupAutomorphism)
-    galex_calls = _count_calls(monkeypatch, "galex", qf.quandles, qf)
-    rows = run_verification(Pipeline(CosetCache(None)))
-    assert len(rows) == 51 and all(r.status == "PASS" for r in rows)
-    assert groups == [] and automorphisms == [] and galex_calls == []
-
-
 def test_verification_leaves_no_reference_cycles():
     # the column view that a BranchedCover caches keeps the cover's parts, not
     # the cover: a run leaves no G_n table to the cyclic collector
     gc.collect()
     gc.disable()
     try:
-        run_verification(Pipeline(CosetCache(None)))
+        rows = run_verification(Pipeline(CosetCache(None)))
+        assert len(rows) == 51 and all(r.status == "PASS" for r in rows)
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_homology_rows_build_no_group(monkeypatch, tmp_path):
-    groups = _count_calls(monkeypatch, "__post_init__", FiniteGroupElementSet)
-    automorphisms = _count_calls(monkeypatch, "__post_init__", GroupAutomorphism)
-    for _ in range(2):  # cold, then warm
-        res = Pipeline(CosetCache(tmp_path)).run_homology("catalog:5_1", 3)
-        assert (res.gn_order, res.pi1_order, res.longitude_order) == (360, 120, 6)
-    assert groups == [] and automorphisms == []
-    # the verify rows still get the group, built once on first read
-    data = Pipeline(CosetCache(tmp_path)).branched("catalog:5_1", 3)
-    assert data.phi.source is data.group and data.group.order == 120
-    assert len(groups) == len(automorphisms) == 1

@@ -1,19 +1,16 @@
 import itertools
+from typing import NamedTuple
 
 import pytest
 
 from qf.quandles import (
-    AutomorphismInvalid,
     AxiomViolation,
     ExtensionWitness,
-    FiniteGroupElementSet,
     FiniteQuandle,
-    GroupAutomorphism,
     MalformedWitness,
     check_relators,
     components,
     dihedral_quandle,
-    galex,
     is_connected,
     quandle_type,
     trivial_quandle,
@@ -36,6 +33,45 @@ def brute_force_axioms(table):
                 if table[table[x][y]][z] != table[table[x][z]][table[y][z]]:
                     return False
     return True
+
+
+class CoverReference(NamedTuple):
+    """pi1(M_n) of a ``BranchedCover`` as plain tables, with no check."""
+    mult: list[list[int]]  # mult[x][y] = x y
+    identity: int
+    inv: list[int]
+    phi: list[int]  # phi(x) = m^-1 x m
+    longitude: int
+
+    @property
+    def order(self) -> int:
+        return len(self.mult)
+
+    def galex(self) -> list[list[int]]:
+        """GAlex(pi1, phi): x * y = phi(x y^-1) y."""
+        mult, inv, phi = self.mult, self.inv, self.phi
+        rng = range(self.order)
+        return [[mult[phi[mult[x][inv[y]]]][y] for y in rng] for x in rng]
+
+
+def cover_reference(cover) -> CoverReference:
+    """The reference that the column view of a cover is compared with. The
+    element x is the coset ``kernel[x]`` of the regular G_n table; x y is the
+    coset that rep_y walks to from x, and phi(x) the coset that
+    m^-1 rep_x m walks to from coset 0."""
+    t, kernel = cover.table, cover.kernel
+    element = {c: x for x, c in enumerate(kernel)}
+    mult = [[element[t.walk([c], t.rep_words[d])[0]] for d in kernel] for c in kernel]
+    identity = element[0]
+    m = cover.peripherals.meridian + 1
+    phi = [element[t.coset_of_word((-m,) + t.rep_words[c] + (m,))] for c in kernel]
+    return CoverReference(mult, identity, [row.index(identity) for row in mult], phi,
+                          element[t.coset_of_word(cover.peripherals.longitude)])
+
+
+def alexander_quandle(m: int, t: int) -> FiniteQuandle:
+    """Z/m with x * y = t x + (1 - t) y, t a unit mod m: GAlex(Z/m, x -> t x)."""
+    return FiniteQuandle([[(t * x + (1 - t) * y) % m for y in range(m)] for x in range(m)])
 
 
 def test_singleton():
@@ -98,15 +134,11 @@ def test_pow_op():
 
 
 def test_galex_identity_gives_trivial():
-    g = FiniteGroupElementSet.cyclic(5)
-    q = galex(g, GroupAutomorphism(g, tuple(range(g.order))))
-    assert q == trivial_quandle(5)
+    assert alexander_quandle(5, 1) == trivial_quandle(5)
 
 
 def test_galex_negation_is_r3():
-    g = FiniteGroupElementSet.cyclic(3)
-    neg = GroupAutomorphism(g, tuple((-a) % 3 for a in range(3)))
-    q = galex(g, neg)
+    q = alexander_quandle(3, 2)  # GAlex(Z/3, -1)
     # brute-force isomorphism search over all 3! bijections
     r3 = dihedral_quandle(3)
     found = [p for p in itertools.permutations(range(3))
@@ -153,8 +185,7 @@ def test_verify_extension_malformed():
 def test_check_relators():
     # Alexander quandle x * y = 2x - y on Z/5: translations of order 4, so the
     # sign of k, the order of a chain and the ends of a relator all matter
-    z5 = FiniteGroupElementSet.cyclic(5)
-    q = galex(z5, GroupAutomorphism(z5, tuple(2 * a % 5 for a in range(5))))
+    q = alexander_quandle(5, 2)
     ids = range(5)  # generator i is element i
     assert check_relators(q, ids, [(1, ((2, 1),), 0)])  # 1 * 2 = 0
     assert not check_relators(q, ids, [(0, ((2, 1),), 1)])
@@ -167,8 +198,7 @@ def test_check_relators():
 
 
 def test_check_relators_left_association():
-    z5 = FiniteGroupElementSet.cyclic(5)
-    q = galex(z5, GroupAutomorphism(z5, tuple(2 * a % 5 for a in range(5))))
+    q = alexander_quandle(5, 2)
     ids = range(5)
     # chains associate to the left: (1 * 2) * 3 = 2, while 1 * (2 * 3) = 1
     assert check_relators(q, ids, [(1, ((2, 1), (3, 1)), 2)])
@@ -178,71 +208,13 @@ def test_check_relators_left_association():
 
 
 def test_type_divides_surjection_target():
-    # type of a homomorphic image divides the type of the source: galex(Z/8, -1)
+    # type of a homomorphic image divides the type of the source: GAlex(Z/8, -1)
     # is the dihedral quandle R_8, and x -> x mod 4 maps it onto R_4
-    mult = tuple(tuple((a + b) % 8 for b in range(8)) for a in range(8))
-    z8 = FiniteGroupElementSet(8, mult, 0, tuple((-a) % 8 for a in range(8)))
-    neg = GroupAutomorphism(z8, tuple((-a) % 8 for a in range(8)))
-    total = galex(z8, neg)
+    total = alexander_quandle(8, 7)
     base = dihedral_quandle(4)
     assert all(total.op(x, y) % 4 == base.op(x % 4, y % 4) for x in range(8) for y in range(8))
     assert quandle_type(base) in (1, 2, 4, 8)
     assert quandle_type(total) % quandle_type(base) == 0
-
-
-def test_group_table_validation():
-    mult = ((0, 1), (1, 1))
-    with pytest.raises(ValueError):
-        FiniteGroupElementSet(2, mult, 0, (0, 1))
-    z5 = FiniteGroupElementSet.cyclic(5).mult
-    with pytest.raises(ValueError, match="out of range"):
-        FiniteGroupElementSet(5, z5, 0, (0, -1, -2, -3, -4))  # negative indices alias 4..1
-    # Z/300 with the single entry 1 * 2 = 5: identity and inverse laws still hold,
-    # and one bad product among 300^3 triples is below what sampling finds
-    mult = [[(a + b) % 300 for b in range(300)] for a in range(300)]
-    mult[1][2] = 5
-    with pytest.raises(ValueError, match="associativity"):
-        FiniteGroupElementSet(300, tuple(map(tuple, mult)), 0,
-                              tuple((-a) % 300 for a in range(300)))
-
-
-def test_automorphism_validation():
-    g = FiniteGroupElementSet.cyclic(4)
-    with pytest.raises(AutomorphismInvalid):
-        GroupAutomorphism(g, (1, 0, 3, 2))  # does not fix the identity
-    with pytest.raises(AutomorphismInvalid):
-        GroupAutomorphism(g, (0, 0, 1, 2))  # not a permutation
-
-
-def _automorphism_test_groups():
-    s3 = list(itertools.permutations(range(3)))  # the identity first
-    s3_mult = tuple(tuple(s3.index(tuple(a[b[i]] for i in range(3))) for b in s3) for a in s3)
-    v4_mult = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
-    return [
-        FiniteGroupElementSet.cyclic(6),
-        FiniteGroupElementSet(4, v4_mult, 0, tuple(range(4))),
-        FiniteGroupElementSet(6, s3_mult, 0, tuple(row.index(0) for row in s3_mult)),
-    ]
-
-
-@pytest.mark.parametrize("g, automorphisms", zip(_automorphism_test_groups(), (2, 6, 6)))
-def test_automorphism_check_on_generators_is_exact(g, automorphisms):
-    # over every permutation that fixes e, the check on S u S^-1 accepts exactly
-    # the maps that the check over all pairs (a, b) accepts
-    rng = range(g.order)
-    accepted = 0
-    for rest in itertools.permutations(range(1, g.order)):
-        f = (0, *rest)
-        homomorphism = all(f[g.mult[a][b]] == g.mult[f[a]][f[b]] for a in rng for b in rng)
-        try:
-            GroupAutomorphism(g, f)
-            checked = True
-        except AutomorphismInvalid:
-            checked = False
-        assert checked == homomorphism, f
-        accepted += checked
-    assert accepted == automorphisms
-
 
 
 def test_generating_sets_are_pinned():

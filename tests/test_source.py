@@ -6,7 +6,7 @@ from pathlib import Path
 
 import qf
 from qf.cli import _INPUT_ERRORS, _INTERNAL_ERRORS
-from qf.groups import Overflow
+from qf.groups import BranchedCover, Overflow
 
 
 def test_no_assert_statements_in_the_package():
@@ -41,9 +41,27 @@ def test_every_public_exception_has_an_exit_code():
     public = [getattr(importlib.import_module(module), name)
               for name, (module, _) in classes.items()
               if not name.startswith("_") and is_exception(name)]
-    assert len(public) >= 14
+    assert sorted(cls.__name__ for cls in public) == [
+        "AxiomViolation", "DivisibilityError", "IncompleteTable", "KernelSizeMismatch",
+        "LabelError", "MalformedWitness", "MultiComponent", "NotAComplex",
+        "OrientationInconsistent", "Overflow", "PDSyntaxError", "ParameterError",
+        "TableMismatch"]
     assert [cls.__name__ for cls in public
             if cls is not Overflow and not issubclass(cls, _INPUT_ERRORS + _INTERNAL_ERRORS)] == []
+
+
+def test_no_group_table_layer():
+    # pi1(M_n) is a group and GAlex(pi1, phi) a quandle by the lemma of
+    # qf.verify, and the witness reads its columns off the G_n table; the
+    # validated Cayley table of pi1 and its automorphism are the tests'
+    # reference (cover_reference), not the package's
+    gone = {"FiniteGroupElementSet", "GroupAutomorphism", "AutomorphismInvalid", "galex"}
+    found = [f"{path.stem}.{node.name}"
+             for path in sorted(Path(qf.__file__).parent.glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone]
+    assert found == []
+    assert [name for name in ("group", "phi", "longitude") if hasattr(BranchedCover, name)] == []
 
 
 def test_integer_elimination_lives_in_intlinalg():

@@ -1,19 +1,18 @@
 """The constructions that are valid by theorem pass the full checks too.
 
-``FiniteQuandle`` checks distributivity on a generating set only (Lemma 2 of
-``qf.quandles``) and groups prove associativity by Light's test; here loops over
-every triple serve as the reference on every model row of the verification table:
-the group pi1(M_n) and GAlex(pi1, phi), the total quandle of the witness that
-the model and extension rows check.
+The witness of the model and extension rows takes pi1(M_n) to be a group, phi
+an automorphism and GAlex(pi1, phi) a quandle by the lemma of ``qf.verify``,
+and checks none of them; here loops over every pair and triple check all
+three on every model row of the verification table, on the plain Cayley table
+of pi1 that ``cover_reference`` builds.
 """
 
 import pytest
 
 from qf.pipeline import Pipeline
-from qf.quandles import galex
 from qf.verify import MODEL_CASES
 
-from test_quandles import brute_force_axioms
+from test_quandles import brute_force_axioms, cover_reference
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +22,11 @@ def pipe():
 
 @pytest.mark.parametrize("spec, n", MODEL_CASES)
 def test_theorem_paths_pass_the_full_checks(pipe, spec, n):
-    data = pipe.branched(spec, n)
-    g = data.group
-    assert brute_force_axioms(galex(g, data.phi).table)
-    mult, rng = g.mult, range(g.order)
+    g = cover_reference(pipe.branched(spec, n))
+    assert brute_force_axioms(g.galex())
+    mult, e, inv, rng = g.mult, g.identity, g.inv, range(g.order)
+    assert all(mult[e][a] == a == mult[a][e] and mult[a][inv[a]] == e == mult[inv[a]][a]
+               for a in rng)
     assert all(mult[mult[a][b]][c] == mult[a][mult[b][c]] for a in rng for b in rng for c in rng)
+    assert sorted(g.phi) == list(rng)
+    assert all(g.phi[mult[a][b]] == mult[g.phi[a]][g.phi[b]] for a in rng for b in rng)
