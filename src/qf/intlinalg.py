@@ -14,6 +14,7 @@ reduces by one rule, the Euclidean step, and never by gcd cofactors.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -201,6 +202,12 @@ def smith_normal_form(m: SparseIntMatrix, torsion_map: bool = False) -> SNFResul
     entry that survives is the least (length, row) over those rows: the
     pivot that a scan of every live row would pick.
 
+    The pivot entry leaves its row, and its column leaves the column index,
+    before the other rows of that column are updated, so the update never
+    visits the pivot column or the pivot row. A pivot row of length 1 only
+    deletes its column from the other rows. Both only save bookkeeping per
+    row update: the pivots and their order are those of the rule above.
+
     Once no unit pivot is left, the remainder is made dense, transposed where
     needed so that each row has k = min(rows, cols) entries, and diagonalized by
     alternating Hermite forms (Kannan & Bachem, SIAM J. Comput. 8, 1979):
@@ -221,10 +228,10 @@ def smith_normal_form(m: SparseIntMatrix, torsion_map: bool = False) -> SNFResul
     either way.
     """
     rows = [dict(row) for row in m.row_dicts]
-    col_rows: dict[int, set[int]] = {}
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)
     for r, row in enumerate(rows):
         for c in row:
-            col_rows.setdefault(c, set()).add(r)
+            col_rows[c].add(r)
     live = {r for r in range(m.rows) if rows[r]}
     heap = [(len(rows[r]), r) for r in live]
     heapify(heap)
@@ -235,30 +242,36 @@ def smith_normal_form(m: SparseIntMatrix, torsion_map: bool = False) -> SNFResul
         while heap:
             length, pr = heappop(heap)
             prow = rows[pr]
-            if len(prow) == length and any(v == 1 or v == -1 for v in prow.values()):
-                break
+            if len(prow) == length:
+                vals = prow.values()
+                if 1 in vals or -1 in vals:
+                    break
         else:
             break  # no live row holds a unit
-        _, pc = min((len(col_rows[c]), c) for c, v in prow.items() if v == 1 or v == -1)
-        pv = prow[pc]
-        if log is not None:
-            log.extend((pr, r2, rows[r2][pc] * pv) for r2 in col_rows[pc] if r2 != pr)
-        for r2 in list(col_rows[pc]):
-            if r2 == pr:
-                continue
+        if length == 1:
+            pc, pv = prow.popitem()
+        else:
+            _, pc = min((len(col_rows[c]), c) for c, v in prow.items() if v == 1 or v == -1)
+            pv = prow.pop(pc)
+        column = col_rows.pop(pc)
+        column.remove(pr)
+        for r2 in column:
             row2 = rows[r2]
-            f = row2[pc] * pv  # pv is +-1, so f*pv == row2[pc]/pv
-            for cc, vv in prow.items():
-                delta = f * vv
-                old = row2.get(cc)
-                if old is None:
-                    row2[cc] = -delta
-                    col_rows[cc].add(r2)
-                elif old == delta:
-                    del row2[cc]
-                    col_rows[cc].discard(r2)
-                else:
-                    row2[cc] = old - delta
+            f = row2.pop(pc) * pv  # pv is +-1, so f*pv == row2[pc]/pv
+            if log is not None:
+                log.append((pr, r2, f))
+            if prow:  # else the pivot row had length 1, and only its column goes
+                for cc, vv in prow.items():
+                    delta = f * vv
+                    old = row2.get(cc)
+                    if old is None:
+                        row2[cc] = -delta
+                        col_rows[cc].add(r2)
+                    elif old == delta:
+                        del row2[cc]
+                        col_rows[cc].discard(r2)
+                    else:
+                        row2[cc] = old - delta
             if row2:
                 heappush(heap, (len(row2), r2))
             else:

@@ -306,6 +306,89 @@ def test_snf_repicks_a_row_that_gains_a_unit(dense_rows):
     assert dense_rows == [1]  # both unit pivots were taken sparsely
 
 
+def scanned_unit_phase(m):
+    """The unit phase of ``smith_normal_form`` by a scan of every live row, with
+    no heap and no column index: the least (length, row) holding a +-1, then
+    its unit in the column that the fewest rows hold, the least column on a
+    tie. Returns the number of unit pivots, the remainder (live rows and
+    columns in order, dense), each remainder row's coefficients over m's rows,
+    and how many pivot rows held no unit when the phase began."""
+    rows = [dict(row) for row in m.row_dicts]
+    coef = [{r: 1} for r in range(m.rows)]
+    seeded = [any(abs(v) == 1 for v in row.values()) for row in rows]
+    units = gained = 0
+    while True:
+        holding = [(len(row), r) for r, row in enumerate(rows)
+                   if any(abs(v) == 1 for v in row.values())]
+        if not holding:
+            break
+        pr = min(holding)[1]
+        prow = rows[pr]
+        pc = min((sum(c in row for row in rows), c) for c, v in prow.items() if abs(v) == 1)[1]
+        for r2, row2 in enumerate(rows):
+            if r2 != pr and pc in row2:
+                f = row2[pc] * prow[pc]
+                for target, source in ((row2, prow), (coef[r2], coef[pr])):
+                    for c, v in source.items():
+                        target[c] = target.get(c, 0) - f * v
+                        if not target[c]:
+                            del target[c]
+        rows[pr] = {}
+        units += 1
+        gained += not seeded[pr]
+    live = [r for r, row in enumerate(rows) if row]
+    cols = sorted({c for r in live for c in rows[r]})
+    return units, [[rows[r].get(c, 0) for c in cols] for r in live], [coef[r] for r in live], gained
+
+
+def test_heap_picks_the_pivots_of_a_full_scan(monkeypatch):
+    # the heap's lazy deletion must leave the pivot sequence of a scan of
+    # every live row (the argument in the smith_normal_form docstring): the
+    # same remainder reaches the dense phase, and the torsion map, which
+    # replays the logged row operations, is the reference's torsion map of
+    # that remainder composed with the reference's coefficients
+    first = []
+    hermite = intlinalg.hermite_rows
+
+    def spy(rows, k):
+        first.append([list(row) for row in rows])
+        return hermite(rows, k)
+
+    monkeypatch.setattr(intlinalg, "hermite_rows", spy)
+    rng = random.Random(30)
+    remainders = torsion = gained = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(2, 10), rng.randint(2, 10)
+        dense = []
+        for _ in range(nrows):  # mostly +-1; a quarter of the rows start with no unit
+            values = (2, -2, 3, -3) if rng.random() < 0.25 else (1, -1) * 3 + (2, -3)
+            dense.append([rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(ncols)])
+        m = from_dense(dense)
+        units, rest, coef, repicked = scanned_unit_phase(m)
+        flipped = len(rest) < len(rest[0]) if rest else False
+        expected = [list(col) for col in zip(*rest)] if flipped else rest
+
+        first.clear()
+        snf = smith_normal_form(m)
+        assert first[0] == expected, dense
+        of_rest = smith_normal_form(from_dense(rest), torsion_map=True)
+        assert snf.factors == (1,) * units + of_rest.factors, dense
+
+        pairs = []
+        for d, u in of_rest.torsion_map:
+            row = Counter()
+            for i, a in u.items():
+                for j, b in coef[i].items():
+                    row[j] += a * b
+            pairs.append((d, {j: v for j, v in row.items() if v}))
+        assert list(smith_normal_form(m, torsion_map=True).torsion_map) == pairs, dense
+        remainders += bool(rest)
+        torsion += bool(pairs)
+        gained += repicked
+    # the pool reaches the dense phase, the torsion map and rows that gain a unit
+    assert remainders > 100 and torsion > 50 and gained > 20, (remainders, torsion, gained)
+
+
 @pytest.fixture(scope="module")
 def derived_5_2():
     """The relation matrix of pi1' for 5_2 at n=5 (605 x 485), as
