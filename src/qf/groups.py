@@ -10,6 +10,10 @@ as an index (a negative one would alias), and is inverted; a BFS from coset 0
 over the columns in order (x1, x1^-1, x2, ...) derives the representative
 words, each its parent's plus one letter, and proves the action transitive
 and the numbering standardized: each coset first reached is the next.
+Computed tables reach this module as permutation columns, and one function,
+``_standardized_table``, renumbers them: those of the enumerator, those that
+``qf.presentations`` lifts from a simplified enumeration or reads off a
+Hermite normal form.
 
 ``CosetTable.check(g, subgroup)`` proves a table to be the action of g on the
 cosets of some subgroup H that contains the given words; a table loaded from
@@ -481,7 +485,7 @@ class _CapHit(Exception):
 
 def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
                  max_cosets: int = DEFAULT_MAX_COSETS,
-                 lift: Optional[Callable[[Sequence[int], int, int], CosetTable]] = None
+                 lift: Optional[Callable[[list[Sequence[int]]], CosetTable]] = None
                  ) -> CosetTable:
     """Enumerate the cosets of the given subgroup; raises Overflow past the cap.
 
@@ -495,9 +499,11 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
     raises Overflow. A finished table with an undefined entry also raises
     Overflow: the index is infinite.
 
-    ``lift`` (of ``qf.presentations.enumerate_cosets``) reads the finished
-    table in place of the standardization here: it is given the raw table,
-    its width and its number of rows, as ``_standardized_table`` is.
+    The finished table's live cosets are numbered 0, 1, ... and its columns,
+    permutations in the order (x1, x1^-1, x2, ...), go to
+    ``_standardized_table`` (the forward ones) or, where given, to ``lift``
+    (all of them; ``qf.presentations.enumerate_cosets`` reads other
+    generators' columns off them).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -507,9 +513,16 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
                        [_word_to_cols(w) for w in subgroup_words if w],
                        max_cosets)
     enum.run()
+    enum.compress(0)  # every entry is mirrored and merges keep the graph connected: 0 reaches all
+    if -1 in enum.table:
+        # Every relator is closed at every coset, so each generator that a
+        # relator mentions has a total column; this gap is in one that none
+        # mentions. Defining it would open an orbit that nothing closes.
+        raise Overflow(max_cosets)
+    columns = [enum.table[x::enum.width] for x in range(enum.width)]
     if lift is not None:
-        return lift(enum.table, enum.width, enum.nrows)
-    return _standardized_table(g, subgroup_words, enum.table, enum.width, enum.nrows, max_cosets)
+        return lift(columns)
+    return _standardized_table(g, subgroup_words, columns[::2])
 
 
 def _subgroup_words(g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> list[Word]:
@@ -519,30 +532,32 @@ def _subgroup_words(g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> 
     return words
 
 
-def _standardized_table(g: GroupPresentation, subgroup_words: list[Word], table: Sequence[int],
-                        width: int, nrows: int, max_cosets: int) -> CosetTable:
-    """Renumber the cosets reachable from coset 0 in BFS discovery order, columns
-    in order, and check against g the table of their forward columns.
+def _standardized_table(g: GroupPresentation, subgroup_words: list[Word],
+                        forward: Sequence[Sequence[int]]) -> CosetTable:
+    """The table whose forward columns, permutations of the cosets, are given,
+    with the cosets renumbered in BFS discovery order from coset 0 over the
+    columns in order (x1, x1^-1, x2, ...), checked against g over the subgroup.
 
-    ``table[c * width + x]`` is coset c times signed generator column x, or -1.
-    Every coset the BFS reaches must be live and no live entry may point at a
-    dead one; dead rows are never reached.
+    Only the cosets that coset 0 reaches are kept.
     """
+    size = len(forward[0]) if forward else 1
+    action = []
+    for col in forward:
+        inverse = [0] * size
+        for c, d in enumerate(col):
+            inverse[d] = c
+        action += (col, inverse)
     order = [0]
-    remap = [-1] * nrows
+    remap = [-1] * size
     remap[0] = 0
     for c in order:
-        for t in table[c * width:(c + 1) * width]:
-            if t < 0:
-                # Every relator is closed at every coset, so each generator that a
-                # relator mentions has a total column; this gap is in one that none
-                # mentions. Defining it would open an orbit that nothing closes.
-                raise Overflow(max_cosets)
+        for col in action:
+            t = col[c]
             if remap[t] < 0:
                 remap[t] = len(order)
                 order.append(t)
-    forward = [[remap[table[c * width + x]] for c in order] for x in range(0, width, 2)]
-    result = CosetTable.from_json({"generators": g.ngens, "forward": forward}, subgroup_words)
+    renumbered = [[remap[col[c]] for c in order] for col in forward]
+    result = CosetTable.from_json({"generators": g.ngens, "forward": renumbered}, subgroup_words)
     result.check(g, subgroup_words)
     return result
 

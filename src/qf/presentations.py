@@ -31,9 +31,9 @@ from qf.groups import (
     DEFAULT_MAX_COSETS,
     CosetTable,
     GroupPresentation,
-    Overflow,
     TableMismatch,
     Word,
+    _col,
     _standardized_table,
     _subgroup_words,
     _word_to_cols,
@@ -206,9 +206,9 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
     Simplifies the presentation (keeping generator 1; ``simplified`` passes in
     a result of ``simplify(pres, (1,))`` already at hand) and enumerates the
     cosets of the rewritten subgroup there (``max_cosets`` bounds that
-    enumeration, and Overflow comes from it). Over the live cosets that the
-    enumerator's raw table reaches from coset 0, each original generator's
-    column is set to the action of its rewrite word; the result is then
+    enumeration, and Overflow comes from it). Each original generator's
+    column is the action of its rewrite word, walked over the enumerator's
+    columns (``todd_coxeter``'s ``lift``); these forward columns are then
     standardized and checked against ``pres`` once, as ``todd_coxeter`` does.
     A standardized table is determined by the action on cosets, so the
     result, representative words included, is the one that enumerating
@@ -217,28 +217,15 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
     subgroup_words = _subgroup_words(pres, subgroup)
     small_pres, rewrite = simplified or simplify(pres, (1,) if pres.ngens else ())
 
-    def lift(raw: Sequence[int], raw_width: int, nrows: int) -> CosetTable:
-        reached, index = [0], [-1] * nrows
-        index[0] = 0
-        for c in reached:
-            for t in raw[c * raw_width:(c + 1) * raw_width]:
-                if t < 0:
-                    # a gap in a generator that no relator mentions: the index is infinite
-                    raise Overflow(max_cosets)
-                if index[t] < 0:
-                    index[t] = len(reached)
-                    reached.append(t)
-        size, width = len(reached), 2 * pres.ngens
-        table = [0] * (size * width)
-        for g, word in enumerate(rewrite):
-            image = reached
+    def lift(columns: list[Sequence[int]]) -> CosetTable:
+        forward = []
+        for word in rewrite:
+            image: Sequence[int] = range(len(columns[0]))
             for x in _word_to_cols(word):
-                image = [raw[d * raw_width + x] for d in image]
-            for c, d in enumerate(image):
-                d = index[d]
-                table[c * width + 2 * g] = d
-                table[d * width + 2 * g + 1] = c
-        return _standardized_table(pres, subgroup_words, table, width, size, max_cosets)
+                col = columns[x]
+                image = [col[d] for d in image]
+            forward.append(image)
+        return _standardized_table(pres, subgroup_words, forward)
 
     return todd_coxeter(small_pres, [_substitute(w, rewrite) for w in subgroup_words],
                         max_cosets, lift)
@@ -261,10 +248,9 @@ def _schreier_steps(pres: GroupPresentation, table: CosetTable
         raise ValueError("the table belongs to a presentation with other generators")
     k, size, action = pres.ngens, table.size, table.action
     schreier = [[-1] * size for _ in range(k)]  # [x-1][c]: edge (c, x) -> generator of H, 0 on the tree
-    for d, word in enumerate(table.rep_words[1:], 1):
-        x = abs(word[-1])
-        tail = action[2 * x - 1][d] if word[-1] > 0 else d  # where the tree edge starts
-        schreier[x - 1][tail] = 0
+    for d, (word, parent) in enumerate(zip(table.rep_words[1:], table.parents[1:]), 1):
+        # the tree edge (tail, x) ends in d on a letter x, and starts there on x^-1
+        schreier[abs(word[-1]) - 1][parent if word[-1] > 0 else d] = 0
     ngens = 0
     for c in range(size):
         for x in range(k):
@@ -273,9 +259,9 @@ def _schreier_steps(pres: GroupPresentation, table: CosetTable
                 schreier[x][c] = ngens
     steps = {}
     for x in range(1, k + 1):
-        steps[x] = (schreier[x - 1], action[2 * x - 2], 1)
+        steps[x] = (schreier[x - 1], action[_col(x)], 1)
         # letter -x from coset c crosses the edge (c.x^-1, x) backwards
-        steps[-x] = ([schreier[x - 1][d] for d in action[2 * x - 1]], action[2 * x - 1], -1)
+        steps[-x] = ([schreier[x - 1][d] for d in action[_col(-x)]], action[_col(-x)], -1)
     return ngens, [[steps[letter] for letter in relator] for relator in pres.relators]
 
 
@@ -368,9 +354,10 @@ def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable
     With the Hermite rows of the exponent-sum matrix, of diagonal h_1..h_k,
     the cosets are the reduced vectors 0 <= v_i < h_i, coset 0 the zero
     vector, and generator j acts by +e_j and reduction by the rows, i
-    ascending. The table is standardized and checked against ``abelian``
-    (every relator fixes every coset), which proves what the Hermite form
-    only suggests.
+    ascending. These forward columns are standardized
+    (``qf.groups._standardized_table``, which derives their inverses) and
+    checked against ``abelian`` (every relator fixes every coset), which
+    proves what the Hermite form only suggests.
 
     Lemma. Let ``order`` = |H1|, H1 = pi1^ab, be known independently. A
     table that passes the check and has ``order`` cosets is the regular
@@ -393,8 +380,7 @@ def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable
         raise TableMismatch(f"the Hermite form has {prod(h)} cosets, not {order}")
     stride = [prod(h[i + 1:]) for i in range(k)]  # coset of v: sum of v_i stride_i
     points = [list(coords) for coords in zip(*product(*map(range, h)))]  # [i][coset]: v_i
-    width = 2 * k
-    table = [0] * (order * width)
+    forward = []
     for j in range(k):
         # v + e_j for every coset v at once, reduced by row i for i ascending
         v = points[:j] + [[a + 1 for a in points[j]]] + points[j + 1:]
@@ -403,13 +389,8 @@ def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable
             if any(q):
                 v[i:] = [[a - t * r for a, t in zip(col, q)] if r else col
                          for col, r in zip(v[i:], row[i:])]
-        forward = [sum(map(mul, coords, stride)) for coords in zip(*v)]
-        backward = [0] * order
-        for c, d in enumerate(forward):
-            backward[d] = c
-        table[2 * j::width] = forward
-        table[2 * j + 1::width] = backward
-    quotient = _standardized_table(abelian, [], table, width, order, order)
+        forward.append([sum(map(mul, coords, stride)) for coords in zip(*v)])
+    quotient = _standardized_table(abelian, [], forward)
     if quotient.size != order:
         raise TableMismatch(f"the table of pi1 / pi1' has {quotient.size} cosets, not {order}")
     return quotient

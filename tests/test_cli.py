@@ -237,6 +237,32 @@ def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
         assert entry.read_text() == good
 
 
+TREFOIL_N3_ENUMERATE = """{
+  "connected": true,
+  "knot": "catalog:3_1",
+  "n": 3,
+  "qn_size": 4,
+  "schema": 1,
+  "type": 3
+}
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5, cache entries that prove their key: "
+                   "a load proves that the stabilizer of coset 0 contains the named subgroup, "
+                   "not that it is the named subgroup, so a planted quotient is a hit")
+def test_cache_entry_of_a_quotient_of_q_n_is_a_miss(capsys, tmp_path):
+    # the one-coset table is a coset action of G_3 in which m and l fix coset 0
+    run(capsys, "homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path))
+    (entry,) = [p for p in tmp_path.glob("*.json") if json.loads(p.read_text())["key"]["subgroup"]]
+    planted = json.loads(entry.read_text())
+    planted["table"] = {"generators": 3, "forward": [[0], [0], [0]]}
+    entry.write_text(json.dumps(planted, sort_keys=True))
+    code, out, _ = run(capsys, "enumerate", "--knot", "catalog:3_1", "--n", "3",
+                       "--cache-dir", str(tmp_path))
+    assert (code, out) == (EXIT_OK, TREFOIL_N3_ENUMERATE)
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_max_cosets_below_one_exits_2_on_every_path(capsys, tmp_path, cap):
     cache = str(tmp_path)

@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,7 @@ from qf.groups import (
     Overflow,
     TableMismatch,
     _Enumerator,
+    _standardized_table,
     abelianization,
     cyclic_reduce,
     free_reduce,
@@ -339,3 +341,30 @@ def test_regularity_is_proved_by_left_translations():
     assert cosets.left_translation(0) == [0, 1, 2]
     with pytest.raises(TableMismatch):
         cosets.left_translation(1)
+
+
+def _renumbering_cases():
+    s3 = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    quaternion = GroupPresentation(2, [(1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)])
+    pipe = Pipeline(CosetCache(None))
+    g3 = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
+    return [(s3, todd_coxeter(s3, [(2,)])), (s3, todd_coxeter(s3, [])),
+            (quaternion, todd_coxeter(quaternion, [])),
+            (g3, pipe.quandle("catalog:3_1", 3)[0]), (g3, pipe.branched("catalog:3_1", 3).table)]
+
+
+def test_standardization_undoes_any_relabelling_that_fixes_coset_0():
+    # _standardized_table is the one renumbering of every computed table: given
+    # forward columns in any numbering with coset 0 first, it restores the table
+    rng = random.Random(0)
+    for g, table in _renumbering_cases():
+        forward = table.to_json()["forward"]
+        for _ in range(20):
+            pi = [0] + rng.sample(range(1, table.size), table.size - 1)
+            relabelled = [[0] * table.size for _ in forward]
+            for col, new in zip(forward, relabelled):
+                for c, d in enumerate(col):
+                    new[pi[c]] = pi[d]
+            again = _standardized_table(g, list(table.subgroup), relabelled)
+            assert again == table
+            assert again.rep_words == table.rep_words and again.parents == table.parents

@@ -1,5 +1,6 @@
+import random
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -377,3 +378,51 @@ def test_double_covers_of_two_bridge_knots_are_lens_spaces():
         alpha = int(spec.split(":")[1].split(",")[0])
         pres = g_n_presentation(PIPE.peripherals(spec), 2)
         assert _cover_homology(pres, 2) == AbelianGroup(0, (alpha,)), spec
+
+
+def _invariant_factor_chains(bound, least=2):
+    """Every chain d_1 | d_2 | ... of factors >= 2 with product <= bound."""
+    yield ()
+    for d in range(least, bound + 1):
+        for rest in _invariant_factor_chains(bound // d, d):
+            if all(e % d == 0 for e in rest):
+                yield (d,) + rest
+
+
+def _random_unimodular(rng, k):
+    """A signed permutation matrix, then two row operations that each add 1
+    or 2 times one row to another, or subtract it. With more of them the
+    relators grow to hundreds of letters, and todd_coxeter at a 10^4 cap
+    overflows on some draws before the commutators collapse the table."""
+    perm = rng.sample(range(k), k)
+    m = [[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(k)] for i in range(k)]
+    for _ in range(2):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def test_hermite_table_lemma_on_every_abelian_group_of_order_at_most_40():
+    # the lemma of abelian_quotient_table on random presentations U D V of
+    # each group, D the invariant factors padded with 1s
+    rng = random.Random(40)
+    chains = list(_invariant_factor_chains(40))
+    assert len(chains) == 68  # the abelian groups of order 1..40, up to isomorphism
+    for chain in chains:
+        order = prod(chain)
+        for _ in range(rng.choice((2, 3))):
+            k = max(len(chain), rng.choice((2, 3)))
+            d = (1,) * (k - len(chain)) + chain
+            u, v = _random_unimodular(rng, k), _random_unimodular(rng, k)
+            matrix = [[sum(u[i][t] * d[t] * v[t][j] for t in range(k)) for j in range(k)]
+                      for i in range(k)]
+            relators = [[(j + 1) * (1 if e > 0 else -1) for j, e in enumerate(row)
+                         for _ in range(abs(e))] for row in matrix]
+            gens = range(1, k + 1)
+            pres = GroupPresentation(k, relators + [(a, b, -a, -b) for a in gens for b in gens if a < b])
+            table = abelian_quotient_table(pres, order)
+            assert table.size == order
+            assert table.to_json() == todd_coxeter(pres, (), 10 ** 4).to_json(), (chain, matrix)
+            with pytest.raises(TableMismatch):
+                abelian_quotient_table(pres, 2 * order)

@@ -52,10 +52,24 @@ def test_capped_verify_tables_stdout(capsys, argv, golden):
     ("catalog:5_1", 3, "catalog_5_1_n3.json"),
     ("catalog:3_1", 5, "catalog_3_1_n5.json"),
     ("montesinos:1,1/2,1/3,1/3", 2, "montesinos_1_1_2_1_3_1_3_n2.json"),
+    ("catalog:3_1", 2, "catalog_3_1_n2.json"),
+    ("catalog:3_1", 3, "catalog_3_1_n3.json"),
+    ("catalog:3_1", 4, "catalog_3_1_n4.json"),
+    ("rational:9,2", 2, "rational_9_2_n2.json"),
+    ("rational:13,5", 2, "rational_13_5_n2.json"),
+    ("rational:21,8", 2, "rational_21_8_n2.json"),
+    ("rational:29,12", 2, "rational_29_12_n2.json"),
 ])
-def test_homology_stdout(capsys, spec, n, golden):
+def test_homology_stdout(capsys, tmp_path, spec, n, golden):
     assert main(["homology", "--knot", spec, "--n", str(n), "--no-cache"]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / "homology" / golden).read_text()
+    # cold then warm on one cache: the warm pass loads both tables of the row
+    # (G_n and Q_n), which from_json and check prove without assert
+    for hits in (0, 2):
+        assert main(["homology", "--knot", spec, "--n", str(n), "--cache-dir", str(tmp_path)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == (GOLDEN / "homology" / golden).read_text()
+        assert err.endswith(f"cache_hits={hits}\n")
 
 
 def _certificate_rows():
