@@ -4,16 +4,17 @@ Words are tuples of signed generator indices: +k stands for generator k-1 and
 -k for its inverse. Coset tables are standardized (cosets numbered in BFS
 discovery order), so identical inputs always produce identical tables, and a
 table is fixed by its forward columns, all that ``CosetTable.to_json`` stores.
-``CosetTable.from_json`` derives the rest in one pass that proves it: each
-column must hold every coset once, compared as a set before any entry is read
-as an index (a negative one would alias), and is inverted; a BFS from coset 0
-over the columns in order (x1, x1^-1, x2, ...) derives the representative
-words, each its parent's plus one letter, and proves the action transitive
-and the numbering standardized: each coset first reached is the next.
-Computed tables reach this module as permutation columns, and one function,
-``_standardized_table``, renumbers them: those of the enumerator, those that
-``qf.presentations`` lifts from a simplified enumeration or reads off a
-Hermite normal form.
+The one constructor, ``CosetTable(ngens, forward, subgroup)``, derives the
+rest in one pass that proves it: each column must hold every coset once,
+compared as a set before any entry is read as an index (a negative one would
+alias), and is inverted; a BFS from coset 0 over the columns in order (x1,
+x1^-1, x2, ...) derives the representative words, each its parent's plus one
+letter (the tree), and proves the action transitive and the numbering
+standardized: each coset first reached is the next. ``from_json`` parses a
+cache entry and calls it. Computed tables reach this module as permutation
+columns, and one function, ``_standardized_table``, renumbers them: those of
+the enumerator, those that ``qf.presentations`` lifts from a simplified
+enumeration or reads off a Hermite normal form.
 
 ``CosetTable.check(g, subgroup)`` proves a table to be the action of g on the
 cosets of some subgroup H that contains the given words; a table loaded from
@@ -149,30 +150,41 @@ def _word_to_cols(word: Iterable[int]) -> tuple[int, ...]:
 
 
 class CosetTable:
-    """Completed coset table: the action of each signed generator on coset indices."""
+    """Completed, standardized coset table: the action of each signed generator
+    on coset indices, with the representative words and their tree.
 
-    def __init__(self, ngens: int, action: Sequence[Sequence[int]],
-                 rep_words: Sequence[Word], subgroup: Sequence[Word]):
-        self.ngens = ngens
-        self.action = tuple(tuple(col) for col in action)
-        self.rep_words = tuple(tuple(w) for w in rep_words)
-        self.subgroup = tuple(tuple(w) for w in subgroup)
-        if len(self.action) != 2 * ngens:
-            raise ValueError("need one action column per signed generator")
-        self.size = size = len(self.action[0]) if self.action else 1
-        for col in self.action:
-            if len(col) != size or (col and (min(col) < 0 or max(col) >= size)):
-                raise IncompleteTable("action arrays must be total maps on cosets")
-        cosets = list(range(size))
-        for i in range(ngens):
-            fwd, bwd = self.action[2 * i], self.action[2 * i + 1]
-            if [bwd[v] for v in fwd] != cosets:
-                raise ValueError(f"columns for generator {i} are not mutually inverse")
-        if len(self.rep_words) != size:
-            raise ValueError("need one representative word per coset")
-        letters = [abs(letter) for w in self.rep_words for letter in w]
-        if letters and (min(letters) < 1 or max(letters) > ngens):
-            raise ValueError("a representative word mentions an undeclared generator")
+    Built from its forward columns in one pass that proves it (module
+    docstring): ``tree[d - 1]`` is (p, x) for each coset d >= 1, where
+    ``rep_words[d]`` is ``rep_words[p]`` plus the letter x and p < d.
+    """
+
+    def __init__(self, ngens: int, forward: Sequence[Sequence[int]],
+                 subgroup: Iterable[Iterable[int]]):
+        if len(forward) != ngens:
+            raise ValueError("need one forward column per generator")
+        size = len(forward[0]) if ngens else 1
+        action = []
+        for col in forward:
+            if not size or len(col) != size or set(col) != set(range(size)):
+                raise IncompleteTable("a forward column is not a permutation of the cosets")
+            inverse = [0] * size
+            for c, d in enumerate(col):
+                inverse[d] = c
+            action += (tuple(col), tuple(inverse))
+        letters = [sign * g for g in range(1, ngens + 1) for sign in (1, -1)]
+        reps, tree = [()], []  # len(reps) cosets reached
+        for c, row in enumerate(zip(*action)):
+            if c == len(reps):
+                raise TableMismatch("coset 0 does not reach every coset")
+            for x, d in enumerate(row):
+                if d >= len(reps):
+                    if d > len(reps):
+                        raise TableMismatch("the cosets are not numbered in BFS order")
+                    reps.append(reps[c] + (letters[x],))
+                    tree.append((c, letters[x]))
+        self.ngens, self.size, self.action = ngens, size, tuple(action)
+        self.rep_words, self.tree = tuple(reps), tree
+        self.subgroup = tuple(map(free_reduce, subgroup))
 
     def walk(self, cosets: Iterable[int], word: Iterable[int]) -> list[int]:
         """The coset that each of ``cosets`` reaches by reading ``word``."""
@@ -187,18 +199,17 @@ class CosetTable:
 
     def rep_images(self, other: CosetTable) -> list[int]:
         """``other.coset_of_word(w)`` for the representative word w of every
-        coset, in one pass along the tree of ``parents``, numbered lower."""
+        coset, in one pass along the tree, parents first."""
         if other.ngens != self.ngens:
             raise ValueError("the tables act by different generators")
         image = [0] * self.size
-        for c, w in enumerate(self.rep_words[1:], 1):
-            image[c] = other.action[_col(w[-1])][image[self.parents[c]]]
+        for c, (p, x) in enumerate(self.tree, 1):
+            image[c] = other.action[_col(x)][image[p]]
         return image
 
     def check(self, g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> None:
         """Raise TableMismatch unless this is a coset action of g over the subgroup:
-        every relator acts trivially, every subgroup word fixes coset 0 and the
-        representative words form a tree from coset 0 (``parents``)."""
+        every relator acts trivially and every subgroup word fixes coset 0."""
         if self.ngens != g.ngens or self.subgroup != tuple(free_reduce(w) for w in subgroup):
             raise TableMismatch("table belongs to another presentation or subgroup")
         cosets = list(range(self.size))
@@ -208,22 +219,6 @@ class CosetTable:
         for word in self.subgroup:
             if self.walk([0], word) != [0]:
                 raise TableMismatch(f"subgroup word {word} moves coset 0")
-        self.parents
-
-    @cached_property
-    def parents(self) -> list[int]:
-        """parents[c] is the coset whose word is that of c less its last letter
-        (0 for coset 0); raises TableMismatch unless coset 0's word is empty and
-        every other is its parent's plus one letter, the parent numbered lower."""
-        reps = self.rep_words
-        if reps[0]:
-            raise TableMismatch("coset 0 has a nonempty representative word")
-        parents = [0] * self.size
-        for c, w in enumerate(reps[1:], 1):
-            if not w or (parent := self.action[_col(w[-1]) ^ 1][c]) >= c or reps[parent] != w[:-1]:
-                raise TableMismatch("a representative word is not its parent's plus one letter")
-            parents[c] = parent
-        return parents
 
     def left_translation(self, d: int) -> list[int]:
         """The map on cosets that sends 0 to d and commutes with every column.
@@ -250,8 +245,8 @@ class CosetTable:
         return left
 
     def check_regular(self) -> None:
-        """Raise TableMismatch unless the columns, transitive as ``from_json``
-        and ``check`` prove, act regularly (regularity lemma, module docstring)."""
+        """Raise TableMismatch unless the columns, transitive as the constructor
+        proves, act regularly (regularity lemma, module docstring)."""
         in_orbit = [False] * self.size
         in_orbit[0] = True
         orbit = [0]  # of coset 0 under the chosen columns
@@ -273,41 +268,13 @@ class CosetTable:
 
     @classmethod
     def from_json(cls, data: Mapping, subgroup: Iterable[Iterable[int]]) -> CosetTable:
-        """The table over the subgroup whose forward columns ``data`` holds,
-        the rest derived in one pass that proves it (module docstring)."""
-        ngens, forward = int(data["generators"]), data["forward"]
-        if len(forward) != ngens:
-            raise ValueError("need one forward column per generator")
-        size = len(forward[0]) if ngens else 1
-        action = []
-        for col in forward:
-            if not size or len(col) != size or set(col) != set(range(size)):
-                raise IncompleteTable("a forward column is not a permutation of the cosets")
-            inverse = [0] * size
-            for c, d in enumerate(col):
-                inverse[d] = c
-            action += (tuple(col), tuple(inverse))
-        letters = [sign * g for g in range(1, ngens + 1) for sign in (1, -1)]
-        reps, parents, n = [()], [0], 1  # n cosets reached
-        for c, row in enumerate(zip(*action)):
-            if c == n:
-                raise TableMismatch("coset 0 does not reach every coset")
-            for x, d in enumerate(row):
-                if d >= n:
-                    if d > n:
-                        raise TableMismatch("the cosets are not numbered in BFS order")
-                    reps.append(reps[c] + (letters[x],))
-                    parents.append(c)
-                    n += 1
-        table = cls.__new__(cls)  # what __init__ and parents would check is proved
-        vars(table).update(ngens=ngens, size=size, action=tuple(action), rep_words=tuple(reps),
-                           subgroup=tuple(map(free_reduce, subgroup)), parents=parents)
-        return table
+        """The table over the subgroup whose forward columns ``data`` holds."""
+        return cls(int(data["generators"]), data["forward"], subgroup)
 
     def __eq__(self, other: object) -> bool:
+        # the words and the tree follow from the action
         return (isinstance(other, CosetTable) and self.ngens == other.ngens
-                and self.action == other.action and self.rep_words == other.rep_words
-                and self.subgroup == other.subgroup)
+                and self.action == other.action and self.subgroup == other.subgroup)
 
     def __repr__(self) -> str:
         return f"CosetTable(cosets={self.size}, ngens={self.ngens})"
@@ -556,8 +523,7 @@ def _standardized_table(g: GroupPresentation, subgroup_words: list[Word],
             if remap[t] < 0:
                 remap[t] = len(order)
                 order.append(t)
-    renumbered = [[remap[col[c]] for c in order] for col in forward]
-    result = CosetTable.from_json({"generators": g.ngens, "forward": renumbered}, subgroup_words)
+    result = CosetTable(g.ngens, [[remap[col[c]] for c in order] for col in forward], subgroup_words)
     result.check(g, subgroup_words)
     return result
 
@@ -566,12 +532,12 @@ def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle
     """The quandle on coset indices with op(i, j) = i . (rep_j^-1 m rep_j).
 
     Column 0 reads m. Each other column is built from its parent's along the
-    tree of ``CosetTable.parents``: with rep_j = rep_p x for a letter x,
+    tree of ``CosetTable.tree``: with rep_j = rep_p x for a letter x,
     col_j = A_x col_p A_x^-1, where A_x is the column of x.
     """
     columns = [t.walk(range(t.size), free_reduce(meridian))]
-    for p, w in zip(t.parents[1:], t.rep_words[1:]):
-        x = _col(w[-1])
+    for p, letter in t.tree:
+        x = _col(letter)
         ax, col_p = t.action[x], columns[p]
         columns.append([ax[col_p[i]] for i in t.action[x ^ 1]])
     return FiniteQuandle(list(zip(*columns)))
@@ -685,8 +651,8 @@ def branched_cover(p: PeripheralPresentation, n: int, t: CosetTable) -> Branched
         raise ValueError("need the coset table of G_n over the trivial subgroup")
     # parents are numbered lower, so one pass in coset order grades every word
     grades = [0] * t.size
-    for c, w in enumerate(t.rep_words[1:], 1):
-        grades[c] = (grades[t.parents[c]] + (1 if w[-1] > 0 else -1)) % n
+    for c, (parent, x) in enumerate(t.tree, 1):
+        grades[c] = (grades[parent] + (1 if x > 0 else -1)) % n
     kernel = [c for c in range(t.size) if grades[c] == 0]
     if t.size != n * len(kernel):
         raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")

@@ -10,10 +10,13 @@ generators, so callers see the table that ``todd_coxeter`` would give.
 
 ``reidemeister_schreier`` presents the subgroup of a coset table, and
 ``subgroup_abelianization`` abelianizes it along the same walk without
-building the presentation. ``branched_cover_certificate`` uses them to prove
-pi1 of a cyclic branched cover infinite before any enumeration to a cap is
-tried; it enumerates nothing itself, since the one coset table it needs
-between its two passes, that of pi1 / pi1', is read off a Hermite normal form
+building the presentation. The walk reads only columns and a tree of
+representatives (``_schreier_steps``), so ``grading_kernel_presentation``
+presents the kernel of a grading onto Z/n over its n grades with no table.
+``branched_cover_certificate`` uses them to prove pi1 of a cyclic branched
+cover infinite before any enumeration to a cap is tried; it enumerates
+nothing itself, since the one coset table it needs between its two passes,
+that of pi1 / pi1', is read off a Hermite normal form
 (``abelian_quotient_table``, on the rows of ``qf.intlinalg.hermite_rows``).
 """
 
@@ -231,26 +234,28 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
                         max_cosets, lift)
 
 
-def _schreier_steps(pres: GroupPresentation, table: CosetTable
+def _schreier_steps(pres: GroupPresentation, action: Sequence[Sequence[int]],
+                    tree: Sequence[tuple[int, int]]
                     ) -> tuple[int, list[list[tuple[Sequence[int], Sequence[int], int]]]]:
-    """The Schreier generators of the subgroup H whose coset table (checked
-    against pres) is given, and how each relator walks over them.
+    """The Schreier generators of the subgroup H whose coset action (checked
+    against pres) has the given columns, in the order (x1, x1^-1, x2, ...),
+    and how each relator walks over them.
 
-    Each representative word is its parent's plus one letter, so they span a
-    tree in the coset graph. Each edge c --x--> c.x of a generator x that is
-    not in the tree is one generator of H, numbered 1, 2, ... in the order of
-    (c, x). Returns their number and, for each relator, one step per letter:
-    the generator of H whose edge the letter crosses from each coset (0 on a
-    tree edge), the letter's column, and its sign, which is the direction of
-    the crossing.
+    ``tree`` holds (p, x) for each coset d >= 1: d is p.x, so the words it
+    spells from coset 0 are a Schreier transversal. Each edge c --x--> c.x of
+    a generator x that is not in the tree is one generator of H, numbered 1,
+    2, ... in the order of (c, x). Returns their number and, for each relator,
+    one step per letter: the generator of H whose edge the letter crosses
+    from each coset (0 on a tree edge), the letter's column, and its sign,
+    which is the direction of the crossing.
     """
-    if table.ngens != pres.ngens:
+    if len(action) != 2 * pres.ngens:
         raise ValueError("the table belongs to a presentation with other generators")
-    k, size, action = pres.ngens, table.size, table.action
+    k, size = pres.ngens, len(tree) + 1
     schreier = [[-1] * size for _ in range(k)]  # [x-1][c]: edge (c, x) -> generator of H, 0 on the tree
-    for d, (word, parent) in enumerate(zip(table.rep_words[1:], table.parents[1:]), 1):
+    for d, (p, x) in enumerate(tree, 1):
         # the tree edge (tail, x) ends in d on a letter x, and starts there on x^-1
-        schreier[abs(word[-1]) - 1][parent if word[-1] > 0 else d] = 0
+        schreier[abs(x) - 1][p if x > 0 else d] = 0
     ngens = 0
     for c in range(size):
         for x in range(k):
@@ -265,17 +270,13 @@ def _schreier_steps(pres: GroupPresentation, table: CosetTable
     return ngens, [[steps[letter] for letter in relator] for relator in pres.relators]
 
 
-def reidemeister_schreier(pres: GroupPresentation, table: CosetTable) -> GroupPresentation:
-    """A presentation of the subgroup H whose coset table (checked against pres)
-    is given (Reidemeister-Schreier; Sims, Computation with Finitely Presented
-    Groups, 1994, ch. 9): one generator per edge off the tree of
-    representative words (``_schreier_steps``), and each relator read from
-    each coset, with tree edges dropped, as a relator.
-    """
-    ngens, walks = _schreier_steps(pres, table)
+def _schreier_presentation(pres: GroupPresentation, action: Sequence[Sequence[int]],
+                           tree: Sequence[tuple[int, int]]) -> GroupPresentation:
+    """The presentation of ``reidemeister_schreier`` over the given columns and tree."""
+    ngens, walks = _schreier_steps(pres, action, tree)
     relators = []
     for steps in walks:
-        for start in range(table.size):
+        for start in range(len(tree) + 1):
             c, word = start, []
             for crossed, col, sign in steps:
                 s = crossed[c]
@@ -286,11 +287,21 @@ def reidemeister_schreier(pres: GroupPresentation, table: CosetTable) -> GroupPr
     return GroupPresentation(ngens, relators)
 
 
+def reidemeister_schreier(pres: GroupPresentation, table: CosetTable) -> GroupPresentation:
+    """A presentation of the subgroup H whose coset table (checked against pres)
+    is given (Reidemeister-Schreier; Sims, Computation with Finitely Presented
+    Groups, 1994, ch. 9): one generator per edge off the tree of
+    representative words (``_schreier_steps``), and each relator read from
+    each coset, with tree edges dropped, as a relator.
+    """
+    return _schreier_presentation(pres, table.action, table.tree)
+
+
 def subgroup_abelianization(pres: GroupPresentation, table: CosetTable) -> AbelianGroup:
     """``abelianization(reidemeister_schreier(pres, table))``: the same walk,
     with each relator's exponent sums counted straight into its row of the
     relation matrix, so that no word is built."""
-    ngens, walks = _schreier_steps(pres, table)
+    ngens, walks = _schreier_steps(pres, table.action, table.tree)
     rows = []
     for steps in walks:
         for start in range(table.size):
@@ -304,21 +315,19 @@ def subgroup_abelianization(pres: GroupPresentation, table: CosetTable) -> Abeli
     return abelian_group(SparseIntMatrix(len(rows), ngens, rows))
 
 
-def grading_kernel_table(pres: GroupPresentation, n: int) -> CosetTable:
-    """The coset table of the kernel of pres -> Z/n, every generator -> 1.
-
-    Coset c is the grade c, reached by generator 1 c times; each generator acts
-    as +1 mod n. The subgroup words are the kernel's Schreier generators.
+def grading_kernel_presentation(pres: GroupPresentation, n: int) -> GroupPresentation:
+    """The kernel of pres -> Z/n, every generator -> 1, by Reidemeister-Schreier
+    over its grades, with no coset table: coset c is the grade c, each
+    generator acts as +1 mod n, and the tree is c --1--> c + 1 for c < n - 1.
+    Where pres presents G_n of a knot by meridians, this is pi1(M_n).
     Raises TableMismatch when a relator's exponent sum is not 0 mod n.
     """
+    for word in pres.relators:
+        if sum(1 if letter > 0 else -1 for letter in word) % n:
+            raise TableMismatch(f"relator {word} does not act trivially on the grades mod {n}")
     step = [(c + 1) % n for c in range(n)]
     back = [(c - 1) % n for c in range(n)]
-    reps = [(1,) * c for c in range(n)]
-    kernel = [w for w in (free_reduce(reps[c] + (x,) + invert_word(reps[(c + 1) % n]))
-                          for c in range(n) for x in range(1, pres.ngens + 1)) if w]
-    table = CosetTable(pres.ngens, [step, back] * pres.ngens, reps, kernel)
-    table.check(pres, kernel)
-    return table
+    return _schreier_presentation(pres, [step, back] * pres.ngens, [(c, 1) for c in range(n - 1)])
 
 
 @dataclass(frozen=True)
@@ -416,7 +425,7 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     """
     if n < 2 or n * _letters(pres) > CERTIFICATE_WORK:
         return None
-    pi1 = reidemeister_schreier(pres, grading_kernel_table(pres, n))
+    pi1 = grading_kernel_presentation(pres, n)
     h1 = abelianization(pi1)
     if h1.free_rank:
         return InfinitenessCertificate(n, 1, h1)

@@ -322,15 +322,14 @@ def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
 
 
 def _cover_table_not_regular(monkeypatch, build=qf.pipeline.branched_cover):
-    # a G_n table that escaped its checks: a transposition in the column of
-    # generator 1 leaves no left translation for the witness to read
+    # a G_n table that escaped its checks: a transposition of the last two
+    # entries of generator 1's column keeps it standardized, and leaves no
+    # left translation for the witness to read
     def broken(p, n, t):
-        action = [list(col) for col in t.action]
-        fwd, bwd = action[0], action[1]
-        fwd[0], fwd[1] = fwd[1], fwd[0]
-        for c, d in enumerate(fwd):
-            bwd[d] = c
-        table = CosetTable(t.ngens, action, t.rep_words, t.subgroup)
+        forward = [list(col) for col in t.action[::2]]
+        col = forward[0]
+        col[-2], col[-1] = col[-1], col[-2]
+        table = CosetTable(t.ngens, forward, t.subgroup)
         return dataclasses.replace(build(p, n, t), table=table)
 
     monkeypatch.setattr(qf.pipeline, "branched_cover", broken)

@@ -86,7 +86,7 @@ def test_table_is_deterministic_and_serializable():
     t2 = todd_coxeter(g, [(1,)])
     assert t1 == t2
     loaded = CosetTable.from_json(t1.to_json(), [(1,)])
-    assert loaded == t1 and loaded.parents == t1.parents
+    assert loaded == t1 and loaded.rep_words == t1.rep_words and loaded.tree == t1.tree
     assert t1.rep_words[0] == ()
     assert set(t1.to_json()) == {"generators", "forward"}
 
@@ -104,58 +104,30 @@ def test_walk_and_reps():
     assert t.walk([2, 0, 2], ()) == [2, 0, 2]
 
 
-def test_table_check_rejects_representative_words_off_the_tree():
-    g = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
-    t = todd_coxeter(g, [(1,)])
-    reps = list(t.rep_words)
-    c = next(c for c, w in enumerate(reps) if len(w) == 1)
-    reps[c] = reps[c] * 3  # same coset (generators are involutions)
-    other = CosetTable(t.ngens, t.action, reps, t.subgroup)
-    assert other.coset_of_word(other.rep_words[c]) == c
-    with pytest.raises(TableMismatch):
-        other.check(g, [(1,)])
-    # a stored table derives its words, so it cannot hold such a word; the
-    # stored columns must match the generators they are read for
-    data = t.to_json()
-    for bad in (data["forward"][:1], data["forward"] + [list(range(t.size))]):
-        with pytest.raises(ValueError, match="one forward column per generator"):
-            CosetTable.from_json({"generators": 2, "forward": bad}, [(1,)])
-    # still a tree, but coset (1,) renumbered past its child (1, 1): grading
-    # G_n in one pass needs every parent numbered before its children
-    z5 = GroupPresentation(1, [(1,) * 5])
-    t = todd_coxeter(z5)
-    assert t.rep_words[1] == (1,) and t.rep_words[3] == (1, 1)
-    swap = [0, 3, 2, 1, 4]
-    moved = CosetTable(1, [[swap[col[swap[d]]] for d in range(5)] for col in t.action],
-                       [t.rep_words[swap[d]] for d in range(5)], ())
-    assert moved.walk(range(5), (1,) * 5) == list(range(5))
-    with pytest.raises(TableMismatch):
-        moved.check(z5, ())
-    with pytest.raises(TableMismatch, match="BFS order"):
-        CosetTable.from_json(moved.to_json(), ())
-
-
 def test_table_constructor_rejects_each_malformed_part():
-    # S3 on the cosets of <a>: columns a, a^-1, b, b^-1
-    action = [[0, 2, 1], [0, 2, 1], [1, 2, 0], [2, 0, 1]]
-    reps = [(), (2,), (-2,)]
-    CosetTable(2, action, reps, ())
-    for c, bad in ((0, -1), (1, 3), (3, 3)):  # an entry below 0, one equal to size
-        broken = [list(col) for col in action]
+    # S3 on the cosets of <a>: columns a and b, standardized
+    forward = [[0, 2, 1], [1, 2, 0]]
+    table = CosetTable(2, forward, [(1,)])
+    assert table.rep_words == ((), (2,), (-2,)) and table.tree == [(0, 2), (0, -2)]
+    for c, bad in ((0, -1), (1, 3), (1, 1)):  # an entry below 0, one equal to size, a repeat
+        broken = [list(col) for col in forward]
         broken[c][2] = bad
-        with pytest.raises(IncompleteTable):
-            CosetTable(2, broken, reps, ())
-    with pytest.raises(IncompleteTable):  # a column of the wrong length
-        CosetTable(2, action[:3] + [[2, 0]], reps, ())
-    with pytest.raises(ValueError, match="not mutually inverse"):  # b^-1 := b
-        CosetTable(2, action[:3] + [action[2]], reps, ())
-    with pytest.raises(ValueError, match="not mutually inverse"):  # a^-1 := b^-1, on generator 0
-        CosetTable(2, [action[0], action[3]] + action[2:], reps, ())
-    for letter in (0, 3, -3):  # letters 0 and ngens + 1
-        with pytest.raises(ValueError, match="undeclared generator"):
-            CosetTable(2, action, [(), (2,), (-2, letter)], ())
-    with pytest.raises(ValueError, match="one representative word per coset"):
-        CosetTable(2, action, reps[:2], ())
+        with pytest.raises(IncompleteTable, match="permutation"):
+            CosetTable(2, broken, [(1,)])
+    with pytest.raises(IncompleteTable, match="permutation"):  # a short column
+        CosetTable(2, [forward[0], forward[1][:2]], [(1,)])
+    for columns in (forward[:1], forward + [[0, 1, 2]]):  # a wrong column count
+        with pytest.raises(ValueError, match="one forward column per generator"):
+            CosetTable(2, columns, [(1,)])
+    with pytest.raises(TableMismatch, match="reach every coset"):  # coset 2 fixed by a and b
+        CosetTable(2, [[1, 0, 2], [1, 0, 2]], ())
+    # Z/5 with cosets (1,) and (1, 1) swapped: still a tree from coset 0, but
+    # coset 3 is reached before coset 2, so it is not in BFS order
+    (col,) = todd_coxeter(GroupPresentation(1, [(1,) * 5])).to_json()["forward"]
+    assert col == [1, 3, 0, 4, 2]
+    swap = [0, 3, 2, 1, 4]
+    with pytest.raises(TableMismatch, match="BFS order"):
+        CosetTable(1, [[swap[col[swap[d]]] for d in range(5)]], ())
 
 
 def test_table_check_rejects_a_foreign_presentation_or_subgroup():
@@ -367,4 +339,4 @@ def test_standardization_undoes_any_relabelling_that_fixes_coset_0():
                     new[pi[c]] = pi[d]
             again = _standardized_table(g, list(table.subgroup), relabelled)
             assert again == table
-            assert again.rep_words == table.rep_words and again.parents == table.parents
+            assert again.rep_words == table.rep_words and again.tree == table.tree

@@ -21,8 +21,7 @@ from qf.pipeline import CosetCache, Pipeline
 from qf.presentations import (
     _schreier_steps,
     abelian_quotient_table,
-    grading_kernel_table,
-    reidemeister_schreier,
+    grading_kernel_presentation,
     simplify,
 )
 
@@ -396,14 +395,14 @@ def derived_5_2():
     unit phase of its Smith form leaves."""
     per = Pipeline(CosetCache(None)).peripherals("5_2")
     pres = simplify(g_n_presentation(per, 5), (1,))[0]
-    pi1 = reidemeister_schreier(pres, grading_kernel_table(pres, 5))
+    pi1 = grading_kernel_presentation(pres, 5)
     index = abelianization(pi1).order()
     pi1, _ = simplify(pi1, ())
     gens = range(1, pi1.ngens + 1)
     abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(
         (a, b, -a, -b) for a in gens for b in gens if a < b))
     table = abelian_quotient_table(abelian, index)
-    ngens, walks = _schreier_steps(pi1, table)
+    ngens, walks = _schreier_steps(pi1, table.action, table.tree)
     rows = []
     for steps in walks:
         for start in range(table.size):

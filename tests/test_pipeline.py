@@ -171,7 +171,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     covers = _count_calls(monkeypatch, "branched_cover", qf.pipeline)
     simplified = _count_calls(monkeypatch, "simplify", qf.pipeline)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
-    presented = _count_calls(monkeypatch, "reidemeister_schreier", qf.presentations)
+    presented = _count_calls(monkeypatch, "grading_kernel_presentation", qf.presentations)
     cache = CosetCache(tmp_path)
     pipe = Pipeline(cache)
     rows = run_verification(pipe)
@@ -281,7 +281,7 @@ def test_cached_table_over_the_trivial_subgroup_must_be_regular(tmp_path, capsys
     # that passes check; it is not regular, so at the G_3 key it is a miss
     pipe = Pipeline()
     q_table, _ = pipe.quandle("catalog:3_1", 3)
-    bad = CosetTable(q_table.ngens, q_table.action, q_table.rep_words, ())
+    bad = CosetTable(q_table.ngens, q_table.action[::2], ())
     pres = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
     bad.check(pres, ())
     with pytest.raises(TableMismatch):

@@ -25,7 +25,7 @@ from qf.presentations import (
     abelian_quotient_table,
     branched_cover_certificate,
     enumerate_cosets,
-    grading_kernel_table,
+    grading_kernel_presentation,
     reidemeister_schreier,
     simplify,
     subgroup_abelianization,
@@ -162,7 +162,7 @@ def test_propagation_matches_the_closure_version(monkeypatch):
         for n in (2, 3, 4):
             pres = g_n_presentation(PIPE.peripherals(spec), n)
             small = simplify(pres, (1,))[0]
-            pi1 = reidemeister_schreier(small, grading_kernel_table(small, n))
+            pi1 = grading_kernel_presentation(small, n)
             for given, keep in ((pres, (1,)), (pres, ()), (pi1, ())):
                 protected = frozenset(keep)
                 want = _propagate_by_closure(given, protected)
@@ -213,21 +213,23 @@ def test_reidemeister_schreier_presents_the_subgroup():
 def test_reidemeister_schreier_on_a_free_group():
     # an index-3 subgroup of the free group of rank 2 is free of rank 3*(2-1)+1
     free = GroupPresentation(2, [])
-    table = grading_kernel_table(free, 3)
-    sub = reidemeister_schreier(free, table)
-    assert sub == GroupPresentation(4, [])
+    assert grading_kernel_presentation(free, 3) == GroupPresentation(4, [])
+    table = todd_coxeter(GroupPresentation(2, [(1, 1, 1), (1, -2)]))
+    assert table.size == 3
+    assert reidemeister_schreier(free, table) == GroupPresentation(4, [])
     with pytest.raises(ValueError):
         reidemeister_schreier(GroupPresentation(3, []), table)
 
 
-def test_grading_kernel_table():
-    pres = g_n_presentation(PIPE.peripherals("catalog:3_1"), 4)
-    table = grading_kernel_table(pres, 4)
-    assert table.size == 4
-    assert all(col == ((1, 2, 3, 0) if x % 2 == 0 else (3, 0, 1, 2))
-               for x, col in enumerate(table.action))
-    with pytest.raises(TableMismatch):  # the meridian's 4th power is not 0 mod 3
-        grading_kernel_table(pres, 3)
+def test_grading_kernel_presentation():
+    # pi1(M_3) of the trefoil, over simplified G_3: Schreier generator 3 is
+    # the meridian's cube, read from each of the three grades
+    pres = simplify(g_n_presentation(PIPE.peripherals("catalog:3_1"), 3), (1,))[0]
+    assert pres == GroupPresentation(2, [(1, 1, 1), (-2, -1, -2, 1, 2, 1)])
+    assert grading_kernel_presentation(pres, 3) == GroupPresentation(4, [
+        (3,), (3,), (3,), (-4, -1, 2, 3), (-1, -3, -2, 4), (-2, -4, 3, 1)])
+    with pytest.raises(TableMismatch):  # the meridian's 3rd power is not 0 mod 2
+        grading_kernel_presentation(pres, 2)
 
 
 # The granny knot and the four connected sums of the tc_overflow benchmark
@@ -292,7 +294,7 @@ SECOND_PASS_POOL = ([(wirtinger_with_peripherals(analyze(parse_pd(pd))), 2) for 
 def _second_pass(per, n):
     """The simplified pi1(M_n), pi1 with its generators' commutators, and |H1(M_n)|."""
     pres = simplify(g_n_presentation(per, n), (1,))[0]
-    pi1 = reidemeister_schreier(pres, grading_kernel_table(pres, n))
+    pi1 = grading_kernel_presentation(pres, n)
     index = abelianization(pi1).order()
     pi1, _ = simplify(pi1, ())
     gens = range(1, pi1.ngens + 1)
@@ -363,7 +365,7 @@ def test_certificates_enumerate_nothing(monkeypatch):
 
 
 def _cover_homology(pres, n):
-    return abelianization(reidemeister_schreier(pres, grading_kernel_table(pres, n)))
+    return abelianization(grading_kernel_presentation(pres, n))
 
 
 @pytest.mark.parametrize("n", range(2, 10))

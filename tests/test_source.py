@@ -1,12 +1,13 @@
 import ast
 import builtins
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import qf
 from qf.cli import _INPUT_ERRORS, _INTERNAL_ERRORS
-from qf.groups import BranchedCover, Overflow
+from qf.groups import BranchedCover, CosetTable, Overflow
 
 
 def test_no_assert_statements_in_the_package():
@@ -75,3 +76,15 @@ def test_integer_elimination_lives_in_intlinalg():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and elimination.search(node.name.lower()):
                 found.setdefault(path.stem, set()).add(node.name)
     assert found == {"intlinalg": {"abelian_group", "hermite_rows", "smith_normal_form"}}
+
+
+def test_one_coset_table_constructor():
+    # every CosetTable, computed or loaded, is built from its forward columns
+    # by the one constructor, which proves it standardized; nothing bypasses it
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(qf.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Attribute, ast.Name))
+             and (node.attr if isinstance(node, ast.Attribute) else node.id) == "__new__"]
+    assert found == []
+    assert list(inspect.signature(CosetTable).parameters) == ["ngens", "forward", "subgroup"]
