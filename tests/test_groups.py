@@ -104,6 +104,27 @@ def test_walk_and_reps():
     assert t.walk([2, 0, 2], ()) == [2, 0, 2]
 
 
+def test_table_check_rejects_representative_words_off_the_tree():
+    # the constructor derives every representative word as its parent's plus
+    # one letter, so each lies on the tree and spells its coset
+    g = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    t = todd_coxeter(g, [(1,)])
+    assert len(t.tree) == t.size - 1 and t.rep_words[0] == ()
+    for d, (p, x) in enumerate(t.tree, 1):
+        assert p < d and t.rep_words[d] == t.rep_words[p] + (x,)
+        assert t.coset_of_word(t.rep_words[d]) == d
+    # a stored table holds no words, so a word off the tree that rides along
+    # in a cache entry is never read: the loaded table derives its own
+    data = t.to_json()
+    assert set(data) == {"generators", "forward"}
+    c = next(c for c, w in enumerate(t.rep_words) if len(w) == 1)
+    off = [list(w) for w in t.rep_words]
+    off[c] = off[c] * 3  # same coset (generators are involutions)
+    loaded = CosetTable.from_json({**data, "rep_words": off}, [(1,)])
+    assert loaded == t and loaded.rep_words == t.rep_words and loaded.tree == t.tree
+    loaded.check(g, [(1,)])
+
+
 def test_table_constructor_rejects_each_malformed_part():
     # S3 on the cosets of <a>: columns a and b, standardized
     forward = [[0, 2, 1], [1, 2, 0]]
