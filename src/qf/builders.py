@@ -26,20 +26,21 @@ _SW, _SE, _NE, _NW = 0, 1, 2, 3
 class _Tangle:
     """Crossings plus an arc matching on their ports; four open boundary ends."""
 
-    def __init__(self, over: list[bool], joins: dict, ends: tuple):
+    def __init__(self, over: list[bool], joins: dict, ends: tuple, bids: int = 0):
         self.over = over
         self.joins = joins
         self.ends = ends  # (nw, ne, sw, se)
+        self.bids = bids  # boundary ports ("b", i) have i < bids; none is reused
 
     @staticmethod
     def zero() -> "_Tangle":
         nw, ne, sw, se = ("b", 0), ("b", 1), ("b", 2), ("b", 3)
-        return _Tangle([], {nw: ne, ne: nw, sw: se, se: sw}, (nw, ne, sw, se))
+        return _Tangle([], {nw: ne, ne: nw, sw: se, se: sw}, (nw, ne, sw, se), 4)
 
     @staticmethod
     def infinity() -> "_Tangle":
         nw, ne, sw, se = ("b", 0), ("b", 1), ("b", 2), ("b", 3)
-        return _Tangle([], {nw: sw, sw: nw, ne: se, se: ne}, (nw, ne, sw, se))
+        return _Tangle([], {nw: sw, sw: nw, ne: se, se: ne}, (nw, ne, sw, se), 4)
 
     def _weld(self, p, q) -> None:
         # a port either carries an arc already or is a bare crossing port
@@ -52,10 +53,8 @@ class _Tangle:
 
     def _absorb(self, other: "_Tangle") -> tuple:
         """Merge the other tangle's crossings and arcs; returns its relocated ends."""
-        coff = len(self.over)
-        own_bids = [p[1] for p in self.joins if p[0] == "b"]
-        own_bids += [p[1] for p in self.ends if p[0] == "b"]
-        boff = 1 + max(own_bids, default=-1)
+        coff, boff = len(self.over), self.bids
+        self.bids += other.bids
 
         def shift(port):
             kind = port[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -21,9 +22,16 @@ BUILDER_SYNTAX = {
 }
 
 
-def catalog_entries() -> dict[str, str]:
+@lru_cache(maxsize=1)
+def _catalog() -> dict[str, str]:
+    """The entries of ``catalog.json``, parsed once per process."""
     text = resources.files("qf").joinpath("catalog.json").read_text()
     return dict(json.loads(text))
+
+
+def catalog_entries() -> dict[str, str]:
+    """Catalog name -> PD text: a fresh dict, so callers may change it."""
+    return dict(_catalog())
 
 
 @dataclass(frozen=True)

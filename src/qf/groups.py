@@ -8,9 +8,12 @@ The one constructor, ``CosetTable(ngens, forward, subgroup)``, derives the
 rest in one pass that proves it: each column must hold every coset once,
 compared as a set before any entry is read as an index (a negative one would
 alias), and is inverted; a BFS from coset 0 over the columns in order (x1,
-x1^-1, x2, ...) derives the representative words, each its parent's plus one
-letter (the tree), and proves the action transitive and the numbering
-standardized: each coset first reached is the next. ``from_json`` parses a
+x1^-1, x2, ...) derives the tree of representative words, each coset's
+parent and the letter that reaches it, and proves the action transitive and
+the numbering standardized: each coset first reached is the next. The words
+themselves (``rep_words``, each its parent's plus one letter) are spelled
+along the tree when first read; only ``GAlexColumns.column`` reads them, so
+most tables never spell them. ``from_json`` parses a
 cache entry and calls it. Computed tables reach this module as permutation
 columns, and one function, ``_standardized_table``, renumbers them: those of
 the enumerator, those that ``qf.presentations`` lifts from a simplified
@@ -155,7 +158,8 @@ class CosetTable:
 
     Built from its forward columns in one pass that proves it (module
     docstring): ``tree[d - 1]`` is (p, x) for each coset d >= 1, where
-    ``rep_words[d]`` is ``rep_words[p]`` plus the letter x and p < d.
+    ``rep_words[d]``, spelled when first read, is ``rep_words[p]`` plus the
+    letter x and p < d.
     """
 
     def __init__(self, ngens: int, forward: Sequence[Sequence[int]],
@@ -172,19 +176,26 @@ class CosetTable:
                 inverse[d] = c
             action += (tuple(col), tuple(inverse))
         letters = [sign * g for g in range(1, ngens + 1) for sign in (1, -1)]
-        reps, tree = [()], []  # len(reps) cosets reached
+        tree: list[tuple[int, int]] = []  # len(tree) + 1 cosets reached
         for c, row in enumerate(zip(*action)):
-            if c == len(reps):
+            if c > len(tree):
                 raise TableMismatch("coset 0 does not reach every coset")
             for x, d in enumerate(row):
-                if d >= len(reps):
-                    if d > len(reps):
+                if d > len(tree):
+                    if d > len(tree) + 1:
                         raise TableMismatch("the cosets are not numbered in BFS order")
-                    reps.append(reps[c] + (letters[x],))
                     tree.append((c, letters[x]))
         self.ngens, self.size, self.action = ngens, size, tuple(action)
-        self.rep_words, self.tree = tuple(reps), tree
+        self.tree = tree
         self.subgroup = tuple(map(free_reduce, subgroup))
+
+    @cached_property
+    def rep_words(self) -> tuple[Word, ...]:
+        """The representative word of each coset, spelled along the tree."""
+        reps = [()]
+        for p, x in self.tree:
+            reps.append(reps[p] + (x,))
+        return tuple(reps)
 
     def walk(self, cosets: Iterable[int], word: Iterable[int]) -> list[int]:
         """The coset that each of ``cosets`` reaches by reading ``word``."""

@@ -18,17 +18,30 @@ cover infinite before any enumeration to a cap is tried; it enumerates
 nothing itself, since the one coset table it needs between its two passes,
 that of pi1 / pi1', is read off a Hermite normal form
 (``abelian_quotient_table``, on the rows of ``qf.intlinalg.hermite_rows``).
+
+``shorten`` is the substring move of the same Tietze program: where a relator
+r holds a piece u of a cyclic conjugate c = u v of another relator or of its
+inverse, with |u| > |v|, u is replaced by v^-1. As c = 1 in the group, u =
+v^-1 there, and the new relator differs from r by a conjugate of c^+-1, so
+the normal closure of the relators, and so the group, is unchanged. It runs
+only in the certificate's second pass, on pi1(M_n) after ``simplify`` and
+before simplifying it again: the index |H1(M_n)| and pi1'^ab are invariants
+of the group, so the certificate is the same, read off a smaller relation
+matrix. ``CERTIFICATE_WORK`` reads pi1 before the move, so the rows that get
+a certificate are the same. ``simplify`` itself does not shorten: its result
+feeds the enumerator, whose capped runs are pinned.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from qf.groups import (
     DEFAULT_MAX_COSETS,
@@ -189,15 +202,108 @@ def simplify(pres: GroupPresentation, keep: Iterable[int]
 
     number = {g: i + 1 for i, g in enumerate(sorted(kept))}
     renumber = [(number[g],) if g in number else None for g in range(1, pres.ngens + 1)]
-    rels = [_substitute(w, renumber) for w in rels]
+    rels = sorted(_distinct(_substitute(w, renumber) for w in rels), key=len)
+    return (GroupPresentation(len(kept), rels),
+            tuple(_substitute(e, renumber) for e in expr))
+
+
+def _distinct(relators: Iterable[Word], canonical: Callable[[Word], Word] = _canonical
+               ) -> list[Word]:
+    """The nonempty relators, each but the first of those that are cyclic
+    permutations of each other or of their inverses dropped (step 3 of
+    ``simplify``), in their order; ``canonical`` may be a memo of
+    ``_canonical``."""
+    rels = [w for w in relators if w]
     lengths = Counter(map(len, rels))
     distinct: dict[Word, Word] = {}
     for w in rels:
         # equivalent relators have equal lengths, so one of unique length is its own key
-        distinct.setdefault(_canonical(w) if lengths[len(w)] > 1 else w, w)
-    rels = sorted(distinct.values(), key=len)
-    return (GroupPresentation(len(kept), rels),
-            tuple(_substitute(e, renumber) for e in expr))
+        distinct.setdefault(canonical(w) if lengths[len(w)] > 1 else w, w)
+    return list(distinct.values())
+
+
+def _pieces(s: Word) -> dict[Word, list[Word]]:
+    """The cyclic conjugates c of s and of s^-1, each once, keyed by their
+    first |s| // 2 + 1 letters: a piece u of c = u v with |u| > |v| starts
+    with its key."""
+    m = len(s) // 2 + 1
+    index: dict[Word, list[Word]] = {}
+    for w in (s, invert_word(s)):
+        for i in range(len(w)):
+            c = w[i:] + w[:i]
+            conjugates = index.setdefault(c[:m], [])
+            if c not in conjugates:
+                conjugates.append(c)
+    return index
+
+
+def _shortening(r: Word, s: Word, index: dict[Word, list[Word]]) -> Optional[Word]:
+    """r with its first piece u of a conjugate c = u v of s^+-1, |u| > |v|, the
+    longest at that position, replaced by v^-1 and cyclically reduced; None
+    where r holds no such piece."""
+    m, n = len(s) // 2 + 1, len(r)
+    if n < m:
+        return None
+    rr = r + r[:m - 1]
+    for i in range(n):
+        conjugates = index.get(rr[i:i + m])
+        if conjugates is None:
+            continue
+        rot = r[i:] + r[:i]
+        longest, best = m, conjugates[0]
+        for c in conjugates:
+            k = m
+            while k < len(c) and k < n and rot[k] == c[k]:
+                k += 1
+            if k > longest:
+                longest, best = k, c
+        return cyclic_reduce(invert_word(best[longest:]) + rot[longest:])
+    return None
+
+
+def shorten(pres: GroupPresentation) -> GroupPresentation:
+    """The same group, its relators shortened by the substring move of the
+    Tietze program (Havas, Kenne, Richardson & Robertson 1984).
+
+    Where a relator r holds, cyclically, a piece u of a cyclic conjugate
+    c = u v of another relator s or of s^-1 with |u| > |v|, u is replaced by
+    v^-1 in r: c = 1 in the group, so u = v^-1 there, and the new relator
+    differs from r by a conjugate of c^+-1, so the normal closure of the
+    relators is unchanged. The result is cyclically reduced, and empty and
+    duplicate relators are dropped (``_distinct``). The move repeats until
+    nothing shortens; each step shortens the total length, so it ends.
+    Deterministic: the shortest s first (the earliest on a tie), then r in
+    list order, the first position in r, and the longest u there. Each s is
+    indexed by the first |s| // 2 + 1 letters of its conjugates
+    (``_pieces``), so a pass over r costs one lookup per position. The
+    generators are kept, even one that no relator mentions any more.
+    """
+    canonical = cache(_canonical)  # most relators outlive a step
+    rels = _distinct(pres.relators, canonical)
+    indexes: dict[Word, dict[Word, list[Word]]] = {}  # _pieces of each s
+    done: set[tuple[Word, Word]] = set()  # (s, r) where s shortens nothing of r
+    while (step := _first_shortening(rels, indexes, done)) is not None:
+        j, shorter = step
+        rels[j] = shorter
+        rels = _distinct(rels, canonical)
+    return GroupPresentation(pres.ngens, rels)
+
+
+def _first_shortening(rels: list[Word], indexes: dict[Word, dict[Word, list[Word]]],
+                      done: set[tuple[Word, Word]]) -> Optional[tuple[int, Word]]:
+    """The first step of ``shorten``: the index of r and its shortened word."""
+    for k in sorted(range(len(rels)), key=lambda k: len(rels[k])):
+        s = rels[k]
+        index = indexes.get(s)
+        if index is None:
+            index = indexes[s] = _pieces(s)
+        for j, r in enumerate(rels):
+            if j != k and (s, r) not in done:
+                shorter = _shortening(r, s, index)
+                if shorter is not None:
+                    return j, shorter
+                done.add((s, r))
+    return None
 
 
 def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
@@ -355,6 +461,10 @@ def _commutators(ngens: int) -> list[Word]:
     return [(a, b, -a, -b) for a in gens for b in gens if a < b]
 
 
+def _with_commutators(pres: GroupPresentation) -> GroupPresentation:
+    return GroupPresentation(pres.ngens, pres.relators + tuple(_commutators(pres.ngens)))
+
+
 def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable:
     """The coset table of pi1 / pi1', of the given order, read off a Hermite
     normal form of the relation matrix; ``abelian`` presents pi1 with the
@@ -414,14 +524,17 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     generators). pi1(M_n), of the n-fold cyclic branched cover, is the kernel
     of G_n -> Z/n, so Reidemeister-Schreier over that kernel presents it; its
     abelianization is H1(M_n). If that is infinite it is the certificate. If it
-    is finite and not trivial, pi1 is simplified, the table of pi1 / pi1' is
-    read off a Hermite normal form and checked (``abelian_quotient_table``:
-    by its lemma, the stabilizer of coset 0 is exactly pi1'), and the derived
-    subgroup pi1', of index |H1(M_n)|, is abelianized along the
-    Reidemeister-Schreier walk (``subgroup_abelianization``). A finite-index
+    is finite and not trivial, pi1 is simplified, and where the work is in
+    bounds, shortened (``shorten``) and simplified again; the table of
+    pi1 / pi1' is read off a Hermite normal form and checked
+    (``abelian_quotient_table``: by its lemma, the stabilizer of coset 0 is
+    exactly pi1'), and the derived subgroup pi1', of index |H1(M_n)|, is
+    abelianized along the Reidemeister-Schreier walk
+    (``subgroup_abelianization``). A finite-index
     subgroup with infinite abelianization makes pi1(M_n) infinite, and so Q_n
     (Hoste & Shanahan, "Links with finite n-quandles", 2017). Gives up (None)
-    where the work would pass CERTIFICATE_WORK.
+    where the work would pass CERTIFICATE_WORK, read on pi1 before it is
+    shortened.
     """
     if n < 2 or n * _letters(pres) > CERTIFICATE_WORK:
         return None
@@ -433,8 +546,10 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     if index == 1:
         return None
     pi1, _ = simplify(pi1, ())
-    abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(_commutators(pi1.ngens)))
-    if index * _letters(abelian) > CERTIFICATE_WORK:  # the check walks every relator from every coset
+    # the check of the table walks every relator from every coset; the bound
+    # reads pi1 as simplified, before the move
+    if index * _letters(_with_commutators(pi1)) > CERTIFICATE_WORK:
         return None
-    derived = subgroup_abelianization(pi1, abelian_quotient_table(abelian, index))
+    pi1, _ = simplify(shorten(pi1), ())
+    derived = subgroup_abelianization(pi1, abelian_quotient_table(_with_commutators(pi1), index))
     return InfinitenessCertificate(n, index, derived) if derived.free_rank else None

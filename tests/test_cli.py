@@ -40,6 +40,16 @@ def test_catalog_json(capsys):
     assert set(payload["catalog"]) == {"3_1", "4_1", "5_1", "5_2"}
 
 
+def test_catalog_is_parsed_once_and_handed_out_as_a_fresh_dict(monkeypatch):
+    import qf.catalog as catalog_mod
+    first = catalog_mod.catalog_entries()
+    first["3_1"] = first.pop("5_1")
+    monkeypatch.setattr(catalog_mod.json, "loads", lambda text: pytest.fail("catalog.json parsed again"))
+    again = catalog_mod.catalog_entries()
+    assert again is not first and set(again) == {"3_1", "4_1", "5_1", "5_2"}
+    assert catalog_mod.resolve_knot_spec("catalog:3_1").pd != catalog_mod.resolve_knot_spec("5_1").pd
+
+
 def test_enumerate_rational(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--knot", "rational:3,1", "--n", "2",
                        "--cache-dir", str(tmp_path))

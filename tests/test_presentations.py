@@ -27,6 +27,7 @@ from qf.presentations import (
     enumerate_cosets,
     grading_kernel_presentation,
     reidemeister_schreier,
+    shorten,
     simplify,
     subgroup_abelianization,
 )
@@ -252,8 +253,7 @@ def test_connected_sums_are_certified_infinite(pd, index, rank):
     for given_pres in (pres, simplify(pres, (1,))[0]):  # raw or simplified G_2
         cert = branched_cover_certificate(given_pres, 2)
         assert (cert.n, cert.index, cert.abelianization.free_rank) == (2, index, rank)
-    assert str(cert).startswith(f"pi1(M_2) has a subgroup of index {index} "
-                                f"with abelianization Z^{rank}")
+    assert str(cert) == f"pi1(M_2) has a subgroup of index {index} with abelianization Z^{rank}"
 
 
 def test_trefoil_sixfold_cover_is_certified_by_its_first_homology():
@@ -291,16 +291,25 @@ SECOND_PASS_POOL = ([(wirtinger_with_peripherals(analyze(parse_pd(pd))), 2) for 
                         (MONTESINOS_CANDIDATES[0], 2), ("rational:29,12", 2), ("rational:25,3", 2))])
 
 
-def _second_pass(per, n):
-    """The simplified pi1(M_n), pi1 with its generators' commutators, and |H1(M_n)|."""
-    pres = simplify(g_n_presentation(per, n), (1,))[0]
-    pi1 = grading_kernel_presentation(pres, n)
-    index = abelianization(pi1).order()
-    pi1, _ = simplify(pi1, ())
+def _with_commutators(pi1):
     gens = range(1, pi1.ngens + 1)
-    abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(
+    return GroupPresentation(pi1.ngens, pi1.relators + tuple(
         (a, b, -a, -b) for a in gens for b in gens if a < b))
-    return pres, pi1, abelian, index
+
+
+def _simplified_pi1(pres, n):
+    """pi1(M_n) as the certificate's CERTIFICATE_WORK check reads it: simplified."""
+    return simplify(grading_kernel_presentation(pres, n), ())[0]
+
+
+def _second_pass(per, n):
+    """The simplified G_n; pi1(M_n) as the certificate's second pass reads it,
+    simplified, shortened and simplified again; pi1 with its generators'
+    commutators; and |H1(M_n)|."""
+    pres = simplify(g_n_presentation(per, n), (1,))[0]
+    index = abelianization(grading_kernel_presentation(pres, n)).order()
+    pi1, _ = simplify(shorten(_simplified_pi1(pres, n)), ())
+    return pres, pi1, _with_commutators(pi1), index
 
 
 def test_hermite_table_is_the_enumerated_table():
@@ -330,12 +339,13 @@ def _drop_hermite_row(monkeypatch, drop):
 
 def test_hermite_table_rejects_a_wrong_order_or_a_dropped_row(monkeypatch):
     pres, pi1, abelian, index = _second_pass(PIPE.peripherals("rational:29,12"), 2)
+    assert pi1 == GroupPresentation(1, [(1,) * 29])  # the lens space L(29, 12)
     with pytest.raises(TableMismatch):
         abelian_quotient_table(abelian, index + 1)
     with pytest.raises(ValueError):  # the lemma needs every commutator among the relators
-        abelian_quotient_table(pi1, index)
-    # pi1 without either of its two relators abelianizes to Z: no Hermite
-    # pivot in one column, so no certificate comes out
+        abelian_quotient_table(_simplified_pi1(pres, 2), index)  # 2 generators, no commutator
+    # pi1 without its one relator abelianizes to Z: no Hermite pivot, so no
+    # certificate comes out
     _drop_hermite_row(monkeypatch, 0)
     with pytest.raises(TableMismatch):
         branched_cover_certificate(pres, 2)
@@ -349,6 +359,96 @@ def test_hermite_table_is_checked_against_every_relator(monkeypatch):
     _drop_hermite_row(monkeypatch, 2)
     with pytest.raises(TableMismatch, match="does not act trivially"):
         abelian_quotient_table(g, 24)
+
+
+@pytest.mark.parametrize("pd", [pd for pd, _, _ in INFINITE_SUMS])
+def test_shortened_pi1_of_a_connected_sum_is_a_free_product_of_two_cyclic_groups(pd):
+    # pi1(M_2) of a sum of two 2-bridge knots is Z/a * Z/b; simplify leaves
+    # up to 4 generators and 6 relators (80 letters), the move 2 and 2
+    pres = simplify(g_n_presentation(wirtinger_with_peripherals(analyze(parse_pd(pd))), 2), (1,))[0]
+    pi1 = _simplified_pi1(pres, 2)
+    small, _ = simplify(shorten(pi1), ())
+    assert (small.ngens, len(small.relators)) == (2, 2)
+    assert abelianization(small) == abelianization(pi1)
+
+
+def test_shorten_never_lengthens_and_keeps_pi1_prime():
+    for per, n in SECOND_PASS_POOL:
+        pres = simplify(g_n_presentation(per, n), (1,))[0]
+        pi1 = _simplified_pi1(pres, n)
+        short = shorten(pi1)
+        assert short.ngens == pi1.ngens and len(short.relators) <= len(pi1.relators)
+        assert sum(map(len, short.relators)) <= sum(map(len, pi1.relators))
+        assert abelianization(short) == abelianization(pi1)
+        # pi1' abelianized over the shortened pi1, as the certificate does,
+        # and over the simplified pi1, as it did before the move
+        _, small, abelian, index = _second_pass(per, n)
+        assert (subgroup_abelianization(small, abelian_quotient_table(abelian, index))
+                == subgroup_abelianization(pi1, abelian_quotient_table(_with_commutators(pi1), index)))
+
+
+def test_shorten_by_hand():
+    # (1 2)^3 holds all of (1 2)^2 1 (u, with v empty) and then 2, so it
+    # becomes 2; each 2 of (1 2)^2 1 is then a whole conjugate of it
+    pres = GroupPresentation(2, [(1, 2, 1, 2, 1, 2), (1, 2, 1, 2, 1)])
+    assert shorten(pres) == GroupPresentation(2, [(2,), (1, 1, 1)])
+    # a piece of a conjugate of the inverse: 1^-1 2^-1 1^-1 is 3 letters of (2 1 2 1)^-1
+    assert shorten(GroupPresentation(2, [(2, 1, 2, 1), (-1, -2, -1, 2, 2, 2)])) \
+        == GroupPresentation(2, [(2, 1, 2, 1), (2, 2, 2, 2)])
+    # no piece of more than half: nothing moves, and a presentation is returned as it is
+    free_product = GroupPresentation(2, [(1, 1, 1), (2, 2, 2, 2, 2)])
+    assert shorten(free_product) == free_product
+
+
+@st.composite
+def _presentation_with_a_piece(draw):
+    """Relators over 1-3 generators, one of which holds a piece u of a cyclic
+    conjugate u v of another relator or of its inverse, |u| > |v|."""
+    ngens = draw(st.integers(1, 3))
+    letter = st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    rels = [cyclic_reduce(w) for w in draw(st.lists(st.lists(letter, min_size=1, max_size=6),
+                                                    min_size=2, max_size=4))]
+    rels = [w for w in rels if w] or [(1, 1)]
+    s = draw(st.sampled_from(rels))
+    w = s if draw(st.booleans()) else tuple(-x for x in reversed(s))
+    i = draw(st.integers(0, len(w) - 1))
+    c = w[i:] + w[:i]
+    u = c[:draw(st.integers(len(c) // 2 + 1, len(c)))]
+    j = draw(st.integers(0, len(rels) - 1))
+    p = draw(st.integers(0, len(rels[j])))
+    rels.append(rels[j][:p] + u + rels[j][p:])
+    return GroupPresentation(ngens, rels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentation_with_a_piece())
+def test_shorten_keeps_the_group(pres):
+    short = shorten(pres)
+    assert short.ngens == pres.ngens
+    assert sum(map(len, short.relators)) <= sum(map(len, pres.relators))
+    assert abelianization(short) == abelianization(pres)
+    try:
+        orders = [todd_coxeter(p, (), 2000).size for p in (pres, short)]
+    except Overflow:
+        return
+    assert orders[0] == orders[1]
+
+
+def test_no_certificate_past_the_work_bound_before_the_move(monkeypatch):
+    # rational:9,2 at n=6: |H1(M_6)| = 3969, and the check of the table of
+    # pi1 / pi1' over the simplified pi1 would walk 452,466 cosets x letters;
+    # the bound reads pi1 before the move, so it gives up without shortening
+    def refuse(pres):
+        raise AssertionError("shorten called")
+
+    monkeypatch.setattr(qf.presentations, "shorten", refuse)
+    pres = simplify(g_n_presentation(PIPE.peripherals("rational:9,2"), 6), (1,))[0]
+    pi1 = _simplified_pi1(pres, 6)
+    index = abelianization(pi1).order()
+    assert index == 3969
+    assert 6 * sum(map(len, pres.relators)) <= qf.presentations.CERTIFICATE_WORK
+    assert index * sum(map(len, _with_commutators(pi1).relators)) > qf.presentations.CERTIFICATE_WORK
+    assert branched_cover_certificate(pres, 6) is None
 
 
 def test_certificates_enumerate_nothing(monkeypatch):

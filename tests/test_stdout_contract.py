@@ -4,9 +4,11 @@ The references are the benchmark's golden files, which this test only reads,
 and (``tests/golden``) ``verify-tables --max-cosets 10`` as written before
 certificates of infiniteness existed: no row of the table is infinite, so none
 may change. ``tests/golden/certificates.txt`` pins the ``infinite:`` stderr
-line of four infinite rows, one certified by H1(M_n) (3_1 at n=6) and three by
-the derived subgroup: one line per row, the knot (a catalog spec or a PD file
-named from the repository root), n and the line.
+line of seven infinite rows, one certified by H1(M_n) (3_1 at n=6) and six by
+the derived subgroup, among them the granny knot and the other three
+connected sums of the benchmark's tc_overflow workload: one line per row, the
+knot (a catalog spec or a PD file named from the repository root), n and the
+line.
 """
 
 from pathlib import Path
