@@ -187,6 +187,32 @@ def hermite_rows(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     return hermite
 
 
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """The rank over F_p, p prime, of the matrix whose rows are given, each
+    of the same length: Gaussian elimination on the first column left, with
+    the first row that is nonzero there as the pivot. The pivot row and that
+    column then leave, and so do rows that become zero. It is meant for small
+    dense matrices, such as the Fox Jacobians of
+    ``qf.presentations.branched_cover_certificate``'s character scan."""
+    rest = [row for row in ([a % p for a in row] for row in rows) if any(row)]
+    rank = 0
+    while rest:
+        i = next((i for i, row in enumerate(rest) if row[0]), None)
+        if i is None:
+            rest = [row[1:] for row in rest]
+            continue
+        pivot = rest.pop(i)
+        rank += 1
+        inverse, tail, left = pow(pivot[0], -1, p), pivot[1:], []
+        for row in rest:
+            f = row[0] * inverse % p
+            row = [(a - f * b) % p for a, b in zip(row[1:], tail)] if f else row[1:]
+            if any(row):
+                left.append(row)
+        rest = left
+    return rank
+
+
 def smith_normal_form(m: SparseIntMatrix, torsion_map: bool = False) -> SNFResult:
     """Invariant factors of an integer matrix, and with ``torsion_map`` the
     rows of the left transform at its torsion positions (``SNFResult``).

@@ -30,6 +30,48 @@ of the group, so the certificate is the same, read off a smaller relation
 matrix. ``CERTIFICATE_WORK`` reads pi1 before the move, so the rows that get
 a certificate are the same. ``simplify`` itself does not shorten: its result
 feeds the enumerator, whose capped runs are pinned.
+
+Before that second pass the certificate scans the characters of A = H1(M_n)
+(``_rank_deficiencies``), which proves on most finite rows that it would
+find nothing.
+
+Lemma. Let pi1 = <x_1..x_g | r_1..r_m> with A = pi1 / pi1' finite, e = exp A,
+p a prime = 1 mod e and zeta in F_p of order e. For a character chi of A,
+with values in the e-th roots of unity of C, let J(chi) be the m x g matrix
+of the Fox derivatives chi(d r_i / d x_j), over Z[zeta_e] with zeta_e =
+exp(2 pi i / e), and J_p(chi) the same matrix over F_p with zeta for zeta_e.
+If J_p(chi) has rank g - 1 at one character of each Galois orbit
+{chi^a : a prime to the order of chi} of nontrivial characters, then
+pi1'^ab is finite.
+
+Proof. pi1' is the kernel of pi1 -> A, so pi1'^ab = H1 of the A-cover X~ of
+the presentation complex X, and its free rank is dim H1(X~; C). The cellular
+chains of X~ are C[A]^m -> C[A]^g -> C[A], by the Fox Jacobian and by the
+column (x_j - 1) (Fox, "Free differential calculus", Ann. of Math. 57,
+1953). As A is abelian, C[A] is the product of one copy of C per character,
+so the complex splits into C^m -> C^g -> C with the maps J(chi) and
+v = (chi(x_j) - 1)_j, and dim H1(X~; C) is the sum over chi of
+g - rank v - rank J(chi). At the trivial character v = 0 and J is the
+exponent-sum matrix, of rank g as A is finite: no term, so it needs no
+check. At any other v != 0, as the x_j generate A, and J(chi) v = 0 by the
+fundamental formula sum_j (d r / d x_j)(x_j - 1) = r - 1, so rank J(chi)
+<= g - 1 and the term is g - 1 - rank J(chi). J(chi^a) is J(chi) with the
+automorphism zeta_e -> zeta_e^a applied to its entries, so it has the same
+rank. Last, p = 1 mod e splits completely in Z[zeta_e]: the primes above p
+match the roots of the e-th cyclotomic polynomial mod p, which are the
+elements of order e of F_p, and reduction modulo the one that matches zeta
+is a ring map Z[zeta_e] -> F_p that takes J(chi) to J_p(chi). A minor that
+does not vanish mod p does not vanish over C, so rank J(chi) >= rank
+J_p(chi) = g - 1 at each chosen character; so every term of its orbit, and
+so every term, is 0.
+
+The same sum with ranks mod p over every character is dim H1(X~; F_p), as
+F_p[A] is also a product of copies of F_p when p = 1 mod e (p does not
+divide |A|, and F_p holds the e-th roots of unity); it is at least the free
+rank, and the tests compare it with the exact pass. The character map is
+read off the torsion map of one Smith form of the transposed exponent-sum
+matrix, the same form that gives H1 (``_abelianization_with_characters``).
+A rank that is not g - 1 only sends the certificate on to the exact pass.
 """
 
 from __future__ import annotations
@@ -38,10 +80,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
-from itertools import product
-from math import prod
+from itertools import count, product
+from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from qf.groups import (
     DEFAULT_MAX_COSETS,
@@ -53,19 +95,32 @@ from qf.groups import (
     _standardized_table,
     _subgroup_words,
     _word_to_cols,
-    abelianization,
     cyclic_reduce,
     exponent_sums,
     free_reduce,
     invert_word,
     todd_coxeter,
 )
-from qf.intlinalg import AbelianGroup, SparseIntMatrix, abelian_group, hermite_rows
+from qf.intlinalg import (
+    AbelianGroup,
+    SparseIntMatrix,
+    abelian_group,
+    hermite_rows,
+    rank_mod_p,
+    smith_normal_form,
+)
 
 # Bounds the work of one certificate, in (cosets x total relator length): that
-# of each Reidemeister-Schreier pass, and that of the check of the table of
-# pi1 / pi1' between them, which walks every relator from every coset.
+# of each Reidemeister-Schreier pass, that of the character scan (|H1| x the
+# letters of pi1 as Reidemeister-Schreier gives it; it evaluates one Fox
+# Jacobian per orbit of characters), and that of the check of the table of
+# pi1 / pi1' after it, which walks every relator from every coset.
 CERTIFICATE_WORK = 10 ** 5
+
+# The character scan of the certificate works modulo the least prime above
+# this that is 1 mod exp H1(M_n) (``_character_prime``): fixed, so that its
+# verdicts are reproducible.
+CHARACTER_PRIME_FLOOR = 2 ** 30
 
 
 def _substitute(word: Iterable[int], rewrite: Sequence[Optional[Word]]) -> Word:
@@ -515,6 +570,115 @@ def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable
     return quotient
 
 
+def _abelianization_with_characters(pres: GroupPresentation
+                                    ) -> tuple[AbelianGroup, tuple[tuple[int, dict[int, int]], ...]]:
+    """The abelianization A, and the torsion map of the same Smith form, of
+    the transposed exponent-sum matrix: pairs (d, u), u over the generators,
+    such that x_j -> (u[j - 1] mod d) maps A onto the sum of the Z/d; all of A
+    where it is finite."""
+    transposed: list[dict[int, int]] = [{} for _ in range(pres.ngens)]
+    for i, w in enumerate(pres.relators):
+        for j, v in exponent_sums(w).items():
+            transposed[j][i] = v
+    snf = smith_normal_form(SparseIntMatrix(pres.ngens, len(pres.relators), transposed),
+                            torsion_map=True)
+    return (AbelianGroup(pres.ngens - snf.rank, tuple(d for d in snf.factors if d > 1)),
+            snf.torsion_map)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, which is deterministic below
+    4,759,123,141 (Jaeschke, Math. Comp. 61, 1993)."""
+    if n >= 4_759_123_141:
+        raise ValueError(f"{n} is past the bound of the deterministic test")
+    if n < 2 or gcd(n, 510510) > 1:  # 510510 = 2 * 3 * ... * 17
+        return n in (2, 3, 5, 7, 11, 13, 17)
+    if n < 19 * 19:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+    return True
+
+
+@cache  # one search per exponent and process
+def _character_prime(e: int) -> tuple[int, tuple[int, ...]]:
+    """The least prime p > CHARACTER_PRIME_FLOOR with p = 1 mod e, and the
+    powers zeta^0, ..., zeta^(e - 1) mod p of zeta = a^((p - 1) / e), for the
+    least a >= 2 that makes zeta of order e."""
+    p = 1 + e * -(-CHARACTER_PRIME_FLOOR // e)
+    while not _is_prime(p):
+        p += e
+    for a in count(2):  # F_p^* is cyclic of order p - 1, so some a gives order e
+        zeta, powers = pow(a, (p - 1) // e, p), [1]
+        while (x := powers[-1] * zeta % p) != 1:  # zeta^e = 1
+            powers.append(x)
+        if len(powers) == e:
+            return p, tuple(powers)
+
+
+def _character_orbits(moduli: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """One character k of each Galois orbit {a k : a prime to the order of k}
+    of the nontrivial characters of the sum of the Z/d, d in ``moduli``, k_i
+    in Z/d_i being its exponent on factor i: the first of each orbit in
+    reverse lexicographic order, so the first is (d_1 - 1, ..., d_r - 1),
+    nontrivial on every factor."""
+    seen = set()
+    for k in product(*(range(d - 1, -1, -1) for d in moduli)):
+        if k not in seen and any(k):
+            yield k  # its orbit is marked only if the caller asks for more
+            order = lcm(*(d // gcd(a, d) for a, d in zip(k, moduli)))
+            seen.update(tuple(a * b % d for b, d in zip(k, moduli))
+                        for a in range(1, order) if gcd(a, order) == 1)
+
+
+def _fox_jacobian(pres: GroupPresentation, exponents: Sequence[int], powers: Sequence[int]
+                  ) -> list[list[int]]:
+    """The Fox Jacobian (Fox, Ann. of Math. 57, 1953) at the character that
+    sends x_j to powers[exponents[j - 1]], transposed: row j - 1 holds
+    d r / d x_j for each relator r, in order, so that the rank is taken on
+    the g rows. The term of a letter x_j is the value at the prefix before
+    it, that of x_j^-1 minus the value at the prefix through it. Entries are
+    not reduced."""
+    e = len(powers)
+    rows = [[0] * len(pres.relators) for _ in range(pres.ngens)]
+    for i, w in enumerate(pres.relators):
+        t = 0
+        for x in w:
+            if x > 0:
+                rows[x - 1][i] += powers[t]
+                t = (t + exponents[x - 1]) % e
+            else:
+                t = (t - exponents[-x - 1]) % e
+                rows[-x - 1][i] -= powers[t]
+    return rows
+
+
+def _rank_deficiencies(pres: GroupPresentation, torsion_map: Sequence[tuple[int, dict[int, int]]],
+                       characters: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """g - 1 - rank J(chi) mod p at each character, for J the Fox Jacobian of
+    the g-generator presentation, p and the powers of the root of unity zeta
+    from ``_character_prime``. ``torsion_map`` maps the abelianization A, finite,
+    onto the sum of the Z/d (``_abelianization_with_characters``), and a
+    character k sends generator x_j to zeta to the sum over i of
+    k_i (e / d_i) u_i[j - 1], mod e = exp A."""
+    e = lcm(*(d for d, _ in torsion_map))
+    p, powers = _character_prime(e)
+    images = [[(e // d) * u.get(j, 0) for d, u in torsion_map] for j in range(pres.ngens)]
+    for k in characters:
+        exponents = [sum(map(mul, k, image)) % e for image in images]
+        yield pres.ngens - 1 - rank_mod_p(_fox_jacobian(pres, exponents, powers), p)
+
+
 def branched_cover_certificate(pres: GroupPresentation, n: int
                                ) -> Optional[InfinitenessCertificate]:
     """A proof that pi1(M_n) is infinite, or None where none is found.
@@ -524,32 +688,43 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     generators). pi1(M_n), of the n-fold cyclic branched cover, is the kernel
     of G_n -> Z/n, so Reidemeister-Schreier over that kernel presents it; its
     abelianization is H1(M_n). If that is infinite it is the certificate. If it
-    is finite and not trivial, pi1 is simplified, and where the work is in
-    bounds, shortened (``shorten``) and simplified again; the table of
-    pi1 / pi1' is read off a Hermite normal form and checked
-    (``abelian_quotient_table``: by its lemma, the stabilizer of coset 0 is
-    exactly pi1'), and the derived subgroup pi1', of index |H1(M_n)|, is
-    abelianized along the Reidemeister-Schreier walk
-    (``subgroup_abelianization``). A finite-index
-    subgroup with infinite abelianization makes pi1(M_n) infinite, and so Q_n
-    (Hoste & Shanahan, "Links with finite n-quandles", 2017). Gives up (None)
-    where the work would pass CERTIFICATE_WORK, read on pi1 before it is
-    shortened.
+    is finite and not trivial, its characters are scanned: where the Fox
+    Jacobian of pi1 has rank g - 1 mod p at one character of each orbit,
+    pi1'^ab is finite (the lemma of the module docstring) and None comes
+    back at once. Otherwise pi1 is simplified, and where the work is in
+    bounds, shortened (``shorten``) and, where that changed it, simplified
+    again; the table of pi1 / pi1' is read off a Hermite normal form and
+    checked (``abelian_quotient_table``: by its lemma, the stabilizer of
+    coset 0 is exactly pi1'), and the derived subgroup pi1', of index
+    |H1(M_n)|, is abelianized along the Reidemeister-Schreier walk
+    (``subgroup_abelianization``). A finite-index subgroup with infinite
+    abelianization makes pi1(M_n) infinite, and so Q_n
+    (Hoste & Shanahan, "Links with finite n-quandles", 2017). Skips the scan
+    where |H1| x the letters of pi1 would pass CERTIFICATE_WORK, and gives up
+    (None) where the work of the exact pass would, read on pi1 simplified and
+    before it is shortened.
     """
     if n < 2 or n * _letters(pres) > CERTIFICATE_WORK:
         return None
     pi1 = grading_kernel_presentation(pres, n)
-    h1 = abelianization(pi1)
+    h1, torsion_map = _abelianization_with_characters(pi1)
     if h1.free_rank:
         return InfinitenessCertificate(n, 1, h1)
     index = h1.order()
     if index == 1:
         return None
-    pi1, _ = simplify(pi1, ())
-    # the check of the table walks every relator from every coset; the bound
-    # reads pi1 as simplified, before the move
-    if index * _letters(_with_commutators(pi1)) > CERTIFICATE_WORK:
+    # the scan, on pi1 as Reidemeister-Schreier gives it: full rank at every
+    # character proves pi1'^ab finite, and so that no certificate comes out
+    if (index * _letters(pi1) <= CERTIFICATE_WORK and not any(_rank_deficiencies(
+            pi1, torsion_map, _character_orbits([d for d, _ in torsion_map])))):
         return None
-    pi1, _ = simplify(shorten(pi1), ())
+    pi1, _ = simplify(pi1, ())
+    # the check of the table walks every relator and commutator (4 letters
+    # each) from every coset; the bound reads pi1 as simplified, before the move
+    if index * (_letters(pi1) + 2 * pi1.ngens * (pi1.ngens - 1)) > CERTIFICATE_WORK:
+        return None
+    shorter = shorten(pi1)
+    if shorter != pi1:
+        pi1, _ = simplify(shorter, ())
     derived = subgroup_abelianization(pi1, abelian_quotient_table(_with_commutators(pi1), index))
     return InfinitenessCertificate(n, index, derived) if derived.free_rank else None

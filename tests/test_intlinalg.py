@@ -15,6 +15,7 @@ from qf.intlinalg import (
     abelian_group,
     check_complex,
     homology_of_pair,
+    rank_mod_p,
     smith_normal_form,
 )
 from qf.pipeline import CosetCache, Pipeline
@@ -199,6 +200,21 @@ def test_rank_matches_rational_oracle():
         dense = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         m = from_dense(dense)
         assert smith_normal_form(m).rank == rational_rank(dense)
+
+
+def test_rank_mod_p_matches_the_minors():
+    # the rank over F_p is the size of the largest minor that p does not
+    # divide; small primes make ranks drop, and 2^31 - 1 is the rank over Q
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7, 2 ** 31 - 1):
+        for _ in range(60):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            dense = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            want = max((k for k in range(1, min(rows, cols) + 1)
+                        for rs in combinations(range(rows), k) for cs in combinations(range(cols), k)
+                        if determinant([[dense[r][c] for c in cs] for r in rs]) % p), default=0)
+            assert rank_mod_p(dense, p) == want, (p, dense)
+    assert rank_mod_p([], 5) == 0 and rank_mod_p([[0, 5, 10]], 5) == 0
 
 
 def test_snf_invariant_under_unimodular_shuffles():

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
-from math import gcd, prod
+from itertools import product
+from math import gcd, isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,10 @@ from qf.groups import (
 from qf.intlinalg import AbelianGroup
 from qf.pipeline import CosetCache, Pipeline
 from qf.presentations import (
+    _abelianization_with_characters,
+    _character_orbits,
+    _character_prime,
+    _rank_deficiencies,
     abelian_quotient_table,
     branched_cover_certificate,
     enumerate_cosets,
@@ -304,11 +310,13 @@ def _simplified_pi1(pres, n):
 
 def _second_pass(per, n):
     """The simplified G_n; pi1(M_n) as the certificate's second pass reads it,
-    simplified, shortened and simplified again; pi1 with its generators'
-    commutators; and |H1(M_n)|."""
+    simplified, shortened and, where that changed it, simplified again; pi1
+    with its generators' commutators; and |H1(M_n)|."""
     pres = simplify(g_n_presentation(per, n), (1,))[0]
     index = abelianization(grading_kernel_presentation(pres, n)).order()
-    pi1, _ = simplify(shorten(_simplified_pi1(pres, n)), ())
+    pi1 = _simplified_pi1(pres, n)
+    if (shorter := shorten(pi1)) != pi1:
+        pi1, _ = simplify(shorter, ())
     return pres, pi1, _with_commutators(pi1), index
 
 
@@ -344,11 +352,14 @@ def test_hermite_table_rejects_a_wrong_order_or_a_dropped_row(monkeypatch):
         abelian_quotient_table(abelian, index + 1)
     with pytest.raises(ValueError):  # the lemma needs every commutator among the relators
         abelian_quotient_table(_simplified_pi1(pres, 2), index)  # 2 generators, no commutator
-    # pi1 without its one relator abelianizes to Z: no Hermite pivot, so no
-    # certificate comes out
+    # the granny knot's pi1(M_2) drops rank at a character of H1, so its
+    # certificate reaches the Hermite table; without the row of one of its two
+    # relators the rows span a lattice of rank 1: no Hermite pivot, no table
+    granny, pi1, abelian, _ = _second_pass(SECOND_PASS_POOL[0][0], 2)
+    assert (pi1.ngens, len(pi1.relators), len(abelian.relators)) == (2, 2, 3)
     _drop_hermite_row(monkeypatch, 0)
-    with pytest.raises(TableMismatch):
-        branched_cover_certificate(pres, 2)
+    with pytest.raises(TableMismatch, match="the Hermite form has 0 cosets"):
+        branched_cover_certificate(granny, 2)
 
 
 def test_hermite_table_is_checked_against_every_relator(monkeypatch):
@@ -449,6 +460,124 @@ def test_no_certificate_past_the_work_bound_before_the_move(monkeypatch):
     assert 6 * sum(map(len, pres.relators)) <= qf.presentations.CERTIFICATE_WORK
     assert index * sum(map(len, _with_commutators(pi1).relators)) > qf.presentations.CERTIFICATE_WORK
     assert branched_cover_certificate(pres, 6) is None
+
+
+# --- the character scan ------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_certificate_rows():
+    """(per, n) of each line of tests/golden/certificates.txt."""
+    for line in (GOLDEN / "certificates.txt").read_text().splitlines():
+        knot, n, _ = line.split(" ", 2)
+        path = GOLDEN.parents[1] / knot
+        yield PIPE.peripherals(str(path) if path.is_file() else knot), int(n)
+
+
+def _scanned_pi1(per, n):
+    """The simplified G_n, pi1(M_n) as the certificate's scan reads it (as
+    Reidemeister-Schreier gives it), its H1 and the torsion map of H1."""
+    pres = simplify(g_n_presentation(per, n), (1,))[0]
+    pi1 = grading_kernel_presentation(pres, n)
+    return (pres, pi1, *_abelianization_with_characters(pi1))
+
+
+def test_character_scan_matches_the_exact_free_rank():
+    # over every nontrivial character, the rank deficiencies mod p sum to
+    # dim H1(A-cover; F_p), which is the free rank of pi1'^ab on every row
+    # here; the certificate's scan, one character per Galois orbit, finds a
+    # deficient one exactly where that rank is positive. The rows: the golden
+    # certificates, the second-pass pool, the verify-tables rows and 5_2 at
+    # n=5, whose exact pass is the 605 x 485 Smith form
+    rows = [*_golden_certificate_rows(), *SECOND_PASS_POOL,
+            *((PIPE.peripherals(spec), n) for spec, n in VERIFY_ROWS), (PIPE.peripherals("5_2"), 5)]
+    ranks = []
+    for per, n in rows:
+        pres, pi1, h1, torsion_map = _scanned_pi1(per, n)
+        if h1.free_rank or h1.order() == 1:
+            continue
+        _, small, abelian, index = _second_pass(per, n)
+        exact = subgroup_abelianization(small, abelian_quotient_table(abelian, index)).free_rank
+        moduli = [d for d, _ in torsion_map]
+        every = [k for k in product(*map(range, moduli)) if any(k)]
+        assert sum(_rank_deficiencies(pi1, torsion_map, every)) == exact, (n, h1)
+        assert any(_rank_deficiencies(pi1, torsion_map, _character_orbits(moduli))) == (exact > 0)
+        assert (branched_cover_certificate(pres, n) is None) == (exact == 0)
+        ranks.append(exact)
+    # the six golden rows past H1, the 14 rows of the pool, the eight verify
+    # rows with H1 finite and not trivial, and 5_2 at n=5
+    assert sorted(r for r in ranks if r) == [3, 3, 4, 4, 4, 4, 8, 8, 10, 10, 16, 16, 16, 16]
+    assert len(ranks) == 6 + 14 + 8 + 1 and ranks[-1] == 0
+
+
+def test_character_orbits_cover_every_nontrivial_character_once():
+    for moduli in ((2,), (29,), (2, 2), (4, 2), (3, 9), (2, 6, 6)):
+        orbits = list(_character_orbits(moduli))
+        assert orbits[0] == tuple(d - 1 for d in moduli)
+        covered = []
+        for k in orbits:
+            order = next(o for o in range(1, prod(moduli) + 1)
+                         if all(o * a % d == 0 for a, d in zip(k, moduli)))
+            covered += [tuple(a * b % d for b, d in zip(k, moduli))
+                        for a in range(1, order) if gcd(a, order) == 1]
+        assert sorted(covered) == [k for k in product(*map(range, moduli)) if any(k)]
+
+
+def test_character_scan_fails_on_a_corrupted_character_or_jacobian(monkeypatch):
+    # 5_2 at n=3: H1 = Z/5 x Z/5 and pi1'^ab finite, so the scan proves full
+    # rank; off by one in one coefficient of the character map, or in one
+    # Jacobian entry, it no longer does
+    pres, pi1, h1, torsion_map = _scanned_pi1(PIPE.peripherals("5_2"), 3)
+    assert h1 == AbelianGroup(0, (5, 5))
+    orbits = list(_character_orbits([d for d, _ in torsion_map]))
+    assert len(orbits) == 6 and not any(_rank_deficiencies(pi1, torsion_map, orbits))
+    for i, (d, u) in enumerate(torsion_map):
+        for j in u:
+            wrong = list(torsion_map)
+            wrong[i] = (d, {**u, j: u[j] + 1})
+            assert any(_rank_deficiencies(pi1, wrong, orbits)), (i, j)
+
+    jacobian = qf.presentations._fox_jacobian
+    exact = []
+
+    def corrupt(pres, exponents, powers):
+        rows = jacobian(pres, exponents, powers)
+        rows[0][0] += 1
+        return rows
+
+    def spy(pres, table):
+        exact.append(table.size)
+        return abelianization(reidemeister_schreier(pres, table))
+
+    monkeypatch.setattr(qf.presentations, "_fox_jacobian", corrupt)
+    monkeypatch.setattr(qf.presentations, "subgroup_abelianization", spy)
+    assert any(_rank_deficiencies(pi1, torsion_map, orbits))
+    # the scan proves nothing, so the exact pass runs and finds no certificate
+    assert branched_cover_certificate(pres, 3) is None and exact == [25]
+
+
+def test_character_prime_is_the_least_above_the_floor():
+    floor = qf.presentations.CHARACTER_PRIME_FLOOR
+    bound = isqrt(2 * floor) + 1
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for q in range(2, isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytearray(len(range(q * q, bound, q)))
+    small = [q for q in range(bound) if sieve[q]]
+
+    def is_prime(m):  # trial division, for m < 2 * floor
+        return all(m % q for q in small if q * q <= m)
+
+    for e in (2, 3, 4, 16, 25, 29, 63, 330, 961, 3969):
+        p, powers = _character_prime(e)
+        assert floor < p < 2 * floor and p % e == 1 and is_prime(p)
+        first = next(q for q in range(floor + 1, floor + e + 1) if q % e == 1)
+        assert not any(is_prime(q) for q in range(first, p, e)), e
+        zeta = powers[1 % e]
+        assert powers == tuple(pow(zeta, t, p) for t in range(e)) and pow(zeta, e, p) == 1
+        assert all(pow(zeta, e // q, p) != 1 for q in small if e % q == 0), e
 
 
 def test_certificates_enumerate_nothing(monkeypatch):

@@ -68,14 +68,15 @@ def test_no_group_table_layer():
 def test_integer_elimination_lives_in_intlinalg():
     # one home of integer elimination, with one dense kernel: smith_normal_form
     # takes its dense remainder by alternating hermite_rows, and no other
-    # module keeps a Hermite form, an extended gcd or a diagonalization of its own
-    elimination = re.compile(r"hermite|smith|xgcd|diagonali[sz]|abelian_group$")
+    # module keeps a Hermite form, an extended gcd, a diagonalization or a rank
+    # mod p of its own; rank_mod_p is the elimination over F_p
+    elimination = re.compile(r"hermite|smith|xgcd|diagonali[sz]|abelian_group$|rank_mod")
     found = {}
     for path in sorted(Path(qf.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and elimination.search(node.name.lower()):
                 found.setdefault(path.stem, set()).add(node.name)
-    assert found == {"intlinalg": {"abelian_group", "hermite_rows", "smith_normal_form"}}
+    assert found == {"intlinalg": {"abelian_group", "hermite_rows", "rank_mod_p", "smith_normal_form"}}
 
 
 def test_one_coset_table_constructor():
