@@ -3,13 +3,14 @@ abelian groups, and homology of a pair of boundary maps.
 
 This module is the one home of integer elimination: ``smith_normal_form`` and
 ``abelian_group`` for invariant factors and abelianizations (and, where asked
-for, the map of a cokernel's torsion onto its factors), and
-``hermite_rows``, the one dense kernel, which also gives the triangular basis
-that ``qf.presentations.abelian_quotient_table`` reads pi1 / pi1' off. All
-arithmetic uses Python integers, so there is no overflow anywhere. Matrices
-are stored row-major, one {column: value} dict per row, with 0-based indices;
-Smith normal form eliminates copies of those rows in place. The dense kernel
-reduces by one rule, the Euclidean step, and never by gcd cofactors.
+for, the map of a cokernel's torsion onto its factors, which
+``qf.presentations`` reads the characters of H1 and the table of pi1 / pi1'
+off), and ``hermite_rows``, the one dense kernel, which only the Smith form
+calls. All arithmetic uses Python integers, so there is no overflow anywhere.
+Matrices are stored row-major, one {column: value} dict per row, with 0-based
+indices; Smith normal form eliminates copies of those rows in place. The
+dense kernel reduces by one rule, the Euclidean step, and never by gcd
+cofactors.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ presents the kernel of a grading onto Z/n over its n grades with no table.
 ``branched_cover_certificate`` uses them to prove pi1 of a cyclic branched
 cover infinite before any enumeration to a cap is tried; it enumerates
 nothing itself, since the one coset table it needs between its two passes,
-that of pi1 / pi1', is read off a Hermite normal form
-(``abelian_quotient_table``, on the rows of ``qf.intlinalg.hermite_rows``).
+that of pi1 / pi1', is the action of H1 by translations, read off the same
+character map as the scan below (``abelian_quotient_table``).
 
 ``shorten`` is the substring move of the same Tietze program: where a relator
 r holds a piece u of a cyclic conjugate c = u v of another relator or of its
@@ -80,8 +80,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
-from itertools import count, product
-from math import gcd, lcm, prod
+from itertools import count, islice, product
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -105,16 +105,15 @@ from qf.intlinalg import (
     AbelianGroup,
     SparseIntMatrix,
     abelian_group,
-    hermite_rows,
     rank_mod_p,
     smith_normal_form,
 )
 
 # Bounds the work of one certificate, in (cosets x total relator length): that
-# of each Reidemeister-Schreier pass, that of the character scan (|H1| x the
-# letters of pi1 as Reidemeister-Schreier gives it; it evaluates one Fox
-# Jacobian per orbit of characters), and that of the check of the table of
-# pi1 / pi1' after it, which walks every relator from every coset.
+# of each Reidemeister-Schreier pass, that of the character scan (one Fox
+# Jacobian of the letters of pi1, as Reidemeister-Schreier gives it, per orbit
+# of characters), and that of the check of the table of pi1 / pi1' after it,
+# which walks every relator from every coset.
 CERTIFICATE_WORK = 10 ** 5
 
 # The character scan of the certificate works modulo the least prime above
@@ -511,60 +510,40 @@ def _letters(pres: GroupPresentation) -> int:
     return sum(map(len, pres.relators))
 
 
-def _commutators(ngens: int) -> list[Word]:
-    gens = range(1, ngens + 1)
-    return [(a, b, -a, -b) for a in gens for b in gens if a < b]
+def abelian_quotient_table(pres: GroupPresentation, order: int) -> CosetTable:
+    """The coset table of pi1 / pi1', of the given order, for pres presenting
+    pi1, read off the character map of H1 = pi1^ab
+    (``_abelianization_with_characters``).
 
+    With the torsion map (d_i, u_i), the cosets are the vectors v of the sum
+    of the Z/d_i, numbered in mixed radix (coset 0 the zero vector), and
+    generator j acts as the translation v -> v + u_j, u_j = (u_i[j - 1])_i.
+    These forward columns are standardized (``qf.groups._standardized_table``,
+    which derives their inverses) and checked against pres.
 
-def _with_commutators(pres: GroupPresentation) -> GroupPresentation:
-    return GroupPresentation(pres.ngens, pres.relators + tuple(_commutators(pres.ngens)))
+    Lemma. Let ``order`` = |H1| be known independently. A table that passes
+    the check and has ``order`` cosets is the regular action of H1, and the
+    stabilizer of coset 0 is exactly pi1'. Proof: the columns are
+    translations, so they commute; the check proves that every relator acts
+    trivially, so the table is an action of H1, transitive as every coset
+    table is. A transitive action of a group of order N on N points is
+    regular, so the stabilizer of coset 0 in pi1 is the kernel of
+    pi1 -> H1, which is pi1'.
 
-
-def abelian_quotient_table(abelian: GroupPresentation, order: int) -> CosetTable:
-    """The coset table of pi1 / pi1', of the given order, read off a Hermite
-    normal form of the relation matrix; ``abelian`` presents pi1 with the
-    commutators of its generators added.
-
-    With the Hermite rows of the exponent-sum matrix, of diagonal h_1..h_k,
-    the cosets are the reduced vectors 0 <= v_i < h_i, coset 0 the zero
-    vector, and generator j acts by +e_j and reduction by the rows, i
-    ascending. These forward columns are standardized
-    (``qf.groups._standardized_table``, which derives their inverses) and
-    checked against ``abelian`` (every relator fixes every coset), which
-    proves what the Hermite form only suggests.
-
-    Lemma. Let ``order`` = |H1|, H1 = pi1^ab, be known independently. A
-    table that passes the check and has ``order`` cosets is the regular
-    action of H1, and the stabilizer of coset 0 is exactly pi1'. Proof: the
-    relators of pi1 and the commutators of its generators act trivially, so
-    the table is an action of H1, transitive as every coset table is. A
-    transitive action of a group of order N on N points is regular. So the
-    stabilizer of coset 0 in pi1 is the kernel of pi1 -> H1, which is pi1'.
-
-    Raises TableMismatch unless the product of the h_i and the table's size
-    are both ``order``, or where the check fails.
+    Raises TableMismatch unless H1 is finite of order ``order`` and the
+    table has ``order`` cosets, or where the check fails.
     """
-    k = abelian.ngens
-    if not set(_commutators(k)) <= set(abelian.relators):
-        raise ValueError("the presentation lacks a commutator of its generators")
-    hermite = hermite_rows([[e.get(c, 0) for c in range(k)]
-                            for e in map(exponent_sums, abelian.relators)], k)
-    h = [row[i] for i, row in enumerate(hermite)]
-    if prod(h) != order:
-        raise TableMismatch(f"the Hermite form has {prod(h)} cosets, not {order}")
-    stride = [prod(h[i + 1:]) for i in range(k)]  # coset of v: sum of v_i stride_i
-    points = [list(coords) for coords in zip(*product(*map(range, h)))]  # [i][coset]: v_i
+    h1, torsion_map = _abelianization_with_characters(pres)
+    if h1.free_rank or h1.order() != order:
+        raise TableMismatch(f"H1 is {h1}, not of order {order}")
     forward = []
-    for j in range(k):
-        # v + e_j for every coset v at once, reduced by row i for i ascending
-        v = points[:j] + [[a + 1 for a in points[j]]] + points[j + 1:]
-        for i, row in enumerate(hermite):
-            q = [a // h[i] for a in v[i]]
-            if any(q):
-                v[i:] = [[a - t * r for a, t in zip(col, q)] if r else col
-                         for col, r in zip(v[i:], row[i:])]
-        forward.append([sum(map(mul, coords, stride)) for coords in zip(*v)])
-    quotient = _standardized_table(abelian, [], forward)
+    for j in range(pres.ngens):
+        col = [0]  # the coset of v + u_j for each coset v, factor by factor
+        for d, u in torsion_map:
+            t = u.get(j, 0)
+            col = [c * d + (a + t) % d for c in col for a in range(d)]
+        forward.append(col)
+    quotient = _standardized_table(pres, [], forward)
     if quotient.size != order:
         raise TableMismatch(f"the table of pi1 / pi1' has {quotient.size} cosets, not {order}")
     return quotient
@@ -693,16 +672,17 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     pi1'^ab is finite (the lemma of the module docstring) and None comes
     back at once. Otherwise pi1 is simplified, and where the work is in
     bounds, shortened (``shorten``) and, where that changed it, simplified
-    again; the table of pi1 / pi1' is read off a Hermite normal form and
+    again; the table of pi1 / pi1' is read off the character map of H1 and
     checked (``abelian_quotient_table``: by its lemma, the stabilizer of
     coset 0 is exactly pi1'), and the derived subgroup pi1', of index
     |H1(M_n)|, is abelianized along the Reidemeister-Schreier walk
     (``subgroup_abelianization``). A finite-index subgroup with infinite
     abelianization makes pi1(M_n) infinite, and so Q_n
-    (Hoste & Shanahan, "Links with finite n-quandles", 2017). Skips the scan
-    where |H1| x the letters of pi1 would pass CERTIFICATE_WORK, and gives up
-    (None) where the work of the exact pass would, read on pi1 simplified and
-    before it is shortened.
+    (Hoste & Shanahan, "Links with finite n-quandles", 2017). The scan runs
+    where |H1| <= CERTIFICATE_WORK and takes at most CERTIFICATE_WORK // (the
+    letters of pi1) orbits; past that the exact pass decides, and gives up
+    (None) where its work would pass CERTIFICATE_WORK, read on pi1
+    simplified and before it is shortened.
     """
     if n < 2 or n * _letters(pres) > CERTIFICATE_WORK:
         return None
@@ -713,18 +693,25 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     index = h1.order()
     if index == 1:
         return None
-    # the scan, on pi1 as Reidemeister-Schreier gives it: full rank at every
-    # character proves pi1'^ab finite, and so that no certificate comes out
-    if (index * _letters(pi1) <= CERTIFICATE_WORK and not any(_rank_deficiencies(
-            pi1, torsion_map, _character_orbits([d for d, _ in torsion_map])))):
+    # the scan, on pi1 as Reidemeister-Schreier gives it, one Jacobian of its
+    # letters per orbit: full rank at every character proves pi1'^ab finite,
+    # and so that no certificate comes out. Its powers of zeta and the
+    # characters it marks number up to |H1|, which the exact pass bounds too
+    orbits = _character_orbits([d for d, _ in torsion_map])
+    budget = CERTIFICATE_WORK // _letters(pi1)
+    if (index <= CERTIFICATE_WORK
+            and not any(_rank_deficiencies(pi1, torsion_map, islice(orbits, budget)))
+            and next(orbits, None) is None):
         return None
     pi1, _ = simplify(pi1, ())
-    # the check of the table walks every relator and commutator (4 letters
-    # each) from every coset; the bound reads pi1 as simplified, before the move
+    # the bound of the exact pass, read on pi1 as simplified, before the move:
+    # it was set when the table's check also walked every commutator (4
+    # letters each) from every coset; it no longer does, and the bound is kept
+    # as it was so that the same rows give up
     if index * (_letters(pi1) + 2 * pi1.ngens * (pi1.ngens - 1)) > CERTIFICATE_WORK:
         return None
     shorter = shorten(pi1)
     if shorter != pi1:
         pi1, _ = simplify(shorter, ())
-    derived = subgroup_abelianization(pi1, abelian_quotient_table(_with_commutators(pi1), index))
+    derived = subgroup_abelianization(pi1, abelian_quotient_table(pi1, index))
     return InfinitenessCertificate(n, index, derived) if derived.free_rank else None

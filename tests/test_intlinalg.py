@@ -7,7 +7,7 @@ from math import gcd, prod
 import pytest
 
 from qf import intlinalg
-from qf.groups import GroupPresentation, abelianization, g_n_presentation
+from qf.groups import abelianization, g_n_presentation
 from qf.intlinalg import (
     AbelianGroup,
     NotAComplex,
@@ -414,10 +414,7 @@ def derived_5_2():
     pi1 = grading_kernel_presentation(pres, 5)
     index = abelianization(pi1).order()
     pi1, _ = simplify(pi1, ())
-    gens = range(1, pi1.ngens + 1)
-    abelian = GroupPresentation(pi1.ngens, pi1.relators + tuple(
-        (a, b, -a, -b) for a in gens for b in gens if a < b))
-    table = abelian_quotient_table(abelian, index)
+    table = abelian_quotient_table(pi1, index)
     ngens, walks = _schreier_steps(pi1, table.action, table.tree)
     rows = []
     for steps in walks:

@@ -310,66 +310,93 @@ def _simplified_pi1(pres, n):
 
 def _second_pass(per, n):
     """The simplified G_n; pi1(M_n) as the certificate's second pass reads it,
-    simplified, shortened and, where that changed it, simplified again; pi1
-    with its generators' commutators; and |H1(M_n)|."""
+    simplified, shortened and, where that changed it, simplified again; and
+    |H1(M_n)|."""
     pres = simplify(g_n_presentation(per, n), (1,))[0]
     index = abelianization(grading_kernel_presentation(pres, n)).order()
     pi1 = _simplified_pi1(pres, n)
     if (shorter := shorten(pi1)) != pi1:
         pi1, _ = simplify(shorter, ())
-    return pres, pi1, _with_commutators(pi1), index
+    return pres, pi1, index
 
 
 def test_hermite_table_is_the_enumerated_table():
+    # read off the character map of pi1, with or without the commutators of
+    # its generators among the relators, the table is the one that
+    # enumerating pi1 with them gives, representative words included
     for per, n in SECOND_PASS_POOL:
-        _, _, abelian, index = _second_pass(per, n)
+        _, pi1, index = _second_pass(per, n)
         assert index > 1
-        table = abelian_quotient_table(abelian, index)
-        assert table.to_json() == todd_coxeter(abelian, (), 10 ** 6).to_json()
-        assert table.size == index
+        enumerated = todd_coxeter(_with_commutators(pi1), (), 10 ** 6)
+        for pres in (pi1, _with_commutators(pi1)):
+            table = abelian_quotient_table(pres, index)
+            assert table.to_json() == enumerated.to_json() and table.tree == enumerated.tree
+            assert table.size == index
 
 
 def test_one_pass_abelianization_matches_the_presentation():
     for per, n in SECOND_PASS_POOL:
-        _, pi1, abelian, index = _second_pass(per, n)
-        table = abelian_quotient_table(abelian, index)
+        _, pi1, index = _second_pass(per, n)
+        table = abelian_quotient_table(pi1, index)
         assert subgroup_abelianization(pi1, table) == abelianization(reidemeister_schreier(pi1, table))
     for subgroup in ([(2,)], [], [(1,), (2,)], [(1,)]):
         table = todd_coxeter(S3, subgroup)
         assert subgroup_abelianization(S3, table) == abelianization(reidemeister_schreier(S3, table))
 
 
-def _drop_hermite_row(monkeypatch, drop):
-    hermite = qf.presentations.hermite_rows
-    monkeypatch.setattr(qf.presentations, "hermite_rows",
-                        lambda rows, k: hermite(rows[:drop] + rows[drop + 1:], k))
+def _shift_character(monkeypatch, i, j):
+    """Make ``_abelianization_with_characters`` return coefficient j of the
+    i-th torsion factor off by one."""
+    characters = qf.presentations._abelianization_with_characters
+
+    def shifted(pres):
+        h1, torsion_map = characters(pres)
+        wrong = list(torsion_map)
+        d, u = wrong[i]
+        wrong[i] = (d, {**u, j: u.get(j, 0) + 1})
+        return h1, tuple(wrong)
+
+    monkeypatch.setattr(qf.presentations, "_abelianization_with_characters", shifted)
 
 
 def test_hermite_table_rejects_a_wrong_order_or_a_dropped_row(monkeypatch):
-    pres, pi1, abelian, index = _second_pass(PIPE.peripherals("rational:29,12"), 2)
+    _, pi1, index = _second_pass(PIPE.peripherals("rational:29,12"), 2)
     assert pi1 == GroupPresentation(1, [(1,) * 29])  # the lens space L(29, 12)
-    with pytest.raises(TableMismatch):
-        abelian_quotient_table(abelian, index + 1)
-    with pytest.raises(ValueError):  # the lemma needs every commutator among the relators
-        abelian_quotient_table(_simplified_pi1(pres, 2), index)  # 2 generators, no commutator
-    # the granny knot's pi1(M_2) drops rank at a character of H1, so its
-    # certificate reaches the Hermite table; without the row of one of its two
-    # relators the rows span a lattice of rank 1: no Hermite pivot, no table
-    granny, pi1, abelian, _ = _second_pass(SECOND_PASS_POOL[0][0], 2)
-    assert (pi1.ngens, len(pi1.relators), len(abelian.relators)) == (2, 2, 3)
-    _drop_hermite_row(monkeypatch, 0)
-    with pytest.raises(TableMismatch, match="the Hermite form has 0 cosets"):
-        branched_cover_certificate(granny, 2)
+    with pytest.raises(TableMismatch, match="not of order 30"):
+        abelian_quotient_table(pi1, index + 1)
+    with pytest.raises(TableMismatch, match="not of order"):  # H1 = Z is not finite
+        abelian_quotient_table(GroupPresentation(1, []), 1)
+    # on the granny knot's pi1(M_2) = Z/3 * Z/3 every map to H1 = (Z/3)^2 is a
+    # homomorphism; with a coefficient of the character map off by one, the
+    # translations reach only 3 of the 9 cosets
+    _, pi1, index = _second_pass(SECOND_PASS_POOL[0][0], 2)
+    assert (pi1, index) == (GroupPresentation(2, [(2, 2, 2), (-1, -1, -1)]), 9)
+    with monkeypatch.context() as patch:
+        _shift_character(patch, 1, 0)
+        with pytest.raises(TableMismatch, match="has 3 cosets, not 9"):
+            abelian_quotient_table(pi1, index)
+    # pi1(M_2) of 3_1 # 4_1 is Z/3 * Z/5, and H1 = Z/15; it drops rank at a
+    # character of H1, so its certificate reaches the table, and with a
+    # coefficient off by one a^3 no longer acts trivially
+    pres, pi1, index = _second_pass(SECOND_PASS_POOL[2][0], 2)
+    assert (pi1.relators[0], index) == ((-1, -1, -1), 15)
+    _shift_character(monkeypatch, 0, 0)
+    for attempt in (lambda: abelian_quotient_table(pi1, index),
+                    lambda: branched_cover_certificate(pres, 2)):
+        with pytest.raises(TableMismatch, match=r"relator \(-1, -1, -1\) does not act trivially"):
+            attempt()
 
 
 def test_hermite_table_is_checked_against_every_relator(monkeypatch):
-    # H1 = Z/12; without a^2 b^3 the rows present Z/2 x Z/12, so given that
-    # order the Hermite form passes and only the table's check fails
-    g = GroupPresentation(2, [(1, 1, 1, 1), (2,) * 6, (1, 1, 2, 2, 2), (1, 2, -1, -2)])
-    assert abelian_quotient_table(g, 12).to_json() == todd_coxeter(g, (), 100).to_json()
-    _drop_hermite_row(monkeypatch, 2)
-    with pytest.raises(TableMismatch, match="does not act trivially"):
-        abelian_quotient_table(g, 24)
+    # H1 = Z/12 with a -> 1 and b -> 2; with b -> 3 the translations still
+    # reach all 12 cosets, so only the check of a^2 b^-1 finds the wrong map
+    g = GroupPresentation(2, [(1,) * 12, (2,) * 12, (1, 1, -2)])
+    assert abelian_quotient_table(g, 12).to_json() == todd_coxeter(
+        _with_commutators(g), (), 100).to_json()
+    assert _abelianization_with_characters(g)[1] == ((12, {0: 1, 1: 2}),)
+    _shift_character(monkeypatch, 0, 1)
+    with pytest.raises(TableMismatch, match=r"relator \(1, 1, -2\) does not act trivially"):
+        abelian_quotient_table(g, 12)
 
 
 @pytest.mark.parametrize("pd", [pd for pd, _, _ in INFINITE_SUMS])
@@ -393,9 +420,9 @@ def test_shorten_never_lengthens_and_keeps_pi1_prime():
         assert abelianization(short) == abelianization(pi1)
         # pi1' abelianized over the shortened pi1, as the certificate does,
         # and over the simplified pi1, as it did before the move
-        _, small, abelian, index = _second_pass(per, n)
-        assert (subgroup_abelianization(small, abelian_quotient_table(abelian, index))
-                == subgroup_abelianization(pi1, abelian_quotient_table(_with_commutators(pi1), index)))
+        _, small, index = _second_pass(per, n)
+        assert (subgroup_abelianization(small, abelian_quotient_table(small, index))
+                == subgroup_abelianization(pi1, abelian_quotient_table(pi1, index)))
 
 
 def test_shorten_by_hand():
@@ -446,9 +473,11 @@ def test_shorten_keeps_the_group(pres):
 
 
 def test_no_certificate_past_the_work_bound_before_the_move(monkeypatch):
-    # rational:9,2 at n=6: |H1(M_6)| = 3969, and the check of the table of
-    # pi1 / pi1' over the simplified pi1 would walk 452,466 cosets x letters;
-    # the bound reads pi1 before the move, so it gives up without shortening
+    # rational:9,2 at n=6: |H1(M_6)| = 3969, and the bound of the exact pass,
+    # the simplified pi1's letters and 4 per commutator of its generators from
+    # every coset, reads 452,466; the table's check no longer walks the
+    # commutators, but the bound is kept as it was so that the same rows give
+    # up, and it reads pi1 before the move, so it gives up without shortening
     def refuse(pres):
         raise AssertionError("shorten called")
 
@@ -497,8 +526,8 @@ def test_character_scan_matches_the_exact_free_rank():
         pres, pi1, h1, torsion_map = _scanned_pi1(per, n)
         if h1.free_rank or h1.order() == 1:
             continue
-        _, small, abelian, index = _second_pass(per, n)
-        exact = subgroup_abelianization(small, abelian_quotient_table(abelian, index)).free_rank
+        _, small, index = _second_pass(per, n)
+        exact = subgroup_abelianization(small, abelian_quotient_table(small, index)).free_rank
         moduli = [d for d, _ in torsion_map]
         every = [k for k in product(*map(range, moduli)) if any(k)]
         assert sum(_rank_deficiencies(pi1, torsion_map, every)) == exact, (n, h1)
@@ -509,6 +538,35 @@ def test_character_scan_matches_the_exact_free_rank():
     # rows with H1 finite and not trivial, and 5_2 at n=5
     assert sorted(r for r in ranks if r) == [3, 3, 4, 4, 4, 4, 8, 8, 10, 10, 16, 16, 16, 16]
     assert len(ranks) == 6 + 14 + 8 + 1 and ranks[-1] == 0
+
+
+def test_character_scan_is_charged_per_orbit(monkeypatch):
+    # rational:15,2 at n=5: |H1(M_5)| x the letters of pi1 is past
+    # CERTIFICATE_WORK, but its 62 orbits of characters are within the budget,
+    # and full rank at each proves that no certificate exists before simplify
+    class Simplified(Exception):
+        pass
+
+    def refuse(*args):
+        raise Simplified
+
+    pres, pi1, h1, torsion_map = _scanned_pi1(PIPE.peripherals("rational:15,2"), 5)
+    moduli = [d for d, _ in torsion_map]
+    letters = sum(map(len, pi1.relators))
+    assert h1.order() * letters > qf.presentations.CERTIFICATE_WORK
+    assert len(list(_character_orbits(moduli))) == 62 <= qf.presentations.CERTIFICATE_WORK // letters
+    monkeypatch.setattr(qf.presentations, "simplify", refuse)
+    assert branched_cover_certificate(pres, 5) is None
+    # the scan's powers of zeta and its marked characters number up to |H1|,
+    # so past |H1| = CERTIFICATE_WORK it is not tried: rational:121393,75025
+    # (25 crossings) has H1(M_2) = Z/121393, and goes to the exact pass
+    def scan(e):
+        raise AssertionError("character scan tried")
+
+    monkeypatch.setattr(qf.presentations, "_character_prime", scan)
+    pres = g_n_presentation(PIPE.peripherals("rational:121393,75025"), 2)
+    with pytest.raises(Simplified):
+        branched_cover_certificate(pres, 2)
 
 
 def test_character_orbits_cover_every_nontrivial_character_once():
@@ -636,7 +694,8 @@ def _random_unimodular(rng, k):
 
 def test_hermite_table_lemma_on_every_abelian_group_of_order_at_most_40():
     # the lemma of abelian_quotient_table on random presentations U D V of
-    # each group, D the invariant factors padded with 1s
+    # each group, D the invariant factors padded with 1s: the table read off
+    # the character map is the one enumerated with the commutators added
     rng = random.Random(40)
     chains = list(_invariant_factor_chains(40))
     assert len(chains) == 68  # the abelian groups of order 1..40, up to isomorphism
@@ -650,10 +709,10 @@ def test_hermite_table_lemma_on_every_abelian_group_of_order_at_most_40():
                       for i in range(k)]
             relators = [[(j + 1) * (1 if e > 0 else -1) for j, e in enumerate(row)
                          for _ in range(abs(e))] for row in matrix]
-            gens = range(1, k + 1)
-            pres = GroupPresentation(k, relators + [(a, b, -a, -b) for a in gens for b in gens if a < b])
+            pres = GroupPresentation(k, relators)
             table = abelian_quotient_table(pres, order)
             assert table.size == order
-            assert table.to_json() == todd_coxeter(pres, (), 10 ** 4).to_json(), (chain, matrix)
+            enumerated = todd_coxeter(_with_commutators(pres), (), 10 ** 4)
+            assert table.to_json() == enumerated.to_json(), (chain, matrix)
             with pytest.raises(TableMismatch):
                 abelian_quotient_table(pres, 2 * order)

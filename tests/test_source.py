@@ -77,6 +77,13 @@ def test_integer_elimination_lives_in_intlinalg():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and elimination.search(node.name.lower()):
                 found.setdefault(path.stem, set()).add(node.name)
     assert found == {"intlinalg": {"abelian_group", "hermite_rows", "rank_mod_p", "smith_normal_form"}}
+    # nor calls the dense kernel: pi1 / pi1' is read off the character map of
+    # H1, one Smith form, not off a Hermite form of its own
+    users = {path.stem for path in Path(qf.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "hermite_rows" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))}
+    assert users == {"intlinalg"}
 
 
 def test_one_coset_table_constructor():
