@@ -2,22 +2,22 @@
 
 Words are tuples of signed generator indices: +k stands for generator k-1 and
 -k for its inverse. Coset tables are standardized (cosets numbered in BFS
-discovery order), so identical inputs always produce identical tables, and a
-table is fixed by its forward columns, all that ``CosetTable.to_json`` stores.
-The one constructor, ``CosetTable(ngens, forward, subgroup)``, derives the
-rest in one pass that proves it: each column must hold every coset once,
-compared as a set before any entry is read as an index (a negative one would
-alias), and is inverted; a BFS from coset 0 over the columns in order (x1,
-x1^-1, x2, ...) derives the tree of representative words, each coset's
-parent and the letter that reaches it, and proves the action transitive and
-the numbering standardized: each coset first reached is the next. The words
-themselves (``rep_words``, each its parent's plus one letter) are spelled
-along the tree when first read; only ``GAlexColumns.column`` reads them, so
-most tables never spell them. ``from_json`` parses a
-cache entry and calls it. Computed tables reach this module as permutation
-columns, and one function, ``_standardized_table``, renumbers them: those of
-the enumerator, those that ``qf.presentations`` lifts from a simplified
-enumeration or reads off a Hermite normal form.
+discovery order), so a table is fixed by its action (Sims, Computation with
+Finitely Presented Groups, 1994) and by its forward columns, all that
+``CosetTable.to_json`` stores. The one constructor, ``CosetTable(ngens,
+forward, subgroup)``, takes permutation columns in any numbering with coset
+0 as base and standardizes them in one pass that proves them: each column
+must hold every coset once, compared as a set before any entry is read as an
+index (a negative one would alias), and is inverted once; one BFS from coset
+0 over the columns in order (x1, x1^-1, x2, ...) numbers the cosets as it
+reaches them, proves every coset reached and derives the tree of
+representative words, each coset's parent and the letter that reaches it;
+the columns are renumbered only where the numbering changed. The words
+(``rep_words``) are spelled along the tree when first read, by
+``GAlexColumns.column`` alone. Every computed table is one constructor call:
+the enumerator's live rows, a lift from a simplified enumeration, a
+character map (``qf.presentations``). ``from_json`` calls it on a cache
+entry and rejects a table that it renumbered.
 
 ``CosetTable.check(g, subgroup)`` proves a table to be the action of g on the
 cosets of some subgroup H that contains the given words; a table loaded from
@@ -156,10 +156,10 @@ class CosetTable:
     """Completed, standardized coset table: the action of each signed generator
     on coset indices, with the representative words and their tree.
 
-    Built from its forward columns in one pass that proves it (module
-    docstring): ``tree[d - 1]`` is (p, x) for each coset d >= 1, where
-    ``rep_words[d]``, spelled when first read, is ``rep_words[p]`` plus the
-    letter x and p < d.
+    Built from its forward columns in one pass that standardizes and proves
+    them (module docstring): ``tree[d - 1]`` is (p, x) for each coset d >= 1,
+    where ``rep_words[d]``, spelled when first read, is ``rep_words[p]`` plus
+    the letter x and p < d; ``renumbered`` is whether the numbering changed.
     """
 
     def __init__(self, ngens: int, forward: Sequence[Sequence[int]],
@@ -167,26 +167,32 @@ class CosetTable:
         if len(forward) != ngens:
             raise ValueError("need one forward column per generator")
         size = len(forward[0]) if ngens else 1
-        action = []
+        cosets = list(range(size))  # every inverse holds these ints, not a copy each
+        members, action = set(cosets), []
         for col in forward:
-            if not size or len(col) != size or set(col) != set(range(size)):
+            if not size or len(col) != size or set(col) != members:
                 raise IncompleteTable("a forward column is not a permutation of the cosets")
             inverse = [0] * size
-            for c, d in enumerate(col):
+            for c, d in zip(cosets, col):
                 inverse[d] = c
-            action += (tuple(col), tuple(inverse))
-        letters = [sign * g for g in range(1, ngens + 1) for sign in (1, -1)]
-        tree: list[tuple[int, int]] = []  # len(tree) + 1 cosets reached
-        for c, row in enumerate(zip(*action)):
-            if c > len(tree):
-                raise TableMismatch("coset 0 does not reach every coset")
-            for x, d in enumerate(row):
-                if d > len(tree):
-                    if d > len(tree) + 1:
-                        raise TableMismatch("the cosets are not numbered in BFS order")
-                    tree.append((c, letters[x]))
-        self.ngens, self.size, self.action = ngens, size, tuple(action)
-        self.tree = tree
+            action += (col, inverse)
+        # BFS from coset 0 over (x1, x1^-1, x2, ...): order[i] is the coset reached i-th
+        order, remap, tree, reached = [0], [0] + [-1] * (size - 1), [], 1
+        steps = list(zip(action, [sign * g for g in range(1, ngens + 1) for sign in (1, -1)]))
+        for i, c in enumerate(order):
+            for col, letter in steps:
+                d = col[c]
+                if remap[d] < 0:
+                    remap[d] = reached
+                    reached += 1
+                    order.append(d)
+                    tree.append((i, letter))
+        if reached < size:
+            raise TableMismatch("coset 0 does not reach every coset")
+        self.renumbered = order != cosets
+        if self.renumbered:
+            action = [[remap[col[c]] for c in order] for col in action]
+        self.ngens, self.size, self.action, self.tree = ngens, size, tuple(map(tuple, action)), tree
         self.subgroup = tuple(map(free_reduce, subgroup))
 
     @cached_property
@@ -279,8 +285,12 @@ class CosetTable:
 
     @classmethod
     def from_json(cls, data: Mapping, subgroup: Iterable[Iterable[int]]) -> CosetTable:
-        """The table over the subgroup whose forward columns ``data`` holds."""
-        return cls(int(data["generators"]), data["forward"], subgroup)
+        """The table over the subgroup whose forward columns ``data`` holds;
+        a stored table must be standardized already."""
+        table = cls(int(data["generators"]), data["forward"], subgroup)
+        if table.renumbered:
+            raise TableMismatch("the cosets are not numbered in BFS order")
+        return table
 
     def __eq__(self, other: object) -> bool:
         # the words and the tree follow from the action
@@ -431,6 +441,19 @@ class _Enumerator:
         self.nrows = live
         return new_alpha
 
+    def live_columns(self) -> list[Sequence[int]]:
+        """The columns (x1, x1^-1, ...) on the live cosets, renumbered 0, 1, ...
+        in order (no live entry names a dead coset, see ``compress``)."""
+        live = [c for c, p in enumerate(self.parent) if c == p]
+        remap = [-1] * (self.nrows + 1)  # remap[-1] keeps undefined entries undefined
+        for i, c in enumerate(live):
+            remap[c] = i
+        columns = []
+        for x in range(self.width):  # one at a time, sharing remap's ints: not one per entry
+            col = self.table[x::self.width].tolist()
+            columns.append(col if len(live) == self.nrows else [remap[col[c]] for c in live])
+        return columns
+
     def run(self) -> None:
         """HLT from coset 0; returns once the pointer passes the last coset."""
         alpha = 0
@@ -477,30 +500,27 @@ def todd_coxeter(g: GroupPresentation, subgroup: Sequence[Iterable[int]] = (),
     raises Overflow. A finished table with an undefined entry also raises
     Overflow: the index is infinite.
 
-    The finished table's live cosets are numbered 0, 1, ... and its columns,
-    permutations in the order (x1, x1^-1, x2, ...), go to
-    ``_standardized_table`` (the forward ones) or, where given, to ``lift``
-    (all of them; ``qf.presentations.enumerate_cosets`` reads other
-    generators' columns off them).
+    The finished columns, read off the live rows (``live_columns``) in the
+    order (x1, x1^-1, x2, ...), go to the constructor (the forward ones), and
+    the table is checked against g; or, where given, to ``lift`` (all of them).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     subgroup_words = _subgroup_words(g, subgroup)
-    enum = _Enumerator(g.ngens,
-                       [_word_to_cols(r) for r in g.relators],
-                       [_word_to_cols(w) for w in subgroup_words if w],
-                       max_cosets)
+    enum = _Enumerator(g.ngens, [_word_to_cols(r) for r in g.relators],
+                       [_word_to_cols(w) for w in subgroup_words if w], max_cosets)
     enum.run()
-    enum.compress(0)  # every entry is mirrored and merges keep the graph connected: 0 reaches all
-    if -1 in enum.table:
+    columns = enum.live_columns()
+    if any(-1 in col for col in columns):
         # Every relator is closed at every coset, so each generator that a
         # relator mentions has a total column; this gap is in one that none
         # mentions. Defining it would open an orbit that nothing closes.
         raise Overflow(max_cosets)
-    columns = [enum.table[x::enum.width] for x in range(enum.width)]
     if lift is not None:
         return lift(columns)
-    return _standardized_table(g, subgroup_words, columns[::2])
+    table = CosetTable(g.ngens, columns[::2], subgroup_words)
+    table.check(g, subgroup_words)
+    return table
 
 
 def _subgroup_words(g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> list[Word]:
@@ -508,35 +528,6 @@ def _subgroup_words(g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> 
     if any(abs(letter) > g.ngens for w in words for letter in w):
         raise ValueError("subgroup word mentions an undeclared generator")
     return words
-
-
-def _standardized_table(g: GroupPresentation, subgroup_words: list[Word],
-                        forward: Sequence[Sequence[int]]) -> CosetTable:
-    """The table whose forward columns, permutations of the cosets, are given,
-    with the cosets renumbered in BFS discovery order from coset 0 over the
-    columns in order (x1, x1^-1, x2, ...), checked against g over the subgroup.
-
-    Only the cosets that coset 0 reaches are kept.
-    """
-    size = len(forward[0]) if forward else 1
-    action = []
-    for col in forward:
-        inverse = [0] * size
-        for c, d in enumerate(col):
-            inverse[d] = c
-        action += (col, inverse)
-    order = [0]
-    remap = [-1] * size
-    remap[0] = 0
-    for c in order:
-        for col in action:
-            t = col[c]
-            if remap[t] < 0:
-                remap[t] = len(order)
-                order.append(t)
-    result = CosetTable(g.ngens, [[remap[col[c]] for c in order] for col in forward], subgroup_words)
-    result.check(g, subgroup_words)
-    return result
 
 
 def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle:

@@ -16,10 +16,10 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -99,25 +99,30 @@ class CosetCache:
         """
         if self.directory is None:
             return compute()
-        payload = {
-            "ngens": pres.ngens,
-            "relators": [list(w) for w in pres.relators],
-            "subgroup": [list(w) for w in subgroup],
-            "strategy": STRATEGY_VERSION,
-        }
-        key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-        path = self.directory / f"{key}.json"
+        payload = {"ngens": pres.ngens, "relators": [list(w) for w in pres.relators],
+                   "subgroup": [list(w) for w in subgroup], "strategy": STRATEGY_VERSION}
+        key_text = json.dumps(payload, sort_keys=True)
+        path = self.directory / f"{hashlib.sha256(key_text.encode()).hexdigest()}.json"
         table = self._load(path, payload, pres, subgroup)
         if table is not None:
             self.hits += 1
             return table
         table = compute()
         self.misses += 1
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.stem, suffix=".tmp")
+        # json.dumps({"key": payload, "table": ...}, sort_keys=True), the key's text reused
+        text = f'{{"key": {key_text}, "table": {json.dumps(table.to_json(), sort_keys=True)}}}'
+        for serial in count():  # a temporary file that no other writer opens
+            tmp = path.with_name(f"{path.stem}.{os.getpid()}.{serial}.tmp")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:  # stale, or another writer's in this process
+                pass
+            except FileNotFoundError:  # the directory is missing
+                self.directory.mkdir(parents=True, exist_ok=True)
         try:
             with os.fdopen(fd, "w") as f:
-                f.write(json.dumps({"key": payload, "table": table.to_json()}, sort_keys=True))
+                f.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

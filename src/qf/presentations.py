@@ -16,8 +16,8 @@ presents the kernel of a grading onto Z/n over its n grades with no table.
 ``branched_cover_certificate`` uses them to prove pi1 of a cyclic branched
 cover infinite before any enumeration to a cap is tried; it enumerates
 nothing itself, since the one coset table it needs between its two passes,
-that of pi1 / pi1', is the action of H1 by translations, read off the same
-character map as the scan below (``abelian_quotient_table``).
+that of pi1 / pi1', is the action of H1 by translations, read off the
+character map of the scan below (``abelian_quotient_table``).
 
 ``shorten`` is the substring move of the same Tietze program: where a relator
 r holds a piece u of a cyclic conjugate c = u v of another relator or of its
@@ -92,7 +92,6 @@ from qf.groups import (
     TableMismatch,
     Word,
     _col,
-    _standardized_table,
     _subgroup_words,
     _word_to_cols,
     cyclic_reduce,
@@ -371,11 +370,10 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
     cosets of the rewritten subgroup there (``max_cosets`` bounds that
     enumeration, and Overflow comes from it). Each original generator's
     column is the action of its rewrite word, walked over the enumerator's
-    columns (``todd_coxeter``'s ``lift``); these forward columns are then
-    standardized and checked against ``pres`` once, as ``todd_coxeter`` does.
-    A standardized table is determined by the action on cosets, so the
-    result, representative words included, is the one that enumerating
-    ``pres`` itself gives.
+    columns (``todd_coxeter``'s ``lift``); one constructor call standardizes
+    them, and the table is checked against ``pres``. A standardized table is
+    determined by the action on cosets, so the result, representative words
+    included, is the one that enumerating ``pres`` itself gives.
     """
     subgroup_words = _subgroup_words(pres, subgroup)
     small_pres, rewrite = simplified or simplify(pres, (1,) if pres.ngens else ())
@@ -388,7 +386,9 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
                 col = columns[x]
                 image = [col[d] for d in image]
             forward.append(image)
-        return _standardized_table(pres, subgroup_words, forward)
+        table = CosetTable(pres.ngens, forward, subgroup_words)
+        table.check(pres, subgroup_words)
+        return table
 
     return todd_coxeter(small_pres, [_substitute(w, rewrite) for w in subgroup_words],
                         max_cosets, lift)
@@ -510,16 +510,15 @@ def _letters(pres: GroupPresentation) -> int:
     return sum(map(len, pres.relators))
 
 
-def abelian_quotient_table(pres: GroupPresentation, order: int) -> CosetTable:
+def abelian_quotient_table(pres: GroupPresentation, order: int,
+                           torsion_map: Sequence[tuple[int, dict[int, int]]]) -> CosetTable:
     """The coset table of pi1 / pi1', of the given order, for pres presenting
-    pi1, read off the character map of H1 = pi1^ab
-    (``_abelianization_with_characters``).
-
-    With the torsion map (d_i, u_i), the cosets are the vectors v of the sum
-    of the Z/d_i, numbered in mixed radix (coset 0 the zero vector), and
+    pi1, read off a torsion map (d_i, u_i) of H1 = pi1^ab over its generators
+    (``_abelianization_with_characters``): the cosets are the vectors v of the
+    sum of the Z/d_i, numbered in mixed radix (coset 0 the zero vector), and
     generator j acts as the translation v -> v + u_j, u_j = (u_i[j - 1])_i.
-    These forward columns are standardized (``qf.groups._standardized_table``,
-    which derives their inverses) and checked against pres.
+    Raises TableMismatch unless the table passes the check against pres and
+    has ``order`` cosets.
 
     Lemma. Let ``order`` = |H1| be known independently. A table that passes
     the check and has ``order`` cosets is the regular action of H1, and the
@@ -529,13 +528,7 @@ def abelian_quotient_table(pres: GroupPresentation, order: int) -> CosetTable:
     table is. A transitive action of a group of order N on N points is
     regular, so the stabilizer of coset 0 in pi1 is the kernel of
     pi1 -> H1, which is pi1'.
-
-    Raises TableMismatch unless H1 is finite of order ``order`` and the
-    table has ``order`` cosets, or where the check fails.
     """
-    h1, torsion_map = _abelianization_with_characters(pres)
-    if h1.free_rank or h1.order() != order:
-        raise TableMismatch(f"H1 is {h1}, not of order {order}")
     forward = []
     for j in range(pres.ngens):
         col = [0]  # the coset of v + u_j for each coset v, factor by factor
@@ -543,10 +536,19 @@ def abelian_quotient_table(pres: GroupPresentation, order: int) -> CosetTable:
             t = u.get(j, 0)
             col = [c * d + (a + t) % d for c in col for a in range(d)]
         forward.append(col)
-    quotient = _standardized_table(pres, [], forward)
+    quotient = CosetTable(pres.ngens, forward, ())
+    quotient.check(pres, ())
     if quotient.size != order:
         raise TableMismatch(f"the table of pi1 / pi1' has {quotient.size} cosets, not {order}")
     return quotient
+
+
+def _restricted(torsion_map: Sequence[tuple[int, dict[int, int]]], rewrite: Sequence[Word]
+                ) -> tuple[tuple[int, dict[int, int]], ...]:
+    """The torsion map over the generators that ``simplify`` keeps: generator
+    i takes the image of an original one whose word in ``rewrite`` is (i,)."""
+    origin = {word[0] - 1: j for j, word in enumerate(rewrite) if len(word) == 1 and word[0] > 0}
+    return tuple((d, {i: u[j] for i, j in origin.items() if j in u}) for d, u in torsion_map)
 
 
 def _abelianization_with_characters(pres: GroupPresentation
@@ -672,17 +674,17 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
     pi1'^ab is finite (the lemma of the module docstring) and None comes
     back at once. Otherwise pi1 is simplified, and where the work is in
     bounds, shortened (``shorten``) and, where that changed it, simplified
-    again; the table of pi1 / pi1' is read off the character map of H1 and
-    checked (``abelian_quotient_table``: by its lemma, the stabilizer of
-    coset 0 is exactly pi1'), and the derived subgroup pi1', of index
-    |H1(M_n)|, is abelianized along the Reidemeister-Schreier walk
-    (``subgroup_abelianization``). A finite-index subgroup with infinite
-    abelianization makes pi1(M_n) infinite, and so Q_n
+    again; the table of pi1 / pi1' is read off the character map of H1,
+    restricted to the generators kept (``_restricted``), and checked
+    (``abelian_quotient_table``: by its lemma, the stabilizer of coset 0 is
+    exactly pi1'), and pi1', of index |H1(M_n)|, is abelianized along the
+    Reidemeister-Schreier walk (``subgroup_abelianization``). A finite-index
+    subgroup with infinite abelianization makes pi1(M_n) infinite, and so Q_n
     (Hoste & Shanahan, "Links with finite n-quandles", 2017). The scan runs
     where |H1| <= CERTIFICATE_WORK and takes at most CERTIFICATE_WORK // (the
     letters of pi1) orbits; past that the exact pass decides, and gives up
-    (None) where its work would pass CERTIFICATE_WORK, read on pi1
-    simplified and before it is shortened.
+    (None) where its work would pass CERTIFICATE_WORK, read on pi1 simplified
+    and before it is shortened.
     """
     if n < 2 or n * _letters(pres) > CERTIFICATE_WORK:
         return None
@@ -703,7 +705,8 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
             and not any(_rank_deficiencies(pi1, torsion_map, islice(orbits, budget)))
             and next(orbits, None) is None):
         return None
-    pi1, _ = simplify(pi1, ())
+    pi1, rewrite = simplify(pi1, ())
+    torsion_map = _restricted(torsion_map, rewrite)
     # the bound of the exact pass, read on pi1 as simplified, before the move:
     # it was set when the table's check also walked every commutator (4
     # letters each) from every coset; it no longer does, and the bound is kept
@@ -712,6 +715,7 @@ def branched_cover_certificate(pres: GroupPresentation, n: int
         return None
     shorter = shorten(pi1)
     if shorter != pi1:
-        pi1, _ = simplify(shorter, ())
-    derived = subgroup_abelianization(pi1, abelian_quotient_table(pi1, index))
+        pi1, rewrite = simplify(shorter, ())
+        torsion_map = _restricted(torsion_map, rewrite)
+    derived = subgroup_abelianization(pi1, abelian_quotient_table(pi1, index, torsion_map))
     return InfinitenessCertificate(n, index, derived) if derived.free_rank else None

@@ -6,6 +6,7 @@ import pytest
 from qf.diagrams import analyze, connected_sum, parse_pd, wirtinger_with_peripherals
 from qf.intlinalg import AbelianGroup
 from qf.pipeline import CosetCache, Pipeline
+from qf.presentations import enumerate_cosets
 from qf.quandles import quandle_type, is_connected
 from qf.groups import (
     CosetTable,
@@ -14,7 +15,6 @@ from qf.groups import (
     Overflow,
     TableMismatch,
     _Enumerator,
-    _standardized_table,
     abelianization,
     cyclic_reduce,
     free_reduce,
@@ -142,13 +142,20 @@ def test_table_constructor_rejects_each_malformed_part():
             CosetTable(2, columns, [(1,)])
     with pytest.raises(TableMismatch, match="reach every coset"):  # coset 2 fixed by a and b
         CosetTable(2, [[1, 0, 2], [1, 0, 2]], ())
+
+
+def test_a_stored_table_must_be_in_bfs_order():
     # Z/5 with cosets (1,) and (1, 1) swapped: still a tree from coset 0, but
-    # coset 3 is reached before coset 2, so it is not in BFS order
-    (col,) = todd_coxeter(GroupPresentation(1, [(1,) * 5])).to_json()["forward"]
-    assert col == [1, 3, 0, 4, 2]
+    # coset 3 is reached before coset 2, so it is not in BFS order. The
+    # constructor renumbers it; a stored table is never renumbered
+    table = todd_coxeter(GroupPresentation(1, [(1,) * 5]))
+    (col,) = table.to_json()["forward"]
+    assert col == [1, 3, 0, 4, 2] and CosetTable.from_json(table.to_json(), ()) == table
     swap = [0, 3, 2, 1, 4]
+    swapped = [[swap[col[swap[d]]] for d in range(5)]]
+    assert CosetTable(1, swapped, ()) == table
     with pytest.raises(TableMismatch, match="BFS order"):
-        CosetTable(1, [[swap[col[swap[d]]] for d in range(5)]], ())
+        CosetTable.from_json({"generators": 1, "forward": swapped}, ())
 
 
 def test_table_check_rejects_a_foreign_presentation_or_subgroup():
@@ -319,6 +326,26 @@ def test_finished_enumeration_makes_no_second_pass(monkeypatch, spec, n, scans):
     assert counts["scan"] == scans
 
 
+@pytest.mark.parametrize("spec,n,with_subgroup", [("catalog:5_1", 3, False), ("catalog:3_1", 5, True)])
+def test_each_finished_enumeration_builds_one_table(monkeypatch, spec, n, with_subgroup):
+    # the constructor numbers the finished table and proves it in one pass:
+    # the plain enumeration and the one lifted through simplify call it once
+    pres, subgroup = _g_n(spec, n, with_subgroup)
+    tables = [todd_coxeter(pres, subgroup), enumerate_cosets(pres, subgroup)]
+    calls = []
+    init = CosetTable.__init__
+
+    def spy(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CosetTable, "__init__", spy)
+    for enumerate_once, table in zip((todd_coxeter, enumerate_cosets), tables):
+        calls.clear()
+        assert enumerate_once(pres, subgroup) == table and len(calls) == 1
+    assert tables[0] == tables[1]
+
+
 def test_regularity_is_proved_by_left_translations():
     # S3 = <a, b | a^2, b^2, (ab)^3> acts regularly on its six cosets over 1,
     # and not on its three cosets over <a>
@@ -347,7 +374,7 @@ def _renumbering_cases():
 
 
 def test_standardization_undoes_any_relabelling_that_fixes_coset_0():
-    # _standardized_table is the one renumbering of every computed table: given
+    # the constructor is the one renumbering of every computed table: given
     # forward columns in any numbering with coset 0 first, it restores the table
     rng = random.Random(0)
     for g, table in _renumbering_cases():
@@ -358,6 +385,7 @@ def test_standardization_undoes_any_relabelling_that_fixes_coset_0():
             for col, new in zip(forward, relabelled):
                 for c, d in enumerate(col):
                     new[pi[c]] = pi[d]
-            again = _standardized_table(g, list(table.subgroup), relabelled)
-            assert again == table
+            again = CosetTable(g.ngens, relabelled, table.subgroup)
+            again.check(g, table.subgroup)
+            assert again == table and again.renumbered == (pi != sorted(pi))
             assert again.rep_words == table.rep_words and again.tree == table.tree

@@ -20,6 +20,7 @@ from qf.intlinalg import (
 )
 from qf.pipeline import CosetCache, Pipeline
 from qf.presentations import (
+    _abelianization_with_characters,
     _schreier_steps,
     abelian_quotient_table,
     grading_kernel_presentation,
@@ -414,7 +415,7 @@ def derived_5_2():
     pi1 = grading_kernel_presentation(pres, 5)
     index = abelianization(pi1).order()
     pi1, _ = simplify(pi1, ())
-    table = abelian_quotient_table(pi1, index)
+    table = abelian_quotient_table(pi1, index, _abelianization_with_characters(pi1)[1])
     ngens, walks = _schreier_steps(pi1, table.action, table.tree)
     rows = []
     for steps in walks:

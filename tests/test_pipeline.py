@@ -1,6 +1,9 @@
 import gc
+import hashlib
 import json
+import os
 import re
+import shutil
 from functools import partial
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from qf.catalog import resolve_knot_spec
 from qf.cli import main
 from qf.diagrams import ParameterError
 from qf.groups import (
+    STRATEGY_VERSION,
     CosetTable,
     GroupPresentation,
     IncompleteTable,
@@ -124,7 +128,7 @@ def test_pipeline_memoizes_on_the_presentation(monkeypatch):
     assert pipe.branched("rational:3,1", 3) is pipe.branched("catalog:3_1", 3)
     # Q_3 and G_3 once each; the one simplification of G_3 and the one
     # certificate attempt that both misses share, which reads pi1 / pi1'
-    # (H1 is Z/2 x Z/2) off a Hermite normal form
+    # (H1 is Z/2 x Z/2) off the character map of H1
     assert len(enumerations) == 2
     assert len(simplified) == len(certificates) == len(covers) == 1
 
@@ -138,14 +142,57 @@ def test_unknot_results():
 
 
 def test_cache_write_ignores_a_stale_tmp_path(tmp_path):
-    # each writer has its own temporary file, so nothing at <key>.tmp can block a write
+    # each writer opens its own temporary file, named by its pid and a
+    # counter, and passes over a name that is taken: no stale path blocks it
     pres = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
     _lookup(CosetCache(tmp_path / "probe"), pres, ())
     (entry,) = (tmp_path / "probe").glob("*.json")
     cache_dir = tmp_path / "cache"
-    (cache_dir / f"{entry.stem}.tmp").mkdir(parents=True)
+    stale = [cache_dir / f"{entry.stem}.{os.getpid()}.{k}.tmp" for k in (0, 1)]
+    for path in stale:
+        path.mkdir(parents=True)
     assert _lookup(CosetCache(cache_dir), pres, ()).size == 6
     assert (cache_dir / entry.name).read_text() == entry.read_text()
+    assert sorted(cache_dir.iterdir()) == sorted([cache_dir / entry.name, *stale])
+
+
+def test_cache_entry_is_the_sorted_dump_of_its_key_and_table(tmp_path):
+    # the key's text, hashed for the file name, is spliced into the entry,
+    # which stays byte for byte the dump of the whole entry
+    pipe = Pipeline(CosetCache(tmp_path))
+    tables = [pipe.quandle("catalog:3_1", 3)[0], pipe.branched("catalog:3_1", 3).table]
+    pres = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
+    for table in tables:
+        payload = {"ngens": pres.ngens, "relators": [list(w) for w in pres.relators],
+                   "subgroup": [list(w) for w in table.subgroup], "strategy": STRATEGY_VERSION}
+        key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert (tmp_path / f"{key}.json").read_text() == json.dumps(
+            {"key": payload, "table": table.to_json()}, sort_keys=True)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_cache_write_recreates_a_removed_directory(tmp_path, monkeypatch):
+    # the directory is made only when a write finds it missing: by the first
+    # write, and again after it was removed, and not by the writes between
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("parents"):  # not Path.mkdir's own retry after making the parents
+            made.append(self)
+        mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    pres = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    cache = CosetCache(tmp_path / "nested" / "cache")
+    assert not cache.directory.exists()
+    _lookup(cache, pres, ())
+    _lookup(cache, pres, ((2,),))
+    assert made.count(cache.directory) == 1
+    shutil.rmtree(tmp_path / "nested")
+    assert _lookup(cache, pres, ((1,),)).size == 3
+    assert cache.misses == 3 and len(list(cache.directory.glob("*.json"))) == 1
+    assert made.count(cache.directory) == 2
 
 
 def _count_calls(monkeypatch, name, *modules):
@@ -198,7 +245,7 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     assert len(witnesses) == len(extension_checks) == len(witnessed) == len(MODEL_CASES)
     # every enumeration is a cache miss or a trefoil cover presentation: a
     # certificate attempt presents pi1(M_n) once and enumerates nothing, as its
-    # second pass reads pi1 / pi1' off a Hermite normal form and abelianizes
+    # second pass reads pi1 / pi1' off the character map of H1 and abelianizes
     # pi1' along the Reidemeister-Schreier walk
     assert len(enumerations) == cache.misses + len(TREFOIL_COVER_ORDERS)
     assert len(presented) == len(certificates)

@@ -186,6 +186,12 @@ def test_enumerate_cosets_overflows_and_checks_words():
     with pytest.raises(ValueError):
         enumerate_cosets(GroupPresentation(1, [(1, 1)]), [(2,)])
     assert enumerate_cosets(GroupPresentation(0, []), []).size == 1
+    # the lifted table is checked against the presentation itself: a wrong
+    # simplification (D4 for S3) gives a table on which (ab)^3 moves cosets
+    s3 = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
+    d4 = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 4])
+    with pytest.raises(TableMismatch, match=r"relator \(1, 2, 1, 2, 1, 2\) does not act"):
+        enumerate_cosets(s3, [], simplified=(d4, ((1,), (2,))))
 
 
 def test_canonical_runs_only_on_relators_of_shared_length(monkeypatch):
@@ -320,6 +326,14 @@ def _second_pass(per, n):
     return pres, pi1, index
 
 
+
+def _quotient_table(pres, order):
+    """The table of pi1 / pi1' read off the character map of pres's own
+    Smith form, as a recomputation; the certificate passes the map of the
+    unsimplified pi1, restricted to the generators that simplify keeps."""
+    _, torsion_map = qf.presentations._abelianization_with_characters(pres)
+    return abelian_quotient_table(pres, order, torsion_map)
+
 def test_hermite_table_is_the_enumerated_table():
     # read off the character map of pi1, with or without the commutators of
     # its generators among the relators, the table is the one that
@@ -329,7 +343,7 @@ def test_hermite_table_is_the_enumerated_table():
         assert index > 1
         enumerated = todd_coxeter(_with_commutators(pi1), (), 10 ** 6)
         for pres in (pi1, _with_commutators(pi1)):
-            table = abelian_quotient_table(pres, index)
+            table = _quotient_table(pres, index)
             assert table.to_json() == enumerated.to_json() and table.tree == enumerated.tree
             assert table.size == index
 
@@ -337,7 +351,7 @@ def test_hermite_table_is_the_enumerated_table():
 def test_one_pass_abelianization_matches_the_presentation():
     for per, n in SECOND_PASS_POOL:
         _, pi1, index = _second_pass(per, n)
-        table = abelian_quotient_table(pi1, index)
+        table = _quotient_table(pi1, index)
         assert subgroup_abelianization(pi1, table) == abelianization(reidemeister_schreier(pi1, table))
     for subgroup in ([(2,)], [], [(1,), (2,)], [(1,)]):
         table = todd_coxeter(S3, subgroup)
@@ -362,10 +376,8 @@ def _shift_character(monkeypatch, i, j):
 def test_hermite_table_rejects_a_wrong_order_or_a_dropped_row(monkeypatch):
     _, pi1, index = _second_pass(PIPE.peripherals("rational:29,12"), 2)
     assert pi1 == GroupPresentation(1, [(1,) * 29])  # the lens space L(29, 12)
-    with pytest.raises(TableMismatch, match="not of order 30"):
-        abelian_quotient_table(pi1, index + 1)
-    with pytest.raises(TableMismatch, match="not of order"):  # H1 = Z is not finite
-        abelian_quotient_table(GroupPresentation(1, []), 1)
+    with pytest.raises(TableMismatch, match="has 29 cosets, not 30"):
+        _quotient_table(pi1, index + 1)
     # on the granny knot's pi1(M_2) = Z/3 * Z/3 every map to H1 = (Z/3)^2 is a
     # homomorphism; with a coefficient of the character map off by one, the
     # translations reach only 3 of the 9 cosets
@@ -373,30 +385,57 @@ def test_hermite_table_rejects_a_wrong_order_or_a_dropped_row(monkeypatch):
     assert (pi1, index) == (GroupPresentation(2, [(2, 2, 2), (-1, -1, -1)]), 9)
     with monkeypatch.context() as patch:
         _shift_character(patch, 1, 0)
-        with pytest.raises(TableMismatch, match="has 3 cosets, not 9"):
-            abelian_quotient_table(pi1, index)
+        with pytest.raises(TableMismatch, match="reach every coset"):
+            _quotient_table(pi1, index)
     # pi1(M_2) of 3_1 # 4_1 is Z/3 * Z/5, and H1 = Z/15; it drops rank at a
     # character of H1, so its certificate reaches the table, and with a
     # coefficient off by one a^3 no longer acts trivially
     pres, pi1, index = _second_pass(SECOND_PASS_POOL[2][0], 2)
     assert (pi1.relators[0], index) == ((-1, -1, -1), 15)
     _shift_character(monkeypatch, 0, 0)
-    for attempt in (lambda: abelian_quotient_table(pi1, index),
+    for attempt in (lambda: _quotient_table(pi1, index),
                     lambda: branched_cover_certificate(pres, 2)):
         with pytest.raises(TableMismatch, match=r"relator \(-1, -1, -1\) does not act trivially"):
             attempt()
 
 
+
+def test_certificate_reads_the_quotient_table_off_its_own_character_map(monkeypatch):
+    # the certificate restricts the character map of pi1 as
+    # Reidemeister-Schreier gives it to the generators that each simplify
+    # keeps, and takes no second Smith form; on every golden certificate row
+    # past H1 and the four tc_overflow sums, the table is the recomputed one
+    built = []
+    quotient_table = qf.presentations.abelian_quotient_table
+
+    def spy(pres, order, torsion_map):
+        built.append((pres, order, quotient_table(pres, order, torsion_map)))
+        return built[-1][2]
+
+    monkeypatch.setattr(qf.presentations, "abelian_quotient_table", spy)
+    rows = [*_golden_certificate_rows(), *SECOND_PASS_POOL[1:len(INFINITE_SUMS)]]
+    for per, n in rows:
+        built.clear()
+        pres = simplify(g_n_presentation(per, n), (1,))[0]
+        assert branched_cover_certificate(pres, n) is not None
+        if n == 6:  # 3_1 at n=6: H1(M_6) is infinite, which is the certificate
+            assert built == []
+            continue
+        ((pi1, index, table),) = built
+        recomputed = _quotient_table(pi1, index)
+        assert table.to_json() == recomputed.to_json() and table.tree == recomputed.tree
+    assert len(rows) == 7 + 4
+
 def test_hermite_table_is_checked_against_every_relator(monkeypatch):
     # H1 = Z/12 with a -> 1 and b -> 2; with b -> 3 the translations still
     # reach all 12 cosets, so only the check of a^2 b^-1 finds the wrong map
     g = GroupPresentation(2, [(1,) * 12, (2,) * 12, (1, 1, -2)])
-    assert abelian_quotient_table(g, 12).to_json() == todd_coxeter(
+    assert _quotient_table(g, 12).to_json() == todd_coxeter(
         _with_commutators(g), (), 100).to_json()
     assert _abelianization_with_characters(g)[1] == ((12, {0: 1, 1: 2}),)
     _shift_character(monkeypatch, 0, 1)
     with pytest.raises(TableMismatch, match=r"relator \(1, 1, -2\) does not act trivially"):
-        abelian_quotient_table(g, 12)
+        _quotient_table(g, 12)
 
 
 @pytest.mark.parametrize("pd", [pd for pd, _, _ in INFINITE_SUMS])
@@ -421,8 +460,8 @@ def test_shorten_never_lengthens_and_keeps_pi1_prime():
         # pi1' abelianized over the shortened pi1, as the certificate does,
         # and over the simplified pi1, as it did before the move
         _, small, index = _second_pass(per, n)
-        assert (subgroup_abelianization(small, abelian_quotient_table(small, index))
-                == subgroup_abelianization(pi1, abelian_quotient_table(pi1, index)))
+        assert (subgroup_abelianization(small, _quotient_table(small, index))
+                == subgroup_abelianization(pi1, _quotient_table(pi1, index)))
 
 
 def test_shorten_by_hand():
@@ -527,7 +566,7 @@ def test_character_scan_matches_the_exact_free_rank():
         if h1.free_rank or h1.order() == 1:
             continue
         _, small, index = _second_pass(per, n)
-        exact = subgroup_abelianization(small, abelian_quotient_table(small, index)).free_rank
+        exact = subgroup_abelianization(small, _quotient_table(small, index)).free_rank
         moduli = [d for d, _ in torsion_map]
         every = [k for k in product(*map(range, moduli)) if any(k)]
         assert sum(_rank_deficiencies(pi1, torsion_map, every)) == exact, (n, h1)
@@ -710,9 +749,9 @@ def test_hermite_table_lemma_on_every_abelian_group_of_order_at_most_40():
             relators = [[(j + 1) * (1 if e > 0 else -1) for j, e in enumerate(row)
                          for _ in range(abs(e))] for row in matrix]
             pres = GroupPresentation(k, relators)
-            table = abelian_quotient_table(pres, order)
+            table = _quotient_table(pres, order)
             assert table.size == order
             enumerated = todd_coxeter(_with_commutators(pres), (), 10 ** 4)
             assert table.to_json() == enumerated.to_json(), (chain, matrix)
             with pytest.raises(TableMismatch):
-                abelian_quotient_table(pres, 2 * order)
+                _quotient_table(pres, 2 * order)

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import qf
+import qf.groups
 from qf.cli import _INPUT_ERRORS, _INTERNAL_ERRORS
 from qf.groups import BranchedCover, CosetTable, Overflow
 
@@ -88,7 +89,8 @@ def test_integer_elimination_lives_in_intlinalg():
 
 def test_one_coset_table_constructor():
     # every CosetTable, computed or loaded, is built from its forward columns
-    # by the one constructor, which proves it standardized; nothing bypasses it
+    # by the one constructor, which standardizes and proves it in one pass;
+    # nothing bypasses it, and no function of its own renumbers a table
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(Path(qf.__file__).parent.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
@@ -96,3 +98,4 @@ def test_one_coset_table_constructor():
              and (node.attr if isinstance(node, ast.Attribute) else node.id) == "__new__"]
     assert found == []
     assert list(inspect.signature(CosetTable).parameters) == ["ngens", "forward", "subgroup"]
+    assert not hasattr(qf.groups, "_standardized_table")
