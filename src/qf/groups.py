@@ -102,24 +102,25 @@ class TableMismatch(Exception):
 def free_reduce(word: Iterable[int]) -> Word:
     out: list[int] = []
     for letter in word:
-        if letter == 0:
-            raise ValueError("0 is not a valid signed generator")
-        if out and out[-1] == -letter:
+        if out and out[-1] == -letter:  # out holds no 0, so a 0 never cancels
             out.pop()
-        else:
+        elif letter:
             out.append(letter)
+        else:
+            raise ValueError("0 is not a valid signed generator")
     return tuple(out)
 
 
 def cyclic_reduce(word: Iterable[int]) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
 
 
 def invert_word(word: Iterable[int]) -> Word:
-    return tuple(-letter for letter in reversed(tuple(word)))
+    return tuple([-letter for letter in word][::-1])
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,9 @@ class GroupPresentation:
         reduced = []
         for rel in relators:
             w = cyclic_reduce(rel)
-            if any(abs(letter) > ngens for letter in w):
-                raise ValueError(f"relator {tuple(rel)} mentions an undeclared generator")
             if w:
+                if max(w) > ngens or -min(w) > ngens:
+                    raise ValueError(f"relator {tuple(rel)} mentions an undeclared generator")
                 reduced.append(w)
         object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "relators", tuple(reduced))

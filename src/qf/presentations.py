@@ -6,7 +6,9 @@ table columns per arc. ``simplify`` eliminates generators by Tietze moves
 1984; Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005),
 which leaves 2-3 generators on the knot groups here. ``enumerate_cosets``
 enumerates over the result and lifts the table back to the original
-generators, so callers see the table that ``todd_coxeter`` would give.
+generators, so callers see the table that ``todd_coxeter`` would give. Each
+move is linear in its words: ``_substitute`` reduces on a stack as it appends,
+and ``_canonical`` finds least rotations by Duval's scan (J. Algorithms 4, 1983).
 
 ``reidemeister_schreier`` presents the subgroup of a coset table, and
 ``subgroup_abelianization`` abelianizes it along the same walk without
@@ -96,7 +98,6 @@ from qf.groups import (
     _word_to_cols,
     cyclic_reduce,
     exponent_sums,
-    free_reduce,
     invert_word,
     todd_coxeter,
 )
@@ -122,12 +123,31 @@ CHARACTER_PRIME_FLOOR = 2 ** 30
 
 
 def _substitute(word: Iterable[int], rewrite: Sequence[Optional[Word]]) -> Word:
-    """Replace each generator k by rewrite[k-1] and freely reduce."""
-    out: list[int] = []
+    """Replace each generator k by rewrite[k-1], freely reducing on a stack
+    as the letters are appended. Each inverse image is built once."""
+    inverses: dict[int, Word] = {}
+    out = [0]  # a sentinel that no letter cancels
     for letter in word:
-        image = rewrite[abs(letter) - 1]
-        out.extend(image if letter > 0 else invert_word(image))
-    return free_reduce(out)
+        if letter > 0:
+            image = rewrite[letter - 1]
+        elif (image := inverses.get(letter)) is None:
+            image = inverses[letter] = invert_word(rewrite[-letter - 1])
+        for x in image:
+            if out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    del out[0]
+    return tuple(out)
+
+
+def _tally(word: Word) -> dict[int, int]:
+    """How often each generator occurs in the word, in order of first occurrence."""
+    tally: dict[int, int] = {}
+    for letter in word:
+        g = abs(letter)
+        tally[g] = tally.get(g, 0) + 1
+    return tally
 
 
 def _solve(relator: Word, x: int) -> Word:
@@ -139,8 +159,25 @@ def _solve(relator: Word, x: int) -> Word:
 
 def _canonical(relator: Word) -> Word:
     """The least rotation of the relator or of its inverse: equal exactly for
-    relators that are cyclic permutations of each other or of the inverse."""
-    return min(w[i:] + w[:i] for w in (relator, invert_word(relator)) for i in range(len(w)))
+    relators that are cyclic permutations of each other or of the inverse;
+    linear in the length, by Duval's scan (``_least_rotation``)."""
+    return min(_least_rotation(relator), _least_rotation(invert_word(relator)))
+
+
+def _least_rotation(w: Word) -> Word:
+    """The least rotation of w: it starts at the last power of a Lyndon factor
+    of w w (ww[i:j], of period j - k) that starts in w, by Duval (J. Algorithms
+    4, 1983). A pass compares at most twice the letters by which i advances."""
+    n, ww = len(w), w + w
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and ww[k] <= ww[j]:
+            k = i if ww[k] < ww[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return ww[start:start + n]
 
 
 def _propagate(pres: GroupPresentation, protected: frozenset[int]
@@ -155,16 +192,16 @@ def _propagate(pres: GroupPresentation, protected: frozenset[int]
     kept = set(protected)
     expr: list[Optional[Word]] = [(g,) if g in known else None for g in range(1, pres.ngens + 1)]
     relators = pres.relators
-    letters = [[abs(letter) for letter in w] for w in relators]
+    # tallies[i]: each generator of relator i, with its occurrences there;
     # occurs[g]: (relator, occurrences of g in it); free[i]: how many letters
-    # of relator i are not yet expressed; ready: the relators with exactly
-    # one, a heap with lazy deletion (a count only falls, and a used
-    # relator's falls to 0)
+    # of relator i are not yet expressed; ready: the relators with exactly one,
+    # a heap with lazy deletion (a count only falls, a used relator's to 0)
+    tallies = [_tally(w) for w in relators]
     occurs: list[list[tuple[int, int]]] = [[] for _ in range(pres.ngens + 1)]
-    for i, ls in enumerate(letters):
-        for g, k in Counter(ls).items():
+    for i, tally in enumerate(tallies):
+        for g, k in tally.items():
             occurs[g].append((i, k))
-    free = [sum(g not in known for g in ls) for ls in letters]
+    free = [sum(k for g, k in tally.items() if g not in known) for tally in tallies]
     ready = [i for i, f in enumerate(free) if f == 1]
     used = [False] * len(relators)
 
@@ -175,9 +212,8 @@ def _propagate(pres: GroupPresentation, protected: frozenset[int]
         while stack:
             for i, k in occurs[stack.pop()]:
                 count[i] -= k
-                if count[i] == 1:
-                    y = next((h for h in letters[i] if h not in reached), None)
-                    if y is not None:  # else it is reached and not yet read
+                if count[i] == 1:  # none where it is reached and not yet read
+                    for y in tallies[i].keys() - reached:
                         reached.add(y)
                         stack.append(y)
         return len(reached) == pres.ngens
@@ -187,13 +223,13 @@ def _propagate(pres: GroupPresentation, protected: frozenset[int]
             heappop(ready)
         if ready:
             i = heappop(ready)
-            x = next(g for g in letters[i] if g not in known)
+            x = next(g for g in tallies[i] if g not in known)
             expr[x - 1] = _substitute(_solve(relators[i], x), expr)
             used[i] = True
         else:
             weight = Counter()
-            for i, ls in enumerate(letters):
-                if free[i] >= 2 and len(two := {g for g in ls if g not in known}) == 2:
+            for i, tally in enumerate(tallies):
+                if free[i] >= 2 and len(two := {g for g in tally if g not in known}) == 2:
                     weight.update(two)
             order = sorted((g for g in range(1, pres.ngens + 1) if g not in known),
                            key=lambda g: (-weight[g], g))
@@ -230,16 +266,18 @@ def simplify(pres: GroupPresentation, keep: Iterable[int]
          relator length (ties by generator, then relator index);
       3. of relators that are cyclic permutations of each other or of their
          inverses the first is kept; the rest are stably sorted by length.
+    Each step is linear in the words it reads and writes; step 3 finds least
+    rotations by Duval's scan (``_canonical``).
     """
     protected = frozenset(keep)
     kept, expr, rels = _propagate(pres, protected)
     while True:
         best = None
+        tallies = [_tally(w) for w in rels]
         for x in sorted(kept - protected):
-            counts = [sum(abs(letter) == x for letter in w) for w in rels]
-            total = sum(counts)
-            for j, w in enumerate(rels):
-                if counts[j] == 1:
+            total = sum(tally.get(x, 0) for tally in tallies)
+            for j, (w, tally) in enumerate(zip(rels, tallies)):
+                if tally.get(x) == 1:
                     added = (total - 1) * (len(w) - 2) - len(w)
                     if best is None or added < best[0]:
                         best = (added, x, j)
@@ -255,17 +293,16 @@ def simplify(pres: GroupPresentation, keep: Iterable[int]
 
     number = {g: i + 1 for i, g in enumerate(sorted(kept))}
     renumber = [(number[g],) if g in number else None for g in range(1, pres.ngens + 1)]
-    rels = sorted(_distinct(_substitute(w, renumber) for w in rels), key=len)
+    rels = sorted(_distinct((_substitute(w, renumber) for w in rels), _canonical), key=len)
     return (GroupPresentation(len(kept), rels),
             tuple(_substitute(e, renumber) for e in expr))
 
 
-def _distinct(relators: Iterable[Word], canonical: Callable[[Word], Word] = _canonical
-               ) -> list[Word]:
+def _distinct(relators: Iterable[Word], canonical: Callable[[Word], Word]) -> list[Word]:
     """The nonempty relators, each but the first of those that are cyclic
     permutations of each other or of their inverses dropped (step 3 of
-    ``simplify``), in their order; ``canonical`` may be a memo of
-    ``_canonical``."""
+    ``simplify``), in their order; ``canonical`` is ``_canonical`` or a memo
+    of it."""
     rels = [w for w in relators if w]
     lengths = Counter(map(len, rels))
     distinct: dict[Word, Word] = {}

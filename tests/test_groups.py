@@ -33,15 +33,30 @@ def test_word_reduction():
     assert free_reduce((1, 2, -2, -1)) == ()
     assert cyclic_reduce((1, 2, -1)) == (2,)
     assert invert_word((1, -2, 3)) == (-3, 2, -1)
-    with pytest.raises(ValueError):
-        free_reduce((0,))
+    for word in ((0,), (1, 0), (1, -1, 0), (2, 0, -2)):
+        with pytest.raises(ValueError, match="0 is not a valid signed generator"):
+            free_reduce(word)
+
+
+@pytest.mark.parametrize("make", [tuple, list, iter], ids=["tuple", "list", "generator"])
+def test_word_helpers_take_any_iterable(make):
+    cases = [((), ()), ((1,), (1,)), ((1, -1), ()), ((1, 2, -1), (2,)), ((-1, 1, 2), (2,)),
+             ((2, 1, 3, -1, -2), (3,)), ((3, -2, 1, 2, -3), (1,)), ((1, 2, 3, -1), (2, 3)),
+             ((1, 2, -2, -1), ()), ((1, 2, 1, -1, -2, -1), ()), ((1, 1, -1), (1,))]
+    for word, reduced in cases:
+        assert cyclic_reduce(make(word)) == reduced
+        assert invert_word(make(word)) == tuple(-letter for letter in reversed(word))
+        assert type(cyclic_reduce(make(word))) is tuple is type(invert_word(make(word)))
 
 
 def test_presentation_drops_empty_relators():
     g = GroupPresentation(2, [(1, -1), (1, 2, -1)])
     assert g.relators == ((2,),)
-    with pytest.raises(ValueError):
-        GroupPresentation(1, [(2,)])
+    for relator in ((3,), (-3,), (1, 3), (-3, 2), (1, -2, -3, 2)):
+        with pytest.raises(ValueError, match="undeclared generator"):
+            GroupPresentation(2, [relator])
+    assert GroupPresentation(2, [(3, -3)]).relators == ()  # reduces to nothing
+    assert GroupPresentation(0, [()]).relators == ()
 
 
 def test_trivial_enumeration():

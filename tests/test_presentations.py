@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import product
@@ -17,7 +18,9 @@ from qf.groups import (
     TableMismatch,
     abelianization,
     cyclic_reduce,
+    free_reduce,
     g_n_presentation,
+    invert_word,
     todd_coxeter,
     trefoil_branched_presentation,
 )
@@ -40,6 +43,7 @@ from qf.presentations import (
 from qf.verify import CARDINALITY_CASES, H2_CASES, LONGITUDE_CASES, MONTESINOS_CANDIDATES
 
 PIPE = Pipeline(CosetCache(None))
+GOLDEN = Path(__file__).parent / "golden"
 VERIFY_ROWS = sorted({(spec, n) for spec, n, _ in CARDINALITY_CASES + LONGITUDE_CASES + H2_CASES}
                      | {(MONTESINOS_CANDIDATES[0], 2)})
 TWO_BRIDGE = [f"rational:{a},{b}" for a in range(3, 22, 2) for b in range(1, a) if gcd(a, b) == 1]
@@ -117,6 +121,57 @@ def test_simplify_never_eliminates_a_kept_generator():
     assert small.ngens == 3 and rewrite == ((1,), (2,), (3,))
 
 
+def _substitute(word, rewrite):
+    """``qf.presentations._substitute`` as first written: the images, each
+    generator's or the inverse of it, concatenated, then freely reduced."""
+    images = (rewrite[abs(letter) - 1] if letter > 0 else invert_word(rewrite[abs(letter) - 1])
+              for letter in word)
+    return free_reduce([x for image in images for x in image])
+
+
+def _canonical(relator):
+    """``qf.presentations._canonical`` as first written: the least of all
+    rotations of the relator and of its inverse."""
+    return min(w[i:] + w[:i] for w in (relator, invert_word(relator)) for i in range(len(w)))
+
+
+@st.composite
+def _signed_words(draw):
+    """Signed words of up to 60 letters over 3 generators, not reduced: a
+    word, a power u^k (rotations that tie), or a rotation of the inverse of
+    one."""
+    letters = st.sampled_from([1, -1, 2, -2, 3, -3])
+    shape = draw(st.sampled_from(["word", "power", "inverse"]))
+    if shape == "power":
+        u = draw(st.lists(letters, min_size=1, max_size=6))
+        return tuple(u * draw(st.integers(1, 60 // len(u))))
+    w = tuple(draw(st.lists(letters, min_size=1, max_size=60)))
+    if shape == "inverse":
+        i = draw(st.integers(0, len(w) - 1))
+        w = invert_word(w[i:] + w[:i])
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_words(), st.integers(0, 59))
+def test_canonical_is_the_least_rotation_of_the_word_or_its_inverse(w, i):
+    assert qf.presentations._canonical(w) == _canonical(w)
+    i %= len(w)
+    for other in (w[i:] + w[:i], invert_word(w[i:] + w[:i])):
+        assert qf.presentations._canonical(other) == qf.presentations._canonical(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=40),
+       st.lists(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=8), min_size=4, max_size=4))
+def test_substitute_is_the_reduced_concatenation_of_the_images(word, images):
+    # images need not be reduced, and may be empty
+    rewrite = [tuple(image) for image in images]
+    got = qf.presentations._substitute(word, rewrite)
+    assert got == _substitute(word, rewrite) == free_reduce(got)
+    assert qf.presentations._substitute(iter(word), rewrite) == got
+
+
 def _propagate_by_closure(pres, protected):
     """Step 1 of ``simplify`` as first written: every relator re-solved from
     scratch for each step and, when none fires, for each candidate to keep."""
@@ -138,7 +193,7 @@ def _propagate_by_closure(pres, protected):
         i = next((i for i in unused if solvable(relators[i], known) is not None), None)
         if i is not None:
             x = solvable(relators[i], known)
-            expr[x - 1] = qf.presentations._substitute(qf.presentations._solve(relators[i], x), expr)
+            expr[x - 1] = _substitute(qf.presentations._solve(relators[i], x), expr)
             unused.remove(i)
         else:
             weight = Counter()
@@ -151,7 +206,7 @@ def _propagate_by_closure(pres, protected):
             expr[x - 1] = (x,)
             kept.add(x)
         known.add(x)
-    rels = [cyclic_reduce(qf.presentations._substitute(relators[i], expr)) for i in unused]
+    rels = [cyclic_reduce(_substitute(relators[i], expr)) for i in unused]
     return kept, expr, [w for w in rels if w]
 
 
@@ -196,7 +251,7 @@ def test_enumerate_cosets_overflows_and_checks_words():
 
 def test_canonical_runs_only_on_relators_of_shared_length(monkeypatch):
     # G_50 of the trefoil keeps the meridian's 50th power, the one relator of
-    # its length: comparing its 100 rotations would cost O(50^2)
+    # its length, so it is its own key and needs no least rotation
     lengths = []
     canonical = qf.presentations._canonical
     monkeypatch.setattr(qf.presentations, "_canonical",
@@ -205,7 +260,44 @@ def test_canonical_runs_only_on_relators_of_shared_length(monkeypatch):
     small, _ = simplify(pres, (1,))
     assert (1,) * 50 in small.relators
     assert 50 not in lengths
-    assert all(count > 1 for count in Counter(lengths).values())
+    # the two relators of length 6 are compared (simplify looks _canonical up
+    # when it runs, so the patch is seen)
+    assert Counter(lengths) == {6: 2}
+
+
+# The knots of the verdict sweep in ROADMAP.md's Baselines, a Montesinos knot,
+# a 2-bridge knot whose G_n relators run to hundreds of letters, and the PD
+# files beside the golden certificates
+TIETZE_POOL = [*(f"catalog:{k}" for k in ("3_1", "4_1", "5_1", "5_2")),
+               *(f"rational:{ab}" for ab in ("7,3", "7,2", "9,2", "9,4", "11,3")), "torus:2,7",
+               *(f"rational:{ab}" for ab in ("11,2", "11,4", "11,5", "13,2", "13,3", "13,4",
+                                             "13,5", "13,6", "15,2", "15,4", "15,7")),
+               "montesinos:1,1/2,1/3,1/3", "rational:987,610",
+               *(f"tests/golden/{pd.name}" for pd in sorted(GOLDEN.glob("*.pd")))]
+
+
+def _tietze_lines():
+    """One line per knot of TIETZE_POOL and n = 2..6: the sha256 of the repr
+    of simplify(G_n, (1,)) with its rewrite words, simplify(pi1, ()), shorten
+    of that, and simplify of the shortened presentation. tests/golden/tietze.txt
+    holds them as the quadratic word layer gave them:
+      PYTHONPATH=src:tests python -c "from test_presentations import _tietze_lines; print(*_tietze_lines(), sep='\\n')"
+    """
+    for spec in TIETZE_POOL:
+        path = GOLDEN.parents[1] / spec
+        per = PIPE.peripherals(str(path) if path.is_file() else spec)
+        for n in range(2, 7):
+            small, rewrite = simplify(g_n_presentation(per, n), (1,))
+            pi1 = simplify(grading_kernel_presentation(small, n), ())
+            shorter = shorten(pi1[0])
+            outputs = (small, rewrite, pi1, shorter, simplify(shorter, ()))
+            yield f"{spec} {n} {hashlib.sha256(repr(outputs).encode()).hexdigest()}"
+
+
+def test_tietze_outputs_are_pinned():
+    # simplify's output feeds the pinned capped enumerations, and the
+    # certificate's passes read pi1 simplified and shortened
+    assert list(_tietze_lines()) == (GOLDEN / "tietze.txt").read_text().splitlines()
 
 
 # --- Reidemeister-Schreier and certificates of infiniteness -----------------
@@ -531,8 +623,6 @@ def test_no_certificate_past_the_work_bound_before_the_move(monkeypatch):
 
 
 # --- the character scan ------------------------------------------------------
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def _golden_certificate_rows():
