@@ -42,10 +42,12 @@ finite and transitive, O is every coset and by (a) the action is regular.
 (c) In a regular action a word w that fixes a coset d fixes every coset c,
 as c = L(d) for a translation L by (a) and c w = L(d w) = L(d) = c; so a
 cached table proved regular needs each relator walked from coset 0 alone.
-A table that ``todd_coxeter`` enumerates over the trivial subgroup is the
-regular action of the group itself, so only cached tables need the proof.
-``branched_cover`` reads pi1(M_n), the kernel of G_n -> Z/n, off the regular
-table of G_n as one ``BranchedCover``.
+A computed table of G_n over the trivial subgroup is regular by the lemma of
+``qf.presentations.enumerate_regular``, which enumerates G_n over <m> and
+induces the table from the grading: it has n [G_n : <m>] = |G_n| points, and
+a transitive action of G_n on |G_n| points is regular. So only cached tables
+need the proof. ``branched_cover`` reads pi1(M_n), the kernel of G_n -> Z/n,
+off the regular table of G_n as one ``BranchedCover``.
 """
 
 from __future__ import annotations
@@ -112,7 +114,12 @@ def free_reduce(word: Iterable[int]) -> Word:
 
 
 def cyclic_reduce(word: Iterable[int]) -> Word:
-    w = free_reduce(word)
+    return _strip_cyclic_ends(free_reduce(word))
+
+
+def _strip_cyclic_ends(w: Word) -> Word:
+    """A freely reduced word cyclically reduced: the letters at its two ends
+    that cancel each other stripped."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i, j = i + 1, j - 1

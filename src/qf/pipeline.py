@@ -4,9 +4,12 @@ Coset tables are cached as JSON, by their forward columns, keyed by a content
 hash of the presentation, the subgroup and the enumeration strategy version;
 a cache hit is the table that uncapped recomputation gives. ``max_cosets``
 bounds only the enumeration on a miss, so a row that overflows a low cap
-uncached is read in full from a cache that a higher cap filled. Serialized
-results never include timings or cache counters, so stdout output is
-byte-identical across runs.
+uncached is read in full from a cache that a higher cap filled. On Q_n it
+bounds the cosets of <m, l>; on G_n, n times the cosets of <m>: G_n is
+enumerated over <m> with cap max_cosets // n and its regular table induced
+from the grading (``enumerate_regular``). Either Overflow names max_cosets.
+Serialized results never include timings or cache counters, so stdout output
+is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from qf.presentations import (
     InfinitenessCertificate,
     branched_cover_certificate,
     enumerate_cosets,
+    enumerate_regular,
     simplify,
 )
 from qf.quandles import FiniteQuandle, is_connected, quandle_type, trivial_quandle
@@ -220,13 +224,18 @@ class _Row:
 
     def _enumerate(self, subgroup: tuple[Word, ...], name: str) -> CosetTable:
         """The table of G_n over the subgroup; Overflow names the quotient it
-        counts (``name``) where a miss finds pi1(M_n) infinite."""
+        counts (``name``) where a miss finds pi1(M_n) infinite. Over the
+        trivial subgroup it is enumerated over <m> and induced
+        (``enumerate_regular``)."""
 
         def compute() -> CosetTable:
             simplified, certificate = self.simplified
             if certificate is not None:
                 raise Overflow(self.max_cosets, certificate, name)
-            return enumerate_cosets(self.pres, subgroup, self.max_cosets, simplified)
+            if subgroup:
+                return enumerate_cosets(self.pres, subgroup, self.max_cosets, simplified)
+            return enumerate_regular(self.pres, self.n, self.per.meridian + 1, self.max_cosets,
+                                     simplified)
 
         if subgroup in self.overflowed:
             raise Overflow(self.max_cosets)

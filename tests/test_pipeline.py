@@ -482,12 +482,25 @@ def test_a_cache_hit_ignores_the_cap(tmp_path, capsys):
 
 def test_a_capped_overflow_is_enumerated_once(monkeypatch, capsys):
     # an enumeration that fills the cap is recorded on its row, so the verify
-    # rows that read it again raise Overflow without enumerating
-    enumerations = _count_calls(monkeypatch, "enumerate_cosets", qf.pipeline)
+    # rows that read it again raise Overflow without enumerating: Q_n through
+    # enumerate_cosets, G_n (over 1) through enumerate_regular
+    quandles = _count_calls(monkeypatch, "enumerate_cosets", qf.pipeline)
+    covers = _count_calls(monkeypatch, "enumerate_regular", qf.pipeline)
     assert main(["verify-tables", "--no-cache", "--max-cosets", "10"]) == 3
     capsys.readouterr()
-    assert len({(pres, tuple(subgroup)) for pres, subgroup, *_ in enumerations}) == 18
-    assert len(enumerations) == 18
+    enumerations = ([(pres, tuple(subgroup)) for pres, subgroup, *_ in quandles]
+                    + [(pres, ()) for pres, *_ in covers])
+    assert len(set(enumerations)) == len(enumerations) == 18
+    assert len(quandles) == 10
+
+
+def test_g_n_is_enumerated_over_the_meridian(monkeypatch):
+    # the cover reads G_n's regular table, enumerated over <m> with the cap
+    # divided by n, and induced from the grading
+    enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.presentations)
+    pipe = Pipeline(max_cosets=1000)
+    assert pipe.branched("catalog:3_1", 4).gn_order == 96
+    assert [args[1:3] for args in enumerations] == [([(1,)], 250)]
 
 
 def test_verification_leaves_no_reference_cycles():

@@ -34,6 +34,7 @@ from qf.presentations import (
     abelian_quotient_table,
     branched_cover_certificate,
     enumerate_cosets,
+    enumerate_regular,
     grading_kernel_presentation,
     reidemeister_schreier,
     shorten,
@@ -247,6 +248,75 @@ def test_enumerate_cosets_overflows_and_checks_words():
     d4 = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 4])
     with pytest.raises(TableMismatch, match=r"relator \(1, 2, 1, 2, 1, 2\) does not act"):
         enumerate_cosets(s3, [], simplified=(d4, ((1,), (2,))))
+
+
+def _matches_raw_table(pres, n, max_cosets=10 ** 6):
+    """G_n enumerated over <m> and induced from the grading is regular and is
+    the table that raw HLT gives over 1; False where raw HLT overflows the cap."""
+    induced = enumerate_regular(pres, n)
+    induced.check_regular()
+    try:
+        raw = todd_coxeter(pres, [], max_cosets)
+    except Overflow:
+        return False
+    assert induced == raw and induced.to_json() == raw.to_json()
+    return True
+
+
+@pytest.mark.parametrize("spec,n", sorted(set(VERIFY_ROWS) | {("catalog:3_1", n) for n in range(2, 6)}
+                                          | {("catalog:5_1", 3)}))
+def test_regular_table_is_the_table_over_the_trivial_subgroup(spec, n):
+    assert _matches_raw_table(g_n_presentation(PIPE.peripherals(spec), n), n)
+
+
+def test_regular_table_of_two_bridge_double_covers():
+    # raw HLT blows up on G_2 of the torus diagrams, so it gets a small cap
+    compared = 0
+    for spec in TWO_BRIDGE[::4]:
+        pres = g_n_presentation(PIPE.peripherals(spec), 2)
+        compared += _matches_raw_table(pres, 2, max_cosets=2000)
+    assert compared >= 15
+
+
+@pytest.mark.parametrize("spec,n", [("catalog:3_1", 2), ("catalog:3_1", 3), ("catalog:5_1", 3),
+                                    ("montesinos:1,1/2,1/3,1/3", 2)])
+def test_one_grade_off_by_one_is_a_table_mismatch(monkeypatch, spec, n):
+    # the last generator's column at the last coset c of <m> raises the grade
+    # by 2, not 1: (a, c) -> (a + 2, c x), still a permutation, is no action
+    checked = qf.presentations._checked
+
+    def off_by_one(pres, forward, subgroup_words):
+        col = list(forward[-1])
+        size = len(col) // n
+        c = size - 1
+        block = [col[a * size + c] for a in range(n)]
+        for a in range(n):
+            col[a * size + c] = block[(a + 1) % n]
+        return checked(pres, [*forward[:-1], col], subgroup_words)
+
+    monkeypatch.setattr(qf.presentations, "_checked", off_by_one)
+    with pytest.raises(TableMismatch, match="does not act trivially"):
+        enumerate_regular(g_n_presentation(PIPE.peripherals(spec), n), n)
+
+
+def test_regular_enumeration_caps_and_overflows(monkeypatch):
+    pres = g_n_presentation(PIPE.peripherals("catalog:3_1"), 5)  # |G_5| = 600, [G_5 : <m>] = 120
+    calls = []
+    enumerate_once = qf.presentations.todd_coxeter
+    monkeypatch.setattr(qf.presentations, "todd_coxeter",
+                        lambda *args: calls.append(args[1:3]) or enumerate_once(*args))
+    # a cap below n overflows before any enumeration, and names the cap given
+    with pytest.raises(Overflow, match="exceeded 4 cosets") as exc:
+        enumerate_regular(pres, 5, max_cosets=4)
+    assert exc.value.max_cosets == 4 and calls == []
+    # <m> is enumerated at cap 500 // 5 = 100 < 120; the Overflow names 500
+    with pytest.raises(Overflow, match="exceeded 500 cosets") as exc:
+        enumerate_regular(pres, 5, max_cosets=500)
+    assert exc.value.max_cosets == 500 and calls == [([(1,)], 100)]
+    assert enumerate_regular(pres, 5, max_cosets=1000).size == 600
+    assert calls[-1] == ([(1,)], 200)
+    with pytest.raises(ValueError):  # m^4 is no relator of G_5
+        enumerate_regular(pres, 4)
 
 
 def test_canonical_runs_only_on_relators_of_shared_length(monkeypatch):

@@ -3,7 +3,8 @@
 The references are the benchmark's golden files, which this test only reads,
 and (``tests/golden``) ``verify-tables --max-cosets 10`` as written before
 certificates of infiniteness existed: no row of the table is infinite, so none
-may change. ``tests/golden/certificates.txt`` pins the ``infinite:`` stderr
+may change; ``--max-cosets 50`` and ``500`` as written before G_n was
+enumerated over the meridian's subgroup, which pin which rows overflow there. ``tests/golden/certificates.txt`` pins the ``infinite:`` stderr
 line of seven infinite rows, one certified by H1(M_n) (3_1 at n=6) and six by
 the derived subgroup, among them the granny knot and the other three
 connected sums of the benchmark's tc_overflow workload: one line per row, the
@@ -48,6 +49,15 @@ def test_verify_tables_stdout_cold_then_warm(capsys, tmp_path, argv, golden):
 def test_capped_verify_tables_stdout(capsys, argv, golden):
     assert main(["verify-tables", "--no-cache", "--max-cosets", "10", *argv]) == EXIT_OVERFLOW
     assert capsys.readouterr().out == (CAPPED / golden).read_text()
+
+
+@pytest.mark.parametrize("cap", [50, 500])
+@pytest.mark.parametrize("argv, suffix", [((), "txt"), (("--format", "csv"), "csv")])
+def test_verify_tables_stdout_at_higher_caps(capsys, cap, argv, suffix):
+    # pinned before G_n was enumerated over <m>: at cap 50 Q_n and G_n of the
+    # larger rows overflow, at cap 500 only the rows of 3_1 at n=5 (|G_5| = 600)
+    assert main(["verify-tables", "--no-cache", "--max-cosets", str(cap), *argv]) == EXIT_OVERFLOW
+    assert capsys.readouterr().out == (CAPPED / f"verify_tables_max_cosets_{cap}.{suffix}").read_text()
 
 
 @pytest.mark.parametrize("spec, n, golden", [
