@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 input error (a bad argument, or a knot file or cache
 directory that cannot be read or written), 3 enumeration overflow, 4 verification
-mismatch, 5 internal error (a broken invariant: KernelSizeMismatch,
-TableMismatch, IncompleteTable, AxiomViolation, MalformedWitness, NotAComplex
-or DivisibilityError, reported as one "internal error: ..." line on stderr).
+mismatch, 5 internal error (a broken invariant: TableMismatch,
+IncompleteTable, AxiomViolation, MalformedWitness, NotAComplex or
+DivisibilityError, reported as one "internal error: ..." line on stderr).
 An overflow writes one "overflow: ..." line that names the cap; where pi1 of
 the branched cover is proved infinite before enumerating, that line reads
 "Q_n is infinite, so its index exceeded N cosets" and one "infinite: ..."
@@ -33,7 +33,6 @@ from qf.diagrams import (
 from qf.groups import (
     DEFAULT_MAX_COSETS,
     IncompleteTable,
-    KernelSizeMismatch,
     Overflow,
     TableMismatch,
 )
@@ -53,8 +52,8 @@ EXIT_INTERNAL = 5
 # directory, both named by arguments
 _INPUT_ERRORS = (ParameterError, PDSyntaxError, LabelError, MultiComponent,
                  OrientationInconsistent, ValueError, OSError)
-_INTERNAL_ERRORS = (KernelSizeMismatch, TableMismatch, IncompleteTable, AxiomViolation,
-                    MalformedWitness, NotAComplex, DivisibilityError)
+_INTERNAL_ERRORS = (TableMismatch, IncompleteTable, AxiomViolation, MalformedWitness,
+                    NotAComplex, DivisibilityError)
 
 
 def positive_int(text: str) -> int:

@@ -21,33 +21,31 @@ entry and rejects a table that it renumbered.
 
 ``CosetTable.check(g, subgroup)`` proves a table to be the action of g on the
 cosets of some subgroup H that contains the given words; a table loaded from
-the cache need not be more. Over the trivial subgroup, H may still be any
-subgroup, so ``CosetTable.check_regular`` proves the action regular: H fixes
-every coset, coset c is the element rep_c of G/H, and a word w is trivial in
-G/H iff it fixes coset 0. The order of w is then the length of the orbit of
-coset 0 under w.
+the cache need not be more. G_n's table is stored over <m>, and a loaded one
+is proved further by ``CosetTable.check_regular(n)``: the action that the
+grading induces on Z/n x cosets, (a, c) x = (a + 1, c x) for each generator
+x (every Wirtinger generator is a meridian, of grade 1), is regular. That
+action is G_n's on the cosets of K, the grade-0 elements of H: g sends (0, 0)
+to (grade g, H g). Regular, it makes K normal, so the table is that of <m>
+in G_n / K, G_n's own where K = 1; a proper quotient passes too.
 
-Regularity lemma. A translation is a permutation L of the cosets that commutes
-with every column; it is fixed by L(0), since L(0 w) = L(0) w
-(``CosetTable.left_translation`` builds it). (a) A transitive action is
-regular iff its translations act transitively: if each c is some L(0), an h
-that fixes 0 fixes every c, as c h = L(0 h) = L(0); conversely, in a regular
-action 0 w -> c w is well defined for each c. (b) Let O be the orbit of 0
-under the translations. If 0 x = L(0) for a translation L, O is closed under
-x: for c = L'(0) in O, c x = L'(0 x) = L'(L(0)). ``check_regular`` builds
-L_x with L_x(0) = 0 x for a greedy set of generators x, skipping each x whose
-0 x already lies in the orbit of 0 under the columns chosen so far. By (b) O
-contains that orbit and is closed under every generator, so, the table being
-finite and transitive, O is every coset and by (a) the action is regular.
-(c) In a regular action a word w that fixes a coset d fixes every coset c,
-as c = L(d) for a translation L by (a) and c w = L(d w) = L(d) = c; so a
-cached table proved regular needs each relator walked from coset 0 alone.
-A computed table of G_n over the trivial subgroup is regular by the lemma of
-``qf.presentations.enumerate_regular``, which enumerates G_n over <m> and
-induces the table from the grading: it has n [G_n : <m>] = |G_n| points, and
-a transitive action of G_n on |G_n| points is regular. So only cached tables
-need the proof. ``branched_cover`` reads pi1(M_n), the kernel of G_n -> Z/n,
-off the regular table of G_n as one ``BranchedCover``.
+Regularity lemma. A translation is a permutation L of the points that
+commutes with every column; it is fixed by L(0), since L(0 w) = L(0) w
+(``left_translation`` builds it). (a) A transitive action is regular iff its
+translations act transitively: if each c is some L(0), an h that fixes 0
+fixes every c, as c h = L(0 h) = L(0); conversely, in a regular action
+0 w -> c w is well defined for each c. (b) Let O be the orbit of 0 under the
+translations. If 0 x = L(0) for a translation L, O is closed under x: for
+c = L'(0) in O, c x = L'(0 x) = L'(L(0)). ``check_regular`` builds L_x with
+L_x(0) = 0 x for a greedy set of generators x, skipping each x whose 0 x
+already lies in the orbit of 0 under the columns chosen so far. By (b) O
+contains that orbit and is closed under every generator, so, the action
+being finite and transitive, O is every point and by (a) the action is
+regular. The induced action is transitive where m fixes coset 0, as
+``check`` proves: m^k takes (0, 0) to (k, 0), and rep_c takes (k, 0) to
+(k + |rep_c|, c). A computed table of G_n over <m> is one by theorem, so
+only a loaded one needs the lemma. ``branched_cover`` reads pi1(M_n), the
+kernel of G_n -> Z/n, off that table as one ``BranchedCover``.
 """
 
 from __future__ import annotations
@@ -91,10 +89,6 @@ class Overflow(Exception):
 
 class IncompleteTable(Exception):
     """A coset table with undefined entries cannot be used."""
-
-
-class KernelSizeMismatch(Exception):
-    """|G_n| != n * |kernel|; the grading of the enumerated group is broken."""
 
 
 class TableMismatch(Exception):
@@ -222,12 +216,13 @@ class CosetTable:
     def coset_of_word(self, word: Iterable[int]) -> int:
         return self.walk([0], word)[0]
 
-    def rep_images(self, other: CosetTable) -> list[int]:
-        """``other.coset_of_word(w)`` for the representative word w of every
-        coset, in one pass along the tree, parents first."""
+    def rep_images(self, other: CosetTable, start: int = 0) -> list[int]:
+        """The coset of ``other`` that the representative word w of every
+        coset walks to from coset ``start``, in one pass along the tree,
+        parents first: ``other.coset_of_word(w)`` from start 0."""
         if other.ngens != self.ngens:
             raise ValueError("the tables act by different generators")
-        image = [0] * self.size
+        image = [start] * self.size
         for c, (p, x) in enumerate(self.tree, 1):
             image[c] = other.action[_col(x)][image[p]]
         return image
@@ -245,41 +240,25 @@ class CosetTable:
             if self.walk([0], word) != [0]:
                 raise TableMismatch(f"subgroup word {word} moves coset 0")
 
-    def left_translation(self, d: int) -> list[int]:
-        """The map on cosets that sends 0 to d and commutes with every column.
+    def induced_columns(self, n: int) -> list[list[int]]:
+        """The forward columns of the action that the grading induces on Z/n x
+        cosets (module docstring), the point a N + c being (a, c)."""
+        shifts = [(a + 1) % n * self.size for a in range(n)]
+        return [[s + d for s in shifts for d in col] for col in self.action[::2]]
 
-        It spreads from 0 -> d along the columns in BFS order, to every coset
-        of a transitive table; raises TableMismatch where two columns disagree,
-        that is, where no such map exists. Commuting with a column, it commutes
-        with its inverse too.
-        """
-        left = [-1] * self.size
-        left[0] = d
-        reached = [0]
-        columns = self.action[::2]
-        for c in reached:
-            lc = left[c]
-            for col in columns:
-                e, want = col[c], col[lc]
-                le = left[e]
-                if le < 0:
-                    left[e] = want
-                    reached.append(e)
-                elif le != want:
-                    raise TableMismatch(f"no map sends coset 0 to {d} and commutes with every column")
-        return left
-
-    def check_regular(self) -> None:
-        """Raise TableMismatch unless the columns, transitive as the constructor
-        proves, act regularly (regularity lemma, module docstring)."""
-        in_orbit = [False] * self.size
+    def check_regular(self, n: int) -> None:
+        """Raise TableMismatch unless the induced action on Z/n x cosets is
+        regular (regularity lemma, module docstring); at n = 1 it is the
+        table's own action, which the constructor proves transitive."""
+        columns = self.induced_columns(n)
+        in_orbit = [False] * (n * self.size)
         in_orbit[0] = True
-        orbit = [0]  # of coset 0 under the chosen columns
-        chosen: list[tuple[int, ...]] = []
-        for col in self.action[::2]:
+        orbit = [0]  # of point 0 under the chosen columns
+        chosen: list[list[int]] = []
+        for col in columns:
             if in_orbit[col[0]]:
                 continue
-            self.left_translation(col[0])
+            left_translation(columns, col[0])
             chosen.append(col)
             for c in orbit:  # close the orbit under every chosen column
                 for x in chosen:
@@ -307,6 +286,30 @@ class CosetTable:
 
     def __repr__(self) -> str:
         return f"CosetTable(cosets={self.size}, ngens={self.ngens})"
+
+
+def left_translation(columns: Sequence[Sequence[int]], d: int) -> list[int]:
+    """The map on the points of a transitive action, given by its forward
+    columns, that sends 0 to d and commutes with every column.
+
+    It spreads from 0 -> d along the columns in BFS order, to every point;
+    raises TableMismatch where two columns disagree, that is, where no such
+    map exists. Commuting with a column, it commutes with its inverse too.
+    """
+    left = [-1] * len(columns[0])
+    left[0] = d
+    reached = [0]
+    for c in reached:
+        lc = left[c]
+        for col in columns:
+            e, want = col[c], col[lc]
+            le = left[e]
+            if le < 0:
+                left[e] = want
+                reached.append(e)
+            elif le != want:
+                raise TableMismatch(f"no map sends point 0 to {d} and commutes with every column")
+    return left
 
 
 class _Enumerator:
@@ -572,41 +575,37 @@ def g_n_presentation(p, n: int) -> GroupPresentation:
 @dataclass
 class BranchedCover:
     """pi1(M_n), the kernel of the grading of G_n by meridian exponent sum mod
-    n, read off the regular action of G_n on its coset table (module
-    docstring), with ord(l), the length of the orbit of coset 0 under the
-    longitude word.
+    n, read off G_n's coset table over <m>, and ord(l).
 
-    Element x of pi1(M_n) is the grade-0 coset ``kernel[x]``, so the word
-    ``table.rep_words[kernel[x]]`` spells it. ``galex``, GAlex(pi1, phi) one
-    column at a time with phi(g) = m^-1 g m, and ``longitude_action``,
-    x -> l x, are read off the table when first read; neither builds a table
-    of pi1.
+    Lemma. m has order n in G_n, so x -> <m> x is a bijection from pi1 onto
+    the cosets of <m>. Proof: m has grade 1 and m^n is a relator, so m^k has
+    grade k mod n and is 1 where n | k; so <m> meets pi1 in 1 alone, and the
+    coset <m> g holds the n elements m^k g, one of each grade, one of them
+    in pi1.
+
+    So element x of pi1 is coset x, |pi1| = N, the number of cosets, and
+    |G_n| = n N. Every Wirtinger relator has exponent sum 0, and so has the
+    longitude (``wirtinger_with_peripherals`` corrects it by the writhe):
+    l lies in pi1, so l^k lies in <m> only where l^k = 1, and ord(l) is the
+    length of the orbit of coset 0 under l. l commutes with m, so
+    <m> l g = l <m> g: x -> l x (``longitude_action``) sends coset c to the
+    walk of rep_c from coset 0 l, read along the tree. ``galex``,
+    GAlex(pi1, phi) with phi(g) = m^-1 g m, is read a column at a time;
+    neither it nor ``longitude_action`` builds a table of pi1.
     """
 
     peripherals: PeripheralPresentation
+    n: int
     table: CosetTable
-    kernel: list[int]
     longitude_order: int
 
     @property
     def gn_order(self) -> int:
-        return self.table.size
+        return self.n * self.table.size
 
     @property
     def pi1_order(self) -> int:
-        return len(self.kernel)
-
-    @cached_property
-    def _element(self) -> dict[int, int]:
-        return {c: x for x, c in enumerate(self.kernel)}
-
-    def _left_translation(self, word: Word) -> list[int]:
-        """c -> the coset of w rep_c, w the element that ``word`` spells."""
-        return self.table.left_translation(self.table.coset_of_word(word))
-
-    @cached_property
-    def _to_m_inverse(self) -> list[int]:
-        return self._left_translation((-(self.peripherals.meridian + 1),))
+        return self.table.size
 
     @cached_property
     def galex(self) -> GAlexColumns:
@@ -614,25 +613,24 @@ class BranchedCover:
 
     @cached_property
     def longitude_action(self) -> tuple[int, ...]:
-        """x -> l x on pi1(M_n): the left translation to l."""
-        left = self._left_translation(self.peripherals.longitude)
-        return tuple(self._element[left[c]] for c in self.kernel)
+        """x -> l x on pi1(M_n)."""
+        t = self.table
+        return tuple(t.rep_images(t, t.coset_of_word(self.peripherals.longitude)))
 
 
 class GAlexColumns:
     """GAlex(pi1(M_n), phi), x * y = phi(x y^-1) y with phi(g) = m^-1 g m, on
     the elements of a ``BranchedCover``, one column at a time (the lemma of
-    ``qf.verify`` proves it a quandle). Column y is x -> m^-1 x (y^-1 m y): a
-    walk of the word rep(y)^-1 m rep(y) from every kernel coset, then the left
-    translation to m^-1. ``generators`` is the greedy W of ``qf.quandles``;
-    columns are built when first read and kept.
+    ``qf.verify`` proves it a quandle). Column y is x -> m^-1 x (y^-1 m y),
+    whose coset <m> x (y^-1 m y) is the walk of rep_y^-1 m rep_y from coset
+    x: rep_y is m^k y for some k. ``generators`` is the greedy W of
+    ``qf.quandles``; columns are built when first read and kept.
     """
 
     def __init__(self, cover: BranchedCover):
         # the cover's parts, not the cover, which keeps this view: no cycle
         self.size = cover.pi1_order
-        self._table, self._kernel, self._element = cover.table, cover.kernel, cover._element
-        self._to_m_inverse = cover._to_m_inverse
+        self._table = cover.table
         self._meridian = cover.peripherals.meridian + 1
         self._columns: dict[int, tuple[int, ...]] = {}
 
@@ -644,36 +642,25 @@ class GAlexColumns:
         """The translation by y as a mapping x -> x * y."""
         col = self._columns.get(y)
         if col is None:
-            t, kernel, index, left = self._table, self._kernel, self._element, self._to_m_inverse
-            rep = t.rep_words[kernel[y]]
+            t = self._table
+            rep = t.rep_words[y]
             word = free_reduce(invert_word(rep) + (self._meridian,) + rep)
-            col = self._columns[y] = tuple(index[left[c]] for c in t.walk(kernel, word))
+            col = self._columns[y] = tuple(t.walk(range(t.size), word))
         return col
 
 
 def branched_cover(p: PeripheralPresentation, n: int, t: CosetTable) -> BranchedCover:
-    """pi1(M_n) of the knot p, read off the coset table of G_n over the trivial
-    subgroup, whose action must be regular; raises KernelSizeMismatch unless
-    the kernel of the grading has |G_n| / n cosets and holds the longitude."""
+    """pi1(M_n) of the knot p, read off the coset table of G_n over <m>."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if any(t.subgroup):
-        raise ValueError("need the coset table of G_n over the trivial subgroup")
-    # parents are numbered lower, so one pass in coset order grades every word
-    grades = [0] * t.size
-    for c, (parent, x) in enumerate(t.tree, 1):
-        grades[c] = (grades[parent] + (1 if x > 0 else -1)) % n
-    kernel = [c for c in range(t.size) if grades[c] == 0]
-    if t.size != n * len(kernel):
-        raise KernelSizeMismatch(f"|G_n| = {t.size} but the grading kernel has {len(kernel)} cosets")
+    if t.subgroup != ((p.meridian + 1,),):
+        raise ValueError("need the coset table of G_n over <m>")
     c = t.coset_of_word(p.longitude)
-    if grades[c] != 0:
-        raise KernelSizeMismatch("longitude does not land in the grading kernel")
     order = 1
     while c != 0:
         (c,) = t.walk([c], p.longitude)
         order += 1
-    return BranchedCover(p, t, kernel, order)
+    return BranchedCover(p, n, t, order)
 
 
 def exponent_sums(word: Iterable[int]) -> dict[int, int]:

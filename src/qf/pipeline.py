@@ -5,9 +5,9 @@ hash of the presentation, the subgroup and the enumeration strategy version;
 a cache hit is the table that uncapped recomputation gives. ``max_cosets``
 bounds only the enumeration on a miss, so a row that overflows a low cap
 uncached is read in full from a cache that a higher cap filled. On Q_n it
-bounds the cosets of <m, l>; on G_n, n times the cosets of <m>: G_n is
-enumerated over <m> with cap max_cosets // n and its regular table induced
-from the grading (``enumerate_regular``). Either Overflow names max_cosets.
+bounds the cosets of <m, l>; on G_n, n times the cosets of <m>, its order: G_n
+is enumerated over <m> with cap max_cosets // n, and pi1(M_n) is read off
+that table (``branched_cover``). Either Overflow names max_cosets.
 Serialized results never include timings or cache counters, so stdout output
 is byte-identical across runs.
 """
@@ -50,7 +50,6 @@ from qf.presentations import (
     InfinitenessCertificate,
     branched_cover_certificate,
     enumerate_cosets,
-    enumerate_regular,
     simplify,
 )
 from qf.quandles import FiniteQuandle, is_connected, quandle_type, trivial_quandle
@@ -63,10 +62,10 @@ class CosetCache:
 
     Each entry stores its key payload next to the table's forward columns
     (``CosetTable.to_json``). The load proves them a standardized table
-    (``CosetTable.from_json``) and runs ``CosetTable.check``, or over the
-    trivial subgroup proves the action regular and walks each relator from
-    coset 0 alone (corollary (c) of ``qf.groups``). An entry of another key or
-    layout, or one that fails to parse or load, is recomputed and overwritten.
+    (``CosetTable.from_json``) and runs ``CosetTable.check``; G_n's table over
+    <m> must also induce a regular action (``CosetTable.check_regular(n)``).
+    An entry of another key or layout, or one that fails to parse or load, is
+    recomputed and overwritten.
     """
 
     def __init__(self, directory: Optional[Path]):
@@ -75,18 +74,15 @@ class CosetCache:
         self.misses = 0
 
     def _load(self, path: Path, payload: dict, pres: GroupPresentation,
-              subgroup: tuple[Word, ...]) -> Optional[CosetTable]:
+              subgroup: tuple[Word, ...], cover_n: Optional[int]) -> Optional[CosetTable]:
         try:
             entry = json.loads(path.read_text())
             if entry["key"] != payload:
                 return None
             table = CosetTable.from_json(entry["table"], subgroup)
-            if any(table.subgroup):
-                table.check(pres, subgroup)
-            else:
-                table.check_regular()
-                if table.ngens != pres.ngens or any(map(table.coset_of_word, pres.relators)):
-                    return None
+            table.check(pres, subgroup)
+            if cover_n is not None:
+                table.check_regular(cover_n)
         except (OSError, ValueError, KeyError, TypeError, IncompleteTable, TableMismatch,
                 RecursionError,  # json.loads of an entry nested too deep
                 OverflowError):  # int() of a number json.loads read as infinity
@@ -94,12 +90,14 @@ class CosetCache:
         return table
 
     def todd_coxeter(self, pres: GroupPresentation, subgroup: tuple[Word, ...],
-                     compute: Callable[[], CosetTable]) -> CosetTable:
+                     compute: Callable[[], CosetTable],
+                     cover_n: Optional[int] = None) -> CosetTable:
         """The coset table of the subgroup in pres, from the cache or from
         ``compute()`` on a miss.
 
         ``compute`` must return the table ``todd_coxeter(pres, subgroup)``
         gives: the entry is keyed by pres itself and checked against it on load.
+        ``cover_n`` is n where pres is G_n and the subgroup <m>.
         """
         if self.directory is None:
             return compute()
@@ -107,7 +105,7 @@ class CosetCache:
                    "subgroup": [list(w) for w in subgroup], "strategy": STRATEGY_VERSION}
         key_text = json.dumps(payload, sort_keys=True)
         path = self.directory / f"{hashlib.sha256(key_text.encode()).hexdigest()}.json"
-        table = self._load(path, payload, pres, subgroup)
+        table = self._load(path, payload, pres, subgroup, cover_n)
         if table is not None:
             self.hits += 1
             return table
@@ -156,9 +154,6 @@ class PipelineResult:
 
     def consistency_errors(self) -> list[str]:
         errors = []
-        if self.gn_order is not None and self.pi1_order is not None:
-            if self.gn_order != self.n * self.pi1_order:
-                errors.append(f"|G_n| = {self.gn_order} != n*|pi1| = {self.n * self.pi1_order}")
         if self.pi1_order is not None and self.longitude_order is not None:
             if self.pi1_order != self.qn_size * self.longitude_order:
                 errors.append(f"|pi1| = {self.pi1_order} != |Q_n|*ord(l) = "
@@ -222,25 +217,29 @@ class _Row:
         simplified = simplify(self.pres, (1,))
         return simplified, branched_cover_certificate(simplified[0], self.n)
 
-    def _enumerate(self, subgroup: tuple[Word, ...], name: str) -> CosetTable:
+    def _enumerate(self, subgroup: tuple[Word, ...], name: str,
+                   cover_n: Optional[int] = None) -> CosetTable:
         """The table of G_n over the subgroup; Overflow names the quotient it
-        counts (``name``) where a miss finds pi1(M_n) infinite. Over the
-        trivial subgroup it is enumerated over <m> and induced
-        (``enumerate_regular``)."""
+        counts (``name``) where a miss finds pi1(M_n) infinite. ``cover_n`` is
+        n where the subgroup is <m>: the cap then bounds n times the cosets,
+        and one below n overflows before enumerating."""
 
         def compute() -> CosetTable:
             simplified, certificate = self.simplified
             if certificate is not None:
                 raise Overflow(self.max_cosets, certificate, name)
-            if subgroup:
-                return enumerate_cosets(self.pres, subgroup, self.max_cosets, simplified)
-            return enumerate_regular(self.pres, self.n, self.per.meridian + 1, self.max_cosets,
-                                     simplified)
+            if cover_n and self.max_cosets < cover_n:
+                raise Overflow(self.max_cosets)
+            try:
+                return enumerate_cosets(self.pres, subgroup, self.max_cosets // (cover_n or 1),
+                                        simplified)
+            except Overflow:
+                raise Overflow(self.max_cosets) from None
 
         if subgroup in self.overflowed:
             raise Overflow(self.max_cosets)
         try:
-            return self.cache.todd_coxeter(self.pres, subgroup, compute)
+            return self.cache.todd_coxeter(self.pres, subgroup, compute, cover_n)
         except Overflow as exc:
             if exc.certificate is None:
                 self.overflowed.add(subgroup)
@@ -254,7 +253,8 @@ class _Row:
 
     @cached_property
     def cover(self) -> BranchedCover:
-        return branched_cover(self.per, self.n, self._enumerate((), f"G_{self.n}"))
+        meridian = (self.per.meridian + 1,)
+        return branched_cover(self.per, self.n, self._enumerate((meridian,), f"G_{self.n}", self.n))
 
 
 class Pipeline:

@@ -6,10 +6,8 @@ table columns per arc. ``simplify`` eliminates generators by Tietze moves
 1984; Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005),
 which leaves 2-3 generators on the knot groups here. ``enumerate_cosets``
 enumerates over the result and lifts the table back to the original
-generators, so callers see the table that ``todd_coxeter`` would give.
-``enumerate_regular`` gives the regular table of G_n the same way from the
-cosets of the meridian's subgroup <m>, n times fewer, and the grading. Each
-move is linear in its words: ``_substitute`` reduces on a stack as it appends,
+generators, so callers see the table that ``todd_coxeter`` would give. Each
+Tietze move is linear in its words: ``_substitute`` reduces on a stack as it appends,
 and ``_canonical`` finds least rotations by Duval's scan (J. Algorithms 4, 1983).
 
 ``reidemeister_schreier`` presents the subgroup of a coset table, and
@@ -93,7 +91,6 @@ from qf.groups import (
     DEFAULT_MAX_COSETS,
     CosetTable,
     GroupPresentation,
-    Overflow,
     TableMismatch,
     Word,
     _col,
@@ -420,61 +417,6 @@ def enumerate_cosets(pres: GroupPresentation, subgroup: Sequence[Iterable[int]] 
     small_pres, rewrite = simplified or simplify(pres, (1,) if pres.ngens else ())
     return todd_coxeter(small_pres, [_substitute(w, rewrite) for w in subgroup_words], max_cosets,
                         lambda columns: _checked(pres, _lift(rewrite, columns), subgroup_words))
-
-
-def enumerate_regular(pres: GroupPresentation, n: int, meridian: int = 1,
-                      max_cosets: int = DEFAULT_MAX_COSETS,
-                      simplified: Optional[tuple[GroupPresentation, tuple[Word, ...]]] = None
-                      ) -> CosetTable:
-    """The table ``todd_coxeter(pres, (), max_cosets)`` gives, the regular
-    action of G = pres, from the cosets of <m>, m the generator ``meridian``.
-
-    For G_n of a knot (``g_n_presentation``) every generator is a meridian,
-    of grade 1 under G -> Z/n, and m^n is a relator, so <m> is Z/n and each
-    coset of <m> holds one element of each grade: two of one coset and one
-    grade differ by a power of m of grade 0, which is 1. So g <-> (grade of
-    g, <m> g) is a bijection of G onto the pairs (a, c), and right
-    multiplication by a generator x is (a, c) -> (a + 1, c x). This is Sims'
-    induced action (Computation with Finitely Presented Groups, 1994, ch. 5)
-    with (a, c) the element of coset c of grade a, where m^a rep_c would add
-    the cocycle grade(rep_c) + 1 - grade(rep_(c x)) to a.
-
-    The simplified presentation (``simplified`` as for ``enumerate_cosets``)
-    is enumerated over m's rewrite word with cap max_cosets // n, and each
-    generator of pres gets the column its rewrite word walks over those N
-    columns (``_lift``); on the point a N + c it acts as (a, c) -> (a + 1 mod
-    n, c x). One constructor call standardizes the columns from (0, 0), and
-    the table is checked against pres. Overflow names max_cosets; below n it
-    is raised before any enumeration.
-
-    Lemma. Let m^n be a relator of G and N = [G : <m>]. A transitive action
-    of G on n N points is regular, and is the action of G on itself.
-    Proof. |<m>| <= n, so |G| = |<m>| N <= n N. The stabilizer of a point has
-    index n N, the size of its orbit, so |G| >= n N. So n [G : <m>] = |G|,
-    the stabilizer is trivial, and g -> (point 0) g is a bijection of G onto
-    the points that commutes with right multiplication.
-
-    The simplified presentation is G by Tietze moves, so the enumerator's
-    index is N; the constructor proves the action transitive and ``check``
-    that it is one of G. By the lemma the table is that of G over the trivial
-    subgroup, a standardized table being determined by its action.
-    """
-    if (meridian,) * n not in pres.relators:
-        raise ValueError(f"the {n}-th power of generator {meridian} is not a relator")
-    if max_cosets < n:
-        raise Overflow(max_cosets)
-    small_pres, rewrite = simplified or simplify(pres, (1,))
-
-    def lift(columns: list[Sequence[int]]) -> CosetTable:
-        size = len(columns[0])
-        grade_up = [(a + 1) % n * size for a in range(n)]  # a N -> (a + 1 mod n) N
-        return _checked(pres, [[s + d for s in grade_up for d in col]
-                               for col in _lift(rewrite, columns)], [])
-
-    try:
-        return todd_coxeter(small_pres, [rewrite[meridian - 1]], max_cosets // n, lift)
-    except Overflow:
-        raise Overflow(max_cosets) from None
 
 
 def _lift(rewrite: Sequence[Word], columns: list[Sequence[int]]) -> list[Sequence[int]]:

@@ -11,24 +11,24 @@ of the grading of G_n, onto the cosets of <m, l> that are Q_n. It is a
 homomorphism from GAlex(pi1, phi), x * y = phi(x y^-1) y with
 phi(g) = m^-1 g m, since m lies in <m, l>; the action is x -> l x.
 
-Lemma (the witness is read off the regular table of G_n, and checked by
-theorem). (a) pi1 is a group: by the regularity lemma of ``qf.groups``, coset
-c of the table is the element rep_c of G_n and c w is rep_c w, so the
-grade-0 cosets are the kernel of the grading G_n -> Z/n, a subgroup.
-(b) phi is an automorphism of pi1: a kernel is normal, so conjugation by m
-maps pi1 into itself, and conjugation by m^-1 inverts it. (c) GAlex(G, f)
-is a quandle for every group G and automorphism f (Joyce 1982): x * x =
-f(1) x = x; x -> f(x) f(y)^-1 y is a bijection; and both (x * y) * z and
-(x * z) * (y * z) equal f(f(x y^-1) y z^-1) z. So GAlex(pi1, phi) needs no
-check of its axioms, and Lemma 5 of ``qf.quandles`` applies to it with the
-greedy W, which generates it by construction. (d) The column of y is
-x -> x * y = m^-1 x y^-1 m y = m^-1 . x . (y^-1 m y): the walk of the word
-rep(y)^-1 m rep(y) from the coset of each x, then the left translation of
-the table to m^-1 (``CosetTable.left_translation``), and x -> l x is the left
-translation to l. ``BranchedCover.galex`` builds a column when it is first
-read, by the greedy W or by ``verify_extension`` (the columns of W and
-lam(W)); no table of pi1 or of GAlex(pi1, phi) is built. p(x) is read along
-the tree of representative words (``CosetTable.rep_images``).
+Lemma (the witness is read off G_n's table over <m>, and checked by
+theorem). (a) pi1 is a group, the kernel of the grading G_n -> Z/n, and by
+the lemma of ``qf.groups.BranchedCover`` x -> <m> x is a bijection from pi1
+onto the cosets of <m>: element x is coset x. (b) phi is an automorphism of
+pi1: a kernel is normal, so conjugation by m maps pi1 into itself, and
+conjugation by m^-1 inverts it. (c) GAlex(G, f) is a quandle for every group
+G and automorphism f (Joyce 1982): x * x = f(1) x = x; x -> f(x) f(y)^-1 y
+is a bijection; and both (x * y) * z and (x * z) * (y * z) equal
+f(f(x y^-1) y z^-1) z. So GAlex(pi1, phi) needs no check of its axioms, and
+Lemma 5 of ``qf.quandles`` applies to it with the greedy W, which generates
+it by construction. (d) By (a), x * y = m^-1 x y^-1 m y is the coset
+<m> x (y^-1 m y), the walk of rep_y^-1 m rep_y from coset x, as rep_y is
+m^k y for some k: Joyce's coset quandle of <m> in G_n; and as l commutes
+with m, x -> l x sends coset c to <m> l rep_c, the walk of rep_c from coset
+0 l. ``BranchedCover.galex`` builds a column when it is first read, by the
+greedy W or by ``verify_extension`` (the columns of W and lam(W)); no table
+of pi1 or of GAlex(pi1, phi) is built. p(x) = <m, l> rep_x is read along the
+tree of representative words (``CosetTable.rep_images``).
 
 Lemma (Joyce 1982). The coset quandle Q(pi1, phi, A), A = <l>, is by
 definition the quotient of GAlex(pi1, phi) by x ~ a x, a in A. If p is a
@@ -118,8 +118,7 @@ def _projection_witness(pipe: Pipeline, spec: str, n: int) -> ExtensionWitness:
     """The natural projection of GAlex(pi1, phi) onto Q_n (module docstring)."""
     q_table, q = pipe.quandle(spec, n)  # first: its overflow names the row
     data = pipe.branched(spec, n)
-    image = data.table.rep_images(q_table)
-    projection = tuple(image[c] for c in data.kernel)
+    projection = tuple(data.table.rep_images(q_table))
     return ExtensionWitness(data.galex, q, projection, data.longitude_order, data.longitude_action)
 
 

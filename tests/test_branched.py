@@ -35,8 +35,14 @@ def peripherals(pd):
     return wirtinger_with_peripherals(analyze(pd))
 
 
+def cover(per, n, max_cosets=10 ** 6):
+    """The cover read off G_n's table over <m>, enumerated by raw HLT."""
+    table = todd_coxeter(g_n_presentation(per, n), [(per.meridian + 1,)], max_cosets)
+    return branched_cover(per, n, table)
+
+
 def branched(per, n):
-    return cover_reference(branched_cover(per, n, todd_coxeter(g_n_presentation(per, n), [])))
+    return cover_reference(cover(per, n))
 
 
 def galex(g):
@@ -50,11 +56,9 @@ def enumerated(per, n):
 
 def natural_projection(per, n):
     """pi1(M_n) with phi and l, Q_n, and the projection x -> <m, l> x between them."""
-    cover = branched_cover(per, n, todd_coxeter(g_n_presentation(per, n), []))
+    data = cover(per, n)
     q_table, q_enum = enumerated(per, n)
-    reps = cover.table.rep_words
-    return (cover_reference(cover), q_enum,
-            tuple(q_table.coset_of_word(reps[c]) for c in cover.kernel))
+    return cover_reference(data), q_enum, tuple(map(q_table.coset_of_word, data.table.rep_words))
 
 
 def is_homomorphism(p, total, base):
@@ -157,7 +161,7 @@ def test_finiteness_equivalence_on_composite():
         todd_coxeter(g_n_presentation(per, 2), [(per.meridian + 1,), per.longitude],
                      max_cosets=30000)
     with pytest.raises(Overflow):
-        branched_cover(per, 2, todd_coxeter(g_n_presentation(per, 2), [], max_cosets=30000))
+        cover(per, 2, max_cosets=30000)
 
 
 @pytest.mark.parametrize("spec, n, want", LONGITUDE_CASES)
@@ -208,8 +212,8 @@ def test_extension_checked_on_w_rejects_a_corruption_outside_w():
 
 @pytest.mark.parametrize("spec, n", [*MODEL_CASES, ("montesinos:1,1/2,1/3,1/3", 2)])
 def test_witness_read_off_the_table_matches_galex(spec, n):
-    # the witness reads GAlex(pi1, phi) column by column and x -> l x off the
-    # regular G_n table, and the projection along its tree; the reference is
+    # the witness reads GAlex(pi1, phi) column by column and x -> l x off G_n's
+    # table over <m>, and the projection along its tree; the reference is
     # GAlex on the Cayley table of pi1, its row of l, and one walk per element
     pipe = Pipeline()
     w = _projection_witness(pipe, spec, n)
@@ -219,8 +223,7 @@ def test_witness_read_off_the_table_matches_galex(spec, n):
     view, total = data.galex, galex(g)
     assert w.total is view
     assert (view.size, view.generators) == (total.size, total.generators)
-    reps = data.table.rep_words
-    assert w.projection == tuple(q_table.coset_of_word(reps[c]) for c in data.kernel)
+    assert w.projection == tuple(map(q_table.coset_of_word, data.table.rep_words))
     assert w.action == data.longitude_action == tuple(g.mult[g.longitude])
     read = {*view.generators, *(w.action[y] for y in view.generators)}
     for y in sorted(read):

@@ -10,9 +10,10 @@ import pytest
 
 import qf
 import qf.pipeline
+import qf.presentations
 import qf.verify
 from qf.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_OVERFLOW, main
-from qf.groups import MAX_N, CosetTable, IncompleteTable, KernelSizeMismatch, TableMismatch
+from qf.groups import MAX_N, IncompleteTable, TableMismatch
 from qf.homology import DivisibilityError, h2_order_via_extension
 from qf.intlinalg import NotAComplex
 from qf.pipeline import Pipeline
@@ -140,6 +141,24 @@ def test_certified_overflow_names_the_cap_and_the_certificate(capsys, tmp_path, 
     assert not (tmp_path / "cache").exists()  # infinite verdicts are not cached
 
 
+# qf homology --no-cache exit codes on both sides of each cap at which G_n's
+# enumeration over <m> (at cap // n) starts or stops finishing
+CAPPED_HOMOLOGY_EXITS = [
+    ("rational:9,5", 2, {53: 3, 54: 3, 69: 3, 70: 0}),
+    ("rational:27,17", 2, {359: 3, 360: 3, 510: 0, 520: 3, 880: 3, 890: 0, 1090: 0, 1100: 3}),
+    ("catalog:3_1", 4, {103: 3, 104: 3, 107: 3, 108: 0}),
+    ("catalog:5_1", 3, {389: 3, 390: 3, 391: 3}),
+    ("montesinos:1,1/2,1/3,1/3", 2, {103: 3, 104: 3, 123: 3, 124: 0}),
+]
+
+
+@pytest.mark.parametrize("spec, n, exits", CAPPED_HOMOLOGY_EXITS)
+def test_capped_homology_exit_codes_are_pinned(capsys, spec, n, exits):
+    got = {cap: run(capsys, "homology", "--knot", spec, "--n", str(n), "--no-cache",
+                    "--max-cosets", str(cap))[0] for cap in exits}
+    assert got == exits
+
+
 def test_torus_diagram_g2_finishes_under_a_small_cap(capsys):
     # raw HLT fills 10^5 cosets on G_2 of T(2, 13) (order 26) before collapsing
     code, out, _ = run(capsys, "homology", "--knot", "rational:13,1", "--n", "2",
@@ -258,19 +277,43 @@ TREFOIL_N3_ENUMERATE = """{
 """
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5, cache entries that prove their key: "
-                   "a load proves that the stabilizer of coset 0 contains the named subgroup, "
-                   "not that it is the named subgroup, so a planted quotient is a hit")
+# a load proves that the stabilizer of coset 0 contains the named subgroup,
+# not that it is the named subgroup
+PLANTED_QUOTIENT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 6, cache entries that prove their key: a planted quotient is a hit")
+
+
+def _entries_by_subgroup_size(cache_dir):
+    """The cache entries of one (knot, n): Q_n's has 2 subgroup words, G_n's 1."""
+    return {len(json.loads(p.read_text())["key"]["subgroup"]): p for p in cache_dir.glob("*.json")}
+
+
+@PLANTED_QUOTIENT
 def test_cache_entry_of_a_quotient_of_q_n_is_a_miss(capsys, tmp_path):
     # the one-coset table is a coset action of G_3 in which m and l fix coset 0
     run(capsys, "homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path))
-    (entry,) = [p for p in tmp_path.glob("*.json") if json.loads(p.read_text())["key"]["subgroup"]]
+    entry = _entries_by_subgroup_size(tmp_path)[2]
     planted = json.loads(entry.read_text())
     planted["table"] = {"generators": 3, "forward": [[0], [0], [0]]}
     entry.write_text(json.dumps(planted, sort_keys=True))
     code, out, _ = run(capsys, "enumerate", "--knot", "catalog:3_1", "--n", "3",
                        "--cache-dir", str(tmp_path))
     assert (code, out) == (EXIT_OK, TREFOIL_N3_ENUMERATE)
+
+
+@PLANTED_QUOTIENT
+def test_cache_entry_of_a_quotient_of_g_n_is_a_miss(capsys, tmp_path):
+    # Q_3's table, planted at the key of G_3 over <m>, is the cosets of <m> in
+    # G_3 / <l>; l is central in G_3, so the action it induces on Z/3 x cosets
+    # is regular
+    args = ("homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path))
+    _, want, _ = run(capsys, *args)
+    entries = _entries_by_subgroup_size(tmp_path)
+    planted = json.loads(entries[1].read_text())
+    planted["table"] = json.loads(entries[2].read_text())["table"]
+    entries[1].write_text(json.dumps(planted, sort_keys=True))
+    assert run(capsys, *args)[:2] == (EXIT_OK, want)
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -314,7 +357,7 @@ def test_large_n_below_the_limit_still_enumerates(capsys):
 
 
 @pytest.mark.parametrize("error", [
-    KernelSizeMismatch("grading kernel"),
+    DivisibilityError("4 does not divide 6"),
     TableMismatch("relator"),
     IncompleteTable("undefined entry"),
     AxiomViolation("idempotence", (0,)),
@@ -331,18 +374,17 @@ def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
     assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
-def _cover_table_not_regular(monkeypatch, build=qf.pipeline.branched_cover):
-    # a G_n table that escaped its checks: a transposition of the last two
-    # entries of generator 1's column keeps it standardized, and leaves no
-    # left translation for the witness to read
-    def broken(p, n, t):
-        forward = [list(col) for col in t.action[::2]]
-        col = forward[0]
-        col[-2], col[-1] = col[-1], col[-2]
-        table = CosetTable(t.ngens, forward, t.subgroup)
-        return dataclasses.replace(build(p, n, t), table=table)
+def _cover_table_not_regular(monkeypatch, checked=qf.presentations._checked):
+    # G_n's table over <m> with the last two entries of generator 1's column
+    # transposed: still a permutation, but no action of G_n, so the check
+    # after its enumeration raises
+    def broken(pres, forward, subgroup_words):
+        if len(subgroup_words) == 1:
+            col = forward[0] = list(forward[0])
+            col[-2], col[-1] = col[-1], col[-2]
+        return checked(pres, forward, subgroup_words)
 
-    monkeypatch.setattr(qf.pipeline, "branched_cover", broken)
+    monkeypatch.setattr(qf.presentations, "_checked", broken)
 
 
 def _witness_without_projection(monkeypatch, build=qf.verify._projection_witness):
@@ -361,8 +403,8 @@ def _pi1_order_off_by_one(monkeypatch):
     (DivisibilityError, _pi1_order_off_by_one),
 ])
 def test_verify_tables_reports_witness_errors_as_internal(capsys, monkeypatch, error, force):
-    # the witness's left translations, verify_extension and the model row's
-    # |pi1|/|Q_n| raise these on their real call paths; each ends in one stderr line, not a traceback
+    # G_n's check, verify_extension and the model row's |pi1|/|Q_n| raise
+    # these on their real call paths; each ends in one stderr line, not a traceback
     force(monkeypatch)
     code, out, err = run(capsys, "verify-tables", "--no-cache")
     assert code == EXIT_INTERNAL

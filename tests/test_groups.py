@@ -20,6 +20,7 @@ from qf.groups import (
     free_reduce,
     g_n_presentation,
     invert_word,
+    left_translation,
     quandle_from_cosets,
     todd_coxeter,
     trefoil_branched_presentation,
@@ -366,16 +367,16 @@ def test_regularity_is_proved_by_left_translations():
     # and not on its three cosets over <a>
     s3 = GroupPresentation(2, [(1, 1), (2, 2), (1, 2) * 3])
     regular = todd_coxeter(s3, [])
-    regular.check_regular()
+    regular.check_regular(1)
     for d in range(6):
-        left = regular.left_translation(d)
+        left = left_translation(regular.action[::2], d)
         assert left[0] == d and sorted(left) == list(range(6))
     cosets = todd_coxeter(s3, [(1,)])
     with pytest.raises(TableMismatch):
-        cosets.check_regular()
-    assert cosets.left_translation(0) == [0, 1, 2]
+        cosets.check_regular(1)
+    assert left_translation(cosets.action[::2], 0) == [0, 1, 2]
     with pytest.raises(TableMismatch):
-        cosets.left_translation(1)
+        left_translation(cosets.action[::2], 1)
 
 
 def _renumbering_cases():

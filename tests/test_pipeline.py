@@ -233,9 +233,9 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     torsion_rows = sum(want != AbelianGroup(0) for _, _, want in H2_CASES) + 1
     assert len(batches) == len(homology_rows) + 2
     assert len(images) == torsion_rows
-    # G_n is graded once per (presentation, n), for its orders: ten pairs, as
-    # rational:3,1 and catalog:3_1 share the trefoil's n=2; the cover group
-    # that the extension and model rows read is built on the same kernel.
+    # G_n's cover is read once per (presentation, n), for its orders: ten
+    # pairs, as rational:3,1 and catalog:3_1 share the trefoil's n=2; the
+    # extension and model rows read the same cover.
     # Every pair misses the fresh cache, so G_n is simplified and a
     # certificate looked for once per pair
     assert len(covers) == len({(per, n) for per, n, _ in covers}) == 10
@@ -324,25 +324,28 @@ def test_a_wrong_projection_fails_its_extension_and_model_rows(monkeypatch):
 
 
 def test_cached_table_over_the_trivial_subgroup_must_be_regular(tmp_path, capsys):
-    # Q_3 of 3_1, relabelled as over the trivial subgroup, is an action of G_3
-    # that passes check; it is not regular, so at the G_3 key it is a miss
+    # the table that a G_n entry over <m> induces over the trivial subgroup
+    # must be regular: G_3 of 5_1 on the 5 cosets of <m, x2>, two meridians,
+    # relabelled as over <m>, passes check, but the action it induces on
+    # Z/3 x cosets is not regular, so at the key of G_3 over <m> it is a miss
     pipe = Pipeline()
-    q_table, _ = pipe.quandle("catalog:3_1", 3)
-    bad = CosetTable(q_table.ngens, q_table.action[::2], ())
-    pres = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
-    bad.check(pres, ())
+    per = pipe.peripherals("catalog:5_1")
+    pres, meridian = g_n_presentation(per, 3), (per.meridian + 1,)
+    cosets = todd_coxeter(pres, [meridian, (2,)])
+    bad = CosetTable(pres.ngens, cosets.action[::2], (meridian,))
+    bad.check(pres, (meridian,))
     with pytest.raises(TableMismatch):
-        bad.check_regular()
-    CosetCache(tmp_path).todd_coxeter(pres, (), lambda: bad)
-    args = ["homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path)]
+        bad.check_regular(3)
+    CosetCache(tmp_path).todd_coxeter(pres, (meridian,), lambda: bad)
+    args = ["homology", "--knot", "catalog:5_1", "--n", "3", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
-    assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
+    assert capsys.readouterr().out == (GOLDEN / "catalog_5_1_n3.json").read_text()
 
     def unreachable():
         raise AssertionError("the rewritten entry must be a hit")
 
     cache = CosetCache(tmp_path)
-    assert cache.todd_coxeter(pres, (), unreachable).size == 24
+    assert cache.todd_coxeter(pres, (meridian,), unreachable, 3).size == 120
     assert cache.hits == 1
 
 
@@ -416,19 +419,23 @@ def test_malformed_cache_entries_are_misses(tmp_path, capsys, name, error):
 
 
 def test_a_regular_table_of_another_group_is_a_miss(tmp_path, capsys):
-    # Z/24 acting on itself, each generator by +1, is standardized and regular,
-    # and every Wirtinger relator of 3_1 fixes it; the relator m^3 moves coset
-    # 0, which is all a regular action needs to be checked at
+    # Z/8 acting on itself, each generator by +1, relabelled as over <m>, is
+    # standardized, every Wirtinger relator of 3_1 fixes it, and the action it
+    # induces on Z/3 x Z/8 is regular (Z/24); m^3 moves every coset, so check
+    # rejects it
     pipe = Pipeline()
-    pres = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
-    cyclic = todd_coxeter(GroupPresentation(3, [(1, -2), (2, -3), (1,) * 24]))
-    assert cyclic.size == pipe.branched("catalog:3_1", 3).gn_order == 24
-    cyclic.check_regular()
+    per = pipe.peripherals("catalog:3_1")
+    pres, meridian = g_n_presentation(per, 3), (per.meridian + 1,)
+    cyclic = CosetTable(3, todd_coxeter(GroupPresentation(3, [(1, -2), (2, -3), (1,) * 8])
+                                        ).action[::2], (meridian,))
+    assert cyclic.size == pipe.branched("catalog:3_1", 3).pi1_order == 8
+    cyclic.check_regular(3)
     *wirtinger, power = pres.relators
-    assert power == (pipe.peripherals("catalog:3_1").meridian + 1,) * 3
-    assert all(cyclic.walk(range(24), r) == list(range(24)) for r in wirtinger)
-    assert cyclic.coset_of_word(power) != 0
-    CosetCache(tmp_path).todd_coxeter(pres, (), lambda: cyclic)
+    assert power == meridian * 3
+    assert all(cyclic.walk(range(8), r) == list(range(8)) for r in wirtinger)
+    with pytest.raises(TableMismatch, match=r"relator \(1, 1, 1\) does not act trivially"):
+        cyclic.check(pres, (meridian,))
+    CosetCache(tmp_path).todd_coxeter(pres, (meridian,), lambda: cyclic)
     args = ["homology", "--knot", "catalog:3_1", "--n", "3", "--cache-dir", str(tmp_path)]
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / "catalog_3_1_n3.json").read_text()
@@ -437,7 +444,7 @@ def test_a_regular_table_of_another_group_is_a_miss(tmp_path, capsys):
         raise AssertionError("the rewritten entry must be a hit")
 
     cache = CosetCache(tmp_path)
-    assert cache.todd_coxeter(pres, (), unreachable) == pipe.branched("catalog:3_1", 3).table
+    assert cache.todd_coxeter(pres, (meridian,), unreachable, 3) == pipe.branched("catalog:3_1", 3).table
     assert cache.hits == 1
 
 
@@ -482,21 +489,18 @@ def test_a_cache_hit_ignores_the_cap(tmp_path, capsys):
 
 def test_a_capped_overflow_is_enumerated_once(monkeypatch, capsys):
     # an enumeration that fills the cap is recorded on its row, so the verify
-    # rows that read it again raise Overflow without enumerating: Q_n through
-    # enumerate_cosets, G_n (over 1) through enumerate_regular
-    quandles = _count_calls(monkeypatch, "enumerate_cosets", qf.pipeline)
-    covers = _count_calls(monkeypatch, "enumerate_regular", qf.pipeline)
+    # rows that read it again raise Overflow without enumerating: Q_n over
+    # <m, l> and G_n over <m>
+    calls = _count_calls(monkeypatch, "enumerate_cosets", qf.pipeline)
     assert main(["verify-tables", "--no-cache", "--max-cosets", "10"]) == 3
     capsys.readouterr()
-    enumerations = ([(pres, tuple(subgroup)) for pres, subgroup, *_ in quandles]
-                    + [(pres, ()) for pres, *_ in covers])
+    enumerations = [(pres, tuple(subgroup)) for pres, subgroup, *_ in calls]
     assert len(set(enumerations)) == len(enumerations) == 18
-    assert len(quandles) == 10
+    assert sum(len(subgroup) == 2 for _, subgroup in enumerations) == 10
 
 
 def test_g_n_is_enumerated_over_the_meridian(monkeypatch):
-    # the cover reads G_n's regular table, enumerated over <m> with the cap
-    # divided by n, and induced from the grading
+    # the cover reads G_n's table over <m>, enumerated with the cap divided by n
     enumerations = _count_calls(monkeypatch, "todd_coxeter", qf.presentations)
     pipe = Pipeline(max_cosets=1000)
     assert pipe.branched("catalog:3_1", 4).gn_order == 96

@@ -13,6 +13,7 @@ import qf.groups
 import qf.presentations
 from qf.diagrams import analyze, connected_sum, parse_pd, wirtinger_with_peripherals
 from qf.groups import (
+    CosetTable,
     GroupPresentation,
     Overflow,
     TableMismatch,
@@ -34,7 +35,6 @@ from qf.presentations import (
     abelian_quotient_table,
     branched_cover_certificate,
     enumerate_cosets,
-    enumerate_regular,
     grading_kernel_presentation,
     reidemeister_schreier,
     shorten,
@@ -251,10 +251,12 @@ def test_enumerate_cosets_overflows_and_checks_words():
 
 
 def _matches_raw_table(pres, n, max_cosets=10 ** 6):
-    """G_n enumerated over <m> and induced from the grading is regular and is
-    the table that raw HLT gives over 1; False where raw HLT overflows the cap."""
-    induced = enumerate_regular(pres, n)
-    induced.check_regular()
+    """G_n's table over <m> induces on Z/n x cosets (``CosetTable.induced_columns``)
+    a regular action, the table that raw HLT gives over 1; False where raw HLT
+    overflows the cap."""
+    table = enumerate_cosets(pres, [(1,)])
+    table.check_regular(n)
+    induced = CosetTable(pres.ngens, table.induced_columns(n), [])
     try:
         raw = todd_coxeter(pres, [], max_cosets)
     except Overflow:
@@ -282,41 +284,41 @@ def test_regular_table_of_two_bridge_double_covers():
                                     ("montesinos:1,1/2,1/3,1/3", 2)])
 def test_one_grade_off_by_one_is_a_table_mismatch(monkeypatch, spec, n):
     # the last generator's column at the last coset c of <m> raises the grade
-    # by 2, not 1: (a, c) -> (a + 2, c x), still a permutation, is no action
-    checked = qf.presentations._checked
+    # by 2, not 1: (a, c) -> (a + 2, c x), still a permutation, is no regular action
+    induced = CosetTable.induced_columns
 
-    def off_by_one(pres, forward, subgroup_words):
-        col = list(forward[-1])
-        size = len(col) // n
-        c = size - 1
+    def off_by_one(table, n):
+        forward = induced(table, n)
+        col, size, c = forward[-1], table.size, table.size - 1
         block = [col[a * size + c] for a in range(n)]
         for a in range(n):
             col[a * size + c] = block[(a + 1) % n]
-        return checked(pres, [*forward[:-1], col], subgroup_words)
+        return forward
 
-    monkeypatch.setattr(qf.presentations, "_checked", off_by_one)
-    with pytest.raises(TableMismatch, match="does not act trivially"):
-        enumerate_regular(g_n_presentation(PIPE.peripherals(spec), n), n)
+    table = PIPE.branched(spec, n).table
+    table.check_regular(n)
+    monkeypatch.setattr(CosetTable, "induced_columns", off_by_one)
+    with pytest.raises(TableMismatch, match="no map sends point 0"):
+        table.check_regular(n)
 
 
 def test_regular_enumeration_caps_and_overflows(monkeypatch):
-    pres = g_n_presentation(PIPE.peripherals("catalog:3_1"), 5)  # |G_5| = 600, [G_5 : <m>] = 120
+    # G_5 of 3_1: |G_5| = 600, [G_5 : <m>] = 120; the cover's cap bounds n times
+    # the cosets of <m>, and every Overflow names the cap given
     calls = []
     enumerate_once = qf.presentations.todd_coxeter
     monkeypatch.setattr(qf.presentations, "todd_coxeter",
                         lambda *args: calls.append(args[1:3]) or enumerate_once(*args))
-    # a cap below n overflows before any enumeration, and names the cap given
+    # a cap below n overflows before any enumeration
     with pytest.raises(Overflow, match="exceeded 4 cosets") as exc:
-        enumerate_regular(pres, 5, max_cosets=4)
+        Pipeline(max_cosets=4).branched("catalog:3_1", 5)
     assert exc.value.max_cosets == 4 and calls == []
     # <m> is enumerated at cap 500 // 5 = 100 < 120; the Overflow names 500
     with pytest.raises(Overflow, match="exceeded 500 cosets") as exc:
-        enumerate_regular(pres, 5, max_cosets=500)
+        Pipeline(max_cosets=500).branched("catalog:3_1", 5)
     assert exc.value.max_cosets == 500 and calls == [([(1,)], 100)]
-    assert enumerate_regular(pres, 5, max_cosets=1000).size == 600
+    assert Pipeline(max_cosets=1000).branched("catalog:3_1", 5).gn_order == 600
     assert calls[-1] == ([(1,)], 200)
-    with pytest.raises(ValueError):  # m^4 is no relator of G_5
-        enumerate_regular(pres, 4)
 
 
 def test_canonical_runs_only_on_relators_of_shared_length(monkeypatch):

@@ -56,17 +56,16 @@ class CoverReference(NamedTuple):
 
 def cover_reference(cover) -> CoverReference:
     """The reference that the column view of a cover is compared with. The
-    element x is the coset ``kernel[x]`` of the regular G_n table; x y is the
-    coset that rep_y walks to from x, and phi(x) the coset that
-    m^-1 rep_x m walks to from coset 0."""
-    t, kernel = cover.table, cover.kernel
-    element = {c: x for x, c in enumerate(kernel)}
-    mult = [[element[t.walk([c], t.rep_words[d])[0]] for d in kernel] for c in kernel]
-    identity = element[0]
-    m = cover.peripherals.meridian + 1
-    phi = [element[t.coset_of_word((-m,) + t.rep_words[c] + (m,))] for c in kernel]
-    return CoverReference(mult, identity, [row.index(identity) for row in mult], phi,
-                          element[t.coset_of_word(cover.peripherals.longitude)])
+    element x is the grade-0 element m^-k rep_x of coset x of G_n's table
+    over <m>, k the exponent sum of rep_x; x y is the coset that the word of
+    y walks to from x, and phi(x) = m^-1 x m the coset x m."""
+    t, n, m = cover.table, cover.n, cover.peripherals.meridian + 1
+    cosets = range(t.size)
+    columns = [t.walk(cosets, (-m,) * (sum(1 if x > 0 else -1 for x in rep) % n) + rep)
+               for rep in t.rep_words]
+    mult = [list(row) for row in zip(*columns)]
+    return CoverReference(mult, 0, [row.index(0) for row in mult], t.walk(cosets, (m,)),
+                          t.coset_of_word(cover.peripherals.longitude))
 
 
 def alexander_quandle(m: int, t: int) -> FiniteQuandle:
