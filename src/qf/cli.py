@@ -1,15 +1,16 @@
 """Command line interface: qf enumerate | homology | verify-tables | catalog.
 
 Exit codes: 0 success, 2 input error (a bad argument, or a knot file or cache
-directory that cannot be read or written), 3 enumeration overflow, 4 verification
-mismatch, 5 internal error (a broken invariant: TableMismatch,
-IncompleteTable, AxiomViolation, MalformedWitness, NotAComplex or
-DivisibilityError, reported as one "internal error: ..." line on stderr).
+directory that cannot be read or written), 3 enumeration overflow or out of
+memory, 4 verification mismatch, 5 internal error (a broken invariant:
+TableMismatch, IncompleteTable, AxiomViolation, MalformedWitness, NotAComplex
+or DivisibilityError, reported as one "internal error: ..." line on stderr).
 An overflow writes one "overflow: ..." line that names the cap; where pi1 of
 the branched cover is proved infinite before enumerating, that line reads
 "Q_n is infinite, so its index exceeded N cosets" and one "infinite: ..."
-line names the certificate's subgroup index and abelianization. Result
-JSON/CSV goes to stdout and is byte-identical across runs; timings and cache
+line names the certificate's subgroup index and abelianization; a
+MemoryError writes one "overflow: out of memory ..." line. Result JSON/CSV
+goes to stdout and is byte-identical across runs; timings and cache
 statistics go to stderr.
 """
 
@@ -147,6 +148,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"overflow: {exc}\n")
         if exc.certificate is not None:
             sys.stderr.write(f"infinite: {exc.certificate}\n")
+        return EXIT_OVERFLOW
+    except MemoryError:
+        sys.stderr.write("overflow: out of memory before the computation finished\n")
         return EXIT_OVERFLOW
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -13,11 +13,11 @@ index (a negative one would alias), and is inverted once; one BFS from coset
 reaches them, proves every coset reached and derives the tree of
 representative words, each coset's parent and the letter that reaches it;
 the columns are renumbered only where the numbering changed. The words
-(``rep_words``) are spelled along the tree when first read, by
-``GAlexColumns.column`` alone. Every computed table is one constructor call:
-the enumerator's live rows, a lift from a simplified enumeration, a
-character map (``qf.presentations``). ``from_json`` calls it on a cache
-entry and rejects a table that it renumbered.
+(``rep_words``), read by the tests alone, are spelled along the tree when
+first read. Every computed table is one constructor call: the enumerator's
+live rows, a lift from a simplified enumeration, a character map
+(``qf.presentations``). ``from_json`` calls it on a cache entry and rejects
+a table that it renumbered.
 
 ``CosetTable.check(g, subgroup)`` proves a table to be the action of g on the
 cosets of some subgroup H that contains the given words; a table loaded from
@@ -45,7 +45,9 @@ regular. The induced action is transitive where m fixes coset 0, as
 ``check`` proves: m^k takes (0, 0) to (k, 0), and rep_c takes (k, 0) to
 (k + |rep_c|, c). A computed table of G_n over <m> is one by theorem, so
 only a loaded one needs the lemma. ``branched_cover`` reads pi1(M_n), the
-kernel of G_n -> Z/n, off that table as one ``BranchedCover``.
+kernel of G_n -> Z/n, off that table as one ``BranchedCover``. Q_n and
+GAlex(pi1, phi) are Joyce's coset quandles of G_n over <m, l> and over <m>:
+``CosetQuandle`` builds every column of both.
 """
 
 from __future__ import annotations
@@ -541,19 +543,40 @@ def _subgroup_words(g: GroupPresentation, subgroup: Iterable[Iterable[int]]) -> 
     return words
 
 
-def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle:
-    """The quandle on coset indices with op(i, j) = i . (rep_j^-1 m rep_j).
-
-    Column 0 reads m. Each other column is built from its parent's along the
-    tree of ``CosetTable.tree``: with rep_j = rep_p x for a letter x,
-    col_j = A_x col_p A_x^-1, where A_x is the column of x.
+class CosetQuandle:
+    """Joyce's coset quandle, op(i, j) = i . (rep_j^-1 m rep_j) on coset
+    indices, one column at a time: column 0 is the walk of m, and for the
+    tree edge (p, x) of coset j, col_j = A_x col_p A_x^-1 (A_x the column of
+    x), as rep_j = rep_p x. Every other column is built when first read,
+    ancestors first, and kept; ``generators`` is the greedy W of
+    ``qf.quandles``.
     """
-    columns = [t.walk(range(t.size), free_reduce(meridian))]
-    for p, letter in t.tree:
-        x = _col(letter)
-        ax, col_p = t.action[x], columns[p]
-        columns.append([ax[col_p[i]] for i in t.action[x ^ 1]])
-    return FiniteQuandle(list(zip(*columns)))
+
+    def __init__(self, t: CosetTable, meridian: Iterable[int]):
+        self.size, self._table = t.size, t
+        self._columns = {0: tuple(t.walk(range(t.size), free_reduce(meridian)))}
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return tuple(_generating_set(self))
+
+    def column(self, y: int) -> tuple[int, ...]:
+        """The translation by y as a mapping x -> x * y."""
+        columns, t, d, path = self._columns, self._table, y, []
+        while d not in columns:  # up the tree to a built ancestor
+            path.append(d)
+            d = t.tree[d - 1][0]
+        for d in reversed(path):
+            p, x = t.tree[d - 1]
+            ax, col_p = t.action[_col(x)], columns[p]
+            columns[d] = tuple([ax[col_p[i]] for i in t.action[_col(-x)]])
+        return columns[y]
+
+
+def quandle_from_cosets(t: CosetTable, meridian: Iterable[int]) -> FiniteQuandle:
+    """The ``FiniteQuandle`` of every column of ``CosetQuandle(t, meridian)``."""
+    view = CosetQuandle(t, meridian)
+    return FiniteQuandle(list(zip(*map(view.column, range(t.size)))))
 
 
 def check_n(n: int) -> None:
@@ -590,8 +613,9 @@ class BranchedCover:
     length of the orbit of coset 0 under l. l commutes with m, so
     <m> l g = l <m> g: x -> l x (``longitude_action``) sends coset c to the
     walk of rep_c from coset 0 l, read along the tree. ``galex``,
-    GAlex(pi1, phi) with phi(g) = m^-1 g m, is read a column at a time;
-    neither it nor ``longitude_action`` builds a table of pi1.
+    GAlex(pi1, phi) with phi(g) = m^-1 g m, is the ``CosetQuandle`` of this
+    table, read a column at a time; neither it nor ``longitude_action``
+    builds a table of pi1.
     """
 
     peripherals: PeripheralPresentation
@@ -608,45 +632,14 @@ class BranchedCover:
         return self.table.size
 
     @cached_property
-    def galex(self) -> GAlexColumns:
-        return GAlexColumns(self)
+    def galex(self) -> CosetQuandle:
+        return CosetQuandle(self.table, (self.peripherals.meridian + 1,))
 
     @cached_property
     def longitude_action(self) -> tuple[int, ...]:
         """x -> l x on pi1(M_n)."""
         t = self.table
         return tuple(t.rep_images(t, t.coset_of_word(self.peripherals.longitude)))
-
-
-class GAlexColumns:
-    """GAlex(pi1(M_n), phi), x * y = phi(x y^-1) y with phi(g) = m^-1 g m, on
-    the elements of a ``BranchedCover``, one column at a time (the lemma of
-    ``qf.verify`` proves it a quandle). Column y is x -> m^-1 x (y^-1 m y),
-    whose coset <m> x (y^-1 m y) is the walk of rep_y^-1 m rep_y from coset
-    x: rep_y is m^k y for some k. ``generators`` is the greedy W of
-    ``qf.quandles``; columns are built when first read and kept.
-    """
-
-    def __init__(self, cover: BranchedCover):
-        # the cover's parts, not the cover, which keeps this view: no cycle
-        self.size = cover.pi1_order
-        self._table = cover.table
-        self._meridian = cover.peripherals.meridian + 1
-        self._columns: dict[int, tuple[int, ...]] = {}
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        return tuple(_generating_set(self))
-
-    def column(self, y: int) -> tuple[int, ...]:
-        """The translation by y as a mapping x -> x * y."""
-        col = self._columns.get(y)
-        if col is None:
-            t = self._table
-            rep = t.rep_words[y]
-            word = free_reduce(invert_word(rep) + (self._meridian,) + rep)
-            col = self._columns[y] = tuple(t.walk(range(t.size), word))
-        return col
 
 
 def branched_cover(p: PeripheralPresentation, n: int, t: CosetTable) -> BranchedCover:

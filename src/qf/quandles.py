@@ -54,7 +54,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # qf.groups imports this module
-    from qf.groups import GAlexColumns
+    from qf.groups import CosetQuandle
 
 MAX_SIZE = 1 << 16
 
@@ -147,7 +147,7 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size})"
 
 
-def _generating_set(q: FiniteQuandle | GAlexColumns) -> list[int]:
+def _generating_set(q: FiniteQuandle | CosetQuandle) -> list[int]:
     """A small set W, in increasing order, whose orbit under the translations
     by W is all of q (a generating set of a quandle; see the module docstring).
 
@@ -250,7 +250,7 @@ class ExtensionWitness:
     permutation by which the cyclic group generator acts on the total quandle.
     """
 
-    total: FiniteQuandle | GAlexColumns
+    total: FiniteQuandle | CosetQuandle
     base: FiniteQuandle
     projection: tuple[int, ...]
     group_order: int
@@ -277,8 +277,8 @@ def verify_extension(w: ExtensionWitness) -> ExtensionReport:
     The homomorphism and (E1) are checked for y in the generating set W of
     the total quandle only, which proves them for every y (Lemma 5d, 5e), so
     the total quandle is read only through ``size``, ``generators`` and the
-    columns of y and lam(y) for y in W: a ``FiniteQuandle`` or the
-    ``GAlexColumns`` of a branched cover.
+    columns of y and lam(y) for y in W: a ``FiniteQuandle`` or a
+    ``CosetQuandle``, the GAlex of a branched cover.
     """
     nt = w.total.size
     if len(w.projection) != nt or len(w.action) != nt:

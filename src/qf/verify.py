@@ -22,13 +22,14 @@ is a bijection; and both (x * y) * z and (x * z) * (y * z) equal
 f(f(x y^-1) y z^-1) z. So GAlex(pi1, phi) needs no check of its axioms, and
 Lemma 5 of ``qf.quandles`` applies to it with the greedy W, which generates
 it by construction. (d) By (a), x * y = m^-1 x y^-1 m y is the coset
-<m> x (y^-1 m y), the walk of rep_y^-1 m rep_y from coset x, as rep_y is
-m^k y for some k: Joyce's coset quandle of <m> in G_n; and as l commutes
-with m, x -> l x sends coset c to <m> l rep_c, the walk of rep_c from coset
-0 l. ``BranchedCover.galex`` builds a column when it is first read, by the
-greedy W or by ``verify_extension`` (the columns of W and lam(W)); no table
-of pi1 or of GAlex(pi1, phi) is built. p(x) = <m, l> rep_x is read along the
-tree of representative words (``CosetTable.rep_images``).
+<m> x (y^-1 m y), the action of rep_y^-1 m rep_y on coset x, as rep_y is
+m^k y for some k: Joyce's coset quandle of <m> in G_n, built as Q_n's over
+<m, l> is (``qf.groups.CosetQuandle``); and as l commutes with m, x -> l x
+sends coset c to <m> l rep_c, the walk of rep_c from coset 0 l.
+``BranchedCover.galex`` builds a column, ancestors first, when first read,
+by the greedy W or by ``verify_extension`` (the columns of W and lam(W)); no
+table of pi1 or of GAlex(pi1, phi) is built. p(x) = <m, l> rep_x is read
+along the tree of representative words (``CosetTable.rep_images``).
 
 Lemma (Joyce 1982). The coset quandle Q(pi1, phi, A), A = <l>, is by
 definition the quotient of GAlex(pi1, phi) by x ~ a x, a in A. If p is a

@@ -5,9 +5,12 @@ import pytest
 from qf.builders import build_rational, build_torus
 from qf.diagrams import analyze, wirtinger_with_peripherals
 from qf.groups import (
+    CosetQuandle,
     Overflow,
     branched_cover,
+    free_reduce,
     g_n_presentation,
+    invert_word,
     quandle_from_cosets,
     todd_coxeter,
 )
@@ -47,6 +50,14 @@ def branched(per, n):
 
 def galex(g):
     return FiniteQuandle(g.galex())
+
+
+def walked_columns(table, meridian):
+    """Column y of the coset quandle as the walk of rep_y^-1 m rep_y from
+    every coset: the reference for the tree-built columns of qf."""
+    cosets = range(table.size)
+    return [tuple(table.walk(cosets, free_reduce(invert_word(rep) + meridian + rep)))
+            for rep in table.rep_words]
 
 
 def enumerated(per, n):
@@ -228,6 +239,16 @@ def test_witness_read_off_the_table_matches_galex(spec, n):
     read = {*view.generators, *(w.action[y] for y in view.generators)}
     for y in sorted(read):
         assert view.column(y) == total.column(y), y
-    # the witness check reads a few columns, not the table
+    # the witness check reads a few columns, ancestors on the tree included,
+    # not the table
     assert verify_extension(w).ok
     assert len(view._columns) <= max(8, view.size // 2)
+    # Q_n over <m, l> and GAlex over <m> are one view: on both tables, each
+    # column built from its tree parent's (deepest first, so that ancestors
+    # are built on the way) is the walk of rep_y^-1 m rep_y
+    m = (data.peripherals.meridian + 1,)
+    for table in (q_table, data.table):
+        want = walked_columns(table, m)
+        fresh = CosetQuandle(table, m)
+        assert [fresh.column(y) for y in reversed(range(table.size))] == want[::-1]
+        assert quandle_from_cosets(table, m).table == tuple(zip(*want))

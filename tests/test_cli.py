@@ -374,6 +374,20 @@ def test_internal_invariant_error_exits_5(capsys, monkeypatch, error):
     assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    # a MemoryError anywhere below main (here from the Tietze simplification of
+    # G_n, where a huge 2-bridge row runs out) is an overflow: exit 3, nothing
+    # on stdout, one line on stderr
+    def exhausted(pres, keep):
+        raise MemoryError
+
+    monkeypatch.setattr(qf.pipeline, "simplify", exhausted)
+    code, out, err = run(capsys, "homology", "--knot", "rational:27,17", "--n", "2", "--no-cache")
+    assert (code, out) == (EXIT_OVERFLOW, "")
+    assert err.startswith("overflow: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _cover_table_not_regular(monkeypatch, checked=qf.presentations._checked):
     # G_n's table over <m> with the last two entries of generator 1's column
     # transposed: still a permutation, but no action of G_n, so the check

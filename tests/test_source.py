@@ -57,7 +57,7 @@ def test_no_group_table_layer():
     # with no regular table of G_n; the validated Cayley table of pi1 and its
     # automorphism are the tests' reference (cover_reference), not the package's
     gone = {"FiniteGroupElementSet", "GroupAutomorphism", "AutomorphismInvalid", "galex",
-            "enumerate_regular"}
+            "enumerate_regular", "GAlexColumns"}
     found = [f"{path.stem}.{node.name}"
              for path in sorted(Path(qf.__file__).parent.glob("*.py"))
              for node in ast.parse(path.read_text()).body
