@@ -1,8 +1,11 @@
 """End-to-end pipelines: knot spec -> enumerated n-quandle -> homology, with caching.
 
-Coset tables are cached as JSON, by their forward columns, keyed by a content
-hash of the presentation, the subgroup and the enumeration strategy version;
-a cache hit is the table that uncapped recomputation gives. ``max_cosets``
+Coset tables are cached as JSON, by their forward columns, keyed by the
+presentation, the subgroup and the enumeration strategy version; a cache hit
+is the table that uncapped recomputation gives. An entry's file is named by
+the CRC-32 and Adler-32 of its key's text (16 hex digits); a name two keys
+share costs a miss, never a wrong table, as the entry stores its key. Entries
+named by SHA-256, as earlier versions wrote them, are never read. ``max_cosets``
 bounds only the enumeration on a miss, so a row that overflows a low cap
 uncached is read in full from a cache that a higher cap filled. On Q_n it
 bounds the cosets of <m, l>; on G_n, n times the cosets of <m>, its order: G_n
@@ -15,11 +18,11 @@ is byte-identical across runs.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
 import time
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -57,6 +60,14 @@ from qf.quandles import FiniteQuandle, is_connected, quandle_type, trivial_quand
 SCHEMA_VERSION = 1
 
 
+def _entry_name(key_text: str) -> str:
+    """The file name, less ``.json``, of the cache entry keyed by key_text: its
+    CRC-32 and then its Adler-32, 16 hex digits, the same on every run,
+    platform and Python version. Unlike SHA-256, it loads no OpenSSL."""
+    data = key_text.encode()
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+
+
 class CosetCache:
     """Disk cache for coset tables; None directory disables caching.
 
@@ -66,6 +77,12 @@ class CosetCache:
     <m> must also induce a regular action (``CosetTable.check_regular(n)``).
     An entry of another key or layout, or one that fails to parse or load, is
     recomputed and overwritten.
+
+    The entry's file is named by ``_entry_name`` of the key's text. The name
+    only picks the file and the stored key decides a hit, so two keys that
+    share a name cost each other a miss and a rewrite, never a wrong table.
+    Entries that earlier versions wrote under SHA-256 names are never read:
+    the first run after upgrading starts from a cold cache.
     """
 
     def __init__(self, directory: Optional[Path]):
@@ -104,7 +121,7 @@ class CosetCache:
         payload = {"ngens": pres.ngens, "relators": [list(w) for w in pres.relators],
                    "subgroup": [list(w) for w in subgroup], "strategy": STRATEGY_VERSION}
         key_text = json.dumps(payload, sort_keys=True)
-        path = self.directory / f"{hashlib.sha256(key_text.encode()).hexdigest()}.json"
+        path = self.directory / f"{_entry_name(key_text)}.json"
         table = self._load(path, payload, pres, subgroup, cover_n)
         if table is not None:
             self.hits += 1
@@ -273,7 +290,7 @@ class Pipeline:
         self.cache = cache if cache is not None else CosetCache(None)
         self.max_cosets = max_cosets
         self._knots: dict[str, KnotInput] = {}
-        self._peripherals: dict[PDCode, PeripheralPresentation] = {}
+        self._diagrams: dict[PDCode, tuple[Diagram, PeripheralPresentation]] = {}
         self._rows: dict[tuple[PeripheralPresentation, int], _Row] = {}
 
     def knot(self, spec: str) -> KnotInput:
@@ -281,14 +298,20 @@ class Pipeline:
             self._knots[spec] = resolve_knot_spec(spec)
         return self._knots[spec]
 
+    def _analyzed(self, spec: str) -> tuple[Diagram, PeripheralPresentation]:
+        """The diagram of the spec's PD code and its Wirtinger presentation,
+        built once per PD code."""
+        pd = self.knot(spec).pd
+        if pd not in self._diagrams:
+            diagram = analyze(pd)
+            self._diagrams[pd] = diagram, wirtinger_with_peripherals(diagram)
+        return self._diagrams[pd]
+
     def diagram(self, spec: str) -> Diagram:
-        return analyze(self.knot(spec).pd)
+        return self._analyzed(spec)[0]
 
     def peripherals(self, spec: str) -> PeripheralPresentation:
-        pd = self.knot(spec).pd
-        if pd not in self._peripherals:
-            self._peripherals[pd] = wirtinger_with_peripherals(self.diagram(spec))
-        return self._peripherals[pd]
+        return self._analyzed(spec)[1]
 
     def _row(self, spec: str, n: int) -> _Row:
         key = (self.peripherals(spec), n)

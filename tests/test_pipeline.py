@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import os
 import re
@@ -157,18 +156,46 @@ def test_cache_write_ignores_a_stale_tmp_path(tmp_path):
 
 
 def test_cache_entry_is_the_sorted_dump_of_its_key_and_table(tmp_path):
-    # the key's text, hashed for the file name, is spliced into the entry,
-    # which stays byte for byte the dump of the whole entry
+    # the key's text, which names the file, is spliced into the entry, which
+    # stays byte for byte the dump of the whole entry
     pipe = Pipeline(CosetCache(tmp_path))
     tables = [pipe.quandle("catalog:3_1", 3)[0], pipe.branched("catalog:3_1", 3).table]
     pres = g_n_presentation(pipe.peripherals("catalog:3_1"), 3)
+    names = []
     for table in tables:
         payload = {"ngens": pres.ngens, "relators": [list(w) for w in pres.relators],
                    "subgroup": [list(w) for w in table.subgroup], "strategy": STRATEGY_VERSION}
-        key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-        assert (tmp_path / f"{key}.json").read_text() == json.dumps(
+        names.append(qf.pipeline._entry_name(json.dumps(payload, sort_keys=True)))
+        assert (tmp_path / f"{names[-1]}.json").read_text() == json.dumps(
             {"key": payload, "table": table.to_json()}, sort_keys=True)
     assert len(list(tmp_path.iterdir())) == 2
+    # the name of the Q_3 entry of the trefoil, pinned: CRC-32 then Adler-32
+    # of the key's text, so a change of naming scheme is a change of this test
+    assert names[0] == "e99edf637f6a2842"
+
+
+def test_keys_that_share_a_file_name_cost_a_miss_never_a_wrong_table(tmp_path, monkeypatch):
+    # the name only picks the file; the stored key decides a hit, so two keys
+    # under one name overwrite each other's entry, each lookup after the other
+    # key's write a miss, and every lookup returns its own key's table. The
+    # table of Z/12 over <a^2> also passes the load's checks at the key of
+    # Z/12 over <a^4>: only the stored key tells them apart
+    monkeypatch.setattr(qf.pipeline, "_entry_name", lambda key_text: "shared")
+    pres = GroupPresentation(1, [(1,) * 12])
+    cache = CosetCache(tmp_path)
+    for _ in range(3):
+        for subgroup in (((1, 1),), ((1,) * 4,)):
+            misses = cache.misses
+            table = _lookup(cache, pres, subgroup)
+            assert table == todd_coxeter(pres, list(subgroup), 10 ** 5)
+            assert cache.misses == misses + 1
+            (entry,) = tmp_path.iterdir()
+            stored = json.loads(entry.read_text())
+            assert entry.name == "shared.json"
+            assert stored["key"]["relators"] == [list(w) for w in pres.relators]
+            assert stored["key"]["subgroup"] == [list(w) for w in subgroup]
+            assert stored["table"] == json.loads(json.dumps(table.to_json()))
+    assert cache.hits == 0 and cache.misses == 6
 
 
 def test_cache_write_recreates_a_removed_directory(tmp_path, monkeypatch):
@@ -219,9 +246,12 @@ def test_verification_computes_each_quantity_once(monkeypatch, tmp_path):
     simplified = _count_calls(monkeypatch, "simplify", qf.pipeline)
     certificates = _count_calls(monkeypatch, "branched_cover_certificate", qf.pipeline)
     presented = _count_calls(monkeypatch, "grading_kernel_presentation", qf.presentations)
+    analyses = _count_calls(monkeypatch, "analyze", qf.pipeline)
     cache = CosetCache(tmp_path)
     pipe = Pipeline(cache)
     rows = run_verification(pipe)
+    # one diagram per PD code, which the Schlafli rows read again
+    assert len(analyses) == len({pd for pd, in analyses}) == 8
     homology_rows = [r for r in rows if r.name.startswith(("H2 ", "montesinos "))]
     assert len(homology_rows) == len(H2_CASES) + 1
     # one batch of the d3' columns whose first entry is in W per homology row,

@@ -2,7 +2,10 @@ import ast
 import builtins
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qf
@@ -99,3 +102,18 @@ def test_one_coset_table_constructor():
     assert found == []
     assert list(inspect.signature(CosetTable).parameters) == ["ngens", "forward", "subgroup"]
     assert not hasattr(qf.groups, "_standardized_table")
+
+
+def test_a_qf_run_loads_no_openssl(tmp_path):
+    # hashlib and ssl load OpenSSL's libcrypto, 3.5 MiB of resident memory in
+    # each short qf process; the cache names its entries with zlib. The child
+    # runs a whole command, cold cache included, so a lazy import shows too
+    argv = ["homology", "--knot", "catalog:3_1", "--n", "2", "--cache-dir", str(tmp_path)]
+    code = ("import sys\nfrom qf.cli import main\n"
+            f"status = main({argv!r})\n"
+            "print(status, sorted({'_hashlib', '_ssl'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qf.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
+    assert len(list(tmp_path.glob("*.json"))) == 2
